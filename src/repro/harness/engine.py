@@ -33,6 +33,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -55,6 +56,7 @@ from repro import codec
 from repro import stacks as stack_registry
 from repro.core.config import MementoConfig
 from repro.resolve import resolve_jobs, resolve_stack
+from repro.harness import system as harness_system
 from repro.harness import vector_kernel
 from repro.harness.system import RunResult, SimulatedSystem
 from repro.obs import ledger as obs_ledger
@@ -64,6 +66,7 @@ from repro.sim.params import CacheParams, MachineParams, TlbParams
 from repro.sim.stats import Stats
 from repro.workloads.profiles import LifetimeProfile
 from repro.workloads.synth import WorkloadSpec
+from repro.workloads.trace import Trace
 
 #: Bumped whenever the cache payload or key derivation changes shape;
 #: old artifacts simply stop matching and are re-simulated.
@@ -281,9 +284,18 @@ class RunRequest:
             **kwargs,
         )
 
-    def execute(self, cost_model: Optional[CostModel] = None) -> RunResult:
-        """Run the simulation this request describes (no caching)."""
-        return self.build_system(cost_model).run()
+    def execute(
+        self,
+        cost_model: Optional[CostModel] = None,
+        trace: Optional[Trace] = None,
+    ) -> RunResult:
+        """Run the simulation this request describes (no caching).
+
+        ``trace`` must be the trace of this request's resolved spec (the
+        engine shares one across every request with that spec); omitted,
+        it is generated from the spec.
+        """
+        return self.build_system(cost_model).run(trace)
 
     # -- wire schema -----------------------------------------------------
 
@@ -421,17 +433,72 @@ _config_from_dict = config_from_dict
 _machine_from_dict = machine_params_from_dict
 
 
-def _execute_remote(
-    request: RunRequest,
-) -> Tuple[Dict[str, Any], float]:
-    """Worker-process entry point: run and return a serialized result.
+def _spec_groups(
+    misses: Sequence[Tuple[str, RunRequest]],
+) -> List[List[Tuple[str, RunRequest]]]:
+    """Partition misses by a digest of the resolved spec, in order of
+    first appearance. Stack, cold/warm, kernel, config and machine are
+    left out of the digest: a trace is a function of the resolved spec
+    alone, so every member of a group replays the same trace."""
+    groups: Dict[str, List[Tuple[str, RunRequest]]] = {}
+    for key, request in misses:
+        spec_digest = codec.digest(codec.canonical(request.spec.resolved()))
+        groups.setdefault(spec_digest, []).append((key, request))
+    return list(groups.values())
 
-    Returns the :meth:`RunResult.to_dict` form so the parallel path and
-    the disk-cache path hand back byte-identical payloads.
+
+def _split_groups(
+    groups: List[List[Tuple[str, RunRequest]]], workers: int
+) -> List[List[Tuple[str, RunRequest]]]:
+    """Halve the largest group until every worker has a task or no group
+    has two members left: an idle worker costs more than generating one
+    trace twice."""
+    tasks = list(groups)
+    while len(tasks) < workers:
+        largest = max(range(len(tasks)), key=lambda i: len(tasks[i]))
+        group = tasks[largest]
+        if len(group) < 2:
+            break
+        half = len(group) // 2
+        tasks[largest:largest + 1] = [group[:half], group[half:]]
+    return tasks
+
+
+def _run_group(
+    requests: Sequence[RunRequest], cost_model: CostModel
+) -> Iterator[Tuple[Dict[str, Any], float]]:
+    """Run requests that share one resolved spec, yielding each one's
+    :meth:`RunResult.to_dict` form and seconds as it finishes.
+
+    A group of several generates its trace once and replays it on every
+    member; a lone request generates its own inside ``system.run``,
+    exactly like a direct :meth:`RunRequest.execute`. The trace dies with
+    the generator, so a serial batch holds one trace at a time.
     """
-    started = time.perf_counter()
-    result = request.execute()
-    return result.to_dict(), time.perf_counter() - started
+    trace = None
+    if len(requests) > 1:
+        spec = requests[0].spec
+        with get_tracer().span(
+            "trace.load", workload=spec.name, shared=len(requests)
+        ):
+            # Looked up at call time, so a wrapper installed on the
+            # system module sees the call.
+            trace = harness_system.generate_trace(spec)
+    for request in requests:
+        started = time.perf_counter()
+        result = request.execute(cost_model, trace=trace)
+        yield result.to_dict(), time.perf_counter() - started
+
+
+def _execute_group(
+    requests: Sequence[RunRequest], cost_model: CostModel
+) -> List[Tuple[Dict[str, Any], float]]:
+    """Worker-process entry point: one task per (split) spec group.
+
+    Returns serialized results so the parallel path and the disk-cache
+    path hand back byte-identical payloads.
+    """
+    return list(_run_group(requests, cost_model))
 
 
 def _envelope_ok(payload: Dict[str, Any]) -> bool:
@@ -534,12 +601,15 @@ class ExperimentEngine:
                     request.content_key(self.cost_model)
                     for request in requests
                 ]
-                results: Dict[str, RunResult] = {}
-                misses: List[Tuple[str, RunRequest]] = []
-                sources: Dict[str, str] = {}
+                # The first request per key executes, and is the one the
+                # ledger and progress report.
+                first: Dict[str, RunRequest] = {}
                 for key, request in zip(keys, requests):
-                    if key in results or any(key == k for k, _ in misses):
-                        continue
+                    first.setdefault(key, request)
+                results: Dict[str, RunResult] = {}
+                misses: Dict[str, RunRequest] = {}
+                sources: Dict[str, str] = {}
+                for key, request in first.items():
                     hit = self._lookup(key)
                     if hit is not None:
                         results[key] = hit
@@ -549,7 +619,7 @@ class ExperimentEngine:
                         if key not in self._memo:
                             self._memo[key] = hit
                     else:
-                        misses.append((key, request))
+                        misses[key] = request
             self.stats.add("engine.requests", len(requests))
             self.stats.add("engine.misses", len(misses))
             batch_span.set("misses", len(misses))
@@ -562,7 +632,7 @@ class ExperimentEngine:
             )
             counts = {"cached": 0, "live": 0, "failed": 0}
             for key in list(results):
-                request = _request_of(requests, keys, key)
+                request = first[key]
                 emitted += 1
                 self._ledger_append(key, request, sources[key], 0.0,
                                     results[key])
@@ -573,10 +643,10 @@ class ExperimentEngine:
                 with tracer.span("execute", misses=len(misses)):
                     try:
                         for key, result, elapsed in self._execute_all(
-                            misses, jobs
+                            list(misses.items()), jobs
                         ):
                             results[key] = result
-                            request = _request_of(requests, keys, key)
+                            request = first[key]
                             emitted += 1
                             self._ledger_append(key, request, "live",
                                                 elapsed, result)
@@ -597,26 +667,33 @@ class ExperimentEngine:
     def _execute_all(
         self, misses: Sequence[Tuple[str, RunRequest]], jobs: int
     ):
-        """Yield ``(key, result, seconds)`` for each miss, parallel when
-        it pays; results round-trip through ``to_dict`` either way so
+        """Yield ``(key, result, seconds)`` for each miss, one trace per
+        spec group (:func:`_spec_groups`), in group order; parallel when
+        it pays. Results round-trip through ``to_dict`` either way so
         cached, serial, and parallel runs are bit-identical."""
         started = time.perf_counter()
+        groups = _spec_groups(misses)
         if jobs > 1 and len(misses) > 1:
             self.stats.add("engine.parallel_batches")
+            tasks = _split_groups(groups, jobs)
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                payloads = pool.map(
-                    _execute_remote, [req for _, req in misses]
+                outputs = pool.map(
+                    _execute_group,
+                    [[request for _, request in task] for task in tasks],
+                    [self.cost_model] * len(tasks),
                 )
-                for (key, request), (data, elapsed) in zip(
-                    misses, payloads
-                ):
-                    yield key, self._admit(key, request, data, elapsed), (
-                        elapsed
-                    )
+                for task, output in zip(tasks, outputs):
+                    for (key, request), (data, elapsed) in zip(task, output):
+                        result = self._admit(key, request, data, elapsed)
+                        yield key, result, elapsed
         else:
-            for key, request in misses:
-                data, elapsed = _execute_remote(request)
-                yield key, self._admit(key, request, data, elapsed), elapsed
+            for group in groups:
+                members = _run_group(
+                    [request for _, request in group], self.cost_model
+                )
+                for (data, elapsed), (key, request) in zip(members, group):
+                    result = self._admit(key, request, data, elapsed)
+                    yield key, result, elapsed
         if misses:
             self.stats.add(
                 "engine.live_seconds", time.perf_counter() - started
@@ -741,12 +818,6 @@ class ExperimentEngine:
     def summary(self) -> Dict[str, float]:
         """Counter snapshot (``engine.*`` namespace)."""
         return self.stats.with_prefix("engine")
-
-
-def _request_of(
-    requests: Sequence[RunRequest], keys: Sequence[str], key: str
-) -> RunRequest:
-    return requests[keys.index(key)]
 
 
 # -- the shared default engine ------------------------------------------------

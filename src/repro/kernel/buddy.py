@@ -45,18 +45,20 @@ class BuddyAllocator:
         self._seed_free_lists()
 
     def _seed_free_lists(self) -> None:
-        """Carve the initial range into maximal aligned free blocks."""
-        offset = 0
-        remaining = self.total_frames
-        while remaining > 0:
-            order = MAX_ORDER
-            while order > 0 and (
-                (1 << order) > remaining or offset % (1 << order) != 0
-            ):
-                order -= 1
-            self.free_lists[order].add(self.base + offset)
-            offset += 1 << order
-            remaining -= 1 << order
+        """Carve the initial range into maximal aligned free blocks: the
+        whole top-order blocks from ``base`` up, then the tail below the
+        top order in descending powers of two (each starts where a larger
+        block ended, so each is aligned)."""
+        top = 1 << MAX_ORDER
+        full = self.total_frames - self.total_frames % top
+        self.free_lists[MAX_ORDER].update(
+            range(self.base, self.base + full, top)
+        )
+        offset = full
+        for order in range(MAX_ORDER - 1, -1, -1):
+            if self.total_frames & (1 << order):
+                self.free_lists[order].add(self.base + offset)
+                offset += 1 << order
 
     def alloc(self, order: int = 0) -> int:
         """Allocate a block of ``2**order`` frames; return its start frame."""

@@ -6,11 +6,14 @@ from dataclasses import replace
 
 import pytest
 
+from repro import stacks as stack_registry
 from repro.core.config import MementoConfig
+from repro.harness import system as harness_system
 from repro.harness.engine import (
     DiskCache,
     ExperimentEngine,
     RunRequest,
+    _split_groups,
     cost_model_fingerprint,
 )
 from repro.harness.experiment import run_workload, workload_requests
@@ -107,6 +110,89 @@ def test_parallel_results_identical_to_serial(tmp_path):
     )
     for left, right in zip(serial, parallel):
         assert left.to_dict() == right.to_dict()
+
+
+# ------------------------------------------------------- grouped execution
+
+
+def mixed_batch():
+    """Every axis the spec grouping must leave out, over two seeds:
+    all four stacks cold and warm, an allocator override, two Memento
+    configs (one on the resolved spec), and duplicate requests."""
+    requests = []
+    for seed in (1, 2):
+        spec = replace(small("html", num_allocs=300), seed=seed)
+        requests += [
+            RunRequest(spec, stack=stack, cold_start=cold)
+            for stack in stack_registry.stack_names()
+            for cold in (False, True)
+        ]
+        requests.append(
+            RunRequest(
+                spec,
+                stack="baseline",
+                allocator="pymalloc",
+                allocator_kwargs=(("arena_bytes", 1024 * 1024),),
+            )
+        )
+        requests.append(
+            RunRequest(
+                spec.resolved(),
+                stack="memento",
+                config=MementoConfig(objects_per_arena=16),
+            )
+        )
+    return requests + [requests[0], requests[3], requests[12]]
+
+
+def test_grouped_batch_matches_per_request_execution(tmp_path, monkeypatch):
+    requests = mixed_batch()
+    reference = [request.execute().to_dict() for request in requests]
+    unique = len({request.content_key() for request in requests})
+
+    generated = []
+    real_generate = harness_system.generate_trace
+
+    def counting_generate(spec):
+        generated.append(spec.resolved())
+        return real_generate(spec)
+
+    monkeypatch.setattr(harness_system, "generate_trace", counting_generate)
+    events = []
+    serial = make_engine(
+        tmp_path / "serial", progress=lambda *event: events.append(event)
+    ).run_many(requests, jobs=1)
+    assert [result.to_dict() for result in serial] == reference
+    assert len(generated) == len(set(generated)) == 2
+    assert [event[0] for event in events] == list(range(1, unique + 1))
+    assert all(event[1] == unique and event[3] == "live" for event in events)
+
+    monkeypatch.setattr(harness_system, "generate_trace", real_generate)
+    parallel = make_engine(tmp_path / "parallel").run_many(requests, jobs=2)
+    assert [result.to_dict() for result in parallel] == reference
+
+
+def test_split_groups_keeps_every_worker_busy():
+    groups = [list("abcd"), list("e")]
+    assert _split_groups(groups, 3) == [list("ab"), list("cd"), list("e")]
+    assert _split_groups(groups, 1) == groups
+    # Singletons cannot be split: fewer tasks than workers is the floor.
+    assert _split_groups([list("a"), list("b")], 4) == [list("a"), list("b")]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_engine_simulates_with_its_cost_model(tmp_path, jobs):
+    recalibrated = CostModel(page_fault=9_999)
+    requests = [
+        RunRequest(small(num_allocs=400), stack=stack)
+        for stack in ("baseline", "memento")
+    ]
+    engine = make_engine(tmp_path, cost_model=recalibrated)
+    results = engine.run_many(requests, jobs=jobs)
+    for request, result in zip(requests, results):
+        expected = request.execute(recalibrated).total_cycles
+        assert result.total_cycles == expected
+        assert result.total_cycles != request.execute().total_cycles
 
 
 # ------------------------------------------------------------------ caching

@@ -145,3 +145,71 @@ def test_full_free_restores_all_frames(orders):
         buddy.free(block)
     assert buddy.free_frames == 512
     buddy.check_invariants()
+
+
+def reference_seed(base, total_frames):
+    """The original block-at-a-time seeding loop, kept as the reference
+    the bulk seeding must reproduce exactly."""
+    free_lists = [set() for _ in range(MAX_ORDER + 1)]
+    offset = 0
+    remaining = total_frames
+    while remaining > 0:
+        order = MAX_ORDER
+        while order > 0 and (
+            (1 << order) > remaining or offset % (1 << order) != 0
+        ):
+            order -= 1
+        free_lists[order].add(base + offset)
+        offset += 1 << order
+        remaining -= 1 << order
+    return free_lists
+
+
+def reference_buddy(base, total_frames):
+    buddy = make_buddy(frames=total_frames, base=base)
+    buddy.free_lists = reference_seed(base, total_frames)
+    return buddy
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    base=st.one_of(
+        st.integers(min_value=0, max_value=1 << 20),
+        st.integers(min_value=0, max_value=64).map(lambda k: k << MAX_ORDER),
+    ),
+    total_frames=st.one_of(
+        st.integers(min_value=1, max_value=5_000),
+        st.integers(min_value=1, max_value=4).map(lambda k: k << MAX_ORDER),
+    ),
+    ops=st.lists(
+        st.tuples(
+            st.booleans(), st.integers(min_value=0, max_value=MAX_ORDER)
+        ),
+        max_size=40,
+    ),
+)
+def test_bulk_seeding_matches_reference_loop(base, total_frames, ops):
+    """Bulk seeding yields the reference loop's free lists for any base
+    (aligned or not) and any size (multiple of the top order or not), and
+    both allocators then hand out identical frames."""
+    buddy = make_buddy(frames=total_frames, base=base)
+    assert buddy.free_lists == reference_seed(base, total_frames)
+    buddy.check_invariants()
+    reference = reference_buddy(base, total_frames)
+    live = []
+    for is_alloc, order in ops:
+        if is_alloc:
+            try:
+                block = buddy.alloc(order)
+            except OutOfMemoryError:
+                with pytest.raises(OutOfMemoryError):
+                    reference.alloc(order)
+                continue
+            assert reference.alloc(order) == block
+            live.append(block)
+        elif live:
+            block = live.pop(0)
+            buddy.free(block)
+            reference.free(block)
+        assert buddy.free_lists == reference.free_lists
+    buddy.check_invariants()
