@@ -4,20 +4,14 @@
 #   docker run -p 8023:8023 repro
 #   curl -sf localhost:8023/healthz
 #
-# The image installs the [fast] extra so the service replays with the
-# vectorized kernel; results are bit-identical either way, so an image
-# built without it (--build-arg EXTRAS="") serves the same answers.
+# The package needs nothing beyond the standard library.
 FROM python:3.12-slim
-
-ARG EXTRAS="fast"
 
 WORKDIR /app
 
-# Dependency layer first so source edits don't re-resolve installs.
 COPY pyproject.toml setup.py README.md ./
 COPY src ./src
-RUN pip install --no-cache-dir -e ".[${EXTRAS}]" \
-    || pip install --no-cache-dir -e .
+RUN pip install --no-cache-dir -e .
 
 # Persistent result store; mount a volume here to keep results across
 # container restarts.

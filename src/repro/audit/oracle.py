@@ -23,13 +23,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import stacks as stack_registry
 from repro.audit.invariants import AuditContext, Auditor, Violation
-from repro.harness import vector_kernel
 from repro.harness.system import SimulatedSystem
 from repro.resolve import resolve_stack
 from repro.sim.machine import Machine
 from repro.sim.params import PAGE_SHIFT, PAGE_SIZE
 from repro.workloads.synth import WorkloadSpec, generate_trace
-from repro.workloads.trace import Alloc, Compute, Free, Touch, Trace
+from repro.workloads.trace import Compute, Free, Trace
 
 _PAGE_MASK = PAGE_SIZE - 1
 
@@ -281,26 +280,9 @@ def _probe(system: SimulatedSystem, keys) -> Dict[str, float]:
 
 
 def _step_event(system: SimulatedSystem, event) -> Optional[int]:
-    """Apply one trace event to ``system`` exactly as ``_replay_events``
-    would; returns the allocated address for Alloc events."""
-    kind = type(event)
-    if kind is Touch:
-        system._touch_lines(
-            event.obj, event.lines, event.line_offset, event.write
-        )
-    elif kind is Compute:
-        system.core.charge(event.cycles, "app")
-        if event.dram_bytes:
-            system.machine.dram.record_bulk_bytes(event.dram_bytes)
-    elif kind is Alloc:
-        addr = system._malloc(event.size)
-        system._addr_of[event.obj] = addr
-        system._size_of[event.obj] = event.size
-        return addr
-    elif kind is Free:
-        system._free(system._addr_of.pop(event.obj))
-        del system._size_of[event.obj]
-    return None
+    """Apply one trace event to ``system`` (:meth:`SimulatedSystem.step`);
+    returns the allocated address for Alloc events."""
+    return system.step(event)
 
 
 def run_lockstep(
@@ -473,12 +455,11 @@ class DiffReport:
 def _compare_columnar(
     trace: Trace, spec: WorkloadSpec, stack: Any
 ) -> List[str]:
-    """Replay the same trace through the event path, the scalar packed
-    columnar path, and (when numpy is installed) the vectorized kernel,
-    on fresh fast systems; the final stats must be bit-identical (the
-    columnar form and the kernel are encodings, not models)."""
+    """Replay the same trace through the per-event path and the packed
+    columnar path on fresh fast systems; the final stats must be
+    bit-identical (the columnar form is an encoding, not a model)."""
     stepped = SimulatedSystem(spec, stack)
-    # The packed legs go through run(), which fires the stack's
+    # The packed leg goes through run(), which fires the stack's
     # begin-run hook (e.g. snapshot's restore charge); the stepped leg
     # drives the internals by hand and must fire it too, or the totals
     # diverge on any stack with a nonzero begin-run cost.
@@ -488,39 +469,23 @@ def _compare_columnar(
         stepped._function_exit()
     stepped_result = stepped._collect(trace, allocs, frees)
 
-    legs = [
-        ("columnar", SimulatedSystem(spec, stack, replay_kernel="scalar"))
-    ]
-    if vector_kernel.numpy_available():
-        legs.append(
-            (
-                "vectorized",
-                SimulatedSystem(
-                    spec, stack, replay_kernel="vectorized"
-                ),
-            )
-        )
-
+    packed_result = SimulatedSystem(spec, stack).run(trace)
     mismatches: List[str] = []
     stepped_stats = stepped_result.stats
-    for label, system in legs:
-        packed_result = system.run(trace)
-        packed_stats = packed_result.stats
-        for key in sorted(set(stepped_stats) | set(packed_stats)):
-            a = stepped_stats.get(key, 0)
-            b = packed_stats.get(key, 0)
-            if a != b:
-                mismatches.append(
-                    f"stats[{key!r}]: events={a} {label}={b}"
-                )
-                if len(mismatches) >= 20:
-                    mismatches.append("... (truncated)")
-                    return mismatches
-        if stepped_result.total_cycles != packed_result.total_cycles:
-            mismatches.append(
-                f"total_cycles: events={stepped_result.total_cycles} "
-                f"{label}={packed_result.total_cycles}"
-            )
+    packed_stats = packed_result.stats
+    for key in sorted(set(stepped_stats) | set(packed_stats)):
+        a = stepped_stats.get(key, 0)
+        b = packed_stats.get(key, 0)
+        if a != b:
+            mismatches.append(f"stats[{key!r}]: events={a} columnar={b}")
+            if len(mismatches) >= 20:
+                mismatches.append("... (truncated)")
+                return mismatches
+    if stepped_result.total_cycles != packed_result.total_cycles:
+        mismatches.append(
+            f"total_cycles: events={stepped_result.total_cycles} "
+            f"columnar={packed_result.total_cycles}"
+        )
     return mismatches
 
 

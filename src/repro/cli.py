@@ -88,7 +88,6 @@ from repro.resolve import (
     resolve_workers,
 )
 from repro.harness import sweeps
-from repro.harness.vector_kernel import KERNEL_CHOICES
 from repro.obs import (
     CycleProfile,
     EventRing,
@@ -179,11 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--no-cache", action="store_true",
         help="skip the persistent result cache",
-    )
-    run_parser.add_argument(
-        "--kernel", choices=list(KERNEL_CHOICES), default=None,
-        help="replay kernel (default: $REPRO_KERNEL or auto; results "
-        "are bit-identical either way)",
     )
     run_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -361,11 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
         "baseline,memento,snapshot,reclaim (same as --stack)",
     )
     fleet_run_parser.add_argument(
-        "--kernel", choices=list(KERNEL_CHOICES), default=None,
-        help="replay kernel for the profile runs (default: "
-        "$REPRO_KERNEL or auto)",
-    )
-    fleet_run_parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for the engine fan-out "
         "(default: $REPRO_JOBS or 1)",
@@ -430,12 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--compare", default=None, metavar="JSON",
         help="previous BENCH_*.json to compute per-key speedups against",
-    )
-    bench_parser.add_argument(
-        "--kernel", choices=list(KERNEL_CHOICES), default=None,
-        help="replay kernel for the headline replay keys (default: "
-        "$REPRO_KERNEL or auto); the kernel A/B section always measures "
-        "both",
     )
     bench_parser.add_argument(
         "--stacks", default=None, metavar="LIST",
@@ -745,7 +728,6 @@ def _run_stacks(args: argparse.Namespace, names: List[str]) -> int:
                 spec,
                 stack=stack,
                 cold_start=args.cold_start,
-                kernel=args.kernel,
             )
             for spec in specs
             for stack in stacks
@@ -848,7 +830,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             specs,
             cold_start=args.cold_start,
             engine=engine,
-            kernel=args.kernel,
         )
     finally:
         if args.trace:
@@ -1049,7 +1030,6 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
         profile_seeds=args.profile_seeds,
         invocation_allocs=args.allocs,
         stacks=stacks,
-        kernel=args.kernel,
     )
     engine = _make_engine(args)
     recorder = None
@@ -1258,7 +1238,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         num_allocs=args.num_allocs,
         workloads=args.workloads or None,
         compare_path=Path(args.compare) if args.compare else None,
-        kernel=args.kernel,
         stacks=args.stacks,
     )
     out = (
@@ -1304,35 +1283,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"enabled {prof['enabled_seconds'] * 1e3:.1f} ms "
             f"({(prof['overhead_ratio'] - 1) * 100:+.1f}%)"
         )
-    if "kernels" in payload:
-        kernels = payload["kernels"]
-        if kernels["numpy"]:
-            rows = [
-                [
-                    key,
-                    f"{row['scalar_events_per_sec']:,.0f}",
-                    f"{row['vectorized_events_per_sec']:,.0f}",
-                    f"{row['speedup']:.3f}x",
-                    f"{row['segment']['compute_fraction']:.0%}",
-                ]
-                for key, row in sorted(kernels["keys"].items())
-            ]
-            print()
-            print(render_table(
-                ["workload/stack", "scalar ev/s", "vectorized ev/s",
-                 "speedup", "compute extracted"],
-                rows,
-                title="Kernel A/B (scalar vs vectorized)",
-            ))
-            print(
-                f"kernel A/B geomean: "
-                f"{kernels['geomean_speedup']:.3f}x"
-            )
-        else:
-            print(
-                "kernel A/B: numpy not installed; scalar only "
-                "(pip install -e .[fast])"
-            )
     if "comparison" in payload:
         comparison = payload["comparison"]
         if comparison.get("warning"):
@@ -1743,7 +1693,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.handler(args)
     except UsageError as exc:
-        # Bad runtime options (a zero --jobs, an unknown $REPRO_KERNEL)
+        # Bad runtime options (a zero --jobs, an unknown $REPRO_BACKEND)
         # are usage errors: same one-line report, exit code 2.
         return _usage_error(str(exc))
     except _REPORTED_ERRORS as exc:

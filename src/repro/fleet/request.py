@@ -12,7 +12,7 @@ payload and agree on its identity.
 A fleet request says *what platform to simulate* — invocation volume and
 window, arrival pattern, workload mix, pool policy — plus the per-
 invocation knobs forwarded into the underlying ``RunRequest`` shards
-(Memento config, machine parameters, allocation count, replay kernel).
+(Memento config, machine parameters, allocation count).
 Everything is seeded; the same request is bit-identical on every run.
 """
 
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro import codec
 from repro.core.config import MementoConfig
@@ -29,10 +29,10 @@ from repro.fleet.pool import POLICIES
 from repro.harness.engine import (
     config_from_dict,
     cost_model_fingerprint,
+    drop_legacy_kernel,
     machine_params_from_dict,
     source_fingerprint,
 )
-from repro.harness import vector_kernel
 from repro.sim.cycles import CostModel, DEFAULT_COSTS
 from repro.sim.params import MachineParams
 from repro.workloads.registry import FUNCTION_WORKLOADS, get_workload
@@ -91,8 +91,6 @@ class FleetRequest:
     stacks: Tuple[str, ...] = STACKS
     config: MementoConfig = field(default_factory=MementoConfig)
     machine_params: MachineParams = field(default_factory=MachineParams)
-    #: Replay kernel; excluded from the content key like RunRequest's.
-    kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.invocations < 1:
@@ -136,8 +134,6 @@ class FleetRequest:
                 get_workload(name)
             except KeyError:
                 raise ValueError(f"unknown workload {name!r}") from None
-        if self.kernel is not None:
-            vector_kernel.resolve_choice(self.kernel)
         # Tolerate list inputs (wire payloads) for the tuple fields.
         if not isinstance(self.workloads, tuple):
             object.__setattr__(self, "workloads", tuple(self.workloads))
@@ -164,12 +160,14 @@ class FleetRequest:
 
         Shares the :func:`repro.codec.content_key` derivation (and the
         source/cost-model fingerprints) with ``RunRequest``: a request
-        before and after :meth:`resolved` hashes identically, and the
-        kernel choice is an execution detail excluded from the key.
+        before and after :meth:`resolved` hashes identically.
         """
-        normalized = dataclasses.replace(self.resolved(), kernel=None)
+        body = codec.canonical(self.resolved())
+        # The retired replay-kernel field stays in the hashed body, so
+        # every key written while it existed still matches.
+        body["kernel"] = None
         return codec.content_key(
-            normalized,
+            body,
             schema=FLEET_SCHEMA_VERSION,
             fingerprints={
                 "source": source_fingerprint(),
@@ -196,15 +194,15 @@ class FleetRequest:
                 "stacks": list(self.stacks),
                 "config": dataclasses.asdict(self.config),
                 "machine_params": dataclasses.asdict(self.machine_params),
-                "kernel": self.kernel,
             }
         )
 
     @classmethod
     def from_dict(cls, data: Any) -> "FleetRequest":
-        """Parse a wire payload (tolerant version-0 reader, unknown
-        fields and newer schema versions rejected)."""
-        body = FLEET_CODEC.open_into(cls, data)
+        """Parse a wire payload (tolerant version-0 reader and retired
+        ``kernel`` field, unknown fields and newer schema versions
+        rejected)."""
+        body = FLEET_CODEC.open_into(cls, drop_legacy_kernel(data))
         if "workloads" in body:
             body["workloads"] = tuple(body["workloads"])
         if "stacks" in body:

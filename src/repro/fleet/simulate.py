@@ -74,7 +74,6 @@ def fleet_run_requests(
                         config=req.config,
                         machine_params=req.machine_params,
                         cold_start=cold,
-                        kernel=req.kernel,
                     )
     return shards
 

@@ -57,7 +57,6 @@ from repro import stacks as stack_registry
 from repro.core.config import MementoConfig
 from repro.resolve import resolve_jobs, resolve_stack
 from repro.harness import system as harness_system
-from repro.harness import vector_kernel
 from repro.harness.system import RunResult, SimulatedSystem
 from repro.obs import ledger as obs_ledger
 from repro.obs.tracing import get_tracer
@@ -183,14 +182,6 @@ class RunRequest:
     #: Keyword arguments for the override, as sorted key/value pairs so
     #: the request stays hashable.
     allocator_kwargs: Tuple[Tuple[str, Any], ...] = ()
-    #: Replay kernel choice (``scalar``/``vectorized``/``auto``). Both
-    #: kernels produce bit-identical results, so this is an execution
-    #: detail: it is excluded from the content key (a cached result
-    #: answers requests under either kernel). ``None`` means
-    #: unspecified — ``$REPRO_KERNEL`` if set, else ``auto`` (vectorized
-    #: when numpy is installed, scalar otherwise), resolved where the
-    #: run executes, which for pool fan-out is the worker process.
-    kernel: Optional[str] = None
     #: First-class stack name (see :mod:`repro.stacks`). ``None`` means
     #: unspecified and derives from the legacy ``memento`` flag, so
     #: ``RunRequest(spec, memento=True)`` and
@@ -225,8 +216,6 @@ class RunRequest:
         # stack-knob guard in SimulatedSystem): a declarative request
         # may describe an unsupported combination, but it fails loudly
         # — naming the stack — the moment it would execute.
-        if self.kernel is not None:
-            vector_kernel.resolve_choice(self.kernel)
 
     def content_key(self, cost_model: CostModel = DEFAULT_COSTS) -> str:
         """Stable content hash identifying this run's result.
@@ -244,9 +233,7 @@ class RunRequest:
         keys) carry the ``stack`` field into the hash.
         """
         entry = stack_registry.get_stack(self.stack)
-        normalized = dataclasses.replace(
-            self, spec=self.spec.resolved(), kernel=None
-        )
+        normalized = dataclasses.replace(self, spec=self.spec.resolved())
         if not entry.hardware:
             normalized = dataclasses.replace(
                 normalized, config=MementoConfig()
@@ -254,6 +241,9 @@ class RunRequest:
         body = codec.canonical(normalized)
         if entry.legacy_memento is not None:
             del body["stack"]
+        # The retired replay-kernel field stays in the hashed body, so
+        # every key written while it existed still matches.
+        body["kernel"] = None
         return codec.content_key(
             body,
             schema=SCHEMA_VERSION,
@@ -280,7 +270,6 @@ class RunRequest:
             memento_config=self.config,
             mmap_populate=self.mmap_populate,
             cold_start=self.cold_start,
-            replay_kernel=self.kernel,
             **kwargs,
         )
 
@@ -323,11 +312,6 @@ class RunRequest:
             "allocator_kwargs": [
                 list(pair) for pair in self.allocator_kwargs
             ],
-            # Additive since the v1 schema froze: readers that predate it
-            # reject the unknown field loudly, current readers treat a
-            # missing one as unspecified (it never changes results or
-            # content keys).
-            "kernel": self.kernel,
         })
 
     @classmethod
@@ -335,11 +319,12 @@ class RunRequest:
         """Rebuild a request from its :meth:`to_dict` form.
 
         Tolerates version-0 payloads (no ``schema_version`` field — the
-        body is identical); rejects payloads from a newer schema or with
-        unknown fields, so wire/disk corruption fails loudly instead of
-        silently simulating the wrong thing.
+        body is identical) and the retired ``kernel`` field; rejects
+        payloads from a newer schema or with unknown fields, so wire/disk
+        corruption fails loudly instead of silently simulating the wrong
+        thing.
         """
-        data = REQUEST_CODEC.open_into(cls, data)
+        data = REQUEST_CODEC.open_into(cls, drop_legacy_kernel(data))
         if "spec" not in data or (
             "memento" not in data and "stack" not in data
         ):
@@ -371,16 +356,31 @@ class RunRequest:
                 (str(name), value)
                 for name, value in data.get("allocator_kwargs") or ()
             ),
-            kernel=(
-                None
-                if data.get("kernel") is None
-                else str(data["kernel"])
-            ),
         )
 
 
 #: Backwards-compatible alias; moved to :mod:`repro.codec` in PR 8.
 _checked_fields = codec.checked_fields
+
+
+def drop_legacy_kernel(data: Any) -> Any:
+    """``data`` without its retired ``kernel`` field.
+
+    Requests once chose a replay kernel; every kernel gave identical
+    results, so the field never reached content keys and is now
+    ignored. A value the field never accepted is still rejected, so no
+    payload refused before is accepted now.
+    """
+    if not isinstance(data, dict) or "kernel" not in data:
+        return data
+    data = dict(data)
+    kernel = data.pop("kernel")
+    if kernel not in (None, "scalar", "vectorized", "auto"):
+        raise ValueError(
+            f"unknown replay kernel {kernel!r}; "
+            "choose from scalar, vectorized, auto"
+        )
+    return data
 
 
 def spec_from_dict(data: Any) -> WorkloadSpec:
@@ -437,7 +437,7 @@ def _spec_groups(
     misses: Sequence[Tuple[str, RunRequest]],
 ) -> List[List[Tuple[str, RunRequest]]]:
     """Partition misses by a digest of the resolved spec, in order of
-    first appearance. Stack, cold/warm, kernel, config and machine are
+    first appearance. Stack, cold/warm, config and machine are
     left out of the digest: a trace is a function of the resolved spec
     alone, so every member of a group replays the same trace."""
     groups: Dict[str, List[Tuple[str, RunRequest]]] = {}

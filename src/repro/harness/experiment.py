@@ -184,7 +184,6 @@ def workload_requests(
     cold_start: bool = False,
     config: Optional[MementoConfig] = None,
     machine_params: Optional[MachineParams] = None,
-    kernel: Optional[str] = None,
 ) -> List[RunRequest]:
     """The baseline / Memento / no-bypass request trio for one workload."""
     config = config or MementoConfig()
@@ -192,7 +191,6 @@ def workload_requests(
     common: Dict[str, Any] = {
         "machine_params": machine_params,
         "cold_start": cold_start,
-        "kernel": kernel,
     }
     return [
         RunRequest(spec, memento=False, config=config, **common),
@@ -213,7 +211,6 @@ def run_workload(
     config: Optional[MementoConfig] = None,
     machine_params: Optional[MachineParams] = None,
     engine: Optional[ExperimentEngine] = None,
-    kernel: Optional[str] = None,
 ) -> WorkloadResult:
     """Run (or recall) the baseline + Memento + no-bypass trio.
 
@@ -225,7 +222,7 @@ def run_workload(
     _reject_positional("run_workload", rejected)
     engine = engine or get_default_engine()
     baseline, memento, nobypass = engine.run_many(
-        workload_requests(spec, cold_start, config, machine_params, kernel)
+        workload_requests(spec, cold_start, config, machine_params)
     )
     return WorkloadResult(
         spec=spec,
@@ -243,7 +240,6 @@ def run_all(
     machine_params: Optional[MachineParams] = None,
     engine: Optional[ExperimentEngine] = None,
     jobs: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> List[WorkloadResult]:
     """Run every workload (functions + data proc + platform by default).
 
@@ -259,9 +255,7 @@ def run_all(
     requests: List[RunRequest] = []
     for spec in specs:
         requests.extend(
-            workload_requests(
-                spec, cold_start, config, machine_params, kernel
-            )
+            workload_requests(spec, cold_start, config, machine_params)
         )
     results = engine.run_many(requests, jobs=jobs)
     return [

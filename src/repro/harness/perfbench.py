@@ -29,14 +29,12 @@ from typing import Any, Dict, Iterable, Optional, Sequence
 
 import dataclasses
 
-from repro.harness import vector_kernel
 from repro.harness.engine import (
     ExperimentEngine,
     RunRequest,
     source_fingerprint,
 )
 from repro.resolve import resolve_stack_list
-from repro.harness.experiment import geometric_mean
 from repro.harness.system import SimulatedSystem
 from repro.obs.events import EventRing, install_ring
 from repro.obs.profile import CycleProfile, install_profile
@@ -66,28 +64,23 @@ def bench_replay(
     workloads: Sequence[str] = DEFAULT_WORKLOADS,
     num_allocs: int = DEFAULT_NUM_ALLOCS,
     repeats: int = DEFAULT_REPEATS,
-    kernel: Optional[str] = None,
     stacks: Optional[Sequence[str]] = None,
 ) -> Dict[str, Dict[str, Any]]:
     """Replay throughput per ``workload/stack`` key.
 
     Returns ``{key: {workload, stack, language, category, num_allocs,
-    events, repeats, seconds, events_per_sec, kernel}}`` with ``seconds``
-    the best-of-``repeats`` wall time of one full replay under the
-    resolved ``kernel`` (default: the same auto/``$REPRO_KERNEL``
-    resolution every other run uses).
+    events, repeats, seconds, events_per_sec}}`` with ``seconds`` the
+    best-of-``repeats`` wall time of one full replay.
     """
     results: Dict[str, Dict[str, Any]] = {}
     tracer = get_tracer()
-    resolved = vector_kernel.resolve_kernel(kernel)
     stack_names = resolve_stack_list(stacks, default=DEFAULT_STACKS)
     for name in workloads:
         spec = dataclasses.replace(
             get_workload(name).resolved(), num_allocs=num_allocs
         )
         trace = generate_trace(spec)
-        # Pack (and for the vectorized kernel, segment) once, outside
-        # every timed region.
+        # Pack and segment once, outside every timed region.
         trace.columnar().segments()
         events = len(trace.events)
         for stack in stack_names:
@@ -96,9 +89,7 @@ def bench_replay(
                 "bench.replay", workload=name, stack=stack,
             ):
                 for _ in range(max(1, repeats)):
-                    system = SimulatedSystem(
-                        spec, stack, replay_kernel=resolved
-                    )
+                    system = SimulatedSystem(spec, stack)
                     started = time.perf_counter()
                     system.run(trace)
                     elapsed = time.perf_counter() - started
@@ -115,80 +106,8 @@ def bench_replay(
                 "repeats": repeats,
                 "seconds": best,
                 "events_per_sec": events / best,
-                "kernel": resolved,
             }
     return results
-
-
-def bench_kernels(
-    workloads: Sequence[str] = DEFAULT_WORKLOADS,
-    num_allocs: int = DEFAULT_NUM_ALLOCS,
-    repeats: int = DEFAULT_REPEATS,
-    stacks: Optional[Sequence[str]] = None,
-) -> Dict[str, Any]:
-    """Scalar-vs-vectorized kernel A/B per ``workload/stack`` key.
-
-    Interleaves the two kernels repeat by repeat over the same packed
-    trace so they sample identical machine conditions. Each key records
-    both kernels' best events/s, the vectorized/scalar speedup, and the
-    trace's segment shape (share of compute events extracted at pack
-    time, surviving runs and their mean length) that bounds what the
-    vectorized kernel can save. Without numpy only the scalar side is
-    measured and ``geomean_speedup`` is null.
-    """
-    have_numpy = vector_kernel.numpy_available()
-    kernels = ("scalar", "vectorized") if have_numpy else ("scalar",)
-    stack_names = resolve_stack_list(stacks, default=DEFAULT_STACKS)
-    keys: Dict[str, Any] = {}
-    speedups = []
-    for name in workloads:
-        spec = dataclasses.replace(
-            get_workload(name).resolved(), num_allocs=num_allocs
-        )
-        trace = generate_trace(spec)
-        segments = trace.columnar().segments()
-        events = len(trace.events)
-        runs = segments.runs()
-        for stack in stack_names:
-            best = {kernel: float("inf") for kernel in kernels}
-            for _ in range(max(1, repeats)):
-                for kernel in kernels:
-                    system = SimulatedSystem(
-                        spec, stack, replay_kernel=kernel
-                    )
-                    started = time.perf_counter()
-                    system.run(trace)
-                    elapsed = time.perf_counter() - started
-                    if elapsed < best[kernel]:
-                        best[kernel] = elapsed
-            key = f"{name}/{stack}"
-            row: Dict[str, Any] = {
-                "events": events,
-                "scalar_events_per_sec": events / best["scalar"],
-                "segment": {
-                    "compute_extracted": events - len(segments.ops),
-                    "compute_fraction": 1 - len(segments.ops) / events,
-                    "runs": len(runs),
-                    "mean_run_length": (
-                        len(segments.ops) / len(runs) if runs else 0.0
-                    ),
-                },
-            }
-            if have_numpy:
-                row["vectorized_events_per_sec"] = (
-                    events / best["vectorized"]
-                )
-                row["speedup"] = best["scalar"] / best["vectorized"]
-                speedups.append(row["speedup"])
-            keys[key] = row
-    return {
-        "numpy": have_numpy,
-        "repeats": repeats,
-        "keys": keys,
-        "geomean_speedup": (
-            geometric_mean(speedups) if speedups else None
-        ),
-    }
 
 
 def bench_engine_cache(
@@ -403,7 +322,6 @@ def run_bench(
     num_allocs: Optional[int] = None,
     workloads: Optional[Iterable[str]] = None,
     compare_path: Optional[Path] = None,
-    kernel: Optional[str] = None,
     stacks: Optional[Sequence[str]] = None,
 ) -> Dict[str, Any]:
     """Assemble the full benchmark payload (see module docstring)."""
@@ -430,8 +348,7 @@ def run_bench(
             ),
         },
         "stacks": list(stacks),
-        "replay": bench_replay(names, num_allocs, repeats, kernel, stacks),
-        "kernels": bench_kernels(names, num_allocs, repeats, stacks),
+        "replay": bench_replay(names, num_allocs, repeats, stacks),
     }
     if not smoke:
         payload["engine_cache"] = bench_engine_cache()

@@ -34,7 +34,7 @@ from repro.sim.params import MachineParams
 from repro.workloads.functions import CPP_FUNCTIONS, PYTHON_FUNCTIONS
 from repro.workloads.registry import FUNCTION_WORKLOADS, get_workload
 from repro.workloads.synth import WorkloadSpec, generate_trace
-from repro.workloads.trace import Alloc, Compute, Free, Touch
+from repro.workloads.trace import Alloc, Compute, Free
 
 
 def _shrunk(spec: WorkloadSpec, num_allocs: int = 8_000) -> WorkloadSpec:
@@ -129,7 +129,7 @@ def multiprocess_study(
                 current = index
             consumed = 0
             for event in events:
-                _dispatch(system, event)
+                system.step(event)
                 consumed += 1
                 if consumed >= slice_events:
                     break
@@ -150,21 +150,6 @@ def multiprocess_study(
         "max_flush_fraction": max(flush_fractions),
         "mean_context_switches": sum(switch_counts) / len(switch_counts),
     }
-
-
-def _dispatch(system: SimulatedSystem, event) -> None:
-    if isinstance(event, Compute):
-        system.core.charge(event.cycles, "app")
-        if event.dram_bytes:
-            system.machine.dram.record_bulk_bytes(event.dram_bytes)
-    elif isinstance(event, Alloc):
-        system._addr_of[event.obj] = system._malloc(event.size)
-        system._size_of[event.obj] = event.size
-    elif isinstance(event, Touch):
-        system._touch(event)
-    elif isinstance(event, Free):
-        system._free(system._addr_of.pop(event.obj))
-        del system._size_of[event.obj]
 
 
 # ------------------------------------------------------------- §6.6 tuning
@@ -219,7 +204,7 @@ def fragmentation_study(
         samples: List[float] = []
         count = 0
         for event in trace:
-            _dispatch(memento_system, event)
+            memento_system.step(event)
             count += 1
             if count % 5_000 == 0:
                 samples.append(allocator.occupancy_fraction())

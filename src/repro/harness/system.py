@@ -24,7 +24,6 @@ from repro.core.bypass import COUNTER_MAX
 from repro.core.config import MementoConfig
 from repro.core.page_allocator import HardwarePageAllocator
 from repro.core.runtime import MementoRuntime
-from repro.harness import vector_kernel
 from repro.kernel.kernel import Kernel
 from repro.sim.cycles import CostModel
 from repro.sim.machine import Machine
@@ -32,13 +31,12 @@ from repro.sim.params import MachineParams, PAGE_SHIFT, PAGE_SIZE
 from repro.workloads.dataproc import DATAPROC_PURGE_AFTER, DATAPROC_RUN_BYTES
 from repro.workloads.synth import WorkloadSpec, generate_trace
 from repro.workloads.trace import (
+    OP_ALLOC,
+    OP_FREE,
+    OP_TOUCH_SINGLE,
     Alloc,
     Compute,
     Free,
-    KIND_ALLOC,
-    KIND_COMPUTE,
-    KIND_FREE,
-    KIND_TOUCH,
     Touch,
     Trace,
 )
@@ -174,7 +172,6 @@ class SimulatedSystem:
         machine: Optional[Machine] = None,
         kernel: Optional[Kernel] = None,
         page_allocator: Optional[HardwarePageAllocator] = None,
-        replay_kernel: Optional[str] = None,
         memento: Optional[bool] = None,
     ) -> None:
         """``stack`` names a registered memory-management stack (see
@@ -184,12 +181,7 @@ class SimulatedSystem:
 
         ``machine``/``kernel``/``page_allocator`` may be supplied to
         co-locate several systems on shared hardware (the multi-process
-        study of §6.6); by default each system gets a private stack.
-
-        ``replay_kernel`` picks the replay implementation —
-        ``scalar``/``vectorized``/``auto`` (default: ``$REPRO_KERNEL``,
-        else ``auto``). Both kernels are bit-identical; see
-        :mod:`repro.harness.vector_kernel`."""
+        study of §6.6); by default each system gets a private stack."""
         self.spec = spec.resolved()
         if stack is None:
             stack = bool(memento) if memento is not None else False
@@ -212,12 +204,6 @@ class SimulatedSystem:
                 f"{self.stack_name!r} stack (supported knobs: "
                 f"{sorted(self.stack.knobs) or 'none'})"
             )
-        self.replay_kernel_choice = vector_kernel.resolve_choice(
-            replay_kernel
-        )
-        self.replay_kernel = vector_kernel.resolve_kernel(
-            self.replay_kernel_choice
-        )
         # Cycle-attribution profile, bound before any component below is
         # constructed so their cells intern against it; the checkpoint
         # scopes this system's deltas (profiled systems must run
@@ -432,11 +418,6 @@ class SimulatedSystem:
         self.core.tlb.insert(vpn, pfn)
         return pfn
 
-    def _touch(self, event: Touch) -> None:
-        self._touch_lines(
-            event.obj, event.lines, event.line_offset, event.write
-        )
-
     def _make_touch_lines(self):
         """Build the per-event line-touch kernel as a closure.
 
@@ -630,13 +611,14 @@ class SimulatedSystem:
             if profile is not None:
                 marks.append(("cold_start", self.core.cycles))
             audit = self._audit
-            packer = getattr(trace, "columnar", None)
-            # Event-epoch auditing needs per-event dispatch with check
-            # hooks, so the packed form is skipped entirely for it.
+            # Event-epoch auditing counts every event, computes included,
+            # and the packed segment stream has dropped those: audited
+            # runs take the per-event path. So do traces that cannot be
+            # packed, where the per-event path names the offending event.
             if audit is not None and audit.steps_events:
                 columnar = None
             else:
-                columnar = packer() if packer is not None else None
+                columnar = trace.columnar()
             # The replay churns through dataclass records and OrderedDict
             # nodes fast enough to trip the cyclic collector thousands of
             # times per run; nothing in the simulator creates cycles
@@ -648,20 +630,10 @@ class SimulatedSystem:
                 gc.disable()
             try:
                 with tracer.span("replay", events=len(trace)):
-                    if audit is not None and audit.steps_events:
-                        allocs, frees = self._replay_audited(trace, audit)
-                    elif columnar is not None:
-                        # Kernel choice changes only the iteration
-                        # structure — results are bit-identical (golden
-                        # fixtures + lockstep suite + oracle cross-check).
-                        if self.replay_kernel == "vectorized":
-                            allocs, frees = vector_kernel.replay(
-                                self, columnar
-                            )
-                        else:
-                            allocs, frees = self._replay_columnar(columnar)
+                    if columnar is None:
+                        allocs, frees = self._replay_events(trace, audit)
                     else:
-                        allocs, frees = self._replay_events(trace)
+                        allocs, frees = self._replay_columnar(columnar)
             finally:
                 if gc_was_enabled:
                     gc.enable()
@@ -720,8 +692,18 @@ class SimulatedSystem:
         )
 
     def _replay_columnar(self, columnar) -> "tuple[int, int]":
-        """Drive the packed trace form: integer kind tags and operand
-        columns, no per-event objects or attribute loads."""
+        """Replay the packed trace over its memoized segment index.
+
+        Compute events arrive pre-reduced (:class:`SegmentIndex` folds
+        them into two exact sums at pack time) and the surviving stream
+        is fully pre-decoded — single-line touches split into their own
+        opcode, byte offsets premultiplied, write flags rebooled — so the
+        per-event body does no operand arithmetic. Every stateful edge
+        (malloc/free, TLB/L1 peeks, bypass decisions, walks and faults)
+        runs the same closures :meth:`step` does, in the same order, so
+        results are bit-identical to the per-event path.
+        """
+        segments = columnar.segments()
         allocs = frees = 0
         addr_of = self._addr_of
         size_of = self._size_of
@@ -746,8 +728,17 @@ class SimulatedSystem:
         caches = core.caches
         access_line = caches.access_line
         touch_cycles = self._touch_cycles
-        columns = zip(
-            columnar.kinds, columnar.f0, columnar.f1, columnar.f2, columnar.f3
+        page_shift = PAGE_SHIFT
+        page_mask = _PAGE_MASK
+        op_touch1 = OP_TOUCH_SINGLE
+        op_alloc = OP_ALLOC
+        op_free = OP_FREE
+        stream = zip(
+            segments.ops,
+            segments.f0,
+            segments.f1,
+            segments.f2,
+            segments.writes,
         )
         if self.memento:
             # Memento stack: runtime methods bound directly (no per-event
@@ -761,37 +752,36 @@ class SimulatedSystem:
             regular_cell = bypass._regular_lines
             instantiate = caches.instantiate
             bypass_cycles = caches._r_bypass.cycles
-            for kind, a, b, c, d in columns:
-                if kind == KIND_TOUCH:
-                    # The packed write column is an int array; rebool it
-                    # so cache dirty bits stay booleans on this path too
-                    # (audit rule: cache-writeback-ledger).
-                    d = d != 0
-                    if b != 1:
-                        touch_lines(a, b, c, d)
-                        continue
-                    vaddr = addr_of[a] + c * 64
-                    vpn = vaddr >> PAGE_SHIFT
+            counter_max = COUNTER_MAX
+            for op, a, b, c, d in stream:
+                if op == op_alloc:
+                    addr_of[a] = malloc(b)
+                    size_of[a] = b
+                    allocs += 1
+                elif op == op_touch1:
+                    vaddr = addr_of[a] + c
+                    vpn = vaddr >> page_shift
                     tlb_set = tlb_sets[vpn % tlb_nsets]
                     if vpn in tlb_set:
                         tlb_set.move_to_end(vpn)
                         tlb_hit.pending += 1
-                        frame_base = tlb_set[vpn] << PAGE_SHIFT
+                        frame_base = tlb_set[vpn] << page_shift
                     else:
-                        frame_base = translate(vaddr) << PAGE_SHIFT
-                    cache_addr = frame_base | (vaddr & _PAGE_MASK)
+                        frame_base = translate(vaddr) << page_shift
+                    cache_addr = frame_base | (vaddr & page_mask)
                     header = header_of(vaddr)
                     if header is not None:
-                        # Saturated counters never bypass (bypass-soundness).
+                        # Saturated counters never bypass
+                        # (bypass-soundness, §3.3).
                         line_index = (vaddr - header.va) >> 6
                         if line_index >= header.bypass_counter:
                             bypassable = (
-                                bypass_enabled and line_index < COUNTER_MAX
+                                bypass_enabled and line_index < counter_max
                             )
                             header.bypass_counter = (
                                 line_index + 1
-                                if line_index < COUNTER_MAX
-                                else COUNTER_MAX
+                                if line_index < counter_max
+                                else counter_max
                             )
                         else:
                             bypassable = False
@@ -814,42 +804,31 @@ class SimulatedSystem:
                         total = access_line(line, d)[1]
                     core.cycles += total
                     touch_cycles.pending += total
-                elif kind == KIND_COMPUTE:
-                    core.cycles += a
-                    app_cell.pending += a
-                    if b:
-                        # Inlined dram.record_bulk_bytes(b) (read traffic).
-                        read_bytes.pending += b
-                        read_lines.pending += b / 64
-                elif kind == KIND_ALLOC:
-                    addr_of[a] = malloc(b)
-                    size_of[a] = b
-                    allocs += 1
-                else:
+                elif op == op_free:
                     free(addr_of.pop(a))
                     del size_of[a]
                     frees += 1
+                else:  # OP_TOUCH_MULTI
+                    touch_lines(a, b, c, d)
         else:
             malloc = self.allocator.malloc
             free = self.allocator.free
-            for kind, a, b, c, d in columns:
-                if kind == KIND_TOUCH:
-                    # Rebool the packed write column — see the Memento
-                    # branch (audit rule: cache-writeback-ledger).
-                    d = d != 0
-                    if b != 1:
-                        touch_lines(a, b, c, d)
-                        continue
-                    vaddr = addr_of[a] + c * 64
-                    vpn = vaddr >> PAGE_SHIFT
+            for op, a, b, c, d in stream:
+                if op == op_alloc:
+                    addr_of[a] = malloc(core, b)
+                    size_of[a] = b
+                    allocs += 1
+                elif op == op_touch1:
+                    vaddr = addr_of[a] + c
+                    vpn = vaddr >> page_shift
                     tlb_set = tlb_sets[vpn % tlb_nsets]
                     if vpn in tlb_set:
                         tlb_set.move_to_end(vpn)
                         tlb_hit.pending += 1
-                        frame_base = tlb_set[vpn] << PAGE_SHIFT
+                        frame_base = tlb_set[vpn] << page_shift
                     else:
-                        frame_base = translate(vaddr) << PAGE_SHIFT
-                    line = (frame_base | (vaddr & _PAGE_MASK)) >> 6
+                        frame_base = translate(vaddr) << page_shift
+                    line = (frame_base | (vaddr & page_mask)) >> 6
                     l1_set = l1_sets[line % l1_nsets]
                     if line in l1_set:
                         l1_set.move_to_end(line)
@@ -861,102 +840,77 @@ class SimulatedSystem:
                         total = access_line(line, d)[1]
                     core.cycles += total
                     touch_cycles.pending += total
-                elif kind == KIND_COMPUTE:
-                    core.cycles += a
-                    app_cell.pending += a
-                    if b:
-                        # Inlined dram.record_bulk_bytes(b) (read traffic).
-                        read_bytes.pending += b
-                        read_lines.pending += b / 64
-                elif kind == KIND_ALLOC:
-                    addr_of[a] = malloc(core, b)
-                    size_of[a] = b
-                    allocs += 1
-                else:
+                elif op == op_free:
                     free(core, addr_of.pop(a))
                     del size_of[a]
                     frees += 1
+                else:  # OP_TOUCH_MULTI
+                    touch_lines(a, b, c, d)
+
+        # The extracted compute events, folded once. Exact: integer
+        # cycle/byte sums commute, the dyadic bytes/64 line total is exactly
+        # representable at every partial sum, and nothing reads these cells
+        # (or core.cycles as a clock — allocator decay is retire-driven)
+        # until after replay.
+        cycles_sum = segments.compute_cycles
+        if cycles_sum:
+            core.cycles += cycles_sum
+            app_cell.pending += cycles_sum
+        bytes_sum = segments.compute_bytes
+        if bytes_sum:
+            read_bytes.pending += bytes_sum
+            read_lines.pending += bytes_sum / 64
         return allocs, frees
 
-    def _replay_audited(self, events, audit) -> "tuple[int, int]":
-        """Per-event replay with invariant checks at the audit's epoch.
+    def step(self, event, index: Optional[int] = None) -> Optional[int]:
+        """Apply one trace event; returns the address an Alloc got.
 
-        The dispatch mirrors ``_replay_events`` handler-for-handler; the
-        only additions are the event counter and the epoch hook. Runs
-        only when an auditor with a per-event/interval epoch is
-        installed, so the unaudited paths carry none of this.
+        The per-event path (audited runs, the differential oracle). Any
+        event that is not exactly one of the four trace types raises
+        ``ValueError`` (``index`` names its position when known) rather
+        than being skipped.
         """
-        allocs = frees = 0
-        addr_of = self._addr_of
-        size_of = self._size_of
-        touch_lines = self._touch_lines
-        core = self.core
-        dram = self.machine.dram
-        ctx = audit_invariants.AuditContext.from_system(self)
-        should_check = audit.should_check
-        check = audit.check
-        for index, event in enumerate(events):
-            kind = type(event)
-            if kind is Touch:
-                touch_lines(
-                    event.obj, event.lines, event.line_offset, event.write
-                )
-            elif kind is Compute:
-                core.charge(event.cycles, "app")
-                if event.dram_bytes:
-                    dram.record_bulk_bytes(event.dram_bytes)
-            elif kind is Alloc:
-                addr_of[event.obj] = self._malloc(event.size)
-                size_of[event.obj] = event.size
-                allocs += 1
-            elif kind is Free:
-                self._free(addr_of.pop(event.obj))
-                del size_of[event.obj]
-                frees += 1
-            if should_check(index):
-                check(ctx, index)
-        return allocs, frees
-
-    def _replay_events(self, events) -> "tuple[int, int]":
-        """Object-event fallback (traces carrying non-canonical events):
-        a type-keyed dispatch table instead of an isinstance chain."""
-        allocs = frees = 0
-        addr_of = self._addr_of
-        size_of = self._size_of
-
-        def on_compute(event) -> None:
-            self.core.charge(event.cycles, "app")
-            if event.dram_bytes:
-                self.machine.dram.record_bulk_bytes(event.dram_bytes)
-
-        def on_alloc(event) -> None:
-            nonlocal allocs
-            addr_of[event.obj] = self._malloc(event.size)
-            size_of[event.obj] = event.size
-            allocs += 1
-
-        def on_touch(event) -> None:
+        kind = type(event)
+        if kind is Touch:
             self._touch_lines(
                 event.obj, event.lines, event.line_offset, event.write
             )
+        elif kind is Compute:
+            self.core.charge(event.cycles, "app")
+            if event.dram_bytes:
+                self.machine.dram.record_bulk_bytes(event.dram_bytes)
+        elif kind is Alloc:
+            addr = self._addr_of[event.obj] = self._malloc(event.size)
+            self._size_of[event.obj] = event.size
+            return addr
+        elif kind is Free:
+            self._free(self._addr_of.pop(event.obj))
+            del self._size_of[event.obj]
+        else:
+            where = "" if index is None else f" at index {index}"
+            raise ValueError(
+                f"unknown trace event type {kind.__name__!r}{where}: "
+                "expected Alloc, Free, Touch or Compute"
+            )
+        return None
 
-        def on_free(event) -> None:
-            nonlocal frees
-            self._free(addr_of.pop(event.obj))
-            del size_of[event.obj]
-            frees += 1
-
-        dispatch = {
-            Compute: on_compute,
-            Alloc: on_alloc,
-            Touch: on_touch,
-            Free: on_free,
-        }
-        get = dispatch.get
-        for event in events:
-            handler = get(type(event))
-            if handler is not None:
-                handler(event)
+    def _replay_events(self, events, audit=None) -> "tuple[int, int]":
+        """Per-event replay through :meth:`step`, running ``audit``'s
+        invariant checks at its epoch when one is given."""
+        allocs = frees = 0
+        step = self.step
+        if audit is not None:
+            ctx = audit_invariants.AuditContext.from_system(self)
+            should_check = audit.should_check
+        for index, event in enumerate(events):
+            step(event, index)
+            kind = type(event)
+            if kind is Alloc:
+                allocs += 1
+            elif kind is Free:
+                frees += 1
+            if audit is not None and should_check(index):
+                audit.check(ctx, index)
         return allocs, frees
 
     def _run_cold_start(self, trace: Trace) -> None:

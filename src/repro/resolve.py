@@ -1,12 +1,11 @@
 """Unified runtime-option resolution: argument → environment → default.
 
-Before PR 8, ``--jobs``, ``--kernel``, ``--backend``, and the cache
-directory each had their own resolution path — ``resolve_jobs`` in
-:mod:`repro.harness.engine`, ``$REPRO_KERNEL`` handling in
-:mod:`repro.harness.vector_kernel`, ``$REPRO_BACKEND`` in
+``--jobs``, ``--backend``, and the cache directory once each had
+their own resolution path — ``resolve_jobs`` in
+:mod:`repro.harness.engine`, ``$REPRO_BACKEND`` in
 :mod:`repro.backends.base`, and ad-hoc ``$REPRO_CACHE_DIR`` lookups in
-the CLI, the engine, and ``create_backend`` — with three different
-error behaviours. This module is the single front door: every entry
+the CLI, the engine, and ``create_backend`` — with different error
+behaviours. This module is the single front door: every entry
 point (CLI subcommands, ``repro serve``, the engine, the benchmark
 conftest) resolves options here, and a bad value always raises
 :class:`UsageError`, which ``repro``'s ``main`` reports as one
@@ -68,21 +67,6 @@ def resolve_jobs(jobs: Any = None) -> int:
 def resolve_workers(workers: Any = None, default: int = 2) -> int:
     """Job-queue worker-thread count for ``repro serve``."""
     return resolve_count(workers, "workers", default=default)
-
-
-def resolve_kernel(choice: Optional[str] = None) -> str:
-    """Replay-kernel choice: argument → ``$REPRO_KERNEL`` → ``auto``.
-
-    Returns the validated *choice* (``scalar``/``vectorized``/``auto``);
-    mapping ``auto`` to an implementation happens where the run
-    executes (see :func:`repro.harness.vector_kernel.resolve_kernel`).
-    """
-    from repro.harness import vector_kernel
-
-    try:
-        return vector_kernel.resolve_choice(choice)
-    except ValueError as exc:
-        raise UsageError(str(exc))
 
 
 def resolve_backend(kind: Optional[str] = None) -> str:

@@ -1,12 +1,10 @@
 """The experiment service: a framework-light HTTP API over the engine.
 
 ``repro serve`` wraps one shared :class:`ExperimentEngine` in a
-:class:`ThreadingHTTPServer` plus a thin method+regex router — no web
-framework in the hard dependency set (FastAPI is an optional extra; see
-:mod:`repro.service.fastapi_app`). Handlers are small *operation*
-functions taking the :class:`ServiceState` and returning
-``(status, payload)``; the stdlib handler and the FastAPI wrapper both
-dispatch into the same operations, so the two surfaces cannot drift.
+:class:`ThreadingHTTPServer` plus a thin method+regex router — the one
+transport, with no web framework dependency. Handlers are small
+*operation* functions taking the :class:`ServiceState` and returning
+``(status, payload)``; the stdlib handler dispatches into them.
 
 Endpoints (all JSON unless noted):
 

@@ -19,13 +19,11 @@ four integer operand slots) — so the harness's hot loop iterates machine
 integers instead of chasing per-event objects and ``isinstance`` chains.
 
 On top of the packed form, :meth:`ColumnarTrace.segments` builds a
-:class:`SegmentIndex`: maximal runs of same-kind events (single-line
-touches split from multi-line ones) with the per-run operand rows
-pre-resolved and every compute run pre-reduced to its exact cycle/byte
-sums. The batch replay kernel (``repro.harness.vector_kernel``) iterates
-runs instead of events, so kind dispatch happens once per run and the
-numpy-accelerated precomputation here is amortized across replays of the
-same trace (the index is memoized alongside the columnar form).
+:class:`SegmentIndex`: the event stream with every compute event
+pre-reduced to exact cycle/byte sums and the remaining operands
+pre-decoded. The harness's columnar replay loop iterates it, and the
+index is memoized alongside the columnar form so replays of the same
+trace share the one-time pass.
 """
 
 from __future__ import annotations
@@ -71,9 +69,9 @@ KIND_FREE = 1
 KIND_TOUCH = 2
 KIND_COMPUTE = 3
 
-#: Segment-run opcodes (:class:`SegmentIndex`). The first four alias the
+#: Segment opcodes (:class:`SegmentIndex`). The first four alias the
 #: kind tags; single-line touches get their own opcode so the replay
-#: kernel's hottest case needs no per-event ``lines == 1`` test.
+#: loop's hottest case needs no per-event ``lines == 1`` test.
 OP_ALLOC = KIND_ALLOC
 OP_FREE = KIND_FREE
 OP_TOUCH_MULTI = KIND_TOUCH
@@ -82,7 +80,7 @@ OP_TOUCH_SINGLE = 4
 
 
 class SegmentIndex:
-    """Run-segmented view of a :class:`ColumnarTrace`.
+    """Replay-ready view of a :class:`ColumnarTrace`.
 
     Two transformations, both exact refactorings of the per-event replay:
 
@@ -98,7 +96,7 @@ class SegmentIndex:
       interrupt.
 
     * **Operand pre-decode.** The surviving stream is stored as flat,
-      fully decoded operand columns the kernel zips over directly:
+      fully decoded operand columns the replay loop zips over directly:
       single-line touches are split into their own opcode at pack time
       (``OP_TOUCH_SINGLE``) so the hot path needs no per-event
       ``lines == 1`` test, their byte offsets are premultiplied, and
@@ -116,17 +114,10 @@ class SegmentIndex:
       ``writes``      touch write flag as ``bool``
       ==============  ====================================================
 
-    ``runs()`` derives the maximal same-opcode run view ``[(op, length),
-    ...]`` for diagnostics and bench telemetry; measured run lengths on
-    the generated workloads average ~1.2 events (the generator interleaves
-    alloc/touch/free tightly), which is why the kernel executes the flat
-    stream per event rather than dispatching per run — see DESIGN.md §15
-    for the arithmetic.
-
-    Built with numpy when it is installed (vectorized opcode/change-point
-    math and bulk column conversion over zero-copy views of the packed
-    columns) and with plain loops otherwise; both constructions produce
-    identical indexes (tested).
+    Maximal same-opcode runs on the generated workloads average ~1.2
+    events (the generator interleaves alloc/touch/free tightly), which is
+    why the replay loop executes the flat stream per event rather than
+    dispatching per run — see DESIGN.md §15 for the arithmetic.
     """
 
     __slots__ = (
@@ -162,66 +153,15 @@ class SegmentIndex:
 
     @classmethod
     def build(cls, columnar: "ColumnarTrace") -> "SegmentIndex":
-        total = len(columnar.kinds)
-        if total == 0:
-            return cls([], [], [], [], [], 0, 0, 0)
-        if _np is not None:
-            return cls(*_segment_numpy(columnar), total)
-        return cls(*_segment_python(columnar), total)
-
-    def runs(self) -> List[Tuple[int, int]]:
-        """Maximal same-opcode runs as ``(op, length)``, in order."""
-        out: List[Tuple[int, int]] = []
-        for op in self.ops:
-            if out and out[-1][0] == op:
-                out[-1] = (op, out[-1][1] + 1)
-            else:
-                out.append((op, 1))
-        return out
+        return cls(*_segment(columnar), len(columnar.kinds))
 
     def __len__(self) -> int:
         return len(self.ops)
 
 
-try:  # Optional extra (`pip install -e .[fast]`); see vector_kernel.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
-
-def _segment_numpy(columnar: "ColumnarTrace"):
-    """Vectorized build: compute reduction, opcode classification, and
-    bulk operand decode in numpy over zero-copy views of the packed
-    columns; returns the :class:`SegmentIndex` constructor columns."""
-    kinds = _np.frombuffer(columnar.kinds, dtype=_np.uint8)
-    f0 = _np.frombuffer(columnar.f0, dtype=_np.int64)
-    f1 = _np.frombuffer(columnar.f1, dtype=_np.int64)
-    f2 = _np.frombuffer(columnar.f2, dtype=_np.int64)
-    f3 = _np.frombuffer(columnar.f3, dtype=_np.int64)
-    compute = kinds == KIND_COMPUTE
-    compute_cycles = int(f0[compute].sum())
-    compute_bytes = int(f1[compute].sum())
-    keep = ~compute
-    ops = kinds[keep].astype(_np.int64)
-    k0, k1, k2, k3 = f0[keep], f1[keep], f2[keep], f3[keep]
-    single = (ops == KIND_TOUCH) & (k1 == 1)
-    ops[single] = OP_TOUCH_SINGLE
-    # Premultiply single-line byte offsets in place; multi-line touches
-    # keep their raw line offset (touch_lines wants lines, not bytes).
-    k2 = _np.where(single, k2 * 64, k2)
-    return (
-        ops.tolist(),
-        k0.tolist(),
-        k1.tolist(),
-        k2.tolist(),
-        (k3 != 0).tolist(),
-        compute_cycles,
-        compute_bytes,
-    )
-
-
-def _segment_python(columnar: "ColumnarTrace"):
-    """Loop fallback for :func:`_segment_numpy` (identical output)."""
+def _segment(columnar: "ColumnarTrace"):
+    """One pass over the packed columns; returns the
+    :class:`SegmentIndex` constructor columns."""
     compute_cycles = 0
     compute_bytes = 0
     ops: List[int] = []
@@ -283,8 +223,9 @@ class ColumnarTrace:
 
     @classmethod
     def pack(cls, events: List[Event]) -> Optional["ColumnarTrace"]:
-        """Pack ``events``; returns None if any event is not one of the
-        four canonical kinds (the replayer then falls back to objects)."""
+        """Pack ``events``; returns None if any event is not exactly one
+        of the four canonical kinds (the replayer then steps events one
+        by one and rejects the offending event by index)."""
         kinds = array("B", bytes(len(events)))
         f0 = array("q", kinds)
         f1 = array("q", kinds)

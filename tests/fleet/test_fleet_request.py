@@ -11,10 +11,32 @@ import dataclasses
 
 import pytest
 
+from repro import codec
 from repro.core.config import MementoConfig
 from repro.fleet.request import (
     FLEET_SCHEMA_VERSION,
     FleetRequest,
+)
+from repro.harness.engine import cost_model_fingerprint, source_fingerprint
+
+#: The frozen canonical field list every fleet content key hashes.
+FLEET_KEY_FIELDS = (
+    "workloads",
+    "mix",
+    "invocations",
+    "duration_s",
+    "pattern",
+    "seed",
+    "epochs",
+    "keep_alive_s",
+    "policy",
+    "max_warm",
+    "profile_seeds",
+    "invocation_allocs",
+    "stacks",
+    "config",
+    "machine_params",
+    "kernel",
 )
 
 
@@ -65,9 +87,44 @@ class TestContentKey:
         assert request.resolved().content_key() == request.content_key()
 
     def test_kernel_choice_excluded_from_key(self):
+        # The retired replay-kernel field: legacy payloads carrying any
+        # value it once accepted parse to the same request and key.
         base = FleetRequest(workloads=("html",), seed=5)
-        scalar = dataclasses.replace(base, kernel="scalar")
-        assert scalar.content_key() == base.content_key()
+        for kernel in (None, "scalar", "vectorized", "auto"):
+            payload = base.to_dict()
+            payload["kernel"] = kernel
+            parsed = FleetRequest.from_dict(payload)
+            assert parsed == base
+            assert parsed.content_key() == base.content_key()
+
+    def test_unknown_kernel_still_rejected(self):
+        payload = FleetRequest(workloads=("html",)).to_dict()
+        payload["kernel"] = "bogus"
+        with pytest.raises(ValueError, match="unknown replay kernel"):
+            FleetRequest.from_dict(payload)
+
+    def test_key_matches_frozen_field_list(self):
+        # Re-derive the key by hand from the frozen field list, the
+        # retired ``kernel`` hashing as null, so a field change that
+        # would retire every cached fleet fails here.
+        request = FleetRequest(workloads=("html", "ir"), seed=9)
+        resolved = request.resolved()
+        body = {"__type__": "FleetRequest"}
+        for name in FLEET_KEY_FIELDS:
+            body[name] = (
+                None
+                if name == "kernel"
+                else codec.canonical(getattr(resolved, name))
+            )
+        by_hand = codec.content_key(
+            body,
+            schema=FLEET_SCHEMA_VERSION,
+            fingerprints={
+                "source": source_fingerprint(),
+                "cost_model": cost_model_fingerprint(),
+            },
+        )
+        assert request.content_key() == by_hand
 
     def test_platform_knobs_change_the_key(self):
         base = FleetRequest(workloads=("html",), seed=5)

@@ -50,12 +50,16 @@ def legacy_key(request: RunRequest) -> str:
     normalized = dc.replace(
         request,
         spec=request.spec.resolved(),
-        kernel=None,
         config=MementoConfig(),
     )
     body = {"__type__": "RunRequest"}
     for name in LEGACY_FIELDS:
-        body[name] = codec.canonical(getattr(normalized, name))
+        # The retired replay-kernel field hashes as null.
+        body[name] = (
+            None
+            if name == "kernel"
+            else codec.canonical(getattr(normalized, name))
+        )
     return codec.content_key(
         body,
         schema=SCHEMA_VERSION,
@@ -174,3 +178,4 @@ def test_new_stacks_hash_the_stack_field(name):
     # ...or with each other.
     keys = {RunRequest(spec(), stack=n).content_key() for n in ALL_STACKS}
     assert len(keys) == len(ALL_STACKS)
+

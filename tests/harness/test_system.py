@@ -4,10 +4,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro.audit import Auditor, install_audit
 from repro.core.config import MementoConfig
 from repro.harness.system import SimulatedSystem
 from repro.workloads.registry import get_workload
 from repro.workloads.synth import WorkloadSpec, generate_trace
+from repro.workloads.trace import Touch, Trace
 
 
 def small(name="html", **kwargs):
@@ -157,3 +159,41 @@ def test_memory_aggregates_positive(html_pair):
     assert base.kernel_pages_aggregate > 0
     assert mem.user_pages_aggregate > 0
     assert mem.kernel_pages_aggregate > 0
+
+
+class _TaggedTouch(Touch):
+    """A Touch subclass: not one of the four exact trace types."""
+
+    __slots__ = ()
+
+
+def _with_unknown_event(kind):
+    spec = small(num_allocs=100)
+    trace = generate_trace(spec)
+    events = list(trace.events)
+    index = next(i for i, e in enumerate(events) if type(e) is Touch)
+    event = events[index]
+    events[index] = (
+        _TaggedTouch(event.obj, event.lines, event.line_offset, event.write)
+        if kind == "subclass"
+        else object()
+    )
+    trace = Trace(trace.name, trace.language, trace.category, events)
+    return spec, trace, index
+
+
+@pytest.mark.parametrize("kind", ["subclass", "foreign"])
+@pytest.mark.parametrize("audited", [False, True], ids=["columnar", "audit"])
+def test_unknown_event_type_raises_with_its_index(kind, audited):
+    # Events must be exactly Alloc/Free/Touch/Compute: anything else
+    # fails the run, naming the type and its position, instead of being
+    # dropped from the replay.
+    spec, trace, index = _with_unknown_event(kind)
+    name = "_TaggedTouch" if kind == "subclass" else "object"
+    previous = install_audit(Auditor(epoch="event") if audited else None)
+    try:
+        system = SimulatedSystem(spec, memento=True)
+        with pytest.raises(ValueError, match=rf"{name}.*index {index}\b"):
+            system.run(trace)
+    finally:
+        install_audit(previous)

@@ -1,11 +1,18 @@
-"""Vectorized replay kernel: selection, segmentation, and the lockstep
-equivalence suite.
+"""Replay-loop equivalence suite and the retired replay-kernel field.
 
-The contract under test is absolute: the vectorized kernel is an
-*encoding* of the scalar replay, not a model of it, so
+``SimulatedSystem`` replays a trace one of two ways: the columnar loop
+over the packed segment index (every unaudited run) or the per-event
+path through ``SimulatedSystem.step`` (audited runs and the differential
+oracle). The contract under test is absolute: the columnar form is an
+*encoding* of the event stream, not a model of it, so
 ``RunResult.to_dict()`` — counters, digests, cycle totals, profile
-attribution — must be bit-identical between kernels on every workload
-and both stacks. Anything less is a correctness bug, not a tolerance.
+attribution — must be bit-identical between the two paths on every
+workload and every registered stack. Anything less is a correctness
+bug, not a tolerance.
+
+Requests once also chose between two replay kernels; the wire field
+survives only as a tolerated legacy value that never reaches content
+keys (the last section).
 """
 
 import dataclasses
@@ -15,215 +22,50 @@ import random
 import pytest
 
 from repro.core.config import MementoConfig
-from repro.harness import vector_kernel
 from repro.harness.engine import RunRequest
 from repro.harness.system import SimulatedSystem
 from repro.obs.profile import CycleProfile, install_profile
+from repro.stacks import stack_names
 from repro.workloads.registry import all_workloads, get_workload
 from repro.workloads.synth import generate_trace
-from repro.workloads.trace import (
-    Alloc,
-    Compute,
-    Free,
-    KIND_ALLOC,
-    KIND_FREE,
-    KIND_TOUCH,
-    OP_ALLOC,
-    OP_FREE,
-    OP_TOUCH_MULTI,
-    OP_TOUCH_SINGLE,
-    SegmentIndex,
-    Touch,
-    Trace,
-    _segment_python,
-)
-
-HAVE_NUMPY = vector_kernel.numpy_available()
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="vectorized kernel needs numpy ([fast] extra)"
-)
+from repro.workloads.trace import Trace
 
 ALL_SPECS = [spec.resolved() for spec in all_workloads()]
 IDS = [spec.name for spec in ALL_SPECS]
+ALL_STACKS = list(stack_names())
 
 
-def run_result(spec, memento, kernel, trace=None, num_allocs=400):
-    spec = dataclasses.replace(spec, num_allocs=num_allocs)
-    if trace is None:
-        trace = generate_trace(spec)
-    system = SimulatedSystem(spec, memento=memento, replay_kernel=kernel)
-    return system.run(trace).to_dict()
+def stepped(trace):
+    """``trace`` with packing disabled, so ``run()`` takes the per-event
+    path for it."""
+    copy = Trace(trace.name, trace.language, trace.category, trace.events)
+    copy.columnar = lambda: None
+    return copy
 
 
-# -- kernel selection --------------------------------------------------------
+def run_result(spec, stack, trace, per_event, **kwargs):
+    system = SimulatedSystem(spec, stack, **kwargs)
+    return system.run(stepped(trace) if per_event else trace).to_dict()
 
 
-def test_resolve_choice_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown replay kernel"):
-        vector_kernel.resolve_choice("simd")
-
-
-def test_resolve_choice_defaults_to_env(monkeypatch):
-    monkeypatch.setenv(vector_kernel.ENV_VAR, "scalar")
-    assert vector_kernel.resolve_choice(None) == "scalar"
-    monkeypatch.delenv(vector_kernel.ENV_VAR)
-    assert vector_kernel.resolve_choice(None) == "auto"
-
-
-def test_explicit_choice_beats_env(monkeypatch):
-    monkeypatch.setenv(vector_kernel.ENV_VAR, "scalar")
-    assert vector_kernel.resolve_choice("auto") == "auto"
-
-
-def test_auto_without_numpy_resolves_scalar(monkeypatch):
-    monkeypatch.setattr(vector_kernel, "_HAVE_NUMPY", False)
-    assert vector_kernel.resolve_kernel("auto") == "scalar"
-    assert vector_kernel.resolve_kernel("scalar") == "scalar"
-
-
-def test_explicit_vectorized_without_numpy_raises(monkeypatch):
-    monkeypatch.setattr(vector_kernel, "_HAVE_NUMPY", False)
-    with pytest.raises(ValueError, match=r"\[fast\]"):
-        vector_kernel.resolve_kernel("vectorized")
-
-
-@needs_numpy
-def test_auto_with_numpy_resolves_vectorized():
-    assert vector_kernel.resolve_kernel("auto") == "vectorized"
-
-
-def test_system_honors_env(monkeypatch):
-    monkeypatch.setenv(vector_kernel.ENV_VAR, "scalar")
-    spec = dataclasses.replace(
-        get_workload("html").resolved(), num_allocs=50
+def assert_paths_agree(spec, stack, trace, **kwargs):
+    columnar = run_result(spec, stack, trace, False, **kwargs)
+    per_event = run_result(spec, stack, trace, True, **kwargs)
+    assert json.dumps(columnar, sort_keys=True) == json.dumps(
+        per_event, sort_keys=True
     )
-    system = SimulatedSystem(spec, memento=True)
-    assert system.replay_kernel == "scalar"
-
-
-# -- engine integration ------------------------------------------------------
-
-
-def test_content_key_excludes_kernel():
-    spec = get_workload("html").resolved()
-    keys = {
-        RunRequest(spec=spec, memento=True, kernel=kernel).content_key()
-        for kernel in (None, "scalar", "vectorized", "auto")
-    }
-    assert len(keys) == 1
-
-
-def test_request_rejects_unknown_kernel():
-    spec = get_workload("html").resolved()
-    with pytest.raises(ValueError, match="unknown replay kernel"):
-        RunRequest(spec=spec, memento=True, kernel="simd")
-
-
-def test_request_round_trips_kernel():
-    spec = get_workload("html").resolved()
-    request = RunRequest(spec=spec, memento=False, kernel="scalar")
-    clone = RunRequest.from_dict(request.to_dict())
-    assert clone == request
-    assert clone.kernel == "scalar"
-    # Payloads that predate the field deserialize as unspecified.
-    legacy = request.to_dict()
-    del legacy["kernel"]
-    assert RunRequest.from_dict(legacy).kernel is None
-
-
-def test_build_system_threads_kernel():
-    spec = get_workload("html").resolved()
-    request = RunRequest(spec=spec, memento=True, kernel="scalar")
-    assert request.build_system().replay_kernel == "scalar"
-
-
-# -- segmentation ------------------------------------------------------------
-
-
-def make_trace(events, category="function"):
-    return Trace(
-        name="synthetic",
-        category=category,
-        language="python",
-        events=list(events),
-    )
-
-
-def test_segments_extract_compute_and_split_touches():
-    trace = make_trace([
-        Alloc(obj=0, size=4096),
-        Compute(cycles=10, dram_bytes=96),
-        Touch(obj=0, lines=1, line_offset=3, write=True),
-        Compute(cycles=5, dram_bytes=0),
-        Touch(obj=0, lines=4, line_offset=2, write=False),
-        Free(obj=0),
-    ])
-    segments = trace.columnar().segments()
-    assert segments.compute_cycles == 15
-    assert segments.compute_bytes == 96
-    assert segments.events == 6
-    assert segments.ops == [
-        OP_ALLOC, OP_TOUCH_SINGLE, OP_TOUCH_MULTI, OP_FREE
-    ]
-    # Single-line byte offset premultiplied; multi-line keeps line units.
-    assert segments.f2 == [0, 3 * 64, 2, 0]
-    assert segments.writes == [False, True, False, False]
-    assert all(isinstance(w, bool) for w in segments.writes)
-    assert segments.runs() == [
-        (OP_ALLOC, 1), (OP_TOUCH_SINGLE, 1),
-        (OP_TOUCH_MULTI, 1), (OP_FREE, 1),
-    ]
-
-
-def test_segments_memoized_and_empty_trace():
-    trace = make_trace([])
-    columnar = trace.columnar()
-    segments = columnar.segments()
-    assert segments is columnar.segments()
-    assert len(segments) == 0 and segments.runs() == []
-    assert segments.compute_cycles == 0
-
-
-@needs_numpy
-@pytest.mark.parametrize("name", ["html", "Redis", "deploy"])
-def test_numpy_and_python_builders_agree(name):
-    spec = dataclasses.replace(
-        get_workload(name).resolved(), num_allocs=300
-    )
-    columnar = generate_trace(spec).columnar()
-    via_numpy = SegmentIndex.build(columnar)
-    fields = _segment_python(columnar)
-    assert via_numpy.ops == fields[0]
-    assert via_numpy.f0 == fields[1]
-    assert via_numpy.f1 == fields[2]
-    assert via_numpy.f2 == fields[3]
-    assert via_numpy.writes == fields[4]
-    assert via_numpy.compute_cycles == fields[5]
-    assert via_numpy.compute_bytes == fields[6]
-    assert all(isinstance(v, int) for v in via_numpy.ops)
-    assert all(isinstance(w, bool) for w in via_numpy.writes)
 
 
 # -- lockstep equivalence ----------------------------------------------------
 
 
-@needs_numpy
-@pytest.mark.parametrize(
-    "memento", [True, False], ids=["memento", "baseline"]
-)
+@pytest.mark.parametrize("stack", ALL_STACKS)
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
-def test_kernels_bit_identical_every_workload(spec, memento):
+def test_kernels_bit_identical_every_workload(spec, stack):
     sized = dataclasses.replace(spec, num_allocs=400)
-    trace = generate_trace(sized)
-    scalar = run_result(spec, memento, "scalar", trace)
-    vectorized = run_result(spec, memento, "vectorized", trace)
-    assert json.dumps(scalar, sort_keys=True) == json.dumps(
-        vectorized, sort_keys=True
-    )
+    assert_paths_agree(sized, stack, generate_trace(sized))
 
 
-@needs_numpy
 @pytest.mark.parametrize("seed", [1, 7, 1234])
 def test_kernels_bit_identical_randomized_short_traces(seed):
     rng = random.Random(seed)
@@ -234,73 +76,69 @@ def test_kernels_bit_identical_randomized_short_traces(seed):
         seed=rng.randrange(1 << 30),
     )
     trace = generate_trace(spec)
-    for memento in (True, False):
-        scalar = run_result(
-            spec, memento, "scalar", trace, num_allocs=spec.num_allocs
-        )
-        vectorized = run_result(
-            spec, memento, "vectorized", trace, num_allocs=spec.num_allocs
-        )
-        assert scalar == vectorized
+    for stack in ALL_STACKS:
+        assert_paths_agree(spec, stack, trace)
 
 
-@needs_numpy
 def test_kernels_identical_profile_attribution():
     spec = dataclasses.replace(
         get_workload("html").resolved(), num_allocs=400
     )
     trace = generate_trace(spec)
     payloads = {}
-    for kernel in ("scalar", "vectorized"):
+    for per_event in (False, True):
         profile = CycleProfile()
         previous = install_profile(profile)
         try:
-            SimulatedSystem(
-                spec, memento=True, replay_kernel=kernel
-            ).run(trace)
+            run_result(spec, "memento", trace, per_event)
         finally:
             install_profile(previous)
-        payloads[kernel] = profile.to_dict()
-    assert payloads["scalar"] == payloads["vectorized"]
+        payloads[per_event] = profile.to_dict()
+    assert payloads[False] == payloads[True]
 
 
-@needs_numpy
 def test_kernels_identical_nondefault_config():
     spec = dataclasses.replace(
         get_workload("Redis").resolved(), num_allocs=300
     )
-    trace = generate_trace(spec)
-    config = MementoConfig(bypass_enabled=False)
-    results = {}
-    for kernel in ("scalar", "vectorized"):
-        system = SimulatedSystem(
-            spec,
-            memento=True,
-            memento_config=config,
-            replay_kernel=kernel,
-        )
-        results[kernel] = system.run(trace).to_dict()
-    assert results["scalar"] == results["vectorized"]
+    assert_paths_agree(
+        spec,
+        "memento",
+        generate_trace(spec),
+        memento_config=MementoConfig(bypass_enabled=False),
+    )
 
 
-# -- @audit tier: the full sweep under the vectorized kernel -----------------
+# -- @audit tier: the full sweep at a larger trace size ----------------------
 
 
-@needs_numpy
 @pytest.mark.audit
-@pytest.mark.parametrize(
-    "memento", [True, False], ids=["memento", "baseline"]
-)
+@pytest.mark.parametrize("stack", ALL_STACKS)
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
-def test_audit_sweep_vectorized_bit_identical(spec, memento):
+def test_audit_sweep_columnar_bit_identical(spec, stack):
     sized = dataclasses.replace(spec, num_allocs=800)
-    trace = generate_trace(sized)
-    scalar = run_result(
-        spec, memento, "scalar", trace, num_allocs=800
-    )
-    vectorized = run_result(
-        spec, memento, "vectorized", trace, num_allocs=800
-    )
-    assert json.dumps(scalar, sort_keys=True) == json.dumps(
-        vectorized, sort_keys=True
-    )
+    assert_paths_agree(sized, stack, generate_trace(sized))
+
+
+# -- the retired replay-kernel field -----------------------------------------
+
+
+def test_content_key_excludes_kernel():
+    # Legacy payloads carrying any value the field once accepted parse
+    # to the same request, and so to the same content key.
+    for stack in ALL_STACKS:
+        request = RunRequest(get_workload("html"), stack=stack)
+        payload = request.to_dict()
+        assert "kernel" not in payload
+        for kernel in (None, "scalar", "vectorized", "auto"):
+            payload["kernel"] = kernel
+            parsed = RunRequest.from_dict(payload)
+            assert parsed == request
+            assert parsed.content_key() == request.content_key()
+
+
+def test_request_rejects_unknown_kernel():
+    payload = RunRequest(get_workload("html"), stack="memento").to_dict()
+    payload["kernel"] = "bogus"
+    with pytest.raises(ValueError, match="unknown replay kernel 'bogus'"):
+        RunRequest.from_dict(payload)

@@ -100,6 +100,22 @@ class TestEndpoints:
             urllib.request.urlopen(request, timeout=30)
         assert err.value.code == 400
 
+    def test_retired_kernel_field_accepted_unknown_value_400(
+        self, server, client
+    ):
+        legacy = {"workload": "aes", "memento": True, "kernel": "scalar",
+                  "spec_overrides": {"num_allocs": 200}}
+        assert client.submit(legacy)
+        for path, body in (
+            ("/api/v1/runs",
+             {"workload": "aes", "memento": True, "kernel": "bogus"}),
+            ("/api/v1/fleets", {"kernel": "bogus"}),
+        ):
+            with pytest.raises(ServiceError) as err:
+                client._request("POST", path, body)
+            assert err.value.status == 400
+            assert "unknown replay kernel" in str(err.value)
+
     def test_run_endpoint_rejects_batches(self, server, client):
         with pytest.raises(ServiceError) as err:
             client._request("POST", "/api/v1/runs", {"requests": [

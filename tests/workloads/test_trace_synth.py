@@ -6,7 +6,17 @@ from hypothesis import strategies as st
 
 from repro.workloads.profiles import LifetimeProfile
 from repro.workloads.synth import WorkloadSpec, generate_trace
-from repro.workloads.trace import Alloc, Compute, Free, Touch, Trace
+from repro.workloads.trace import (
+    OP_ALLOC,
+    OP_FREE,
+    OP_TOUCH_MULTI,
+    OP_TOUCH_SINGLE,
+    Alloc,
+    Compute,
+    Free,
+    Touch,
+    Trace,
+)
 
 
 def small_spec(**kwargs):
@@ -227,6 +237,36 @@ def test_columnar_rejects_noncanonical_events():
 
     trace = Trace("x", "python", "function", [Alloc(0, 16), Odd()])
     assert trace.columnar() is None
+
+
+def test_segments_extract_compute_and_split_touches():
+    trace = Trace("x", "python", "function", [
+        Alloc(obj=0, size=4096),
+        Compute(cycles=10, dram_bytes=96),
+        Touch(obj=0, lines=1, line_offset=3, write=True),
+        Compute(cycles=5, dram_bytes=0),
+        Touch(obj=0, lines=4, line_offset=2, write=False),
+        Free(obj=0),
+    ])
+    segments = trace.columnar().segments()
+    assert segments.compute_cycles == 15
+    assert segments.compute_bytes == 96
+    assert segments.events == 6
+    assert segments.ops == [
+        OP_ALLOC, OP_TOUCH_SINGLE, OP_TOUCH_MULTI, OP_FREE
+    ]
+    # Single-line byte offset premultiplied; multi-line keeps line units.
+    assert segments.f2 == [0, 3 * 64, 2, 0]
+    assert segments.writes == [False, True, False, False]
+    assert all(isinstance(w, bool) for w in segments.writes)
+
+
+def test_segments_memoized_and_empty_trace():
+    columnar = Trace("x", "python", "function", []).columnar()
+    segments = columnar.segments()
+    assert segments is columnar.segments()
+    assert len(segments) == 0 and segments.events == 0
+    assert segments.compute_cycles == 0 and segments.compute_bytes == 0
 
 
 def test_summary_properties_match_events_and_refresh():
