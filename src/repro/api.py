@@ -7,20 +7,23 @@ configuration, workload lookup, and observability. Internal module paths
 between PRs; the names exported here — and their signatures — stay
 stable. Import from here in notebooks, downstream scripts, and docs::
 
-    from repro.api import run_workload, get_workload, Tracer, set_tracer
+    from repro.api import run_workload, get_workload, Tracer, instrumented
 
     tracer = Tracer()
-    set_tracer(tracer)
-    result = run_workload(get_workload("html"))
+    with instrumented(tracer=tracer):
+        result = run_workload(get_workload("html"))
     print(result.speedup)
     print(render_span_tree(tracer.to_dict()))
-    set_tracer(None)
 
 Everything in ``__all__`` is covered by the round-trip conventions
 documented in DESIGN.md: result/config objects expose
 ``to_dict``/``from_dict``, engines honor ``REPRO_CACHE_DIR`` /
 ``REPRO_NO_CACHE`` / ``REPRO_NO_LEDGER`` / ``REPRO_BACKEND``, and
-tracing defaults to the zero-cost null tracer.
+every instrument is off by default. Instruments (tracer, event ring,
+cycle profile, auditor, fleet recorder) are bound through one slot:
+``with instrumented(...)`` sets them, ``current()`` reads them. Drift
+over the run ledger and the committed bench files is judged by one gate
+(``check_trend``, ``check_fleet_trend``, ``repro obs trend``).
 
 Fleet simulation is part of the same declarative request hierarchy:
 build a ``FleetRequest`` and hand it to ``simulate_fleet`` (in-process),
@@ -47,8 +50,6 @@ from repro.fleet import (
     FleetRecorder,
     FleetRequest,
     FleetResult,
-    get_fleet_recorder,
-    install_fleet_recorder,
     render_fleet_report,
     simulate_fleet,
 )
@@ -69,26 +70,22 @@ from repro.harness.system import RunResult, SimulatedSystem
 from repro.obs import (
     CycleProfile,
     EventRing,
+    Instruments,
     Log2Histogram,
     NullTracer,
     RunLedger,
     Tracer,
     check_trend,
+    current,
     default_ledger_path,
     export_timeline,
-    get_profile,
-    get_ring,
-    get_tracer,
-    install_profile,
-    install_ring,
+    instrumented,
     render_profile,
     render_span_tree,
     render_top_consumers,
     check_fleet_trend,
     render_fleet_trend,
     render_trend,
-    set_thread_tracer,
-    set_tracer,
     trace_events,
     trend_by_key,
     validate_trace_events,
@@ -124,8 +121,6 @@ __all__ = [
     "FleetRecorder",
     "FleetRequest",
     "FleetResult",
-    "get_fleet_recorder",
-    "install_fleet_recorder",
     "render_fleet_report",
     "simulate_fleet",
     # configuration
@@ -139,26 +134,22 @@ __all__ = [
     # observability
     "CycleProfile",
     "EventRing",
+    "Instruments",
     "Log2Histogram",
     "NullTracer",
     "RunLedger",
     "Tracer",
     "check_fleet_trend",
     "check_trend",
+    "current",
     "default_ledger_path",
     "export_timeline",
-    "get_profile",
-    "get_ring",
-    "get_tracer",
-    "install_profile",
-    "install_ring",
+    "instrumented",
     "render_profile",
     "render_span_tree",
     "render_fleet_trend",
     "render_top_consumers",
     "render_trend",
-    "set_thread_tracer",
-    "set_tracer",
     "trace_events",
     "trend_by_key",
     "validate_trace_events",

@@ -13,15 +13,12 @@ audit hook — an eager import here would close that cycle.
 """
 
 from repro.audit.invariants import (
-    AUDIT,
     AuditContext,
     Auditor,
     DEFAULT_RULES,
     EPOCHS,
     Invariant,
     Violation,
-    get_audit,
-    install_audit,
 )
 
 _ORACLE_EXPORTS = (
@@ -35,15 +32,12 @@ _ORACLE_EXPORTS = (
 )
 
 __all__ = [
-    "AUDIT",
     "AuditContext",
     "Auditor",
     "DEFAULT_RULES",
     "EPOCHS",
     "Invariant",
     "Violation",
-    "get_audit",
-    "install_audit",
     *_ORACLE_EXPORTS,
 ]
 

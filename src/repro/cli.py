@@ -27,12 +27,12 @@ Commands:
   tuning, fragmentation, coldstart, iso-storage, mallacc, ablation).
 * ``energy WORKLOAD`` — the energy comparison for one workload.
 * ``bench`` — the replay-throughput microbenchmark.
-* ``obs report|diff|check`` — render the run ledger and exported
-  metrics, diff two metric/bench files, or gate on a perf regression
-  against the committed ``BENCH_*.json`` baseline.
+* ``obs report|diff`` — render the run ledger and exported metrics, or
+  diff two metric/bench files.
 * ``obs profile|timeline|trend`` — render an exported cycle profile,
-  export spans + sampled events as Perfetto trace JSON, or analyze the
-  full ledger history for wall-time/digest drift.
+  export spans + sampled events as Perfetto trace JSON, or gate the
+  ledger and bench history for drift (wall time, digests, fleet
+  headline metrics, bench events/s; ``--bench`` adds a fresh payload).
 
 Conventions (shared by every handler): handlers take the parsed
 ``argparse.Namespace`` and return the process exit code — 0 on success,
@@ -59,7 +59,7 @@ from repro.analysis.characterize import (
 from repro.analysis.energy import EnergyModel
 from repro.analysis.pricing import PricingModel
 from repro.analysis.report import render_grouped, render_table
-from repro.audit import Auditor, install_audit
+from repro.audit import Auditor
 from repro.backends import backend_names, create_backend
 from repro.core.errors import MementoError
 from repro.fleet import (
@@ -93,17 +93,15 @@ from repro.obs import (
     EventRing,
     RunLedger,
     Tracer,
-    check_bench,
-    check_ledger_determinism,
     check_bench_trend,
     check_fleet_trend,
     check_trend,
     default_ledger_path,
     event_record,
     export_timeline,
+    fleet_trend,
     histogram_lines,
-    install_profile,
-    install_ring,
+    instrumented,
     profile_record,
     read_jsonl,
     render_histograms,
@@ -115,9 +113,9 @@ from repro.obs import (
     render_fleet_trend,
     render_trend,
     run_record,
-    set_tracer,
     span_record,
     split_fleet_entries,
+    trend_by_key,
     write_jsonl,
 )
 from repro.workloads.registry import all_workloads, get_workload
@@ -471,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     audit_parser.set_defaults(handler=cmd_audit)
 
     obs_parser = sub.add_parser(
-        "obs", help="observability: run ledger, metrics, regression gate"
+        "obs", help="observability: run ledger, metrics, drift gate"
     )
     obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
 
@@ -498,32 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff_parser.add_argument("old", metavar="OLD")
     diff_parser.add_argument("new", metavar="NEW")
     diff_parser.set_defaults(handler=cmd_obs_diff)
-
-    check_parser = obs_sub.add_parser(
-        "check", help="fail when a bench payload regresses vs the baseline"
-    )
-    check_parser.add_argument(
-        "--bench", default=None, metavar="JSON",
-        help="current bench payload (e.g. bench-smoke.json)",
-    )
-    check_parser.add_argument(
-        "--baseline", default=None, metavar="JSON",
-        help="baseline payload (default: newest committed BENCH_*.json)",
-    )
-    check_parser.add_argument(
-        "--threshold", type=float, default=10.0, metavar="PCT",
-        help="max tolerated events/sec loss in percent (default: 10)",
-    )
-    check_parser.add_argument(
-        "--ledger", default=None, metavar="PATH",
-        help="also check this ledger for determinism conflicts "
-        "(default: <cache-dir>/ledger.jsonl when present)",
-    )
-    check_parser.add_argument(
-        "--smoke", action="store_true",
-        help="report-only: never fail on timing (CI machines are noisy)",
-    )
-    check_parser.set_defaults(handler=cmd_obs_check)
 
     profile_parser = obs_sub.add_parser(
         "profile", help="render an exported cycle-attribution profile"
@@ -559,23 +531,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="ledger file (default: <cache-dir>/ledger.jsonl)",
     )
     trend_parser.add_argument(
-        "--threshold", type=float, default=50.0, metavar="PCT",
-        help="min slowdown vs the key's median to flag (default: 50)",
-    )
-    trend_parser.add_argument(
         "--bench-root", default=None, metavar="DIR",
         help="directory holding committed BENCH_<date>.json files for "
         "the events/s gate (default: current directory)",
     )
     trend_parser.add_argument(
-        "--bench-drop", type=float, default=None, metavar="PCT",
-        help="max events/s drop vs the bench-file median before the "
-        "throughput gate flags (default: 40)",
-    )
-    trend_parser.add_argument(
-        "--fleet-threshold", type=float, default=None, metavar="PCT",
-        help="max worsening of fleet cold-start p95 / stranded GB·s vs "
-        "the scenario median before the fleet gate flags (default: 25)",
+        "--bench", default=None, metavar="JSON",
+        help="a fresh `repro bench` payload (e.g. bench-smoke.json), "
+        "judged as the newest bench point",
     )
     trend_parser.add_argument(
         "--report-only", action="store_true",
@@ -703,7 +666,7 @@ def _run_stacks(args: argparse.Namespace, names: List[str]) -> int:
         )
     stacks = resolve_stack_list(args.stack)
     args.jobs = resolve_jobs(args.jobs)
-    auditor = previous_audit = None
+    auditor = None
     if args.diff:
         args.audit = True
     if args.audit:
@@ -715,27 +678,19 @@ def _run_stacks(args: argparse.Namespace, names: List[str]) -> int:
             args.jobs = 1
         args.no_cache = True
         auditor = Auditor(epoch=args.audit_epoch, every=args.audit_every)
-        previous_audit = install_audit(auditor)
-    try:
-        engine = _make_engine(args)
-        specs = (
-            all_workloads()
-            if args.run_all
-            else [get_workload(name) for name in names]
-        )
-        requests = [
-            RunRequest(
-                spec,
-                stack=stack,
-                cold_start=args.cold_start,
-            )
-            for spec in specs
-            for stack in stacks
-        ]
+    engine = _make_engine(args)
+    specs = (
+        all_workloads()
+        if args.run_all
+        else [get_workload(name) for name in names]
+    )
+    requests = [
+        RunRequest(spec, stack=stack, cold_start=args.cold_start)
+        for spec in specs
+        for stack in stacks
+    ]
+    with instrumented(audit=auditor):
         results = engine.run_many(requests)
-    finally:
-        if args.audit:
-            install_audit(previous_audit)
     rows = [
         [
             request.spec.name,
@@ -786,13 +741,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _run_stacks(args, names)
     args.jobs = resolve_jobs(args.jobs)
     tracer = ring = profile = auditor = None
-    previous_tracer = previous_ring = previous_profile = None
-    previous_audit = None
     if args.trace:
         tracer = Tracer()
         ring = EventRing(timestamps=True)
-        previous_tracer = set_tracer(tracer)
-        previous_ring = install_ring(ring)
     if args.profile:
         # Attribution happens in-process on live runs only: worker
         # processes and cache hits produce no profile data, so profiled
@@ -805,7 +756,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             args.jobs = 1
         args.no_cache = True
         profile = CycleProfile()
-        previous_profile = install_profile(profile)
     if args.diff:
         args.audit = True
     if args.audit:
@@ -820,25 +770,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             args.jobs = 1
         args.no_cache = True
         auditor = Auditor(epoch=args.audit_epoch, every=args.audit_every)
-        previous_audit = install_audit(auditor)
-    try:
-        engine = _make_engine(args)
-        specs = (
-            None if args.run_all else [get_workload(name) for name in names]
-        )
-        results = run_all(
-            specs,
-            cold_start=args.cold_start,
-            engine=engine,
-        )
-    finally:
-        if args.trace:
-            set_tracer(previous_tracer)
-            install_ring(previous_ring)
-        if args.profile:
-            install_profile(previous_profile)
-        if args.audit:
-            install_audit(previous_audit)
+    engine = _make_engine(args)
+    specs = None if args.run_all else [get_workload(name) for name in names]
+    with instrumented(
+        tracer=tracer, ring=ring, profile=profile, audit=auditor
+    ):
+        results = run_all(specs, cold_start=args.cold_start, engine=engine)
     pricing = PricingModel()
     rows = []
     for result in results:
@@ -968,12 +905,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
             resolved = dataclasses.replace(resolved, num_allocs=num_allocs)
         for stack in stacks:
             auditor = Auditor(epoch=args.epoch, every=args.every)
-            previous = install_audit(auditor)
-            try:
-                system = SimulatedSystem(resolved, stack)
-                system.run()
-            finally:
-                install_audit(previous)
+            with instrumented(audit=auditor):
+                SimulatedSystem(resolved, stack).run()
             leg = {
                 "workload": spec.name,
                 "stack": stack,
@@ -1032,28 +965,18 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
         stacks=stacks,
     )
     engine = _make_engine(args)
-    recorder = None
-    ring = None
-    previous_recorder = previous_ring = None
+    recorder = ring = None
     if args.telemetry:
-        from repro.fleet import FleetRecorder, install_fleet_recorder
+        from repro.fleet import FleetRecorder
 
         recorder = FleetRecorder()
         ring = EventRing(capacity=8192, sample_every=1)
-        previous_recorder = install_fleet_recorder(recorder)
-        previous_ring = install_ring(ring)
-    try:
+    with instrumented(recorder=recorder, ring=ring):
         result = simulate_fleet(
             request,
             engine=engine,
             log=lambda message: print(message, file=sys.stderr),
         )
-    finally:
-        if args.telemetry:
-            from repro.fleet import install_fleet_recorder
-
-            install_fleet_recorder(previous_recorder)
-            install_ring(previous_ring)
     print(render_fleet_report(result))
     print(f"fleet key: {result.fleet_key}", file=sys.stderr)
     if args.out:
@@ -1339,11 +1262,13 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
             title=f"run ledger: last {len(entries)} of "
             f"{len(run_entries)} ({ledger.path})",
         ))
-        determinism = check_ledger_determinism(ledger)
-        if determinism["conflicts"]:
+        conflicts = sum(
+            row["digest_drift"] for row in trend_by_key(run_entries)
+        )
+        if conflicts:
             print(
                 "WARNING: counter digests disagree for "
-                f"{len(determinism['conflicts'])} content key(s) — "
+                f"{conflicts} content key(s) — "
                 "nondeterministic replay or stale fingerprints"
             )
         printed = True
@@ -1377,21 +1302,15 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
             title=f"fleet executions: last {len(fleet_shown)} of "
             f"{len(fleet_entries)}",
         ))
-        digests_per_key: dict = {}
-        for entry in fleet_entries:
-            digest = entry.get("metrics_digest")
-            if digest:
-                bucket = digests_per_key.setdefault(entry.get("key"), [])
-                if digest not in bucket:
-                    bucket.append(digest)
         conflicted = {
-            key for key, bucket in digests_per_key.items()
-            if len(bucket) > 1
+            row["scenario"]
+            for row in fleet_trend(fleet_entries)
+            if row["digest_drift"]
         }
         if conflicted:
             print(
                 "WARNING: fleet metrics digests disagree for "
-                f"{len(conflicted)} fleet key(s) — the seeded "
+                f"{len(conflicted)} fleet scenario(s) — the seeded "
                 "simulation is not bit-stable"
             )
         printed = True
@@ -1511,82 +1430,6 @@ def cmd_obs_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _find_baseline() -> Optional[Path]:
-    """Newest committed full-bench payload in the working directory."""
-    candidates = sorted(
-        p for p in Path.cwd().glob("BENCH_*.json")
-        if not p.name.endswith(".smoke.json")
-    )
-    return candidates[-1] if candidates else None
-
-
-def cmd_obs_check(args: argparse.Namespace) -> int:
-    import json
-
-    failed = False
-    checked = False
-    baseline_path = (
-        Path(args.baseline) if args.baseline else _find_baseline()
-    )
-    if args.bench:
-        if baseline_path is None:
-            return _usage_error(
-                "obs check: no BENCH_*.json baseline found; pass --baseline"
-            )
-        current = json.loads(Path(args.bench).read_text())
-        baseline = json.loads(baseline_path.read_text())
-        verdict = check_bench(current, baseline, args.threshold)
-        rows = [
-            [
-                row["key"],
-                f"{row['baseline']:,.0f}" if row["baseline"] else "-",
-                f"{row['current']:,.0f}" if row["current"] else "-",
-                f"{row['ratio']:.3f}x" if row["ratio"] else "-",
-                "REGRESSED" if row["regressed"] else "ok",
-            ]
-            for row in verdict["rows"]
-        ]
-        print(render_table(
-            ["workload/stack", "baseline ev/s", "current ev/s", "ratio",
-             "verdict"],
-            rows,
-            title=f"regression gate: {args.bench} vs {baseline_path.name} "
-            f"(threshold {verdict['threshold_pct']:.0f}%)",
-        ))
-        checked = True
-        failed = failed or not verdict["ok"]
-    ledger_path = (
-        Path(args.ledger)
-        if args.ledger
-        else default_ledger_path(_default_cache_dir(None))
-    )
-    if ledger_path.exists():
-        determinism = check_ledger_determinism(RunLedger(ledger_path))
-        conflicts = determinism["conflicts"]
-        print(
-            f"ledger determinism: "
-            + (
-                f"{len(conflicts)} conflicting key(s)"
-                if conflicts
-                else f"ok ({ledger_path})"
-            )
-        )
-        checked = True
-        failed = failed or bool(conflicts)
-    if not checked:
-        return _usage_error(
-            "obs check: nothing to check (pass --bench and/or have a ledger)"
-        )
-    if failed and args.smoke:
-        print("obs check: regressions found (report-only in --smoke mode)")
-        return 0
-    if failed:
-        print("obs check: FAILED", file=sys.stderr)
-        return 1
-    print("obs check: ok")
-    return 0
-
-
 def cmd_obs_profile(args: argparse.Namespace) -> int:
     records = read_jsonl(Path(args.metrics))
     profiles = [r for r in records if r.get("kind") == "profile"]
@@ -1632,29 +1475,25 @@ def cmd_obs_timeline(args: argparse.Namespace) -> int:
 
 
 def cmd_obs_trend(args: argparse.Namespace) -> int:
-    from repro.obs.trend import (
-        DEFAULT_BENCH_DROP_PCT,
-        DEFAULT_FLEET_TREND_PCT,
-    )
+    import json
 
+    newest = None
+    if args.bench:
+        try:
+            newest = json.loads(Path(args.bench).read_text())
+        except (OSError, ValueError) as exc:
+            return _usage_error(f"obs trend: unreadable --bench: {exc}")
+        if not isinstance(newest, dict) or "replay" not in newest:
+            return _usage_error(
+                f"obs trend: {args.bench} is not a `repro bench` payload"
+            )
+        newest["_file"] = Path(args.bench).name
     ledger = _ledger_at(args.ledger)
-    report = check_trend(ledger, threshold_pct=args.threshold)
+    report = check_trend(ledger)
     bench_report = check_bench_trend(
-        Path(args.bench_root) if args.bench_root else Path.cwd(),
-        drop_pct=(
-            args.bench_drop
-            if args.bench_drop is not None
-            else DEFAULT_BENCH_DROP_PCT
-        ),
+        Path(args.bench_root) if args.bench_root else Path.cwd(), newest
     )
-    fleet_report = check_fleet_trend(
-        ledger,
-        threshold_pct=(
-            args.fleet_threshold
-            if args.fleet_threshold is not None
-            else DEFAULT_FLEET_TREND_PCT
-        ),
-    )
+    fleet_report = check_fleet_trend(ledger)
     if (
         not report["entries"]
         and not bench_report["rows"]
@@ -1666,10 +1505,7 @@ def cmd_obs_trend(args: argparse.Namespace) -> int:
         print(render_trend(report))
     if bench_report["rows"]:
         print()
-        print(
-            "Bench throughput "
-            f"({len(bench_report['files'])} committed files)"
-        )
+        print(f"Bench throughput ({len(bench_report['files'])} files)")
         print(render_bench_trend(bench_report))
     if fleet_report["entries"]:
         print()

@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from repro.core.arena import ArenaHeader
 from repro.core.config import MementoConfig
-from repro.obs import events as obs_events
+from repro.obs.instruments import current as current_instruments
 from repro.sim.stats import ScopedStats
 
 
@@ -64,7 +64,7 @@ class HardwareObjectTable:
         self._free_misses = stats.counter("free_misses")
         #: Sampled hardware-event ring, bound at construction (None keeps
         #: the record paths to a single attribute test when sampling is off).
-        self._ring = obs_events.RING
+        self._ring = current_instruments().ring
 
     def lookup(self, size_class: int) -> HotEntry:
         """Direct-mapped index by size class (no search)."""

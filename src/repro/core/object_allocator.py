@@ -18,8 +18,7 @@ from repro.core.errors import MementoDoubleFreeError
 from repro.core.hot import HardwareObjectTable
 from repro.core.lists import ArenaList
 from repro.core.region import MementoRegion
-from repro.obs import events as obs_events
-from repro.obs import profile as obs_profile
+from repro.obs.instruments import current as current_instruments
 from repro.sim.params import LINE_SHIFT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -85,10 +84,11 @@ class HardwareObjectAllocator:
         self._hidden_cell = self.stats.counter("hidden_miss_cycles")
         #: Sampled hardware-event ring, bound at construction (None keeps
         #: the obj-alloc/obj-free fast paths to one attribute test each).
-        self._ring = obs_events.RING
+        instruments = current_instruments()
+        self._ring = instruments.ring
         # Cycle-attribution cells, bound the same way: disabled costs one
         # None test per obj-alloc/obj-free; the cells never charge cycles.
-        profile = obs_profile.PROFILE
+        profile = instruments.profile
         if profile is None:
             self._p_alloc_hit = None
             self._p_alloc_miss = None

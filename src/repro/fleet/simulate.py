@@ -30,7 +30,6 @@ from repro.fleet.metrics import (
 )
 from repro.fleet.pool import FleetPool
 from repro.fleet.request import FleetRequest
-from repro.fleet.telemetry import get_fleet_recorder
 from repro.harness.engine import (
     ExperimentEngine,
     RunRequest,
@@ -38,7 +37,7 @@ from repro.harness.engine import (
     source_fingerprint,
 )
 from repro.obs import ledger as obs_ledger
-from repro.obs.events import get_ring
+from repro.obs.instruments import current as current_instruments
 from repro.harness.system import RunResult
 from repro.sim.params import PAGE_SIZE
 from repro.workloads.registry import get_workload
@@ -93,11 +92,12 @@ def simulate_fleet(
     req = request.resolved()
     engine = engine if engine is not None else ExperimentEngine()
     say = log if log is not None else (lambda message: None)
-    # Telemetry hooks are captured once at entry (install-before-run,
-    # mirroring the ring/profile/audit gating); None means disabled and
-    # the pass below takes the exact same branches as ever.
-    recorder = get_fleet_recorder()
-    ring = get_ring()
+    # Telemetry is captured once at entry (bind-before-run, like the
+    # ring/profile/audit); None means disabled and the pass below takes
+    # the exact same branches as ever.
+    instruments = current_instruments()
+    recorder = instruments.recorder
+    ring = instruments.ring
     started = time.perf_counter()
 
     shards = fleet_run_requests(req)

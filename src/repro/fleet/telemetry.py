@@ -2,9 +2,9 @@
 
 The fleet simulator is telemetry-blind by default — a million-invocation
 run reduces to one :class:`FleetResult` and leaves nothing else behind.
-Installing a :class:`FleetRecorder` (mirroring the ring/profile/audit
-gating: install *before* the run, uninstall after, disabled path
-untouched) makes the same pass emit two JSONL record families:
+Binding a :class:`FleetRecorder` (``instrumented(recorder=...)``, read
+by ``simulate_fleet`` at entry; the disabled path is untouched) makes
+the same pass emit two JSONL record families:
 
 * ``kind: "fleet.epoch"`` — one record per (stack, epoch) with the
   platform counters Memento's argument tracks over time: cold starts,
@@ -18,7 +18,7 @@ untouched) makes the same pass emit two JSONL record families:
   markers.
 
 The recorder only observes — it never perturbs pool decisions — so a
-run with it installed produces a bit-identical :class:`FleetResult`
+run with it bound produces a bit-identical :class:`FleetResult`
 (pinned by the rebinding test in ``tests/fleet``).
 """
 
@@ -116,27 +116,3 @@ class FleetRecorder:
         self.epochs = []
         self.instances = []
         self.dropped = 0
-
-
-#: The installed recorder, or None (the default: fleet telemetry off).
-RECORDER: Optional[FleetRecorder] = None
-
-
-def get_fleet_recorder() -> Optional[FleetRecorder]:
-    """The installed fleet recorder, or None when telemetry is off."""
-    return RECORDER
-
-
-def install_fleet_recorder(
-    recorder: Optional[FleetRecorder],
-) -> Optional[FleetRecorder]:
-    """Install (or, with None, remove) the process-wide fleet recorder.
-
-    Returns the previously installed recorder. ``simulate_fleet`` reads
-    the recorder at entry, so install it before the run whose telemetry
-    you want.
-    """
-    global RECORDER
-    previous = RECORDER
-    RECORDER = recorder
-    return previous

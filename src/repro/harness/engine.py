@@ -59,7 +59,7 @@ from repro.resolve import resolve_jobs, resolve_stack
 from repro.harness import system as harness_system
 from repro.harness.system import RunResult, SimulatedSystem
 from repro.obs import ledger as obs_ledger
-from repro.obs.tracing import get_tracer
+from repro.obs.instruments import current as current_instruments
 from repro.sim.cycles import CostModel, DEFAULT_COSTS
 from repro.sim.params import CacheParams, MachineParams, TlbParams
 from repro.sim.stats import Stats
@@ -478,7 +478,7 @@ def _run_group(
     trace = None
     if len(requests) > 1:
         spec = requests[0].spec
-        with get_tracer().span(
+        with current_instruments().tracer.span(
             "trace.load", workload=spec.name, shared=len(requests)
         ):
             # Looked up at call time, so a wrapper installed on the
@@ -592,7 +592,7 @@ class ExperimentEngine:
         the engine default) exceeds one and the batch has several.
         """
         jobs = self.jobs if jobs is None else resolve_jobs(jobs)
-        tracer = get_tracer()
+        tracer = current_instruments().tracer
         with tracer.span(
             "engine.run_many", requests=len(requests)
         ) as batch_span:
@@ -740,7 +740,7 @@ class ExperimentEngine:
         result = RunResult.from_dict(data)
         self._memo[key] = result
         if self.disk is not None:
-            with get_tracer().span(
+            with current_instruments().tracer.span(
                 "cache.admit", workload=request.spec.name
             ):
                 self.disk.put(

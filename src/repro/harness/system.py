@@ -18,8 +18,7 @@ from repro.allocators.jemalloc import JemallocAllocator
 from repro.audit import invariants as audit_invariants
 from repro import stacks as stack_registry
 from repro.resolve import resolve_stack
-from repro.obs import profile as obs_profile
-from repro.obs.tracing import get_tracer
+from repro.obs.instruments import current as current_instruments
 from repro.core.bypass import COUNTER_MAX
 from repro.core.config import MementoConfig
 from repro.core.page_allocator import HardwarePageAllocator
@@ -208,14 +207,15 @@ class SimulatedSystem:
         # constructed so their cells intern against it; the checkpoint
         # scopes this system's deltas (profiled systems must run
         # sequentially — interleaved construction would mix windows).
-        self._profile = obs_profile.PROFILE
+        instruments = current_instruments()
+        self._profile = instruments.profile
         self._profile_ckpt = (
             self._profile.checkpoint() if self._profile is not None else None
         )
         # Invariant auditor, captured at construction exactly like the
-        # profile/ring hooks: with none installed (the default) the replay
-        # paths below are byte-identical to an audit-free build.
-        self._audit = audit_invariants.AUDIT
+        # profile/ring: with none bound (the default) the replay paths
+        # below are byte-identical to an audit-free build.
+        self._audit = instruments.audit
         self.machine = machine or Machine(machine_params, cost_model)
         self.kernel = kernel or Kernel(self.machine)
         self.process = self.kernel.create_process()
@@ -590,7 +590,7 @@ class SimulatedSystem:
         """
         import gc
 
-        tracer = get_tracer()
+        tracer = current_instruments().tracer
         profile = self._profile
         marks = []
         with tracer.span(

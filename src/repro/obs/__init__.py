@@ -4,6 +4,9 @@ The subsystem's parts are all off by default and woven through the
 harness so enabling them costs one CLI flag (``repro run --trace
 --metrics out.prom``, ``repro run --profile``) rather than code changes:
 
+* :mod:`repro.obs.instruments` — the one slot every run instrument
+  (tracer, event ring, profile, auditor, fleet recorder) is bound
+  through: ``with instrumented(...)``, read with ``current()``.
 * :mod:`repro.obs.tracing` — nested wall-clock spans over a run's
   phases, with a shared no-op null tracer when disabled.
 * :mod:`repro.obs.metrics` — Stats snapshots, span trees, histograms,
@@ -11,22 +14,21 @@ harness so enabling them costs one CLI flag (``repro run --trace
 * :mod:`repro.obs.events` — a sampled, bounded ring of hardware events
   (HOT hits, AAC bumps, bypass instantiations, TLB shootdowns).
 * :mod:`repro.obs.ledger` — the append-only run ledger every engine
-  execution writes, plus the ``repro obs check`` regression gate.
+  execution writes.
 * :mod:`repro.obs.profile` — exact simulated-cycle attribution (the
   paper's Fig. 9 question) and per-op log2 latency histograms.
 * :mod:`repro.obs.timeline` — span trees and sampled events exported as
   Chrome/Perfetto trace-event JSON (``repro obs timeline``).
-* :mod:`repro.obs.trend` — ledger history analytics: robust per-key
-  wall-time and digest drift detection (``repro obs trend``).
+* :mod:`repro.obs.trend` — the one drift gate (``repro obs trend``):
+  per-key wall time, digests, fleet headline metrics and bench
+  throughput, judged by one policy table.
 """
 
-from repro.obs.events import EventRing, get_ring, install_ring
+from repro.obs.events import EventRing
+from repro.obs.instruments import Instruments, current, instrumented
 from repro.obs.ledger import (
-    DEFAULT_THRESHOLD_PCT,
     LEDGER_NAME,
     RunLedger,
-    check_bench,
-    check_ledger_determinism,
     counter_digest,
     default_ledger_path,
     fleet_manifest,
@@ -51,8 +53,6 @@ from repro.obs.profile import (
     CycleProfile,
     Log2Histogram,
     ProfileCell,
-    get_profile,
-    install_profile,
     render_histograms,
     render_profile,
     render_top_consumers,
@@ -68,16 +68,14 @@ from repro.obs.tracing import (
     NullTracer,
     Span,
     Tracer,
-    get_tracer,
     render_span_tree,
-    set_thread_tracer,
-    set_tracer,
 )
 from repro.obs.trend import (
     check_bench_trend,
     check_fleet_trend,
     check_trend,
     fleet_trend,
+    gate,
     render_bench_trend,
     render_fleet_trend,
     render_trend,
@@ -85,9 +83,9 @@ from repro.obs.trend import (
 )
 
 __all__ = [
-    "DEFAULT_THRESHOLD_PCT",
     "CycleProfile",
     "EventRing",
+    "Instruments",
     "LEDGER_NAME",
     "Log2Histogram",
     "NULL_TRACER",
@@ -96,24 +94,20 @@ __all__ = [
     "RunLedger",
     "Span",
     "Tracer",
-    "check_bench",
-    "check_ledger_determinism",
     "check_bench_trend",
     "check_fleet_trend",
     "check_trend",
     "counter_digest",
+    "current",
     "default_ledger_path",
     "event_record",
     "export_timeline",
     "fleet_manifest",
     "fleet_trace_events",
     "fleet_trend",
-    "get_profile",
-    "get_ring",
-    "get_tracer",
+    "gate",
     "histogram_lines",
-    "install_profile",
-    "install_ring",
+    "instrumented",
     "manifest",
     "payload_digest",
     "profile_record",
@@ -126,8 +120,6 @@ __all__ = [
     "render_top_consumers",
     "run_record",
     "sanitize_metric_name",
-    "set_thread_tracer",
-    "set_tracer",
     "span_record",
     "split_fleet_entries",
     "trace_events",

@@ -1,6 +1,6 @@
 """Sampled hardware-event ring buffer for deep dives.
 
-When installed (``repro run --trace`` or :func:`install_ring`), the
+When bound (``repro run --trace`` or ``instrumented(ring=...)``), the
 simulator's interesting-but-frequent hardware events — HOT alloc/free
 hits, AAC bumps, bypass instantiations, TLB shootdowns — are sampled
 into a fixed-size ring: every ``sample_every``-th occurrence of each
@@ -10,9 +10,9 @@ long the replay runs.
 
 The ring is off by default and the emit sites are gated so the disabled
 cost is essentially zero: hot closures (the bypass ``instantiate`` path)
-capture the installed ring at construction time and are built without
-any ring code when none is installed; the per-alloc method sites check a
-``None`` attribute. Install the ring *before* constructing the system
+capture the bound ring at construction time and are built without
+any ring code when none is bound; the per-alloc method sites check a
+``None`` attribute. Bind the ring *before* constructing the system
 whose events you want.
 """
 
@@ -98,24 +98,3 @@ class EventRing:
         self.counts = {}
         self._buf = [None] * self.capacity
         self._head = 0
-
-
-#: The installed ring, or None (the default: all emit sites disabled).
-RING: Optional[EventRing] = None
-
-
-def get_ring() -> Optional[EventRing]:
-    """The installed ring, or None when event sampling is off."""
-    return RING
-
-
-def install_ring(ring: Optional[EventRing]) -> Optional[EventRing]:
-    """Install (or, with None, remove) the process-wide event ring.
-
-    Returns the previously installed ring. Systems capture the ring at
-    construction, so install it before building the system under study.
-    """
-    global RING
-    previous = RING
-    RING = ring
-    return previous

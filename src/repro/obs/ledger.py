@@ -1,4 +1,4 @@
-"""The run ledger and the performance-regression gate.
+"""The run ledger: one manifest line per engine execution.
 
 Every engine execution appends one manifest line to
 ``.repro-cache/ledger.jsonl``: content key, source and cost-model
@@ -9,10 +9,8 @@ while the ledger keeps the append-only history of what ran, when, from
 which source (live, disk, memo), and how long it took, so silent perf or
 correctness drift across PRs is visible after the fact.
 
-``repro obs check`` closes the loop: it compares a fresh
-``BENCH_*.json`` payload against the committed baseline and fails when
-any replay key regresses by more than the threshold (report-only in
-``--smoke`` mode, where CI timing noise drowns real signal).
+:mod:`repro.obs.trend` closes the loop (``repro obs trend``): it gates
+each key's wall time and counter digests over this history.
 """
 
 from __future__ import annotations
@@ -28,9 +26,6 @@ SCHEMA_VERSION = 1
 
 #: Ledger file name inside the engine's cache directory.
 LEDGER_NAME = "ledger.jsonl"
-
-#: Default regression threshold (percent events/sec loss) for ``check``.
-DEFAULT_THRESHOLD_PCT = 10.0
 
 
 def default_ledger_path(cache_dir) -> Path:
@@ -207,68 +202,3 @@ class RunLedger:
 
     def tail(self, count: int) -> List[Dict[str, Any]]:
         return self.read()[-count:]
-
-    def digests_by_key(self) -> Dict[str, List[str]]:
-        """Distinct counter digests seen per content key, oldest first.
-
-        A key with more than one digest means two executions of the same
-        request disagreed — the determinism canary.
-        """
-        seen: Dict[str, List[str]] = {}
-        for entry in self.read():
-            digest = entry.get("counter_digest")
-            if not digest:
-                continue
-            bucket = seen.setdefault(entry["key"], [])
-            if digest not in bucket:
-                bucket.append(digest)
-        return seen
-
-
-# -- the regression gate ------------------------------------------------------
-
-
-def check_bench(
-    current: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-    threshold_pct: float = DEFAULT_THRESHOLD_PCT,
-) -> Dict[str, Any]:
-    """Compare two ``BENCH_*.json`` payloads key by key.
-
-    Returns ``{"ok": bool, "threshold_pct": ..., "rows": [...]}`` where a
-    row carries the per-key events/sec of both sides, the ratio, and
-    whether it breaches the threshold. Keys missing on either side are
-    reported but never fail the gate (workload sets may legitimately
-    differ between bench invocations).
-    """
-    cur_replay = current.get("replay", current)
-    base_replay = baseline.get("replay", baseline)
-    rows: List[Dict[str, Any]] = []
-    ok = True
-    for key in sorted(set(cur_replay) | set(base_replay)):
-        cur = cur_replay.get(key, {}).get("events_per_sec")
-        base = base_replay.get(key, {}).get("events_per_sec")
-        if not cur or not base:
-            rows.append(
-                {"key": key, "current": cur, "baseline": base,
-                 "ratio": None, "regressed": False}
-            )
-            continue
-        ratio = cur / base
-        regressed = ratio < 1.0 - threshold_pct / 100.0
-        ok = ok and not regressed
-        rows.append(
-            {"key": key, "current": cur, "baseline": base,
-             "ratio": ratio, "regressed": regressed}
-        )
-    return {"ok": ok, "threshold_pct": threshold_pct, "rows": rows}
-
-
-def check_ledger_determinism(ledger: RunLedger) -> Dict[str, Any]:
-    """Flag content keys whose ledger history shows >1 counter digest."""
-    conflicts = {
-        key: digests
-        for key, digests in ledger.digests_by_key().items()
-        if len(digests) > 1
-    }
-    return {"ok": not conflicts, "conflicts": conflicts}

@@ -1,66 +1,74 @@
-"""Ledger trend analytics: history-aware drift detection.
+"""Drift detection over run history: one gate, one policy table.
 
-``repro obs check`` compares a fresh bench payload against one committed
-baseline; this module instead walks the *full* run-ledger history
-(``.repro-cache/ledger.jsonl``), groups entries by content key, and asks
-two questions per key:
+Every "did this get worse?" question in the repo is the same test: take
+a series of measurements, oldest first, and judge the newest point
+against the median of the ones before it. :func:`gate` is that test and
+:data:`POLICIES` holds its only knobs, one row per measured quantity:
 
-* **wall-time drift** — is the latest live execution an outlier against
-  the key's history? The test is robust: the latest elapsed time must
-  exceed the historical median by both a percentage threshold and
-  ``mad_k`` scaled median-absolute-deviations, so one slow machine day
-  does not fail the gate and a genuinely bimodal history does not pass
-  it. Only slowdowns flag (speedups are good news). Cache and memo hits
-  replay a stored artifact in ~0 time, so only ``source == "live"``
-  entries enter the timing series.
-* **digest drift** — did the same content key ever produce more than one
-  counter digest? The simulator is deterministic, so any disagreement is
-  a correctness regression, never noise (all sources count here).
+* **wall time** of a content key's live ledger runs must exceed the
+  median by 50% *and* by 4 scaled median-absolute-deviations before it
+  flags, so one slow machine day does not fail the gate and a genuinely
+  bimodal history does not pass it. Cache and memo hits replay a stored
+  artifact in ~0 time, so only ``source == "live"`` entries count.
+* **fleet cold-start p95** and **stranded GB·s** per (scenario, stack)
+  flag beyond +25%.
+* **bench events/s** per replay key flags beyond a 40% drop. Bench files
+  are committed from whatever machine produced the PR, so cross-machine
+  scatter is part of the series; points only join a key's series when
+  their bench protocol (allocations per trace, repeats) matches the
+  newest point's.
 
-``check_trend`` aggregates per-key verdicts into a gate result the CLI
-turns into an exit code (`repro obs trend`, report-only in CI).
+Only worsening flags — faster and leaner are good news — and every
+policy abstains below :data:`MIN_SAMPLES` points. Digest drift rides
+along: the simulator is deterministic, so a content key (or fleet key)
+whose history holds more than one counter (metrics) digest is a
+correctness regression, never noise, whatever its sample count.
 
-A third gate rides the committed ``BENCH_<date>.json`` history instead
-of the ledger: :func:`check_bench_trend` compares each replay key's
-events/s in the newest bench file against the median of the older files
-and flags drops beyond a tolerance — throughput regressions land in the
-same `repro obs trend` exit code as wall-time and digest drift.
+:func:`check_trend`, :func:`check_fleet_trend` and
+:func:`check_bench_trend` turn the per-key verdicts into the gate
+results behind ``repro obs trend`` (report-only in CI).
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.ledger import RunLedger, split_fleet_entries
 
-#: Latest live run must be at least this much slower than the median
-#: before it can flag (percent).
-DEFAULT_TREND_THRESHOLD_PCT = 50.0
-
-#: ...and exceed the median by this many scaled MADs.
-DEFAULT_MAD_K = 4.0
-
 #: Consistency factor making the MAD comparable to a standard deviation
 #: under normality.
 MAD_SCALE = 1.4826
 
-#: Fewer live samples than this and the timing test abstains (median and
-#: MAD of a couple of points carry no signal).
+#: Fewer points than this (history plus the newest) and every policy
+#: abstains: the median and MAD of a couple of points carry no signal.
 MIN_SAMPLES = 3
 
-#: Latest bench events/s may fall this far below the historical median
-#: before the throughput gate flags. Generous on purpose: bench files
-#: are committed from whatever machine produced the PR, so
-#: cross-machine scatter is part of the series.
-DEFAULT_BENCH_DROP_PCT = 40.0
 
-#: Fleet headline metrics (cold-start p95, stranded GB·s) may worsen by
-#: this much against their scenario's historical median before the
-#: fleet gate flags.
-DEFAULT_FLEET_TREND_PCT = 25.0
+@dataclass(frozen=True)
+class Policy:
+    """When the newest point of a series counts as a regression."""
+
+    #: How far the newest point may be worse than the history median (%).
+    pct: float
+    #: True when a larger value is worse (time, stranding); False for
+    #: throughput.
+    higher_is_worse: bool
+    #: When set, the newest point must also lie this many scaled MADs
+    #: from the median.
+    mad_k: Optional[float] = None
+
+
+#: The one policy table, keyed by the measured quantity.
+POLICIES: Dict[str, Policy] = {
+    "wall_s": Policy(50.0, higher_is_worse=True, mad_k=4.0),
+    "cold_start_p95_ms": Policy(25.0, higher_is_worse=True),
+    "stranded_gb_s": Policy(25.0, higher_is_worse=True),
+    "events_per_sec": Policy(40.0, higher_is_worse=False),
+}
 
 _BENCH_PATTERN = re.compile(r"^BENCH_(\d{4}-\d{2}-\d{2})\.json$")
 
@@ -83,17 +91,53 @@ def mad(values: Sequence[float], center: Optional[float] = None) -> float:
     return median([abs(v - center) for v in values])
 
 
+def gate(series: Sequence[float], policy: Policy) -> Dict[str, Any]:
+    """Judge the newest point of ``series`` (oldest first) by ``policy``.
+
+    Returns ``{"samples", "median", "latest", "drift"}``; ``median`` and
+    ``latest`` stay None when the gate abstains. MAD policies add
+    ``deviation_mads`` (None for a zero spread).
+    """
+    verdict: Dict[str, Any] = {
+        "samples": len(series),
+        "median": None,
+        "latest": None,
+        "drift": False,
+    }
+    if policy.mad_k is not None:
+        verdict["deviation_mads"] = None
+    if len(series) < MIN_SAMPLES:
+        return verdict
+    history, latest = series[:-1], series[-1]
+    center = median(history)
+    verdict["median"] = center
+    verdict["latest"] = latest
+    if policy.higher_is_worse:
+        worse = latest > center * (1.0 + policy.pct / 100.0) and (
+            latest > center + 1e-12
+        )
+    else:
+        worse = latest < center * (1.0 - policy.pct / 100.0)
+    if policy.mad_k is not None:
+        spread = MAD_SCALE * mad(history, center)
+        if spread > 0:
+            verdict["deviation_mads"] = (latest - center) / spread
+        worse = worse and (
+            spread == 0 or abs(latest - center) > policy.mad_k * spread
+        )
+    verdict["drift"] = worse
+    return verdict
+
+
 def trend_by_key(
     entries: Sequence[Mapping[str, Any]],
-    threshold_pct: float = DEFAULT_TREND_THRESHOLD_PCT,
-    mad_k: float = DEFAULT_MAD_K,
-    min_samples: int = MIN_SAMPLES,
 ) -> List[Dict[str, Any]]:
     """Per-content-key trend rows for a ledger entry sequence.
 
     Each row carries the key's workload/stack, live-sample count, median
-    and latest elapsed seconds, the robust drift verdict, and the set of
-    counter digests seen. Rows are ordered by first appearance.
+    and latest elapsed seconds, the ``wall_s`` gate verdict, and the
+    distinct counter digests seen (oldest first; more than one is digest
+    drift). Rows are ordered by first appearance.
     """
     grouped: Dict[str, Dict[str, Any]] = {}
     for entry in entries:
@@ -123,35 +167,20 @@ def trend_by_key(
     for group in grouped.values():
         series: List[float] = group.pop("live_elapsed")
         digests: List[str] = group["digests"]
+        verdict = gate(series, POLICIES["wall_s"])
         row = dict(group)
         row["live_samples"] = len(series)
         row["digest_drift"] = len(digests) > 1
-        row["time_drift"] = False
-        row["median_s"] = None
-        row["latest_s"] = None
-        row["deviation_mads"] = None
-        if len(series) >= max(2, min_samples):
-            history, latest = series[:-1], series[-1]
-            center = median(history)
-            spread = MAD_SCALE * mad(history, center)
-            row["median_s"] = center
-            row["latest_s"] = latest
-            if spread > 0:
-                row["deviation_mads"] = (latest - center) / spread
-            over_pct = latest > center * (1.0 + threshold_pct / 100.0)
-            over_mad = spread == 0 or latest > center + mad_k * spread
-            row["time_drift"] = over_pct and over_mad
+        row["time_drift"] = verdict["drift"]
+        row["median_s"] = verdict["median"]
+        row["latest_s"] = verdict["latest"]
+        row["deviation_mads"] = verdict["deviation_mads"]
         row["drift"] = row["time_drift"] or row["digest_drift"]
         rows.append(row)
     return rows
 
 
-def check_trend(
-    ledger: RunLedger,
-    threshold_pct: float = DEFAULT_TREND_THRESHOLD_PCT,
-    mad_k: float = DEFAULT_MAD_K,
-    min_samples: int = MIN_SAMPLES,
-) -> Dict[str, Any]:
+def check_trend(ledger: RunLedger) -> Dict[str, Any]:
     """Gate result over the full ledger history.
 
     ``{"ok": bool, "rows": [...], "entries": N, "skipped": M}`` — ``ok``
@@ -160,17 +189,10 @@ def check_trend(
     """
     entries, skipped = ledger.read_classified()
     run_entries, _ = split_fleet_entries(entries)
-    rows = trend_by_key(
-        run_entries,
-        threshold_pct=threshold_pct,
-        mad_k=mad_k,
-        min_samples=min_samples,
-    )
+    rows = trend_by_key(run_entries)
     drifted = [row for row in rows if row["drift"]]
     return {
         "ok": not drifted,
-        "threshold_pct": threshold_pct,
-        "mad_k": mad_k,
         "entries": len(run_entries),
         "skipped": skipped,
         "rows": rows,
@@ -179,8 +201,6 @@ def check_trend(
 
 def fleet_trend(
     entries: Sequence[Mapping[str, Any]],
-    threshold_pct: float = DEFAULT_FLEET_TREND_PCT,
-    min_samples: int = MIN_SAMPLES,
 ) -> List[Dict[str, Any]]:
     """Per-(scenario, stack) drift rows over fleet ledger entries.
 
@@ -224,23 +244,6 @@ def fleet_trend(
             if isinstance(gb_s, (int, float)):
                 group["stranded"].append(float(gb_s))
 
-    def drift(series: List[float]) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "samples": len(series),
-            "median": None,
-            "latest": None,
-            "drift": False,
-        }
-        if len(series) >= max(2, min_samples):
-            history, latest = series[:-1], series[-1]
-            center = median(history)
-            out["median"] = center
-            out["latest"] = latest
-            out["drift"] = latest > center * (
-                1.0 + threshold_pct / 100.0
-            ) and latest > center + 1e-12
-        return out
-
     rows: List[Dict[str, Any]] = []
     for group in grouped.values():
         row: Dict[str, Any] = {
@@ -249,8 +252,12 @@ def fleet_trend(
             "runs": max(
                 len(group["cold_p95"]), len(group["stranded"])
             ),
-            "cold_start_p95_ms": drift(group["cold_p95"]),
-            "stranded_gb_s": drift(group["stranded"]),
+            "cold_start_p95_ms": gate(
+                group["cold_p95"], POLICIES["cold_start_p95_ms"]
+            ),
+            "stranded_gb_s": gate(
+                group["stranded"], POLICIES["stranded_gb_s"]
+            ),
             "digest_drift": any(
                 len(key_digests.get(key, [])) > 1
                 for key in group["fleet_keys"]
@@ -265,11 +272,7 @@ def fleet_trend(
     return rows
 
 
-def check_fleet_trend(
-    ledger: RunLedger,
-    threshold_pct: float = DEFAULT_FLEET_TREND_PCT,
-    min_samples: int = MIN_SAMPLES,
-) -> Dict[str, Any]:
+def check_fleet_trend(ledger: RunLedger) -> Dict[str, Any]:
     """Fleet drift gate over the ledger's ``kind: "fleet"`` history.
 
     ``{"ok": bool, "entries": N, "rows": [...]}`` — ``ok`` is False when
@@ -278,15 +281,10 @@ def check_fleet_trend(
     """
     entries, _ = ledger.read_classified()
     _, fleet_entries = split_fleet_entries(entries)
-    rows = fleet_trend(
-        fleet_entries,
-        threshold_pct=threshold_pct,
-        min_samples=min_samples,
-    )
+    rows = fleet_trend(fleet_entries)
     drifted = [row for row in rows if row["drift"]]
     return {
         "ok": not drifted,
-        "threshold_pct": threshold_pct,
         "entries": len(fleet_entries),
         "rows": rows,
     }
@@ -350,71 +348,76 @@ def bench_history(root: Path) -> List[Dict[str, Any]]:
     return payloads
 
 
-def bench_trend(
-    payloads: Sequence[Mapping[str, Any]],
-    drop_pct: float = DEFAULT_BENCH_DROP_PCT,
-    min_samples: int = MIN_SAMPLES,
-) -> List[Dict[str, Any]]:
-    """Per-replay-key throughput rows over the bench-file history.
+def _protocol(payload: Mapping[str, Any]) -> tuple:
+    protocol = payload.get("protocol") or {}
+    return (protocol.get("num_allocs"), protocol.get("repeats"))
 
-    Each row compares the newest file's events/s against the median of
-    the older files for that key; ``throughput_drift`` flags drops of
-    more than ``drop_pct`` percent. Keys with fewer than ``min_samples``
-    total points abstain, mirroring the wall-time gate. Only drops flag
-    — faster is good news, and a key absent from the newest file (bench
-    workload set changed) abstains rather than flags.
+
+def bench_trend(payloads: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
+    """Per-replay-key throughput rows over the bench history.
+
+    ``payloads`` run oldest first. A key's series holds the events/s of
+    the payloads whose protocol (``num_allocs``, ``repeats``) matches the
+    newest payload's, judged by the ``events_per_sec`` policy. A key
+    absent from the newest payload abstains (the bench workload set
+    changed); a key left with too few points because older points ran
+    another protocol abstains with ``protocol_differs``.
     """
+    newest = payloads[-1] if payloads else {}
+    protocol = _protocol(newest)
     series: Dict[str, List[float]] = {}
+    mismatched = set()
     for payload in payloads:
+        same = _protocol(payload) == protocol
         for key, row in payload.get("replay", {}).items():
             value = row.get("events_per_sec")
-            if isinstance(value, (int, float)) and value > 0:
-                series.setdefault(key, []).append(float(value))
-    latest_keys = (
-        set(payloads[-1].get("replay", {})) if payloads else set()
-    )
+            if not isinstance(value, (int, float)) or value <= 0:
+                continue
+            values = series.setdefault(key, [])
+            if same:
+                values.append(float(value))
+            else:
+                mismatched.add(key)
+    latest_keys = set(newest.get("replay", {}))
     rows: List[Dict[str, Any]] = []
     for key, values in series.items():
-        row: Dict[str, Any] = {
+        verdict = gate(
+            values if key in latest_keys else (),
+            POLICIES["events_per_sec"],
+        )
+        center, latest = verdict["median"], verdict["latest"]
+        rows.append({
             "key": key,
             "samples": len(values),
-            "throughput_drift": False,
-            "median_events_per_sec": None,
-            "latest_events_per_sec": None,
-            "change_pct": None,
-        }
-        if key in latest_keys and len(values) >= max(2, min_samples):
-            history, latest = values[:-1], values[-1]
-            center = median(history)
-            row["median_events_per_sec"] = center
-            row["latest_events_per_sec"] = latest
-            row["change_pct"] = (latest / center - 1.0) * 100.0
-            row["throughput_drift"] = latest < center * (
-                1.0 - drop_pct / 100.0
-            )
-        rows.append(row)
+            "throughput_drift": verdict["drift"],
+            "protocol_differs": center is None and key in mismatched,
+            "median_events_per_sec": center,
+            "latest_events_per_sec": latest,
+            "change_pct": (
+                None if center is None else (latest / center - 1.0) * 100.0
+            ),
+        })
     return rows
 
 
 def check_bench_trend(
-    root: Path,
-    drop_pct: float = DEFAULT_BENCH_DROP_PCT,
-    min_samples: int = MIN_SAMPLES,
+    root: Path, newest: Optional[Mapping[str, Any]] = None
 ) -> Dict[str, Any]:
     """Throughput gate over the committed bench files under ``root``.
 
-    ``{"ok": bool, "files": [...], "rows": [...]}`` — ``ok`` is False
-    when any replay key's newest events/s dropped more than ``drop_pct``
-    below its historical median. With fewer than two bench files the
-    gate abstains (``ok`` True, no rows).
+    ``newest`` (a fresh ``repro bench`` payload) joins the history as its
+    newest point. ``{"ok": bool, "files": [...], "rows": [...]}`` —
+    ``ok`` is False when any replay key's newest events/s dropped past
+    the ``events_per_sec`` policy.
     """
-    payloads = bench_history(root)
-    rows = bench_trend(payloads, drop_pct, min_samples)
+    payloads: List[Mapping[str, Any]] = list(bench_history(root))
+    if newest is not None:
+        payloads.append(newest)
+    rows = bench_trend(payloads)
     drifted = [row for row in rows if row["throughput_drift"]]
     return {
         "ok": not drifted,
-        "drop_pct": drop_pct,
-        "files": [payload["_file"] for payload in payloads],
+        "files": [payload.get("_file", "(newest)") for payload in payloads],
         "rows": rows,
     }
 
@@ -434,6 +437,8 @@ def render_bench_trend(report: Mapping[str, Any]) -> str:
         change = row.get("change_pct")
         if row.get("throughput_drift"):
             status = "THROUGHPUT DRIFT"
+        elif row.get("protocol_differs"):
+            status = "(protocol differs)"
         elif med is None:
             status = "(insufficient history)"
         else:

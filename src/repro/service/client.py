@@ -32,7 +32,7 @@ from repro.fleet.metrics import FleetResult
 from repro.fleet.request import FleetRequest
 from repro.harness.engine import RunRequest
 from repro.harness.system import RunResult
-from repro.obs.tracing import get_tracer
+from repro.obs.instruments import current as current_instruments
 from repro.service.app import DEFAULT_HOST, DEFAULT_PORT, TRACE_HEADER
 
 #: Environment variable naming the service the default client targets.
@@ -161,7 +161,7 @@ class ServiceClient:
         so the client span and the service's job spans share it."""
         trace_id = trace_id or uuid.uuid4().hex[:16]
         self.last_trace_id = trace_id
-        with get_tracer().span(
+        with current_instruments().tracer.span(
             "client.submit", trace_id=trace_id, kind=kind
         ) as span:
             payload = self._request(

@@ -27,7 +27,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.fleet.request import FleetRequest
 from repro.fleet.simulate import simulate_fleet
 from repro.harness.engine import ExperimentEngine, RunRequest
-from repro.obs.tracing import Tracer, set_thread_tracer
+from repro.obs.instruments import instrumented
+from repro.obs.tracing import Tracer
 from repro.resolve import resolve_workers
 
 #: The job lifecycle; ``done`` and ``failed`` are terminal.
@@ -228,42 +229,38 @@ class JobQueue:
 
     def _run_job(self, job: Job) -> None:
         # When telemetry is on, the worker traces this job into a
-        # private per-thread tracer: engine code asks get_tracer() on
-        # this thread and lands its spans here, never in the global
-        # tracer another thread (or the test harness) may own.
-        job_tracer: Optional[Tracer] = None
-        previous: Any = None
-        if self.telemetry is not None:
-            job_tracer = Tracer()
-            previous = set_thread_tracer(job_tracer)
+        # private tracer: a bundle set on a worker thread stays on that
+        # thread, so engine spans land here, never in the tracer another
+        # thread (or the test harness) may own.
+        job_tracer = Tracer() if self.telemetry is not None else None
+        bind = {} if job_tracer is None else {"tracer": job_tracer}
         started_pc = time.perf_counter()
         job.mark("running")
         try:
-            if job.fleet is not None:
-                fleet_result = simulate_fleet(
-                    job.fleet, engine=self.engine
-                )
-                job.keys = [
-                    job.fleet.content_key(self.engine.cost_model)
-                ]
-                job.results = [fleet_result.to_dict()]
-            else:
-                results = self.engine.run_many(job.requests)
-                job.keys = [
-                    request.content_key(self.engine.cost_model)
-                    for request in job.requests
-                ]
-                job.results = [result.to_dict() for result in results]
+            with instrumented(**bind):
+                self._execute(job)
             job.mark("done")
         except Exception as exc:  # noqa: BLE001 - per-job isolation
             job.error = f"{type(exc).__name__}: {exc}"
             job.mark("failed")
         finally:
             if self.telemetry is not None:
-                set_thread_tracer(previous)
                 self.telemetry.observe_job(
                     job, job_tracer, started_pc, time.perf_counter()
                 )
+
+    def _execute(self, job: Job) -> None:
+        if job.fleet is not None:
+            fleet_result = simulate_fleet(job.fleet, engine=self.engine)
+            job.keys = [job.fleet.content_key(self.engine.cost_model)]
+            job.results = [fleet_result.to_dict()]
+        else:
+            results = self.engine.run_many(job.requests)
+            job.keys = [
+                request.content_key(self.engine.cost_model)
+                for request in job.requests
+            ]
+            job.results = [result.to_dict() for result in results]
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting jobs; drain workers (joining when ``wait``)."""

@@ -21,8 +21,7 @@ import enum
 from collections import OrderedDict
 from typing import List, NamedTuple, Optional, Tuple
 
-from repro.obs import events as obs_events
-from repro.obs import profile as obs_profile
+from repro.obs.instruments import current as current_instruments
 from repro.sim.params import CacheParams, LINE_SHIFT, LINE_SIZE, MachineParams
 from repro.sim.stats import ScopedStats, Stats
 
@@ -390,12 +389,12 @@ class CacheHierarchy:
 
         # Cycle-attribution profiling is bound at construction exactly
         # like the instantiate ring wrapper below: with no profile
-        # installed (the default) the un-wrapped closure is returned, so
+        # bound (the default) the un-wrapped closure is returned, so
         # the disabled replay path is byte-identical. The wrapper only
         # samples outer-level outcomes into latency histograms and the
         # cross-category ``dram.access`` overlay — it never charges
         # cycles, so results are unchanged either way.
-        profile = obs_profile.PROFILE
+        profile = current_instruments().profile
         if profile is None:
             return access_line
         h_llc = profile.hist("op.llc_access")
@@ -511,9 +510,9 @@ class CacheHierarchy:
             return r_bypass
 
         # Event-ring sampling is bound at construction: with no ring
-        # installed (the default) the un-wrapped closure above is
+        # bound (the default) the un-wrapped closure above is
         # returned, so the disabled path carries zero extra work.
-        ring = obs_events.RING
+        ring = current_instruments().ring
         if ring is None:
             return instantiate
         record = ring.record

@@ -32,7 +32,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple, Union
 
-from repro.obs.tracing import get_tracer
+from repro.obs.instruments import current as current_instruments
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,7 +263,7 @@ class ColumnarTrace:
         """
         index = self._segments
         if index is None:
-            with get_tracer().span(
+            with current_instruments().tracer.span(
                 "trace.segment", events=len(self.kinds)
             ):
                 index = SegmentIndex.build(self)
@@ -349,7 +349,7 @@ class Trace:
         count changed). None when the trace holds non-canonical events."""
         cached = self._columnar
         if cached is None or cached[0] != len(self.events):
-            with get_tracer().span(
+            with current_instruments().tracer.span(
                 "trace.pack", trace=self.name, events=len(self.events)
             ):
                 cached = (len(self.events), ColumnarTrace.pack(self.events))

@@ -11,8 +11,6 @@ from repro.audit import (
     Auditor,
     DEFAULT_RULES,
     Violation,
-    get_audit,
-    install_audit,
 )
 from repro.audit.invariants import (
     ArenaListMembership,
@@ -24,6 +22,7 @@ from repro.audit.invariants import (
 )
 from repro.core.bypass import COUNTER_MAX
 from repro.harness.system import SimulatedSystem
+from repro.obs.instruments import current, instrumented
 from repro.workloads.registry import get_workload
 
 
@@ -220,14 +219,15 @@ def test_auditor_survives_crashing_rule(run_system):
 def test_install_audit_returns_previous():
     first = Auditor()
     second = Auditor()
-    assert install_audit(first) is None
-    try:
-        assert get_audit() is first
-        assert install_audit(second) is first
-        assert get_audit() is second
-    finally:
-        install_audit(None)
-    assert get_audit() is None
+    assert current().audit is None
+    with instrumented(audit=first):
+        assert current().audit is first
+        with pytest.raises(RuntimeError):
+            with instrumented(audit=second):
+                assert current().audit is second
+                raise RuntimeError("boom")
+        assert current().audit is first
+    assert current().audit is None
 
 
 def test_disabled_audit_leaves_result_untouched():
@@ -238,11 +238,8 @@ def test_disabled_audit_leaves_result_untouched():
 def test_audited_run_reports_summary_and_matches_unaudited():
     spec = small_spec(150)
     plain = SimulatedSystem(spec, memento=True).run()
-    previous = install_audit(Auditor(epoch="event"))
-    try:
+    with instrumented(audit=Auditor(epoch="event")):
         audited = SimulatedSystem(spec, memento=True).run()
-    finally:
-        install_audit(previous)
     assert audited.audit is not None
     assert audited.audit["violations"] == 0
     assert audited.audit["checks"] > len(spec.resolved().name)

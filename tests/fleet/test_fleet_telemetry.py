@@ -1,7 +1,7 @@
-"""Fleet telemetry: the install-gated recorder and the ledger canary.
+"""Fleet telemetry: the bundle-gated recorder and the ledger canary.
 
 The acceptance criteria from the telemetry plane live here: a fleet run
-with the recorder installed produces a bit-identical ``FleetResult`` to
+with the recorder bound produces a bit-identical ``FleetResult`` to
 one without (the rebinding-style off-path test), epoch records reconcile
 exactly with the reduced ``StackMetrics`` counters, instance lifetime
 spans export to a valid Perfetto timeline, and two seeded runs write
@@ -15,11 +15,10 @@ import pytest
 from repro.fleet import (
     FleetRecorder,
     FleetRequest,
-    get_fleet_recorder,
-    install_fleet_recorder,
     simulate_fleet,
 )
 from repro.harness.engine import ExperimentEngine
+from repro.obs.instruments import current, instrumented
 from repro.obs.ledger import split_fleet_entries
 from repro.obs.timeline import (
     export_timeline,
@@ -47,32 +46,25 @@ def engine() -> ExperimentEngine:
     return ExperimentEngine(cache_dir=None)
 
 
-@pytest.fixture(autouse=True)
-def no_leaked_recorder():
-    """Tests must never leave a recorder installed for the rest of the
-    suite (the disabled path is the default everywhere else)."""
-    yield
-    install_fleet_recorder(None)
-
-
 def recorded_run(request: FleetRequest, recorder: FleetRecorder):
-    previous = install_fleet_recorder(recorder)
-    try:
+    with instrumented(recorder=recorder):
         return simulate_fleet(request, engine=engine())
-    finally:
-        install_fleet_recorder(previous)
 
 
 class TestGating:
     def test_recorder_is_off_by_default(self):
-        assert get_fleet_recorder() is None
+        assert current().recorder is None
 
     def test_install_returns_previous(self):
         first = FleetRecorder()
-        assert install_fleet_recorder(first) is None
         second = FleetRecorder()
-        assert install_fleet_recorder(second) is first
-        assert install_fleet_recorder(None) is second
+        with instrumented(recorder=first):
+            with pytest.raises(RuntimeError):
+                with instrumented(recorder=second):
+                    assert current().recorder is second
+                    raise RuntimeError("boom")
+            assert current().recorder is first
+        assert current().recorder is None
 
     def test_result_bit_identical_with_recorder_installed(self):
         """The recorder only observes: before / observed / after runs of

@@ -57,13 +57,26 @@ def test_cli_bench_smoke_writes_json(tmp_path, capsys):
 
 
 def test_bench_profile_overhead_shape():
-    row = perfbench.bench_profile_overhead(num_allocs=600, repeats=1)
+    """The shared overhead A/B, driven by the profile bench's factory."""
+    from repro.obs.instruments import Instruments, current
+
+    make = perfbench.OVERHEAD_BENCHES["profile_overhead"]
+    row = perfbench.bench_overhead(make, num_allocs=600, repeats=1)
     assert row["disabled_seconds"] > 0
     assert row["enabled_seconds"] > 0
     assert row["overhead_ratio"] == (
         row["enabled_seconds"] / row["disabled_seconds"]
     )
-    # The A/B must leave no profile installed behind.
-    from repro.obs.profile import get_profile
+    assert set(row) == {
+        "workload", "num_allocs", "repeats", "disabled_seconds",
+        "enabled_seconds", "overhead_ratio",
+    }
+    # The A/B must leave no instrument bound behind.
+    assert current() == Instruments()
 
-    assert get_profile() is None
+
+def test_overhead_benches_keep_their_payload_keys():
+    # Committed BENCH files and `repro obs diff` read these keys.
+    assert list(perfbench.OVERHEAD_BENCHES) == [
+        "obs_overhead", "profile_overhead", "audit_overhead",
+    ]

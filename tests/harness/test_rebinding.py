@@ -1,27 +1,46 @@
 """Instrumentation rebinding and replay-path parity regressions.
 
-The replay hot paths are closure factories that bind observability and
-audit hooks at construction time. Two properties must hold:
+The replay hot paths are closure factories that bind the instruments of
+:mod:`repro.obs.instruments` at construction time. Three properties must
+hold:
 
-* after installing and uninstalling every hook, a fresh system replays
-  bit-identically to one that was never instrumented (no residue);
+* after a bundle exits, a fresh system replays bit-identically to one
+  that was never instrumented (no residue), for every instrument alone
+  and all together;
+* the instrumented run simulates the same numbers (instruments observe,
+  never perturb);
 * the packed columnar path and the event path leave identical simulator
   state — including cache metadata invariants like boolean dirty bits
   (audit rule: cache-writeback-ledger).
 """
 
 import dataclasses
+import threading
 
 import pytest
 
-from repro.audit import AuditContext, Auditor, install_audit
+from repro.audit import AuditContext, Auditor
 from repro.audit.invariants import CacheWritebackLedger
+from repro.fleet.telemetry import FleetRecorder
 from repro.harness.system import SimulatedSystem
-from repro.obs.events import EventRing, install_ring
-from repro.obs.profile import CycleProfile, install_profile
-from repro.obs.tracing import Tracer, set_tracer
+from repro.obs.events import EventRing
+from repro.obs.instruments import Instruments, current, instrumented
+from repro.obs.profile import CycleProfile
+from repro.obs.tracing import NULL_TRACER, Tracer
 from repro.workloads.registry import get_workload
 from repro.workloads.synth import generate_trace
+
+#: A live instrument per bundle field. A field added to ``Instruments``
+#: without an entry here fails ``test_every_field_has_a_factory``.
+FACTORIES = {
+    "tracer": Tracer,
+    "ring": EventRing,
+    "profile": CycleProfile,
+    "audit": lambda: Auditor(epoch="event"),
+    "recorder": FleetRecorder,
+}
+
+FIELD_NAMES = [field.name for field in dataclasses.fields(Instruments)]
 
 
 def small_spec(num_allocs=250):
@@ -34,27 +53,79 @@ def run_once(spec, memento):
     return SimulatedSystem(spec, memento).run().to_dict()
 
 
-@pytest.mark.parametrize("memento", [True, False], ids=["memento", "baseline"])
-def test_rebinding_after_uninstall_is_bit_identical(memento):
+def test_every_field_has_a_factory():
+    assert sorted(FACTORIES) == sorted(FIELD_NAMES)
+
+
+def assert_rebinds(memento, names):
     spec = small_spec()
     before = run_once(spec, memento)
-    previous_tracer = set_tracer(Tracer())
-    previous_ring = install_ring(EventRing())
-    previous_profile = install_profile(CycleProfile())
-    previous_audit = install_audit(Auditor(epoch="event"))
-    try:
-        instrumented = run_once(spec, memento)
-    finally:
-        set_tracer(previous_tracer)
-        install_ring(previous_ring)
-        install_profile(previous_profile)
-        install_audit(previous_audit)
+    with instrumented(**{name: FACTORIES[name]() for name in names}):
+        observed = run_once(spec, memento)
+    assert current() == Instruments()
     after = run_once(spec, memento)
     assert after == before
-    # The instrumented run simulates the same numbers too — hooks
+    # The instrumented run simulates the same numbers too — instruments
     # observe, never perturb.
-    instrumented.pop("audit", None)
-    assert instrumented == before
+    observed.pop("audit", None)
+    assert observed == before
+
+
+@pytest.mark.parametrize("memento", [True, False], ids=["memento", "baseline"])
+def test_rebinding_after_uninstall_is_bit_identical(memento):
+    """Every instrument at once."""
+    assert_rebinds(memento, FIELD_NAMES)
+
+
+@pytest.mark.parametrize("name", FIELD_NAMES)
+@pytest.mark.parametrize("memento", [True, False], ids=["memento", "baseline"])
+def test_each_instrument_alone_rebinds_bit_identically(memento, name):
+    assert_rebinds(memento, [name])
+
+
+def test_instrumented_restores_previous_bundle_on_exception():
+    outer, inner = Tracer(), Tracer()
+    with instrumented(tracer=outer) as bundle:
+        assert current() is bundle and bundle.tracer is outer
+        with pytest.raises(RuntimeError):
+            with instrumented(tracer=inner, ring=EventRing()):
+                assert current().tracer is inner
+                raise RuntimeError("boom")
+        assert current() is bundle
+    assert current() == Instruments()
+    assert current().tracer is NULL_TRACER
+
+
+def test_main_bundle_is_shared_and_worker_bundle_is_private():
+    main_tracer, worker_tracer = Tracer(), Tracer()
+    seen = {}
+
+    def bare_worker():
+        seen["bare"] = current().tracer
+
+    def own_worker(bound, release):
+        with instrumented(tracer=worker_tracer):
+            seen["own"] = current().tracer
+            bound.set()
+            release.wait(5)
+        seen["own_after"] = current().tracer
+
+    with instrumented(tracer=main_tracer):
+        thread = threading.Thread(target=bare_worker)
+        thread.start()
+        thread.join()
+        bound, release = threading.Event(), threading.Event()
+        thread = threading.Thread(target=own_worker, args=(bound, release))
+        thread.start()
+        assert bound.wait(5)
+        # The worker's own bundle never shows on the main thread.
+        seen["main_during"] = current().tracer
+        release.set()
+        thread.join()
+    assert seen["bare"] is main_tracer
+    assert seen["own"] is worker_tracer
+    assert seen["main_during"] is main_tracer
+    assert seen["own_after"] is main_tracer
 
 
 @pytest.mark.parametrize("memento", [True, False], ids=["memento", "baseline"])

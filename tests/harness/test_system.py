@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.audit import Auditor, install_audit
+from repro.audit import Auditor
 from repro.core.config import MementoConfig
 from repro.harness.system import SimulatedSystem
+from repro.obs.instruments import instrumented
 from repro.workloads.registry import get_workload
 from repro.workloads.synth import WorkloadSpec, generate_trace
 from repro.workloads.trace import Touch, Trace
@@ -190,10 +191,7 @@ def test_unknown_event_type_raises_with_its_index(kind, audited):
     # dropped from the replay.
     spec, trace, index = _with_unknown_event(kind)
     name = "_TaggedTouch" if kind == "subclass" else "object"
-    previous = install_audit(Auditor(epoch="event") if audited else None)
-    try:
+    with instrumented(audit=Auditor(epoch="event") if audited else None):
         system = SimulatedSystem(spec, memento=True)
         with pytest.raises(ValueError, match=rf"{name}.*index {index}\b"):
             system.run(trace)
-    finally:
-        install_audit(previous)

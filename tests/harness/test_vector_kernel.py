@@ -24,7 +24,8 @@ import pytest
 from repro.core.config import MementoConfig
 from repro.harness.engine import RunRequest
 from repro.harness.system import SimulatedSystem
-from repro.obs.profile import CycleProfile, install_profile
+from repro.obs.instruments import instrumented
+from repro.obs.profile import CycleProfile
 from repro.stacks import stack_names
 from repro.workloads.registry import all_workloads, get_workload
 from repro.workloads.synth import generate_trace
@@ -88,11 +89,8 @@ def test_kernels_identical_profile_attribution():
     payloads = {}
     for per_event in (False, True):
         profile = CycleProfile()
-        previous = install_profile(profile)
-        try:
+        with instrumented(profile=profile):
             run_result(spec, "memento", trace, per_event)
-        finally:
-            install_profile(previous)
         payloads[per_event] = profile.to_dict()
     assert payloads[False] == payloads[True]
 

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.obs.events import EventRing, get_ring, install_ring
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_ring():
-    previous = install_ring(None)
-    yield
-    install_ring(previous)
+from repro.obs.events import EventRing
+from repro.obs.instruments import current, instrumented
 
 
 def test_counts_are_exact_samples_every_nth():
@@ -63,12 +57,18 @@ def test_invalid_parameters_raise():
 
 
 def test_install_ring_protocol():
-    assert get_ring() is None
+    assert current().ring is None
     ring = EventRing()
-    assert install_ring(ring) is None
-    assert get_ring() is ring
-    assert install_ring(None) is ring
-    assert get_ring() is None
+    with instrumented(ring=ring) as bundle:
+        assert current() is bundle and bundle.ring is ring
+        with instrumented(ring=None):
+            assert current().ring is None
+        assert current().ring is ring
+    assert current().ring is None
+    with pytest.raises(RuntimeError):
+        with instrumented(ring=ring):
+            raise RuntimeError("boom")
+    assert current().ring is None
 
 
 def test_memento_system_emits_events_when_ring_installed():
@@ -84,11 +84,8 @@ def test_memento_system_emits_events_when_ring_installed():
     trace = generate_trace(spec)
 
     ring = EventRing(sample_every=8)
-    install_ring(ring)
-    try:
+    with instrumented(ring=ring):
         SimulatedSystem(spec, memento=True).run(trace)
-    finally:
-        install_ring(None)
     assert ring.counts.get("hot.alloc_hit", 0) > 0
     assert ring.counts.get("hot.free_hit", 0) > 0
     assert any(kind.startswith("aac.") for kind in ring.counts)

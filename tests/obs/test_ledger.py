@@ -1,4 +1,5 @@
-"""Tests for the run ledger and regression gate (:mod:`repro.obs.ledger`)."""
+"""Tests for the run ledger (:mod:`repro.obs.ledger`) and the drift
+checks that read it and the bench history (:mod:`repro.obs.trend`)."""
 
 import json
 
@@ -6,12 +7,11 @@ import pytest
 
 from repro.obs.ledger import (
     RunLedger,
-    check_bench,
-    check_ledger_determinism,
     counter_digest,
     default_ledger_path,
     manifest,
 )
+from repro.obs.trend import bench_trend, check_trend, trend_by_key
 
 
 class TestCounterDigest:
@@ -88,67 +88,58 @@ class TestRunLedger:
         ledger.append(self.entry("k", "d1"))
         ledger.append(self.entry("k", "d2"))
         ledger.append(self.entry("other", "d9"))
-        assert ledger.digests_by_key() == {
-            "k": ["d1", "d2"], "other": ["d9"]
-        }
+        rows = {row["key"]: row for row in trend_by_key(ledger.read())}
+        assert rows["k"]["digests"] == ["d1", "d2"]
+        assert rows["other"]["digests"] == ["d9"]
 
 
 class TestCheckBench:
+    """The bench policy: the newest payload's events/s per replay key
+    against the median of the older same-protocol payloads."""
+
     def payload(self, **keys):
         return {
+            "protocol": {"num_allocs": 8000, "repeats": 7},
             "replay": {
                 key: {"events_per_sec": value} for key, value in keys.items()
-            }
+            },
         }
 
+    def rows(self, newest, **history):
+        older = [self.payload(**history), self.payload(**history)]
+        return {row["key"]: row for row in bench_trend(older + [newest])}
+
     def test_within_threshold_ok(self):
-        verdict = check_bench(
-            self.payload(a=95.0), self.payload(a=100.0), threshold_pct=10
-        )
-        assert verdict["ok"]
-        (row,) = verdict["rows"]
-        assert row["ratio"] == pytest.approx(0.95)
-        assert not row["regressed"]
+        row = self.rows(self.payload(a=65.0), a=100.0)["a"]
+        assert row["change_pct"] == pytest.approx(-35.0)
+        assert not row["throughput_drift"]
 
     def test_breach_fails(self):
-        verdict = check_bench(
-            self.payload(a=80.0), self.payload(a=100.0), threshold_pct=10
-        )
-        assert not verdict["ok"]
-        assert verdict["rows"][0]["regressed"]
+        row = self.rows(self.payload(a=50.0), a=100.0)["a"]
+        assert row["throughput_drift"]
 
     def test_improvement_never_fails(self):
-        verdict = check_bench(
-            self.payload(a=500.0), self.payload(a=100.0), threshold_pct=10
-        )
-        assert verdict["ok"]
+        row = self.rows(self.payload(a=500.0), a=100.0)["a"]
+        assert not row["throughput_drift"]
 
     def test_missing_keys_reported_not_failed(self):
-        verdict = check_bench(
-            self.payload(new=100.0), self.payload(old=100.0)
-        )
-        assert verdict["ok"]
-        assert {row["key"] for row in verdict["rows"]} == {"new", "old"}
-        assert all(row["ratio"] is None for row in verdict["rows"])
-
-    def test_accepts_bare_replay_mapping(self):
-        # A payload without the {"replay": ...} wrapper works too.
-        verdict = check_bench(
-            {"a": {"events_per_sec": 50.0}},
-            {"a": {"events_per_sec": 100.0}},
-        )
-        assert not verdict["ok"]
+        rows = self.rows(self.payload(new=100.0), old=100.0)
+        assert set(rows) == {"new", "old"}
+        for row in rows.values():
+            assert not row["throughput_drift"]
+            assert row["median_events_per_sec"] is None
 
 
 def test_check_ledger_determinism(tmp_path):
     ledger = RunLedger(default_ledger_path(tmp_path))
     ledger.append({"key": "stable", "counter_digest": "d1"})
     ledger.append({"key": "stable", "counter_digest": "d1"})
-    assert check_ledger_determinism(ledger) == {"ok": True, "conflicts": {}}
+    assert check_trend(ledger)["ok"]
     ledger.append({"key": "stable", "counter_digest": "d2"})
-    verdict = check_ledger_determinism(ledger)
-    assert not verdict["ok"]
-    assert verdict["conflicts"] == {"stable": ["d1", "d2"]}
+    report = check_trend(ledger)
+    assert not report["ok"]
+    (row,) = report["rows"]
+    assert row["digest_drift"] and row["digests"] == ["d1", "d2"]
 
 
 def test_default_ledger_path(tmp_path):

@@ -9,14 +9,12 @@ import pytest
 from repro.cli import main
 from repro.harness.engine import ExperimentEngine, RunRequest
 from repro.obs import (
-    EventRing,
+    Instruments,
     RunLedger,
     Tracer,
+    current,
     default_ledger_path,
-    get_tracer,
-    install_profile,
-    install_ring,
-    set_tracer,
+    instrumented,
 )
 from repro.workloads.registry import get_workload
 
@@ -26,14 +24,9 @@ def small_spec(name="html", num_allocs=1_500):
 
 
 @pytest.fixture(autouse=True)
-def _clean_obs_globals():
-    previous_tracer = get_tracer()
-    previous_ring = install_ring(None)
-    previous_profile = install_profile(None)
+def _no_leaked_instruments():
     yield
-    set_tracer(previous_tracer)
-    install_ring(previous_ring)
-    install_profile(previous_profile)
+    assert current() == Instruments()
 
 
 @pytest.fixture
@@ -95,10 +88,9 @@ class TestEngineLedger:
 
 def test_system_run_produces_phase_spans(tmp_path):
     tracer = Tracer()
-    set_tracer(tracer)
     engine = ExperimentEngine(cache_dir=tmp_path, use_disk_cache=True)
-    engine.run(RunRequest(spec=small_spec(), memento=True))
-    set_tracer(None)
+    with instrumented(tracer=tracer):
+        engine.run(RunRequest(spec=small_spec(), memento=True))
     (batch,) = tracer.roots
     assert batch.name == "engine.run_many"
     names = [c.name for c in batch.children]
@@ -118,9 +110,8 @@ def test_cached_run_skips_execute_span(tmp_path):
     request = RunRequest(spec=small_spec(), memento=False)
     engine.run(request)
     tracer = Tracer()
-    set_tracer(tracer)
-    engine.run(request)
-    set_tracer(None)
+    with instrumented(tracer=tracer):
+        engine.run(request)
     (batch,) = tracer.roots
     assert [c.name for c in batch.children] == ["cache.lookup"]
 
@@ -158,11 +149,8 @@ def test_run_trace_and_metrics_end_to_end(
     (events,) = [r for r in records if r["kind"] == "events"]
     assert events["counts"].get("hot.alloc_hit", 0) > 0
 
-    # The CLI restored the globals on exit.
-    from repro.obs.tracing import NULL_TRACER
-    from repro.obs.events import get_ring
-
-    assert get_tracer() is NULL_TRACER and get_ring() is None
+    # The CLI restored the previous (empty) bundle on exit.
+    assert current() == Instruments()
 
 
 def test_run_positional_and_flag_workloads_combine(
@@ -211,60 +199,79 @@ class TestObsCli:
         ]) == 0
         assert "nothing to report" in capsys.readouterr().out
 
-    def bench_payload(self, tmp_path, name, events_per_sec):
+    def bench_payload(
+        self, tmp_path, name, events_per_sec, num_allocs=8000, repeats=7
+    ):
         path = tmp_path / name
         path.write_text(json.dumps({
+            "protocol": {"num_allocs": num_allocs, "repeats": repeats},
             "replay": {
                 "html/baseline": {"events_per_sec": events_per_sec},
             },
         }))
         return path
 
+    def bench_trend(self, tmp_path, events_per_sec, *extra, **protocol):
+        """``obs trend --bench`` against two committed full-protocol
+        files at 100 events/s; returns the exit code."""
+        for day in ("01", "02"):
+            self.bench_payload(tmp_path, f"BENCH_2026-08-{day}.json", 100.0)
+        cur = self.bench_payload(
+            tmp_path, "cur.json", events_per_sec, **protocol
+        )
+        return main([
+            "obs", "trend", "--bench", str(cur),
+            "--bench-root", str(tmp_path),
+            "--ledger", str(tmp_path / "no-ledger.jsonl"), *extra,
+        ])
+
     def test_check_passes_within_threshold(self, tmp_path, capsys):
-        base = self.bench_payload(tmp_path, "base.json", 100.0)
-        cur = self.bench_payload(tmp_path, "cur.json", 95.0)
-        assert main([
-            "obs", "check", "--bench", str(cur),
-            "--baseline", str(base), "--threshold", "10",
-            "--ledger", str(tmp_path / "no-ledger.jsonl"),
-        ]) == 0
-        assert "obs check: ok" in capsys.readouterr().out
+        assert self.bench_trend(tmp_path, 95.0) == 0
+        out = capsys.readouterr().out
+        assert "Bench throughput (3 files)" in out
+        assert "obs trend: ok" in out
 
     def test_check_fails_on_regression(self, tmp_path, capsys):
-        base = self.bench_payload(tmp_path, "base.json", 100.0)
-        cur = self.bench_payload(tmp_path, "cur.json", 50.0)
-        assert main([
-            "obs", "check", "--bench", str(cur),
-            "--baseline", str(base), "--threshold", "10",
-            "--ledger", str(tmp_path / "no-ledger.jsonl"),
-        ]) == 1
+        assert self.bench_trend(tmp_path, 50.0) == 1
         captured = capsys.readouterr()
-        assert "REGRESSED" in captured.out
-        assert "obs check: FAILED" in captured.err
+        assert "THROUGHPUT DRIFT" in captured.out
+        assert "obs trend: FAILED" in captured.err
 
     def test_check_smoke_is_report_only(self, tmp_path, capsys):
-        base = self.bench_payload(tmp_path, "base.json", 100.0)
-        cur = self.bench_payload(tmp_path, "cur.json", 50.0)
-        assert main([
-            "obs", "check", "--bench", str(cur),
-            "--baseline", str(base), "--smoke",
-            "--ledger", str(tmp_path / "no-ledger.jsonl"),
-        ]) == 0
+        assert self.bench_trend(tmp_path, 50.0, "--report-only") == 0
         assert "report-only" in capsys.readouterr().out
+
+    def test_bench_of_another_protocol_abstains(self, tmp_path, capsys):
+        # A smoke payload (500 allocs, 1 repeat) at a tenth of the
+        # committed events/s is not comparable: it abstains.
+        assert self.bench_trend(
+            tmp_path, 10.0, num_allocs=500, repeats=1
+        ) == 0
+        out = capsys.readouterr().out
+        assert "(protocol differs)" in out
+        assert "THROUGHPUT DRIFT" not in out
+        # The same numbers under the committed protocol flag.
+        assert self.bench_trend(tmp_path, 10.0) == 1
+        assert "THROUGHPUT DRIFT" in capsys.readouterr().out
 
     def test_check_flags_nondeterministic_ledger(self, tmp_path, capsys):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         ledger.append({"key": "k", "counter_digest": "d1"})
         ledger.append({"key": "k", "counter_digest": "d2"})
         assert main([
-            "obs", "check", "--ledger", str(ledger.path),
+            "obs", "trend", "--ledger", str(ledger.path),
+            "--bench-root", str(tmp_path),
         ]) == 1
-        assert "1 conflicting" in capsys.readouterr().out
+        assert "DIGEST DRIFT" in capsys.readouterr().out
 
     def test_check_without_inputs_is_usage_error(self, tmp_path, capsys):
-        assert main([
-            "obs", "check", "--ledger", str(tmp_path / "absent.jsonl"),
-        ]) == 2
+        not_bench = tmp_path / "not-bench.json"
+        not_bench.write_text('{"kind": "run"}')
+        for path in (tmp_path / "absent.json", not_bench):
+            assert main([
+                "obs", "trend", "--bench", str(path),
+                "--ledger", str(tmp_path / "absent.jsonl"),
+            ]) == 2
 
     def test_diff_bench_payloads(self, tmp_path, capsys):
         old = self.bench_payload(tmp_path, "old.json", 100.0)
@@ -491,10 +498,10 @@ class TestApiFacade:
 
         for name in (
             "RunRequest", "ExperimentEngine", "run_workload", "run_all",
-            "Tracer", "set_tracer", "get_tracer", "render_span_tree",
+            "Tracer", "Instruments", "instrumented", "render_span_tree",
             "MementoConfig", "MachineParams", "Stats", "EventRing",
             "RunResult", "WorkloadResult", "get_workload", "all_workloads",
-            "CycleProfile", "install_profile", "render_profile",
+            "CycleProfile", "render_profile",
             "export_timeline", "validate_trace_events", "check_trend",
         ):
             assert name in api.__all__, name
@@ -503,14 +510,9 @@ class TestApiFacade:
         from repro import api
 
         tracer = api.Tracer()
-        api.set_tracer(tracer)
-        try:
-            engine = api.ExperimentEngine(
-                cache_dir=tmp_path, use_disk_cache=True
-            )
+        engine = api.ExperimentEngine(cache_dir=tmp_path, use_disk_cache=True)
+        with api.instrumented(tracer=tracer):
             result = api.run_workload(small_spec(), engine=engine)
-        finally:
-            api.set_tracer(None)
         assert result.speedup > 1.0
         assert tracer.roots
         rendered = api.render_span_tree(tracer.to_dict())

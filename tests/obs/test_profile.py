@@ -16,13 +16,13 @@ from dataclasses import replace
 import pytest
 
 from repro.harness.engine import RunRequest
+from repro.obs.instruments import instrumented
 from repro.obs.ledger import counter_digest
 from repro.obs.profile import (
     CATEGORY_RESIDUAL,
     COMPONENT_CATEGORY,
     CycleProfile,
     Log2Histogram,
-    install_profile,
     render_histograms,
     render_profile,
     render_top_consumers,
@@ -38,21 +38,11 @@ def small_spec(name="html", num_allocs=1_200):
     return replace(get_workload(name).resolved(), num_allocs=num_allocs)
 
 
-@pytest.fixture(autouse=True)
-def _no_leaked_profile():
-    previous = install_profile(None)
-    yield
-    install_profile(previous)
-
-
 def profiled_run(spec, memento):
     """Execute one request under a fresh profile; returns (result, run)."""
     profile = CycleProfile()
-    install_profile(profile)
-    try:
+    with instrumented(profile=profile):
         result = RunRequest(spec=spec, memento=memento).execute()
-    finally:
-        install_profile(None)
     (run,) = profile.runs
     return result, run, profile
 

@@ -2,21 +2,13 @@
 
 import pytest
 
+from repro.obs.instruments import current, instrumented
 from repro.obs.tracing import (
     NULL_TRACER,
     NullTracer,
     Tracer,
-    get_tracer,
     render_span_tree,
-    set_tracer,
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_active_tracer():
-    previous = get_tracer()
-    yield
-    set_tracer(previous)
 
 
 def make_tracer(times):
@@ -108,13 +100,18 @@ def test_null_tracer_is_shared_noop():
 
 
 def test_get_set_tracer_protocol():
-    assert get_tracer() is NULL_TRACER
+    assert current().tracer is NULL_TRACER
     tracer = Tracer()
-    previous = set_tracer(tracer)
-    assert previous is NULL_TRACER
-    assert get_tracer() is tracer
-    assert set_tracer(None) is tracer
-    assert get_tracer() is NULL_TRACER
+    with instrumented(tracer=tracer):
+        assert current().tracer is tracer
+        with instrumented(tracer=None):
+            assert current().tracer is NULL_TRACER
+        assert current().tracer is tracer
+    assert current().tracer is NULL_TRACER
+    with pytest.raises(KeyError):
+        with instrumented(tracer=tracer):
+            raise KeyError("boom")
+    assert current().tracer is NULL_TRACER
 
 
 def test_render_span_tree_indents_and_sorts_attrs():

@@ -4,7 +4,10 @@ import pytest
 
 from repro.obs.ledger import RunLedger
 from repro.obs.trend import (
+    MIN_SAMPLES,
+    POLICIES,
     check_trend,
+    gate,
     mad,
     median,
     render_trend,
@@ -38,6 +41,64 @@ class TestRobustStats:
     def test_mad(self):
         assert mad([1.0, 1.0, 1.0]) == 0.0
         assert mad([1.0, 2.0, 3.0]) == 1.0
+
+
+#: (policy, series oldest first, expected drift). Every policy gets a
+#: clear regression, a within-tolerance point, an improvement (which
+#: never flags) and a series below MIN_SAMPLES (which abstains).
+GATE_CASES = [
+    ("wall_s", [1.0, 1.01, 0.99, 5.0], True),
+    ("wall_s", [1.0, 1.01, 0.99, 1.3], False),
+    ("wall_s", [1.0, 3.0, 0.4, 2.5, 3.0], False),  # inside the MAD spread
+    ("wall_s", [1.0, 1.01, 0.99, 0.1], False),
+    ("wall_s", [1.0, 9.0], False),
+    ("cold_start_p95_ms", [100.0, 100.0, 130.0], True),
+    ("cold_start_p95_ms", [100.0, 100.0, 120.0], False),
+    ("cold_start_p95_ms", [100.0, 100.0, 10.0], False),
+    ("cold_start_p95_ms", [100.0, 900.0], False),
+    ("stranded_gb_s", [2.0, 2.0, 2.6], True),
+    ("stranded_gb_s", [2.0, 2.0, 2.4], False),
+    ("stranded_gb_s", [0.0, 0.0, 0.0], False),
+    ("stranded_gb_s", [2.0, 20.0], False),
+    ("events_per_sec", [100e3, 102e3, 40e3], True),
+    ("events_per_sec", [100e3, 102e3, 65e3], False),
+    ("events_per_sec", [100e3, 102e3, 900e3], False),
+    ("events_per_sec", [100e3, 1e3], False),
+]
+
+
+class TestGate:
+    @pytest.mark.parametrize("policy,series,drift", GATE_CASES)
+    def test_policy_table(self, policy, series, drift):
+        verdict = gate(series, POLICIES[policy])
+        assert verdict["drift"] is drift
+        assert verdict["samples"] == len(series)
+        if len(series) < MIN_SAMPLES:
+            assert verdict["median"] is None and verdict["latest"] is None
+        else:
+            assert verdict["median"] == median(series[:-1])
+            assert verdict["latest"] == series[-1]
+
+    def test_every_policy_abstains_below_min_samples(self):
+        assert MIN_SAMPLES == 3
+        for policy in POLICIES.values():
+            worst = [1.0, 1e9] if policy.higher_is_worse else [1e9, 1.0]
+            assert not gate(worst, policy)["drift"]
+
+    def test_improvement_never_flags(self):
+        for policy in POLICIES.values():
+            best = (
+                [10.0, 10.0, 0.001]
+                if policy.higher_is_worse
+                else [10.0, 10.0, 1e9]
+            )
+            assert not gate(best, policy)["drift"]
+
+    def test_only_mad_policies_report_deviation(self):
+        assert "deviation_mads" in gate([1.0, 2.0, 3.0], POLICIES["wall_s"])
+        assert "deviation_mads" not in gate(
+            [1.0, 2.0, 3.0], POLICIES["stranded_gb_s"]
+        )
 
 
 class TestTrendByKey:

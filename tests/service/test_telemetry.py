@@ -18,7 +18,8 @@ import pytest
 from repro.harness.engine import ExperimentEngine, RunRequest
 from repro.obs.metrics import read_jsonl
 from repro.obs.timeline import export_timeline
-from repro.obs.tracing import Tracer, set_tracer
+from repro.obs.instruments import instrumented
+from repro.obs.tracing import Tracer
 from repro.service.app import ExperimentServer, ServiceState, op_health
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.telemetry import ServiceTelemetry, stamp_trace_id
@@ -57,12 +58,9 @@ class TestTracePropagation:
         self, tmp_path, server, client
     ):
         tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
+        with instrumented(tracer=tracer):
             job_id = client.submit(RunRequest(small(), memento=True))
             client.result(job_id, timeout=60)
-        finally:
-            set_tracer(previous)
         trace_id = client.last_trace_id
         assert trace_id
 
