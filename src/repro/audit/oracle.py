@@ -217,15 +217,14 @@ def _reference_touch_lines(
 
 def build_reference_system(
     spec: WorkloadSpec,
-    stack: Any = False,
+    stack: Any = "baseline",
     monitor: Optional[BypassSoundnessMonitor] = None,
     **kwargs: Any,
 ) -> SimulatedSystem:
     """A :class:`SimulatedSystem` whose cache and touch paths are the
     naive reference implementations.
 
-    ``stack`` accepts any spelling ``SimulatedSystem`` does: a registry
-    name, a :class:`~repro.stacks.Stack`, or the legacy boolean.
+    ``stack`` is a registry name or a :class:`~repro.stacks.Stack`.
 
     The cache closures are swapped on a pre-built machine *before* system
     construction: the allocator metadata-touch closure captures
@@ -288,7 +287,7 @@ def _step_event(system: SimulatedSystem, event) -> Optional[int]:
 def run_lockstep(
     events,
     spec: WorkloadSpec,
-    stack: Any = False,
+    stack: Any = "baseline",
     monitor: Optional[BypassSoundnessMonitor] = None,
     check_every: int = 1,
 ) -> Tuple[Optional[Divergence], Optional[SimulatedSystem]]:
@@ -364,7 +363,7 @@ def _diverges(events, spec: WorkloadSpec, stack: Any) -> bool:
 def minimize_prefix(
     events: List,
     spec: WorkloadSpec,
-    stack: Any = False,
+    stack: Any = "baseline",
     max_runs: int = 60,
 ) -> List:
     """Greedy event-prefix minimization.
@@ -491,7 +490,7 @@ def _compare_columnar(
 
 def run_diff(
     spec: WorkloadSpec,
-    stack: Any = False,
+    stack: Any = "baseline",
     num_allocs: Optional[int] = None,
     check_every: int = 1,
     minimize: bool = True,
@@ -499,7 +498,7 @@ def run_diff(
 ) -> DiffReport:
     """The full differential audit of one workload x stack.
 
-    ``stack`` accepts a registry name, a Stack, or the legacy boolean.
+    ``stack`` is a registry name or a :class:`~repro.stacks.Stack`.
 
     1. Lockstep the fast closures against the naive reference, probing
        the counter surface every ``check_every`` events, with the bypass

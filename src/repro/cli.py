@@ -3,12 +3,13 @@
 Commands:
 
 * ``list`` — the 23 workloads with their language/category/parameters.
-* ``run WORKLOAD [...]`` — baseline-vs-Memento for named workloads;
-  ``--all`` replays the full 23-workload evaluation, ``--jobs N`` fans
-  the runs out over worker processes, and completed runs persist in the
-  on-disk result cache (``.repro-cache/``) so re-invocations are warm.
-  ``--trace`` prints the span tree; ``--metrics out.prom`` exports the
-  run's counters as Prometheus text plus a JSONL sidecar; ``--profile``
+* ``run WORKLOAD [...]`` — baseline-vs-Memento for named workloads, or
+  one run per workload x stack under ``--stack``; ``--all`` replays the
+  full 23-workload evaluation, ``--jobs N`` fans the runs out over
+  worker processes, and completed runs persist in the on-disk result
+  cache (``.repro-cache/``) so re-invocations are warm. ``--trace``
+  prints the span tree; ``--metrics out.prom`` exports the run's
+  counters as Prometheus text plus a JSONL sidecar; ``--profile``
   attributes every simulated cycle to its architectural component and
   prints the Fig. 9-style breakdown (serial, cache-bypassing runs).
 * ``cache info|clear`` — inspect or empty the persistent result cache
@@ -78,11 +79,16 @@ from repro.harness.engine import (
     cost_model_fingerprint,
     source_fingerprint,
 )
-from repro.harness.experiment import run_all, run_workload
+from repro.harness.experiment import (
+    evaluation_workloads,
+    run_all,
+    run_workload,
+)
 from repro.resolve import (
     UsageError,
     resolve_backend,
     resolve_cache_dir,
+    resolve_count,
     resolve_jobs,
     resolve_stack_list,
     resolve_workers,
@@ -147,7 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser = sub.add_parser("list", help="list the paper's workloads")
     list_parser.set_defaults(handler=cmd_list)
 
-    run_parser = sub.add_parser("run", help="run workloads on both stacks")
+    run_parser = sub.add_parser(
+        "run", help="run workloads: baseline vs Memento, or named stacks"
+    )
     run_parser.add_argument("workloads", nargs="*", metavar="WORKLOAD")
     run_parser.add_argument(
         "--workload", action="append", dest="named_workloads",
@@ -210,15 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--audit-every", type=int, default=256, metavar="N",
         help="events between checks for --audit-epoch interval "
         "(default: 256)",
-    )
-    run_parser.add_argument(
-        "--diff", action="store_true",
-        help="also run the differential oracle on each workload/stack "
-        "(implies --audit; see `repro audit` for the standalone form)",
-    )
-    run_parser.add_argument(
-        "--diff-allocs", type=int, default=800, metavar="N",
-        help="trace size for the --diff lockstep legs (default: 800)",
     )
     run_parser.set_defaults(handler=cmd_run)
 
@@ -288,6 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="simulate an invocation fleet (cold starts, stranding, "
         "DRAM traffic) across the registered memory-management stacks",
+        # No prefix matching: the retired --stack must not silently
+        # resolve to --stacks.
+        allow_abbrev=False,
     )
     fleet_run_parser.add_argument(
         "--invocations", type=int, default=10_000, metavar="N",
@@ -343,14 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="allocations per invocation trace (default: 2000)",
     )
     fleet_run_parser.add_argument(
-        "--stack", default=None, metavar="STACK",
-        help="stacks to simulate: a registry name, a comma list, "
-        "'both', or 'all' (default: both)",
-    )
-    fleet_run_parser.add_argument(
         "--stacks", default=None, metavar="LIST",
-        help="comma-separated stacks to race, e.g. "
-        "baseline,memento,snapshot,reclaim (same as --stack)",
+        help="stacks to race: a comma list (e.g. "
+        "baseline,memento,snapshot,reclaim), 'both', or 'all' "
+        "(default: both)",
     )
     fleet_run_parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -485,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="metrics JSONL exported by `repro run --metrics`",
     )
     report_parser.add_argument(
-        "--last", type=int, default=20, metavar="N",
-        help="ledger entries to show (default: 20)",
+        "--last", default=None, metavar="N",
+        help="ledger entries to show, a positive count (default: 20)",
     )
     report_parser.set_defaults(handler=cmd_obs_report)
 
@@ -611,22 +609,18 @@ def _make_engine(args: argparse.Namespace) -> ExperimentEngine:
     )
 
 
-def _export_metrics(path: str, results, tracer, ring, profile=None) -> None:
-    """Write the Prometheus text file and its JSONL sidecar."""
+def _export_metrics(path: str, runs, tracer, ring, profile=None) -> None:
+    """Write the Prometheus text file and its JSONL sidecar; ``runs``
+    holds one ``(workload, label, RunResult)`` row per run."""
     snapshots = []
     records = []
-    for result in results:
-        for stack, run in (
-            ("baseline", result.baseline),
-            ("memento", result.memento),
-            ("memento_nobypass", result.memento_nobypass),
-        ):
-            summary = run.to_dict()
-            snapshots.append({
-                "labels": {"workload": result.spec.name, "stack": stack},
-                "counters": summary["stats"],
-            })
-            records.append(run_record(summary, stack=stack))
+    for workload, label, run in runs:
+        summary = run.to_dict()
+        snapshots.append({
+            "labels": {"workload": workload, "stack": label},
+            "counters": summary["stats"],
+        })
+        records.append(run_record(summary, stack=label))
     if tracer is not None:
         records.append(span_record(tracer.to_dict()))
     if ring is not None:
@@ -655,127 +649,8 @@ def _export_metrics(path: str, results, tracer, ring, profile=None) -> None:
     )
 
 
-def _run_stacks(args: argparse.Namespace, names: List[str]) -> int:
-    """``repro run --stack ...``: replay the named registry stacks,
-    one run per workload x stack, without the comparison trio's derived
-    metrics (those only exist for baseline vs memento)."""
-    if args.trace or args.profile or args.metrics:
-        return _usage_error(
-            "run: --trace/--profile/--metrics only apply to the "
-            "baseline-vs-memento comparison (drop --stack)"
-        )
-    stacks = resolve_stack_list(args.stack)
-    args.jobs = resolve_jobs(args.jobs)
-    auditor = None
-    if args.diff:
-        args.audit = True
-    if args.audit:
-        if args.jobs > 1:
-            print(
-                "repro: --audit runs serially; ignoring --jobs",
-                file=sys.stderr,
-            )
-            args.jobs = 1
-        args.no_cache = True
-        auditor = Auditor(epoch=args.audit_epoch, every=args.audit_every)
-    engine = _make_engine(args)
-    specs = (
-        all_workloads()
-        if args.run_all
-        else [get_workload(name) for name in names]
-    )
-    requests = [
-        RunRequest(spec, stack=stack, cold_start=args.cold_start)
-        for spec in specs
-        for stack in stacks
-    ]
-    with instrumented(audit=auditor):
-        results = engine.run_many(requests)
-    rows = [
-        [
-            request.spec.name,
-            request.stack,
-            f"{result.total_cycles:,}",
-            f"{result.seconds:.6f}",
-            f"{result.dram_bytes / 1e6:.2f}",
-        ]
-        for request, result in zip(requests, results)
-    ]
-    print(render_table(
-        ["workload", "stack", "total cycles", "sim seconds", "dram MB"],
-        rows,
-        title=("Cold-started" if args.cold_start else "Warm")
-        + " runs: " + ", ".join(stacks),
-    ))
-    exit_code = 0
-    if auditor is not None:
-        print()
-        print(
-            f"audit: {auditor.checks} checks ({auditor.epoch} epoch), "
-            f"{auditor.total_violations} violations"
-        )
-        for violation in auditor.violations:
-            print(f"  {violation}")
-        if auditor.total_violations:
-            exit_code = 1
-    if args.diff:
-        from repro.audit.oracle import run_diff
-
-        print()
-        for spec in specs:
-            for stack in stacks:
-                report = run_diff(
-                    spec, stack, num_allocs=args.diff_allocs or None
-                )
-                _print_diff_line(report)
-                if not report.ok:
-                    exit_code = 1
-    return exit_code
-
-
-def cmd_run(args: argparse.Namespace) -> int:
-    names = list(args.workloads) + list(args.named_workloads)
-    if args.run_all == bool(names):
-        return _usage_error("run: name workloads or pass --all (not both)")
-    if args.stack is not None:
-        return _run_stacks(args, names)
-    args.jobs = resolve_jobs(args.jobs)
-    tracer = ring = profile = auditor = None
-    if args.trace:
-        tracer = Tracer()
-        ring = EventRing(timestamps=True)
-    if args.profile:
-        # Attribution happens in-process on live runs only: worker
-        # processes and cache hits produce no profile data, so profiled
-        # runs are forced serial and bypass the result cache.
-        if args.jobs > 1:
-            print(
-                "repro: --profile runs serially; ignoring --jobs",
-                file=sys.stderr,
-            )
-            args.jobs = 1
-        args.no_cache = True
-        profile = CycleProfile()
-    if args.diff:
-        args.audit = True
-    if args.audit:
-        # Same live-run constraint as --profile: worker processes and
-        # cache hits carry no auditor, so audited runs are serial and
-        # cache-bypassing.
-        if args.jobs > 1:
-            print(
-                "repro: --audit runs serially; ignoring --jobs",
-                file=sys.stderr,
-            )
-            args.jobs = 1
-        args.no_cache = True
-        auditor = Auditor(epoch=args.audit_epoch, every=args.audit_every)
-    engine = _make_engine(args)
-    specs = None if args.run_all else [get_workload(name) for name in names]
-    with instrumented(
-        tracer=tracer, ring=ring, profile=profile, audit=auditor
-    ):
-        results = run_all(specs, cold_start=args.cold_start, engine=engine)
+def _print_comparison(results, cold_start: bool) -> None:
+    """The baseline-vs-Memento table with the trio's derived metrics."""
     pricing = PricingModel()
     rows = []
     for result in results:
@@ -793,9 +668,97 @@ def cmd_run(args: argparse.Namespace) -> int:
         ["workload", "speedup", "mm user/kernel", "bw reduction",
          "HOT alloc hit", "pricing"],
         rows,
-        title=("Cold-started" if args.cold_start else "Warm") +
+        title=("Cold-started" if cold_start else "Warm") +
         " baseline vs Memento",
     ))
+
+
+def _print_stack_runs(runs, stacks, cold_start: bool) -> None:
+    """One row per workload x stack (no derived metrics: those only
+    exist for the baseline-vs-Memento trio)."""
+    print(render_table(
+        ["workload", "stack", "total cycles", "sim seconds", "dram MB"],
+        [
+            [
+                workload,
+                stack,
+                f"{result.total_cycles:,}",
+                f"{result.seconds:.6f}",
+                f"{result.dram_bytes / 1e6:.2f}",
+            ]
+            for workload, stack, result in runs
+        ],
+        title=("Cold-started" if cold_start else "Warm")
+        + " runs: " + ", ".join(stacks),
+    ))
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    """The baseline-vs-Memento trio per workload or, under ``--stack``,
+    one run per workload x named stack; every instrument flag applies
+    to both."""
+    names = list(args.workloads) + list(args.named_workloads)
+    if args.run_all == bool(names):
+        return _usage_error("run: name workloads or pass --all (not both)")
+    stacks = None if args.stack is None else resolve_stack_list(args.stack)
+    specs = (
+        evaluation_workloads()
+        if args.run_all
+        else [get_workload(name) for name in names]
+    )
+    args.jobs = resolve_jobs(args.jobs)
+    tracer = ring = profile = auditor = None
+    if args.trace:
+        tracer = Tracer()
+        ring = EventRing(timestamps=True)
+    if args.profile:
+        profile = CycleProfile()
+    if args.audit:
+        auditor = Auditor(epoch=args.audit_epoch, every=args.audit_every)
+    if profile is not None or auditor is not None:
+        # Attribution and auditing happen in-process on live runs only:
+        # worker processes and cache hits carry neither, so these runs
+        # are forced serial and bypass the result cache.
+        if args.jobs > 1:
+            print(
+                "repro: --profile/--audit run serially; ignoring --jobs",
+                file=sys.stderr,
+            )
+            args.jobs = 1
+        args.no_cache = True
+    engine = _make_engine(args)
+    with instrumented(
+        tracer=tracer, ring=ring, profile=profile, audit=auditor
+    ):
+        if stacks is None:
+            results = run_all(
+                specs, cold_start=args.cold_start, engine=engine
+            )
+        else:
+            requests = [
+                RunRequest(spec, stack=stack, cold_start=args.cold_start)
+                for spec in specs
+                for stack in stacks
+            ]
+            runs = [
+                (request.spec.name, request.stack, result)
+                for request, result in zip(
+                    requests, engine.run_many(requests)
+                )
+            ]
+    if stacks is None:
+        _print_comparison(results, args.cold_start)
+        runs = [
+            (result.spec.name, label, run)
+            for result in results
+            for label, run in (
+                ("baseline", result.baseline),
+                ("memento", result.memento),
+                ("memento_nobypass", result.memento_nobypass),
+            )
+        ]
+    else:
+        _print_stack_runs(runs, stacks, args.cold_start)
     if tracer is not None:
         print()
         print("Span tree")
@@ -812,7 +775,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print()
         print(render_histograms(payload))
     if args.metrics:
-        _export_metrics(args.metrics, results, tracer, ring, profile)
+        _export_metrics(args.metrics, runs, tracer, ring, profile)
     counters = engine.summary()
     hits = int(
         counters.get("engine.memo.hits", 0)
@@ -824,36 +787,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"(jobs={args.jobs})",
         file=sys.stderr,
     )
-    exit_code = 0
-    if auditor is not None:
-        print()
-        print(
-            f"audit: {auditor.checks} checks "
-            f"({auditor.epoch} epoch), "
-            f"{auditor.total_violations} violations"
-        )
-        for violation in auditor.violations:
-            print(f"  {violation}")
-        if auditor.total_violations:
-            exit_code = 1
-    if args.diff:
-        from repro.audit.oracle import run_diff
-
-        diff_specs = (
-            all_workloads()
-            if args.run_all
-            else [get_workload(name) for name in names]
-        )
-        print()
-        for spec in diff_specs:
-            for memento in (True, False):
-                report = run_diff(
-                    spec, memento, num_allocs=args.diff_allocs or None
-                )
-                _print_diff_line(report)
-                if not report.ok:
-                    exit_code = 1
-    return exit_code
+    if auditor is None:
+        return 0
+    print()
+    print(
+        f"audit: {auditor.checks} checks "
+        f"({auditor.epoch} epoch), "
+        f"{auditor.total_violations} violations"
+    )
+    for violation in auditor.violations:
+        print(f"  {violation}")
+    return 1 if auditor.total_violations else 0
 
 
 def _print_diff_line(report) -> None:
@@ -945,10 +889,7 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
     import json
 
     args.jobs = resolve_jobs(args.jobs)
-    if args.stacks is not None and args.stack is not None:
-        return _usage_error("fleet run: pass --stack or --stacks, not both")
-    selector = args.stacks if args.stacks is not None else args.stack
-    stacks = resolve_stack_list(selector, default=STACKS)
+    stacks = resolve_stack_list(args.stacks, default=STACKS)
     request = FleetRequest(
         workloads=tuple(args.workloads or ()),
         mix=args.mix,
@@ -1232,6 +1173,7 @@ def _ledger_at(path: Optional[str]) -> RunLedger:
 
 
 def cmd_obs_report(args: argparse.Namespace) -> int:
+    last = resolve_count(args.last, "last", default=20)
     ledger = _ledger_at(args.ledger)
     printed = False
     all_entries, skipped = ledger.read_classified()
@@ -1242,7 +1184,7 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     run_entries, fleet_entries = split_fleet_entries(all_entries)
-    entries = run_entries[-args.last:]
+    entries = run_entries[-last:]
     if entries:
         rows = [
             [
@@ -1272,7 +1214,7 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
                 "nondeterministic replay or stale fingerprints"
             )
         printed = True
-    fleet_shown = fleet_entries[-args.last:]
+    fleet_shown = fleet_entries[-last:]
     if fleet_shown:
         if printed:
             print()

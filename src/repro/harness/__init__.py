@@ -1,7 +1,6 @@
 """Experiment harness: replay traces on baseline or Memento systems."""
 
 from repro.harness.engine import (
-    DiskCache,
     ExperimentEngine,
     RunRequest,
     cost_model_fingerprint,
@@ -17,7 +16,6 @@ from repro.harness.experiment import (
 from repro.harness.system import RunResult, SimulatedSystem
 
 __all__ = [
-    "DiskCache",
     "ExperimentEngine",
     "RunRequest",
     "RunResult",

@@ -48,7 +48,6 @@ from repro.allocators import (
 )
 from repro.backends import (
     DEFAULT_CACHE_DIR,
-    JsonBackend,
     ResultBackend,
     create_backend,
 )
@@ -76,10 +75,6 @@ SCHEMA_VERSION = 1
 #: body and upgrade transparently in :meth:`RunRequest.from_dict`.
 REQUEST_SCHEMA_VERSION = 1
 
-#: Backwards-compatible alias: the JSON backend is the original
-#: ``DiskCache`` extracted behind the :class:`ResultBackend` contract.
-DiskCache = JsonBackend
-
 #: Named baseline-allocator overrides, so a request stays declarative
 #: (and picklable/hashable) instead of carrying a class object.
 ALLOCATOR_REGISTRY: Dict[str, type] = {
@@ -95,8 +90,8 @@ ProgressFn = Callable[[int, int, "RunRequest", str, float], None]
 
 #: Summary-progress callback: (done, total, counts) where ``counts``
 #: maps ``"cached"``/``"live"``/``"failed"`` to tallies so far. Used
-#: instead of per-run ``ProgressFn`` lines for batches at or above the
-#: engine's summary threshold (per-run lines are unusable at fleet
+#: instead of per-run ``ProgressFn`` lines for batches at or above
+#: ``SUMMARY_PROGRESS_THRESHOLD`` (per-run lines are unusable at fleet
 #: scale).
 SummaryFn = Callable[[int, int, Dict[str, int]], None]
 
@@ -108,11 +103,6 @@ SUMMARY_PROGRESS_THRESHOLD = 100
 #: machinery :class:`~repro.fleet.request.FleetRequest` uses, so the
 #: two request hierarchies cannot drift (see :mod:`repro.codec`).
 REQUEST_CODEC = codec.VersionedCodec("RunRequest", REQUEST_SCHEMA_VERSION)
-
-#: Backwards-compatible aliases: the canonicalization/hash primitives
-#: moved to :mod:`repro.codec` in PR 8.
-_canonical = codec.canonical
-_digest = codec.digest
 
 
 #: Identity-keyed fingerprint memo. CostModel is frozen, so an instance's
@@ -167,11 +157,10 @@ class RunRequest:
     """
 
     spec: WorkloadSpec
-    #: Legacy stack flag, kept as a real field so pre-registry wire
-    #: payloads and content keys keep their exact shape. Normalized in
-    #: ``__post_init__`` to agree with ``stack`` (it mirrors the stack's
-    #: ``hardware`` trait), so equal requests always hash equal.
-    memento: bool = False
+    #: Registry name of the memory-management stack (see
+    #: :mod:`repro.stacks`); a :class:`~repro.stacks.Stack` normalizes
+    #: to its name.
+    stack: str = "baseline"
     config: MementoConfig = field(default_factory=MementoConfig)
     machine_params: MachineParams = field(default_factory=MachineParams)
     cold_start: bool = False
@@ -182,21 +171,9 @@ class RunRequest:
     #: Keyword arguments for the override, as sorted key/value pairs so
     #: the request stays hashable.
     allocator_kwargs: Tuple[Tuple[str, Any], ...] = ()
-    #: First-class stack name (see :mod:`repro.stacks`). ``None`` means
-    #: unspecified and derives from the legacy ``memento`` flag, so
-    #: ``RunRequest(spec, memento=True)`` and
-    #: ``RunRequest(spec, stack="memento")`` are the same request.
-    stack: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.stack is None:
-            object.__setattr__(
-                self, "stack", stack_registry.coerce(bool(self.memento)).name
-            )
-        else:
-            entry = stack_registry.coerce(resolve_stack(self.stack))
-            object.__setattr__(self, "stack", entry.name)
-            object.__setattr__(self, "memento", entry.hardware)
+        object.__setattr__(self, "stack", resolve_stack(self.stack))
         if self.allocator is not None and self.allocator not in (
             ALLOCATOR_REGISTRY
         ):
@@ -216,6 +193,12 @@ class RunRequest:
         # stack-knob guard in SimulatedSystem): a declarative request
         # may describe an unsupported combination, but it fails loudly
         # — naming the stack — the moment it would execute.
+
+    @property
+    def memento(self) -> bool:
+        """Whether the stack runs Memento's hardware allocators (the
+        value the legacy wire field and content-key body carry)."""
+        return stack_registry.get_stack(self.stack).hardware
 
     def content_key(self, cost_model: CostModel = DEFAULT_COSTS) -> str:
         """Stable content hash identifying this run's result.
@@ -239,6 +222,7 @@ class RunRequest:
                 normalized, config=MementoConfig()
             )
         body = codec.canonical(normalized)
+        body["memento"] = entry.hardware
         if entry.legacy_memento is not None:
             del body["stack"]
         # The retired replay-kernel field stays in the hashed body, so
@@ -324,26 +308,29 @@ class RunRequest:
         corruption fails loudly instead of silently simulating the wrong
         thing.
         """
-        data = REQUEST_CODEC.open_into(cls, drop_legacy_kernel(data))
-        if "spec" not in data or (
-            "memento" not in data and "stack" not in data
-        ):
+        data = REQUEST_CODEC.open(drop_legacy_kernel(data))
+        # The legacy boolean is tolerated here, on the wire, and nowhere
+        # else: it names one of the paper's two stacks.
+        has_memento = "memento" in data
+        memento = data.pop("memento", None)
+        data = codec.checked_fields(cls, data, REQUEST_CODEC.label)
+        if "spec" not in data or (not has_memento and "stack" not in data):
             raise ValueError(
                 "RunRequest payload needs spec and a stack "
                 "(or the legacy memento flag)"
             )
-        stack = None if data.get("stack") is None else str(data["stack"])
-        if stack is not None:
-            stack = resolve_stack(stack)
+        if data.get("stack") is None:
+            stack = "memento" if bool(memento) else "baseline"
+        else:
+            stack = resolve_stack(str(data["stack"]))
             hardware = stack_registry.get_stack(stack).hardware
-            if "memento" in data and bool(data["memento"]) != hardware:
+            if has_memento and bool(memento) != hardware:
                 raise ValueError(
                     f"RunRequest payload is inconsistent: stack {stack!r} "
-                    f"with memento={bool(data['memento'])!r}"
+                    f"with memento={bool(memento)!r}"
                 )
         return cls(
             spec=spec_from_dict(data["spec"]),
-            memento=bool(data.get("memento", False)),
             stack=stack,
             config=config_from_dict(data.get("config")),
             machine_params=machine_params_from_dict(
@@ -357,10 +344,6 @@ class RunRequest:
                 for name, value in data.get("allocator_kwargs") or ()
             ),
         )
-
-
-#: Backwards-compatible alias; moved to :mod:`repro.codec` in PR 8.
-_checked_fields = codec.checked_fields
 
 
 def drop_legacy_kernel(data: Any) -> Any:
@@ -425,12 +408,6 @@ def machine_params_from_dict(data: Any) -> MachineParams:
                 **codec.checked_fields(TlbParams, body[name], name)
             )
     return MachineParams(**body)
-
-
-#: Backwards-compatible aliases for the pre-PR-8 private names.
-_spec_from_dict = spec_from_dict
-_config_from_dict = config_from_dict
-_machine_from_dict = machine_params_from_dict
 
 
 def _spec_groups(
@@ -534,7 +511,6 @@ class ExperimentEngine:
         use_ledger: Optional[bool] = None,
         backend: Any = None,
         summary_progress: Optional[SummaryFn] = None,
-        summary_threshold: int = SUMMARY_PROGRESS_THRESHOLD,
     ) -> None:
         if cache_dir is None:
             cache_dir = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
@@ -566,11 +542,10 @@ class ExperimentEngine:
         )
         self.progress = progress
         # Quiet mode for fleet-scale batches: at or above
-        # ``summary_threshold`` unique runs, per-run progress lines are
-        # replaced by periodic ``summary_progress(done, total, counts)``
-        # calls (when a summary callback is installed).
+        # ``SUMMARY_PROGRESS_THRESHOLD`` unique runs, per-run progress
+        # lines are replaced by periodic ``summary_progress(done, total,
+        # counts)`` calls (when a summary callback is installed).
         self.summary_progress = summary_progress
-        self.summary_threshold = summary_threshold
         self.stats = Stats()
         self._memo: Dict[str, RunResult] = {}
 
@@ -628,7 +603,7 @@ class ExperimentEngine:
             total = len(results) + len(misses)
             summary = (
                 self.summary_progress is not None
-                and total >= self.summary_threshold
+                and total >= SUMMARY_PROGRESS_THRESHOLD
             )
             counts = {"cached": 0, "live": 0, "failed": 0}
             for key in list(results):

@@ -193,11 +193,11 @@ def workload_requests(
         "cold_start": cold_start,
     }
     return [
-        RunRequest(spec, memento=False, config=config, **common),
-        RunRequest(spec, memento=True, config=config, **common),
+        RunRequest(spec, stack="baseline", config=config, **common),
+        RunRequest(spec, stack="memento", config=config, **common),
         RunRequest(
             spec,
-            memento=True,
+            stack="memento",
             config=replace(config, bypass_enabled=False),
             **common,
         ),
@@ -232,6 +232,11 @@ def run_workload(
     )
 
 
+def evaluation_workloads() -> List[WorkloadSpec]:
+    """The full evaluation: functions, data processing, platform."""
+    return FUNCTION_WORKLOADS + DATAPROC_WORKLOADS + PLATFORM_WORKLOADS
+
+
 def run_all(
     specs: Optional[Sequence[WorkloadSpec]] = None,
     *rejected,
@@ -248,9 +253,7 @@ def run_all(
     """
     _reject_positional("run_all", rejected)
     if specs is None:
-        specs = (
-            FUNCTION_WORKLOADS + DATAPROC_WORKLOADS + PLATFORM_WORKLOADS
-        )
+        specs = evaluation_workloads()
     engine = engine or get_default_engine()
     requests: List[RunRequest] = []
     for spec in specs:

@@ -124,7 +124,7 @@ def bench_engine_cache(
     spec = dataclasses.replace(
         get_workload(workload).resolved(), num_allocs=num_allocs
     )
-    request = RunRequest(spec=spec, memento=False)
+    request = RunRequest(spec=spec, stack="baseline")
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         engine = ExperimentEngine(cache_dir=tmp, use_disk_cache=True)
         started = time.perf_counter()
@@ -188,7 +188,7 @@ def bench_overhead(
         best = float("inf")
         for _ in range(max(1, repeats)):
             with instrumented(**vars(factory())):
-                system = SimulatedSystem(spec, memento=True)
+                system = SimulatedSystem(spec, "memento")
                 started = time.perf_counter()
                 system.run(trace)
                 elapsed = time.perf_counter() - started

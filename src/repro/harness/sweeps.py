@@ -66,7 +66,7 @@ def populate_study(
     # Full-size traces: population cost amortizes over the heap the
     # function actually touches, which is what the study measures.
     requests = [
-        RunRequest(spec, memento=False, mmap_populate=populate)
+        RunRequest(spec, stack="baseline", mmap_populate=populate)
         for spec in specs
         for populate in (False, True)
     ]
@@ -107,7 +107,7 @@ def multiprocess_study(
         systems = [
             SimulatedSystem(
                 _shrunk(spec, num_allocs=3_000),
-                memento=True,
+                stack="memento",
                 memento_config=config,
                 machine=machine,
                 kernel=kernel,
@@ -162,10 +162,10 @@ def tuning_study(
     """Enlarge pymalloc's arena size: fewer mmaps, ~<1 % speedup change."""
     spec = _shrunk(get_workload("html"), num_allocs=12_000)
     engine = engine or get_default_engine()
-    requests = [RunRequest(spec, memento=True)] + [
+    requests = [RunRequest(spec, stack="memento")] + [
         RunRequest(
             spec,
-            memento=False,
+            stack="baseline",
             allocator="pymalloc",
             allocator_kwargs=(("arena_bytes", arena_bytes),),
         )
@@ -197,7 +197,7 @@ def fragmentation_study(
     out = {}
     for spec in specs:
         small = spec  # full size: occupancy is scale-sensitive
-        memento_system = SimulatedSystem(small, memento=True)
+        memento_system = SimulatedSystem(small, stack="memento")
         trace = generate_trace(memento_system.spec)
         # Measure occupancy mid-run (before exit releases everything).
         allocator = memento_system.runtime.context.object_allocator
@@ -208,7 +208,7 @@ def fragmentation_study(
             count += 1
             if count % 5_000 == 0:
                 samples.append(allocator.occupancy_fraction())
-        baseline_system = SimulatedSystem(small, memento=False)
+        baseline_system = SimulatedSystem(small, stack="baseline")
         baseline_samples: List[float] = []
         count = 0
         for event in trace:
@@ -247,9 +247,9 @@ def coldstart_study(
     specs = specs or FUNCTION_WORKLOADS
     engine = engine or get_default_engine()
     requests = [
-        RunRequest(spec, memento=memento, cold_start=True)
+        RunRequest(spec, stack=stack, cold_start=True)
         for spec in specs
-        for memento in (False, True)
+        for stack in ("baseline", "memento")
     ]
     runs = engine.run_many(requests)
     return {
@@ -274,13 +274,13 @@ def iso_storage_study(
     spec = get_workload(workload)
     engine = engine or get_default_engine()
     baseline, bigger_l1, memento = engine.run_many([
-        RunRequest(spec, memento=False),
+        RunRequest(spec, stack="baseline"),
         RunRequest(
             spec,
-            memento=False,
+            stack="baseline",
             machine_params=MachineParams().with_iso_storage_l1d(),
         ),
-        RunRequest(spec, memento=True),
+        RunRequest(spec, stack="memento"),
     ])
     return {
         "iso_storage_speedup": baseline.total_cycles / bigger_l1.total_cycles,
@@ -299,9 +299,9 @@ def mallacc_study(
     requests = []
     for spec in CPP_FUNCTIONS:
         requests += [
-            RunRequest(spec, memento=False),
-            RunRequest(spec, memento=False, allocator="mallacc"),
-            RunRequest(spec, memento=True),
+            RunRequest(spec, stack="baseline"),
+            RunRequest(spec, stack="baseline", allocator="mallacc"),
+            RunRequest(spec, stack="memento"),
         ]
     runs = engine.run_many(requests)
     out = {}
@@ -339,8 +339,8 @@ def ablation_study(
         "small_arenas_64": MementoConfig(objects_per_arena=64),
         "large_arenas_1024": MementoConfig(objects_per_arena=1024),
     }
-    requests = [RunRequest(spec, memento=False)] + [
-        RunRequest(spec, memento=True, config=config)
+    requests = [RunRequest(spec, stack="baseline")] + [
+        RunRequest(spec, stack="memento", config=config)
         for config in configs.values()
     ]
     baseline, *treatments = engine.run_many(requests)

@@ -160,7 +160,7 @@ class SimulatedSystem:
     def __init__(
         self,
         spec: WorkloadSpec,
-        stack=None,
+        stack: Any = "baseline",
         machine_params: Optional[MachineParams] = None,
         cost_model: Optional[CostModel] = None,
         memento_config: Optional[MementoConfig] = None,
@@ -171,19 +171,14 @@ class SimulatedSystem:
         machine: Optional[Machine] = None,
         kernel: Optional[Kernel] = None,
         page_allocator: Optional[HardwarePageAllocator] = None,
-        memento: Optional[bool] = None,
     ) -> None:
         """``stack`` names a registered memory-management stack (see
-        :mod:`repro.stacks`); the legacy ``memento`` boolean — positional
-        or by keyword — still resolves (``True`` → memento, ``False`` →
-        baseline).
+        :mod:`repro.stacks`) or is a :class:`~repro.stacks.Stack`.
 
         ``machine``/``kernel``/``page_allocator`` may be supplied to
         co-locate several systems on shared hardware (the multi-process
         study of §6.6); by default each system gets a private stack."""
         self.spec = spec.resolved()
-        if stack is None:
-            stack = bool(memento) if memento is not None else False
         self.stack = stack_registry.get_stack(resolve_stack(stack))
         self.stack_name = self.stack.name
         memento = self.stack.hardware

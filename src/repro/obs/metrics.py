@@ -143,19 +143,16 @@ def histogram_lines(
 
 
 def run_record(
-    result_summary: Mapping[str, Any], stack: Optional[str] = None
+    result_summary: Mapping[str, Any], stack: str
 ) -> Dict[str, Any]:
     """One ``kind: "run"`` record from a :meth:`RunResult.to_dict` dict.
 
-    ``stack`` overrides the derived baseline/memento label (the ablation
-    runs — e.g. Memento without bypass — need a distinct label)."""
-    from repro.resolve import resolve_stack
-
+    ``stack`` is the run's label: a registry name, or a distinct label
+    for an ablation run (e.g. ``memento_nobypass``)."""
     return {
         "kind": "run",
         "workload": result_summary.get("name"),
-        "stack": stack
-        or resolve_stack(bool(result_summary.get("memento"))),
+        "stack": stack,
         "total_cycles": result_summary.get("total_cycles"),
         "seconds": result_summary.get("seconds"),
         "dram_bytes": result_summary.get("dram_bytes"),

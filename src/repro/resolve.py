@@ -85,24 +85,24 @@ def resolve_cache_dir(cache_dir: Optional[str] = None) -> str:
 
 
 def resolve_stack(value: Any) -> str:
-    """Canonical stack name for a name, legacy boolean, or Stack.
+    """Canonical stack name for a registered name or a Stack.
 
-    The single home of the old ``"memento" if memento else "baseline"``
-    derivation (previously duplicated across ``harness/system.py`` and
-    ``harness/perfbench.py``). Accepts a registered stack name, the
-    legacy ``memento`` boolean, or a :class:`repro.stacks.Stack`;
-    unknown names raise :class:`UsageError`, which the CLI and service
-    report as ``repro: error:`` + exit 2 / HTTP 400 instead of silently
-    running the baseline.
+    The one stack resolver inside the program: anything else, the
+    retired ``memento`` boolean included, raises :class:`UsageError`
+    naming the registered choices, which the CLI and service report as
+    ``repro: error:`` + exit 2 / HTTP 400. The boolean survives only on
+    the wire (:meth:`repro.harness.engine.RunRequest.from_dict`).
     """
     from repro import stacks
 
-    try:
-        return stacks.coerce(value).name
-    except UsageError:
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if isinstance(value, stacks.Stack):
+        return value.name
+    if isinstance(value, str) and value in stacks.stack_names():
+        return value
+    raise UsageError(
+        f"unknown stack {value!r}; choose from "
+        f"{', '.join(stacks.stack_names())}"
+    )
 
 
 def resolve_stack_list(
@@ -112,7 +112,7 @@ def resolve_stack_list(
 
     Accepts ``None`` (→ ``default``, itself defaulting to every
     registered stack), a comma-separated string, or a sequence of
-    names/booleans. The aliases ``all`` (every registered stack) and
+    names. The aliases ``all`` (every registered stack) and
     ``both`` (the paper's baseline/memento pair) expand in place.
     Duplicates collapse, order is preserved, and any unknown name
     raises :class:`UsageError`.

@@ -43,6 +43,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.harness.engine import ExperimentEngine
 from repro.obs.metrics import histogram_lines, prometheus_lines
+from repro.resolve import resolve_count
 from repro.service.jobs import DEFAULT_WORKERS, JobQueue
 from repro.service.telemetry import ServiceTelemetry
 from repro.service.wire import (
@@ -263,7 +264,10 @@ def op_job_result(state: ServiceState, job_id: str) -> Response:
     return 200, payload, _JSON
 
 
-def op_ledger(state: ServiceState, last: int) -> Response:
+def op_ledger(state: ServiceState, last: Any) -> Response:
+    """The newest ``last`` ledger entries (a positive count; unset means
+    20, anything else is a 400)."""
+    last = resolve_count(last, "last", default=20)
     ledger = state.engine.ledger
     if ledger is None:
         return (
@@ -316,34 +320,29 @@ RouteFn = Callable[
 ]
 
 
-def _route(fn: Callable[..., Response]) -> RouteFn:
-    return fn
-
-
 ROUTES: List[Tuple[str, Any, RouteFn]] = [
     ("GET", re_compile(r"^/healthz$"),
-     _route(lambda state, m, q, b, t: op_health(state))),
+     lambda state, m, q, b, t: op_health(state)),
     ("GET", re_compile(r"^/metrics$"),
-     _route(lambda state, m, q, b, t: op_metrics(state))),
+     lambda state, m, q, b, t: op_metrics(state)),
     ("POST", re_compile(r"^/api/v1/runs$"),
-     _route(lambda state, m, q, b, t: op_submit(state, b, "run", t))),
+     lambda state, m, q, b, t: op_submit(state, b, "run", t)),
     ("POST", re_compile(r"^/api/v1/sweeps$"),
-     _route(lambda state, m, q, b, t: op_submit(state, b, "sweep", t))),
+     lambda state, m, q, b, t: op_submit(state, b, "sweep", t)),
     ("POST", re_compile(r"^/api/v1/fleets$"),
-     _route(lambda state, m, q, b, t: op_submit_fleet(state, b, t))),
+     lambda state, m, q, b, t: op_submit_fleet(state, b, t)),
     ("GET", re_compile(r"^/api/v1/jobs$"),
-     _route(lambda state, m, q, b, t: op_jobs(state))),
+     lambda state, m, q, b, t: op_jobs(state)),
     ("GET", re_compile(r"^/api/v1/jobs/(?P<job_id>[0-9a-f]+)$"),
-     _route(lambda state, m, q, b, t: op_job_status(state, m["job_id"]))),
+     lambda state, m, q, b, t: op_job_status(state, m["job_id"])),
     ("GET", re_compile(r"^/api/v1/jobs/(?P<job_id>[0-9a-f]+)/result$"),
-     _route(lambda state, m, q, b, t: op_job_result(state, m["job_id"]))),
+     lambda state, m, q, b, t: op_job_result(state, m["job_id"])),
     ("GET", re_compile(r"^/api/v1/traces/(?P<trace_id>[0-9a-fA-F-]+)$"),
-     _route(lambda state, m, q, b, t: op_trace(state, m["trace_id"]))),
+     lambda state, m, q, b, t: op_trace(state, m["trace_id"])),
     ("GET", re_compile(r"^/api/v1/ledger$"),
-     _route(lambda state, m, q, b, t: op_ledger(
-         state, int(q.get("last", ["20"])[0])))),
+     lambda state, m, q, b, t: op_ledger(state, q.get("last", [None])[0])),
     ("GET", re_compile(r"^/api/v1/workloads$"),
-     _route(lambda state, m, q, b, t: op_workloads(state))),
+     lambda state, m, q, b, t: op_workloads(state)),
 ]
 
 

@@ -10,7 +10,7 @@ client rides along with the package everywhere the service does.
     from repro.api import RunRequest, ServiceClient, get_workload
 
     client = ServiceClient("http://127.0.0.1:8023")
-    job_id = client.submit(RunRequest(get_workload("html"), memento=True))
+    job_id = client.submit(RunRequest(get_workload("html"), stack="memento"))
     results = client.results(job_id, timeout=300)
 
 ``base_url`` falls back to ``REPRO_SERVICE_URL`` then the default bind
@@ -234,6 +234,30 @@ class ServiceClient:
     def ledger(self, last: int = 20) -> Dict[str, Any]:
         return self._request("GET", f"/api/v1/ledger?last={last}")
 
+    def _wait(
+        self, job_id: str, timeout: float, poll_s: float
+    ) -> Dict[str, Any]:
+        """Poll until the job finishes; returns its result payload.
+
+        Raises :class:`JobFailed` when the job fails and
+        :class:`ServiceError` on timeout.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            status = self.status(job_id)
+            if status["state"] == "done":
+                return self._request("GET", f"/api/v1/jobs/{job_id}/result")
+            if status["state"] == "failed":
+                raise JobFailed(
+                    f"job {job_id} failed: {status.get('error')}"
+                )
+            if time.monotonic() >= deadline:
+                raise ServiceError(
+                    f"job {job_id} still {status['state']} after "
+                    f"{timeout:.0f}s"
+                )
+            time.sleep(poll_s)
+
     def results(
         self,
         job_id: str,
@@ -245,27 +269,8 @@ class ServiceClient:
         Raises :class:`JobFailed` when the job fails and
         :class:`ServiceError` on timeout.
         """
-        deadline = time.monotonic() + timeout
-        while True:
-            status = self.status(job_id)
-            if status["state"] == "done":
-                payload = self._request(
-                    "GET", f"/api/v1/jobs/{job_id}/result"
-                )
-                return [
-                    RunResult.from_dict(item)
-                    for item in payload["results"]
-                ]
-            if status["state"] == "failed":
-                raise JobFailed(
-                    f"job {job_id} failed: {status.get('error')}"
-                )
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"job {job_id} still {status['state']} after "
-                    f"{timeout:.0f}s"
-                )
-            time.sleep(poll_s)
+        payload = self._wait(job_id, timeout, poll_s)
+        return [RunResult.from_dict(item) for item in payload["results"]]
 
     def result(
         self,
@@ -290,24 +295,8 @@ class ServiceClient:
     ) -> FleetResult:
         """Poll until a fleet job finishes; returns its platform
         metrics as a live :class:`FleetResult`."""
-        deadline = time.monotonic() + timeout
-        while True:
-            status = self.status(job_id)
-            if status["state"] == "done":
-                payload = self._request(
-                    "GET", f"/api/v1/jobs/{job_id}/result"
-                )
-                return FleetResult.from_dict(payload["results"][0])
-            if status["state"] == "failed":
-                raise JobFailed(
-                    f"job {job_id} failed: {status.get('error')}"
-                )
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"job {job_id} still {status['state']} after "
-                    f"{timeout:.0f}s"
-                )
-            time.sleep(poll_s)
+        payload = self._wait(job_id, timeout, poll_s)
+        return FleetResult.from_dict(payload["results"][0])
 
 
 # -- one-liner helpers --------------------------------------------------------

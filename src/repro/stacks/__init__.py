@@ -7,7 +7,6 @@ Importing the package registers the four built-in stacks: ``baseline``,
 
 from repro.stacks.base import (
     Stack,
-    coerce,
     get_stack,
     register,
     stack_names,
@@ -22,7 +21,6 @@ from repro.stacks.builtin import (
 
 __all__ = [
     "Stack",
-    "coerce",
     "get_stack",
     "register",
     "stack_names",

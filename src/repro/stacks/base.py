@@ -4,7 +4,8 @@ A *stack* is one answer to the serverless ephemeral-memory problem: who
 backs the function's heap, what a warm invocation pays to get its pages
 back, and how much memory an idle instance strands between invocations.
 Before this package a stack was a boolean (``memento: bool``) threaded
-through the harness; the registry makes it a first-class object so rival
+through the harness; the registry makes it a first-class object, named
+everywhere inside the program by its registry name, so rival
 designs from the related work — REAP-style snapshot/restore, Squeezy-style
 reclamation — can race the paper's two stacks in the same harness.
 
@@ -139,17 +140,3 @@ def stack_names() -> Tuple[str, ...]:
     """All registered stack names, in registration order."""
     return tuple(_REGISTRY)
 
-
-def coerce(value) -> Stack:
-    """Resolve a stack from a :class:`Stack`, a name, or the legacy
-    ``memento`` boolean (``True`` → memento, ``False`` → baseline)."""
-    if isinstance(value, Stack):
-        return value
-    if isinstance(value, bool):
-        return _REGISTRY["memento" if value else "baseline"]
-    if isinstance(value, str):
-        return get_stack(value)
-    raise ValueError(
-        f"cannot resolve a stack from {value!r} "
-        "(expected a Stack, a name, or a bool)"
-    )

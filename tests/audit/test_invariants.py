@@ -35,7 +35,7 @@ def small_spec(num_allocs=300):
 @pytest.fixture
 def run_system():
     """A Memento system mid-flight: replayed but not torn down."""
-    system = SimulatedSystem(small_spec(), memento=True)
+    system = SimulatedSystem(small_spec(), stack="memento")
     from repro.workloads.synth import generate_trace
 
     trace = generate_trace(system.spec)
@@ -57,7 +57,7 @@ def test_all_rules_pass_on_clean_replay(run_system):
 
 
 def test_baseline_stack_is_also_clean():
-    system = SimulatedSystem(small_spec(), memento=False)
+    system = SimulatedSystem(small_spec(), stack="baseline")
     from repro.workloads.synth import generate_trace
 
     system._replay_events(generate_trace(system.spec))
@@ -231,15 +231,15 @@ def test_install_audit_returns_previous():
 
 
 def test_disabled_audit_leaves_result_untouched():
-    result = SimulatedSystem(small_spec(150), memento=True).run()
+    result = SimulatedSystem(small_spec(150), stack="memento").run()
     assert result.audit is None
 
 
 def test_audited_run_reports_summary_and_matches_unaudited():
     spec = small_spec(150)
-    plain = SimulatedSystem(spec, memento=True).run()
+    plain = SimulatedSystem(spec, stack="memento").run()
     with instrumented(audit=Auditor(epoch="event")):
-        audited = SimulatedSystem(spec, memento=True).run()
+        audited = SimulatedSystem(spec, stack="memento").run()
     assert audited.audit is not None
     assert audited.audit["violations"] == 0
     assert audited.audit["checks"] > len(spec.resolved().name)

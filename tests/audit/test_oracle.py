@@ -16,6 +16,7 @@ from repro.audit.oracle import (
     run_diff,
     run_lockstep,
 )
+from repro.resolve import UsageError
 from repro.workloads.registry import get_workload
 from repro.workloads.synth import generate_trace
 from repro.workloads.trace import Alloc, Compute, Free, Touch
@@ -44,7 +45,7 @@ def test_lockstep_clean_on_real_trace(stack):
 def test_reference_system_matches_fast_end_state():
     spec = small_spec()
     trace = generate_trace(spec)
-    fast = oracle.SimulatedSystem(spec, memento=True)
+    fast = oracle.SimulatedSystem(spec, stack="memento")
     fast._replay_events(trace)
     reference = build_reference_system(spec, stack="memento")
     reference._replay_events(trace)
@@ -191,10 +192,12 @@ def test_run_diff_clean_leg(stack):
     assert payload["divergence"] is None
 
 
-def test_run_diff_accepts_legacy_boolean():
-    report = run_diff(small_spec(), True, num_allocs=120)
+def test_run_diff_rejects_legacy_boolean():
+    report = run_diff(small_spec(), "memento", num_allocs=120)
     assert report.stack == "memento"
     assert report.ok
+    with pytest.raises(UsageError, match="unknown stack True"):
+        run_diff(small_spec(), True, num_allocs=120)
 
 
 def test_diff_report_ok_flips_on_any_finding():

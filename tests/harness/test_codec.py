@@ -102,7 +102,7 @@ class TestSharedDerivation:
         )
         from repro.workloads.registry import get_workload
 
-        request = RunRequest(get_workload("html"), memento=False)
+        request = RunRequest(get_workload("html"), stack="baseline")
         normalized = dc.replace(
             request,
             spec=request.spec.resolved(),

@@ -7,10 +7,10 @@ from dataclasses import replace
 import pytest
 
 from repro import stacks as stack_registry
+from repro.backends import JsonBackend
 from repro.core.config import MementoConfig
 from repro.harness import system as harness_system
 from repro.harness.engine import (
-    DiskCache,
     ExperimentEngine,
     RunRequest,
     _split_groups,
@@ -36,21 +36,21 @@ def make_engine(tmp_path, **kwargs) -> ExperimentEngine:
 
 def test_content_key_stable_and_resolution_invariant():
     spec = small()
-    request = RunRequest(spec, memento=True)
+    request = RunRequest(spec, stack="memento")
     assert request.content_key() == request.content_key()
-    resolved = RunRequest(spec.resolved(), memento=True)
+    resolved = RunRequest(spec.resolved(), stack="memento")
     assert resolved.content_key() == request.content_key()
 
 
 def test_content_key_changes_with_config_and_machine():
     spec = small()
-    base = RunRequest(spec, memento=True)
+    base = RunRequest(spec, stack="memento")
     other_config = RunRequest(
-        spec, memento=True, config=MementoConfig(eager_refill=False)
+        spec, stack="memento", config=MementoConfig(eager_refill=False)
     )
     other_machine = RunRequest(
         spec,
-        memento=True,
+        stack="memento",
         machine_params=MachineParams().with_iso_storage_l1d(),
     )
     keys = {
@@ -62,7 +62,7 @@ def test_content_key_changes_with_config_and_machine():
 
 
 def test_content_key_changes_with_cost_model():
-    request = RunRequest(small(), memento=False)
+    request = RunRequest(small(), stack="baseline")
     recalibrated = CostModel(page_fault=9_999)
     assert cost_model_fingerprint() != cost_model_fingerprint(recalibrated)
     assert request.content_key() != request.content_key(recalibrated)
@@ -70,9 +70,9 @@ def test_content_key_changes_with_cost_model():
 
 def test_unknown_allocator_rejected():
     with pytest.raises(ValueError):
-        RunRequest(small(), memento=False, allocator="bogus")
+        RunRequest(small(), stack="baseline", allocator="bogus")
     with pytest.raises(ValueError):
-        RunRequest(small(), memento=True, allocator="pymalloc")
+        RunRequest(small(), stack="memento", allocator="pymalloc")
 
 
 # ------------------------------------------------------- RunResult round-trip
@@ -80,7 +80,7 @@ def test_unknown_allocator_rejected():
 
 def test_runresult_round_trip(tmp_path):
     engine = make_engine(tmp_path)
-    result = engine.run(RunRequest(small(), memento=True))
+    result = engine.run(RunRequest(small(), stack="memento"))
     clone = RunResult.from_dict(
         json.loads(json.dumps(result.to_dict()))
     )
@@ -100,9 +100,9 @@ def test_runresult_from_dict_rejects_unknown_fields():
 def test_parallel_results_identical_to_serial(tmp_path):
     specs = [small("aes"), small("html"), small("bfs-go"), small("US")]
     requests = [
-        RunRequest(spec, memento=memento)
+        RunRequest(spec, stack=stack)
         for spec in specs
-        for memento in (False, True)
+        for stack in ("baseline", "memento")
     ]
     serial = make_engine(tmp_path / "serial").run_many(requests, jobs=1)
     parallel = make_engine(tmp_path / "parallel").run_many(
@@ -207,7 +207,7 @@ def test_memo_returns_same_object(tmp_path):
 
 
 def test_disk_cache_round_trip_across_engines(tmp_path):
-    request = RunRequest(small(), memento=True)
+    request = RunRequest(small(), stack="memento")
     first = make_engine(tmp_path).run(request)
     warm_engine = make_engine(tmp_path)
     second = warm_engine.run(request)
@@ -219,26 +219,26 @@ def test_disk_cache_round_trip_across_engines(tmp_path):
 def test_config_change_misses_cache(tmp_path):
     spec = small()
     engine = make_engine(tmp_path)
-    engine.run(RunRequest(spec, memento=True))
+    engine.run(RunRequest(spec, stack="memento"))
     assert engine.stats["engine.misses"] == 1
     engine.run(
-        RunRequest(spec, memento=True, config=MementoConfig(
+        RunRequest(spec, stack="memento", config=MementoConfig(
             objects_per_arena=64
         ))
     )
     assert engine.stats["engine.misses"] == 2
     engine.run(
-        RunRequest(spec, memento=True,
+        RunRequest(spec, stack="memento",
                    machine_params=MachineParams().with_iso_storage_l1d())
     )
     assert engine.stats["engine.misses"] == 3
     # Same requests again: everything answered without a simulation.
-    engine.run(RunRequest(spec, memento=True))
+    engine.run(RunRequest(spec, stack="memento"))
     assert engine.stats["engine.misses"] == 3
 
 
 def test_corrupted_cache_entry_falls_back_to_rerun(tmp_path):
-    request = RunRequest(small(), memento=False)
+    request = RunRequest(small(), stack="baseline")
     engine = make_engine(tmp_path)
     reference = engine.run(request)
     path = engine.disk.path(request.content_key())
@@ -277,8 +277,8 @@ def test_warm_cache_at_least_5x_faster(tmp_path):
 
 def test_disk_cache_info_and_clear(tmp_path):
     engine = make_engine(tmp_path)
-    engine.run(RunRequest(small(), memento=False))
-    cache = DiskCache(engine.disk.root)
+    engine.run(RunRequest(small(), stack="baseline"))
+    cache = JsonBackend(engine.disk.root)
     info = cache.info()
     assert info["entries"] == 1 and info["bytes"] > 0
     assert cache.clear() == 1
@@ -287,7 +287,7 @@ def test_disk_cache_info_and_clear(tmp_path):
 
 def test_cache_can_be_disabled(tmp_path):
     engine = make_engine(tmp_path, use_disk_cache=False)
-    engine.run(RunRequest(small(), memento=False))
+    engine.run(RunRequest(small(), stack="baseline"))
     assert engine.disk is None
     assert not (tmp_path / "cache").exists()
 
@@ -390,7 +390,7 @@ class TestResolveJobs:
         engine = make_engine(tmp_path, use_disk_cache=False)
         with pytest.raises(ValueError, match="positive integer"):
             engine.run_many(
-                [RunRequest(small(), memento=False)], jobs=-2
+                [RunRequest(small(), stack="baseline")], jobs=-2
             )
 
     def test_cli_reports_bad_jobs_cleanly(self, tmp_path, capsys):

@@ -49,21 +49,21 @@ def small_spec(num_allocs=250):
     )
 
 
-def run_once(spec, memento):
-    return SimulatedSystem(spec, memento).run().to_dict()
+def run_once(spec, stack):
+    return SimulatedSystem(spec, stack).run().to_dict()
 
 
 def test_every_field_has_a_factory():
     assert sorted(FACTORIES) == sorted(FIELD_NAMES)
 
 
-def assert_rebinds(memento, names):
+def assert_rebinds(stack, names):
     spec = small_spec()
-    before = run_once(spec, memento)
+    before = run_once(spec, stack)
     with instrumented(**{name: FACTORIES[name]() for name in names}):
-        observed = run_once(spec, memento)
+        observed = run_once(spec, stack)
     assert current() == Instruments()
-    after = run_once(spec, memento)
+    after = run_once(spec, stack)
     assert after == before
     # The instrumented run simulates the same numbers too — instruments
     # observe, never perturb.
@@ -71,16 +71,16 @@ def assert_rebinds(memento, names):
     assert observed == before
 
 
-@pytest.mark.parametrize("memento", [True, False], ids=["memento", "baseline"])
-def test_rebinding_after_uninstall_is_bit_identical(memento):
+@pytest.mark.parametrize("stack", ["memento", "baseline"])
+def test_rebinding_after_uninstall_is_bit_identical(stack):
     """Every instrument at once."""
-    assert_rebinds(memento, FIELD_NAMES)
+    assert_rebinds(stack, FIELD_NAMES)
 
 
 @pytest.mark.parametrize("name", FIELD_NAMES)
-@pytest.mark.parametrize("memento", [True, False], ids=["memento", "baseline"])
-def test_each_instrument_alone_rebinds_bit_identically(memento, name):
-    assert_rebinds(memento, [name])
+@pytest.mark.parametrize("stack", ["memento", "baseline"])
+def test_each_instrument_alone_rebinds_bit_identically(stack, name):
+    assert_rebinds(stack, [name])
 
 
 def test_instrumented_restores_previous_bundle_on_exception():
@@ -128,8 +128,8 @@ def test_main_bundle_is_shared_and_worker_bundle_is_private():
     assert seen["own_after"] is main_tracer
 
 
-@pytest.mark.parametrize("memento", [True, False], ids=["memento", "baseline"])
-def test_columnar_replay_keeps_boolean_dirty_bits(memento):
+@pytest.mark.parametrize("stack", ["memento", "baseline"])
+def test_columnar_replay_keeps_boolean_dirty_bits(stack):
     """Audit rule: cache-writeback-ledger.
 
     The packed write column is an int64 array; pre-fix the columnar path
@@ -139,7 +139,7 @@ def test_columnar_replay_keeps_boolean_dirty_bits(memento):
     """
     spec = small_spec()
     columnar = generate_trace(spec).columnar()
-    system = SimulatedSystem(spec, memento)
+    system = SimulatedSystem(spec, stack)
     system._replay_columnar(columnar)
     assert CacheWritebackLedger().check(AuditContext.from_system(system)) == []
     caches = system.core.caches

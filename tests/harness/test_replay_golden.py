@@ -28,7 +28,7 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())
 def _replay(name: str, stack: str) -> dict:
     spec = dataclasses.replace(get_workload(name).resolved(), num_allocs=4000)
     trace = generate_trace(spec)
-    result = SimulatedSystem(spec, memento=(stack == "memento")).run(trace)
+    result = SimulatedSystem(spec, stack).run(trace)
     return result.to_dict()
 
 

@@ -29,7 +29,7 @@ def small(num_allocs: int = 1_200):
 @pytest.fixture(scope="module")
 def result() -> RunResult:
     return ExperimentEngine(use_disk_cache=False).run(
-        RunRequest(small(), memento=True)
+        RunRequest(small(), stack="memento")
     )
 
 
@@ -54,19 +54,19 @@ class TestRunResultVersioning:
 
 class TestRunRequestVersioning:
     def test_to_dict_stamps_version(self):
-        request = RunRequest(small(), memento=True)
+        request = RunRequest(small(), stack="memento")
         assert request.to_dict()["schema_version"] == (
             REQUEST_SCHEMA_VERSION
         )
 
     def test_version_zero_payload_upgrades(self):
-        request = RunRequest(small(), memento=True)
+        request = RunRequest(small(), stack="memento")
         payload = request.to_dict()
         del payload["schema_version"]
         assert RunRequest.from_dict(payload) == request
 
     def test_newer_version_rejected(self):
-        payload = RunRequest(small(), memento=True).to_dict()
+        payload = RunRequest(small(), stack="memento").to_dict()
         payload["schema_version"] = REQUEST_SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="newer"):
             RunRequest.from_dict(payload)
@@ -75,7 +75,7 @@ class TestRunRequestVersioning:
 class TestCacheEnvelopeVersioning:
     def test_cache_payload_carries_both_spellings(self, tmp_path):
         engine = ExperimentEngine(cache_dir=tmp_path)
-        request = RunRequest(small(), memento=True)
+        request = RunRequest(small(), stack="memento")
         engine.run(request)
         key = request.content_key(engine.cost_model)
         payload = engine.disk.get(key)
@@ -87,7 +87,7 @@ class TestCacheEnvelopeVersioning:
     def test_legacy_envelope_still_read(self, tmp_path):
         """A version-0 entry (``schema`` only) is a valid disk hit."""
         engine = ExperimentEngine(cache_dir=tmp_path)
-        request = RunRequest(small(), memento=True)
+        request = RunRequest(small(), stack="memento")
         engine.run(request)
         key = request.content_key(engine.cost_model)
         payload = engine.disk.get(key)
@@ -100,7 +100,7 @@ class TestCacheEnvelopeVersioning:
 
     def test_foreign_envelope_evicted_and_rerun(self, tmp_path):
         engine = ExperimentEngine(cache_dir=tmp_path)
-        request = RunRequest(small(), memento=True)
+        request = RunRequest(small(), stack="memento")
         first = engine.run(request)
         key = request.content_key(engine.cost_model)
         engine.disk.put(key, {"schema_version": 999, "result": {}})

@@ -74,12 +74,12 @@ def legacy_key(request: RunRequest) -> str:
 
 
 def test_both_spellings_build_the_same_request():
-    assert RunRequest(spec(), memento=True) == RunRequest(
-        spec(), stack="memento"
-    )
-    assert RunRequest(spec(), memento=False) == RunRequest(
-        spec(), stack="baseline"
-    )
+    # Inside the program a stack is a name: the boolean keyword is gone
+    # (it survives only on the wire, see the legacy-payload tests).
+    with pytest.raises(TypeError):
+        RunRequest(spec(), memento=True)
+    with pytest.raises(UsageError, match="unknown stack"):
+        RunRequest(spec(), True)
 
 
 @pytest.mark.parametrize("name", ALL_STACKS)
@@ -119,7 +119,7 @@ def test_wire_round_trip(name):
 
 @pytest.mark.parametrize("memento", [True, False])
 def test_legacy_boolean_payload_decodes(memento):
-    request = RunRequest(spec(), memento=memento)
+    request = RunRequest(spec(), stack="memento" if memento else "baseline")
     payload = request.to_dict()
     del payload["stack"]  # what a pre-registry writer produced
     decoded = RunRequest.from_dict(payload)
@@ -158,13 +158,13 @@ def test_unknown_stack_on_the_wire_rejected():
 def test_legacy_stacks_keep_pre_registry_content_keys(memento):
     # The pin: by-hand re-derivation of the pre-registry body shape
     # must equal what content_key() produces today, for both the
-    # boolean and the stack-name spelling of the same request.
-    request = RunRequest(spec(), memento=memento)
+    # stack-name spelling and a legacy boolean-only wire payload.
+    request = RunRequest(spec(), stack="memento" if memento else "baseline")
     assert request.content_key() == legacy_key(request)
-    named = RunRequest(
-        spec(), stack="memento" if memento else "baseline"
-    )
-    assert named.content_key() == legacy_key(request)
+    payload = request.to_dict()
+    del payload["stack"]
+    legacy = RunRequest.from_dict(payload)
+    assert legacy.content_key() == legacy_key(request)
 
 
 @pytest.mark.parametrize("name", ["snapshot", "reclaim"])
@@ -173,7 +173,7 @@ def test_new_stacks_hash_the_stack_field(name):
     # in the hash, so they cannot collide with a legacy key...
     request = RunRequest(spec(), stack=name)
     assert request.content_key() != legacy_key(
-        RunRequest(spec(), memento=False)
+        RunRequest(spec(), stack="baseline")
     )
     # ...or with each other.
     keys = {RunRequest(spec(), stack=n).content_key() for n in ALL_STACKS}

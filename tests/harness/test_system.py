@@ -20,14 +20,14 @@ def small(name="html", **kwargs):
 
 @pytest.fixture(scope="module")
 def html_pair():
-    base = SimulatedSystem(small(), memento=False).run()
-    mem = SimulatedSystem(small(), memento=True).run()
+    base = SimulatedSystem(small(), stack="baseline").run()
+    mem = SimulatedSystem(small(), stack="memento").run()
     return base, mem
 
 
 def test_replay_is_deterministic():
-    a = SimulatedSystem(small(), memento=False).run()
-    b = SimulatedSystem(small(), memento=False).run()
+    a = SimulatedSystem(small(), stack="baseline").run()
+    b = SimulatedSystem(small(), stack="baseline").run()
     assert a.total_cycles == b.total_cycles
     assert a.dram_bytes == b.dram_bytes
 
@@ -75,7 +75,7 @@ def test_hot_rates_populated_only_for_memento(html_pair):
 
 
 def test_function_exit_releases_memory():
-    system = SimulatedSystem(small(), memento=True)
+    system = SimulatedSystem(small(), stack="memento")
     system.run()
     assert system.machine.frames.live("user") == 0
     assert system.process.exited
@@ -83,14 +83,14 @@ def test_function_exit_releases_memory():
 
 def test_dataproc_does_not_exit():
     spec = replace(get_workload("Redis"), num_allocs=2_000)
-    system = SimulatedSystem(spec, memento=False)
+    system = SimulatedSystem(spec, stack="baseline")
     system.run()
     assert not system.process.exited
 
 
 def test_cold_start_adds_setup_work():
-    cold = SimulatedSystem(small(), memento=False, cold_start=True).run()
-    warm = SimulatedSystem(small(), memento=False).run()
+    cold = SimulatedSystem(small(), stack="baseline", cold_start=True).run()
+    warm = SimulatedSystem(small(), stack="baseline").run()
     assert cold.total_cycles > warm.total_cycles
     assert cold.stats["kernel.fault.faults"] > warm.stats[
         "kernel.fault.faults"
@@ -99,22 +99,22 @@ def test_cold_start_adds_setup_work():
 
 def test_populate_rejected_on_memento():
     with pytest.raises(ValueError):
-        SimulatedSystem(small(), memento=True, mmap_populate=True)
+        SimulatedSystem(small(), stack="memento", mmap_populate=True)
 
 
 def test_populate_increases_footprint():
-    lazy = SimulatedSystem(small("html-go"), memento=False).run()
+    lazy = SimulatedSystem(small("html-go"), stack="baseline").run()
     eager = SimulatedSystem(
-        small("html-go"), memento=False, mmap_populate=True
+        small("html-go"), stack="baseline", mmap_populate=True
     ).run()
     assert eager.peak_pages > lazy.peak_pages
 
 
 def test_warm_heap_suppresses_faults():
     cpp = replace(get_workload("US"), num_allocs=2_000)
-    warm = SimulatedSystem(cpp, memento=False).run()
+    warm = SimulatedSystem(cpp, stack="baseline").run()
     cold = SimulatedSystem(
-        replace(cpp, warm_heap=False), memento=False
+        replace(cpp, warm_heap=False), stack="baseline"
     ).run()
     assert warm.stats.get("kernel.fault.faults", 0) < cold.stats[
         "kernel.fault.faults"
@@ -122,9 +122,9 @@ def test_warm_heap_suppresses_faults():
 
 
 def test_bypass_disabled_increases_dram_reads():
-    on = SimulatedSystem(small(), memento=True).run()
+    on = SimulatedSystem(small(), stack="memento").run()
     off = SimulatedSystem(
-        small(), memento=True, memento_config=MementoConfig(
+        small(), stack="memento", memento_config=MementoConfig(
             bypass_enabled=False
         )
     ).run()
@@ -141,11 +141,11 @@ def test_shared_machine_multi_process():
     config = MementoConfig()
     pa = HardwarePageAllocator(kernel, config)
     a = SimulatedSystem(
-        small("aes"), memento=True, memento_config=config,
+        small("aes"), stack="memento", memento_config=config,
         machine=machine, kernel=kernel, page_allocator=pa,
     )
     b = SimulatedSystem(
-        small("jl"), memento=True, memento_config=config,
+        small("jl"), stack="memento", memento_config=config,
         machine=machine, kernel=kernel, page_allocator=pa,
     )
     a.run()
@@ -192,6 +192,6 @@ def test_unknown_event_type_raises_with_its_index(kind, audited):
     spec, trace, index = _with_unknown_event(kind)
     name = "_TaggedTouch" if kind == "subclass" else "object"
     with instrumented(audit=Auditor(epoch="event") if audited else None):
-        system = SimulatedSystem(spec, memento=True)
+        system = SimulatedSystem(spec, stack="memento")
         with pytest.raises(ValueError, match=rf"{name}.*index {index}\b"):
             system.run(trace)

@@ -85,7 +85,7 @@ def test_memento_system_emits_events_when_ring_installed():
 
     ring = EventRing(sample_every=8)
     with instrumented(ring=ring):
-        SimulatedSystem(spec, memento=True).run(trace)
+        SimulatedSystem(spec, stack="memento").run(trace)
     assert ring.counts.get("hot.alloc_hit", 0) > 0
     assert ring.counts.get("hot.free_hit", 0) > 0
     assert any(kind.startswith("aac.") for kind in ring.counts)
@@ -93,5 +93,5 @@ def test_memento_system_emits_events_when_ring_installed():
 
     # Ring removed: a fresh system must not touch the old ring.
     before = dict(ring.counts)
-    SimulatedSystem(spec, memento=True).run(generate_trace(spec))
+    SimulatedSystem(spec, stack="memento").run(generate_trace(spec))
     assert ring.counts == before

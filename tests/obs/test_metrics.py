@@ -1,5 +1,7 @@
 """Tests for metrics export (:mod:`repro.obs.metrics`)."""
 
+import pytest
+
 from repro.obs.metrics import (
     event_record,
     prometheus_lines,
@@ -83,19 +85,21 @@ class TestRecords:
         "stats": {"hot.hits": 3.0},
     }
 
-    def test_run_record_derives_stack(self):
-        record = run_record(self.SUMMARY)
+    def test_run_record_requires_stack(self):
+        record = run_record(self.SUMMARY, stack="memento")
         assert record["kind"] == "run"
         assert record["workload"] == "html"
         assert record["stack"] == "memento"
         assert record["counters"] == {"hot.hits": 3.0}
+        with pytest.raises(TypeError):
+            run_record(self.SUMMARY)
 
     def test_run_record_stack_override(self):
         record = run_record(self.SUMMARY, stack="memento_nobypass")
         assert record["stack"] == "memento_nobypass"
 
     def test_run_record_baseline(self):
-        record = run_record({**self.SUMMARY, "memento": False})
+        record = run_record({**self.SUMMARY, "memento": False}, "baseline")
         assert record["stack"] == "baseline"
 
     def test_span_and_event_records(self):

@@ -46,7 +46,7 @@ def small_cli_workloads(monkeypatch):
 class TestEngineLedger:
     def test_every_execution_appends_a_manifest(self, tmp_path):
         engine = ExperimentEngine(cache_dir=tmp_path, use_disk_cache=True)
-        request = RunRequest(spec=small_spec(), memento=True)
+        request = RunRequest(spec=small_spec(), stack="memento")
         engine.run(request)  # live
         engine.run(request)  # memo hit
         entries = RunLedger(default_ledger_path(tmp_path)).read()
@@ -61,7 +61,7 @@ class TestEngineLedger:
         assert engine.summary().get("engine.ledger.writes") == 2
 
     def test_disk_hit_recorded_as_cache_source(self, tmp_path):
-        request = RunRequest(spec=small_spec(), memento=False)
+        request = RunRequest(spec=small_spec(), stack="baseline")
         ExperimentEngine(cache_dir=tmp_path, use_disk_cache=True).run(request)
         ExperimentEngine(cache_dir=tmp_path, use_disk_cache=True).run(request)
         sources = [
@@ -74,7 +74,7 @@ class TestEngineLedger:
         engine = ExperimentEngine(
             cache_dir=tmp_path, use_disk_cache=True, use_ledger=False
         )
-        engine.run(RunRequest(spec=small_spec(), memento=False))
+        engine.run(RunRequest(spec=small_spec(), stack="baseline"))
         assert not default_ledger_path(tmp_path).exists()
 
     def test_repro_no_ledger_env_opts_out(self, tmp_path, monkeypatch):
@@ -90,7 +90,7 @@ def test_system_run_produces_phase_spans(tmp_path):
     tracer = Tracer()
     engine = ExperimentEngine(cache_dir=tmp_path, use_disk_cache=True)
     with instrumented(tracer=tracer):
-        engine.run(RunRequest(spec=small_spec(), memento=True))
+        engine.run(RunRequest(spec=small_spec(), stack="memento"))
     (batch,) = tracer.roots
     assert batch.name == "engine.run_many"
     names = [c.name for c in batch.children]
@@ -107,7 +107,7 @@ def test_system_run_produces_phase_spans(tmp_path):
 
 def test_cached_run_skips_execute_span(tmp_path):
     engine = ExperimentEngine(cache_dir=tmp_path, use_disk_cache=True)
-    request = RunRequest(spec=small_spec(), memento=False)
+    request = RunRequest(spec=small_spec(), stack="baseline")
     engine.run(request)
     tracer = Tracer()
     with instrumented(tracer=tracer):
@@ -192,6 +192,29 @@ class TestObsCli:
         assert "metric runs" in out
         assert "Span tree" in out
         assert "sampled hardware events" in out
+
+    def test_report_last_shows_the_newest_entries(self, tmp_path, capsys):
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        for index in range(5):
+            ledger.append({
+                "key": f"k{index}", "workload": f"w{index}",
+                "stack": "baseline",
+            })
+        assert main([
+            "obs", "report", "--ledger", str(ledger.path), "--last", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "last 2 of 5" in out
+        assert "w3" in out and "w4" in out and "w2" not in out
+
+    @pytest.mark.parametrize("last", ["0", "-3", "abc"])
+    def test_report_bad_last_is_usage_error(self, tmp_path, capsys, last):
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        ledger.append({"key": "k0", "workload": "w0", "stack": "baseline"})
+        assert main([
+            "obs", "report", "--ledger", str(ledger.path), "--last", last,
+        ]) == 2
+        assert "last must be a positive integer" in capsys.readouterr().err
 
     def test_report_empty_everything(self, tmp_path, capsys):
         assert main([

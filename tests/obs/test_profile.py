@@ -34,15 +34,21 @@ from repro.workloads.registry import get_workload
 WORKLOADS = ("html", "Redis", "deploy")
 
 
+#: The paper's two stacks; the ids keep the names these tests had when
+#: they were parametrized over the retired ``memento`` boolean.
+STACKS = ["baseline", "memento"]
+STACK_IDS = ["False", "True"]
+
+
 def small_spec(name="html", num_allocs=1_200):
     return replace(get_workload(name).resolved(), num_allocs=num_allocs)
 
 
-def profiled_run(spec, memento):
+def profiled_run(spec, stack):
     """Execute one request under a fresh profile; returns (result, run)."""
     profile = CycleProfile()
     with instrumented(profile=profile):
-        result = RunRequest(spec=spec, memento=memento).execute()
+        result = RunRequest(spec=spec, stack=stack).execute()
     (run,) = profile.runs
     return result, run, profile
 
@@ -149,9 +155,9 @@ class TestFinishRun:
 
 class TestAttributionExactness:
     @pytest.mark.parametrize("name", WORKLOADS)
-    @pytest.mark.parametrize("memento", [False, True])
-    def test_components_sum_to_total(self, name, memento):
-        result, run, _ = profiled_run(small_spec(name), memento)
+    @pytest.mark.parametrize("stack", STACKS, ids=STACK_IDS)
+    def test_components_sum_to_total(self, name, stack):
+        result, run, _ = profiled_run(small_spec(name), stack)
         assert run["total_cycles"] == result.total_cycles
         component_sum = sum(
             row["cycles"] for row in run["components"].values()
@@ -160,18 +166,18 @@ class TestAttributionExactness:
         assert run["unattributed_cycles"] == 0
 
     def test_categories_match_the_stats_counters(self):
-        result, run, _ = profiled_run(small_spec(), memento=True)
+        result, run, _ = profiled_run(small_spec(), stack="memento")
         assert run["categories"] == {
             k: int(v) for k, v in result.cycles.items()
         }
 
     def test_phases_partition_the_total(self):
-        _, run, _ = profiled_run(small_spec(), memento=True)
+        _, run, _ = profiled_run(small_spec(), stack="memento")
         assert sum(run["phases"].values()) == run["total_cycles"]
         assert "replay" in run["phases"]
 
     def test_memento_attributes_hardware_components(self):
-        _, run, profile = profiled_run(small_spec(), memento=True)
+        _, run, profile = profiled_run(small_spec(), stack="memento")
         names = set(run["components"])
         assert "hot.alloc_hit" in names
         assert "touch.bypass_instantiate" in names
@@ -180,7 +186,7 @@ class TestAttributionExactness:
         assert "op.page_walk" in profile.hists
 
     def test_baseline_attributes_software_components(self):
-        _, run, _ = profiled_run(small_spec(), memento=False)
+        _, run, _ = profiled_run(small_spec(), stack="baseline")
         names = set(run["components"])
         assert "swalloc.alloc_fast" in names
         assert "kernel.fault" in names
@@ -193,19 +199,19 @@ class TestAttributionExactness:
 class TestDeterminism:
     def test_identical_requests_identical_payloads(self):
         spec = small_spec()
-        _, run_a, profile_a = profiled_run(spec, memento=True)
-        _, run_b, profile_b = profiled_run(spec, memento=True)
+        _, run_a, profile_a = profiled_run(spec, stack="memento")
+        _, run_b, profile_b = profiled_run(spec, stack="memento")
         assert run_a == run_b
         payload_a = json.dumps(profile_a.to_dict(), sort_keys=True)
         payload_b = json.dumps(profile_b.to_dict(), sort_keys=True)
         assert payload_a == payload_b
 
-    @pytest.mark.parametrize("memento", [False, True])
-    def test_profiler_does_not_perturb_the_simulation(self, memento):
+    @pytest.mark.parametrize("stack", STACKS, ids=STACK_IDS)
+    def test_profiler_does_not_perturb_the_simulation(self, stack):
         spec = small_spec()
-        request = RunRequest(spec=spec, memento=memento)
+        request = RunRequest(spec=spec, stack=stack)
         plain = request.execute()
-        profiled, _, _ = profiled_run(spec, memento)
+        profiled, _, _ = profiled_run(spec, stack)
         assert counter_digest(plain.stats) == counter_digest(profiled.stats)
         assert plain.total_cycles == profiled.total_cycles
 
@@ -215,7 +221,7 @@ class TestDeterminism:
 
 class TestRendering:
     def test_render_profile_shows_components_and_categories(self):
-        _, _, profile = profiled_run(small_spec(), memento=True)
+        _, _, profile = profiled_run(small_spec(), stack="memento")
         text = render_profile(profile.to_dict())
         assert "html [memento]" in text
         assert "hot.alloc_hit" in text
@@ -224,13 +230,13 @@ class TestRendering:
         assert "! unattributed" not in text
 
     def test_render_top_consumers_ranks_and_limits(self):
-        _, _, profile = profiled_run(small_spec(), memento=True)
+        _, _, profile = profiled_run(small_spec(), stack="memento")
         text = render_top_consumers(profile.to_dict(), top=3)
         assert "top 3 cycle consumers" in text
         assert len(text.splitlines()) == 4
 
     def test_render_histograms_shows_buckets(self):
-        _, _, profile = profiled_run(small_spec(), memento=True)
+        _, _, profile = profiled_run(small_spec(), stack="memento")
         text = render_histograms(profile.to_dict())
         assert "op.alloc" in text
         assert "mean=" in text

@@ -154,7 +154,7 @@ class TestExport:
         ring = EventRing(timestamps=True)
         spec = replace(get_workload("html").resolved(), num_allocs=1_000)
         with instrumented(tracer=tracer, ring=ring):
-            RunRequest(spec=spec, memento=True).execute()
+            RunRequest(spec=spec, stack="memento").execute()
         records = [
             span_record(tracer.to_dict()),
             event_record(ring.to_dict()),

@@ -85,6 +85,22 @@ class TestEndpoints:
         status, payload = http_get(f"{server.url}/api/v1/jobs/feedface")
         assert status == 404
 
+    def test_ledger_last_slices_the_newest_entries(self, server):
+        for index in range(5):
+            server.state.engine.ledger.append({"key": f"k{index}"})
+        status, payload = http_get(f"{server.url}/api/v1/ledger?last=2")
+        assert status == 200
+        assert [e["key"] for e in payload["entries"]] == ["k3", "k4"]
+
+    @pytest.mark.parametrize("last", ["0", "-3", "abc"])
+    def test_ledger_bad_last_400(self, server, last):
+        server.state.engine.ledger.append({"key": "k0"})
+        status, payload = http_get(
+            f"{server.url}/api/v1/ledger?last={last}"
+        )
+        assert status == 400
+        assert "last must be a positive integer" in payload["error"]
+
     def test_malformed_submission_400(self, server, client):
         with pytest.raises(ServiceError) as err:
             client.submit({"workload": "nope", "memento": True})
@@ -141,14 +157,14 @@ class TestJobLifecycle:
 
     def test_failed_job_reports_error(self, client):
         job_id = client.submit(RunRequest(
-            small(), memento=False,
+            small(), stack="baseline",
             allocator="pymalloc", allocator_kwargs=(("bogus_kw", 1),),
         ))
         with pytest.raises(JobFailed, match="bogus_kw"):
             client.results(job_id, timeout=60)
 
     def test_result_before_done_is_202(self, server, client):
-        job_id = client.submit(RunRequest(small(), memento=True))
+        job_id = client.submit(RunRequest(small(), stack="memento"))
         # Immediately racing the worker: the result endpoint must answer
         # 202 (not an error) at least until the job finishes.
         status, payload = http_get(
@@ -159,8 +175,8 @@ class TestJobLifecycle:
 
     def test_sweep_results_in_request_order(self, client):
         job_id = client.submit_sweep([
-            RunRequest(small(), memento=True),
-            RunRequest(small(), memento=False),
+            RunRequest(small(), stack="memento"),
+            RunRequest(small(), stack="baseline"),
         ])
         results = client.results(job_id, timeout=120)
         assert [r.memento for r in results] == [True, False]
@@ -171,7 +187,7 @@ def test_http_run_bit_identical_to_direct(tmp_path, backend):
     """HTTP-submitted and direct runs agree bit-for-bit (counter digest
     included) and share one cache entry, under both durable backends."""
     engine = ExperimentEngine(cache_dir=tmp_path / backend, backend=backend)
-    request = RunRequest(small("html"), memento=True)
+    request = RunRequest(small("html"), stack="memento")
     with ExperimentServer(host="127.0.0.1", port=0, engine=engine) as srv:
         client = ServiceClient(srv.url, timeout=30)
         served = client.result(client.submit(request), timeout=60)
@@ -191,23 +207,24 @@ def test_eight_simultaneous_submissions(server, client):
     """≥8 concurrent HTTP submissions: every job completes, transitions
     stay ordered, and each job's results match its own request."""
     specs = [
-        ("aes", True), ("aes", False), ("html", True), ("html", False),
-        ("ir", True), ("ir", False), ("bfs", True), ("bfs", False),
+        (name, stack)
+        for name in ("aes", "html", "ir", "bfs")
+        for stack in ("memento", "baseline")
     ]
     job_ids = [None] * len(specs)
     errors = []
 
-    def submit(index: int, name: str, memento: bool) -> None:
+    def submit(index: int, name: str, stack: str) -> None:
         try:
             job_ids[index] = client.submit(RunRequest(
-                small(name), memento=memento
+                small(name), stack=stack
             ))
         except Exception as exc:  # noqa: BLE001 - collected below
             errors.append(exc)
 
     threads = [
-        threading.Thread(target=submit, args=(i, name, memento))
-        for i, (name, memento) in enumerate(specs)
+        threading.Thread(target=submit, args=(i, name, stack))
+        for i, (name, stack) in enumerate(specs)
     ]
     for thread in threads:
         thread.start()
@@ -216,11 +233,11 @@ def test_eight_simultaneous_submissions(server, client):
     assert errors == []
     assert len(set(job_ids)) == len(specs)
 
-    for job_id, (name, memento) in zip(job_ids, specs):
+    for job_id, (name, stack) in zip(job_ids, specs):
         result = client.result(job_id, timeout=120)
         # No cross-job mixing: the payload matches this job's request.
         assert result.name == name
-        assert result.memento is memento
+        assert result.memento is (stack == "memento")
         status = client.status(job_id)
         states = [s for s, _ in status["transitions"]]
         assert states == ["queued", "running", "done"]

@@ -26,7 +26,7 @@ def queue(engine):
 
 
 def test_job_reaches_done_through_running(queue):
-    job = queue.submit([RunRequest(small(), memento=True)])
+    job = queue.submit([RunRequest(small(), stack="memento")])
     assert job.wait(timeout=60)
     assert job.state == "done"
     states = [state for state, _ in job.transitions]
@@ -36,7 +36,7 @@ def test_job_reaches_done_through_running(queue):
 
 
 def test_done_job_carries_results_and_keys(queue, engine):
-    request = RunRequest(small(), memento=True)
+    request = RunRequest(small(), stack="memento")
     job = queue.submit([request])
     assert job.wait(timeout=60)
     assert job.keys == [request.content_key(engine.cost_model)]
@@ -50,10 +50,10 @@ def test_failing_job_is_isolated(queue):
     # the worker thread — exactly the failure path per-job isolation
     # must contain.
     bad = queue.submit([RunRequest(
-        small(), memento=False,
+        small(), stack="baseline",
         allocator="pymalloc", allocator_kwargs=(("bogus_kw", 1),),
     )])
-    good = queue.submit([RunRequest(small(), memento=True)])
+    good = queue.submit([RunRequest(small(), stack="memento")])
     assert bad.wait(timeout=60) and good.wait(timeout=60)
     assert bad.state == "failed"
     assert bad.error
@@ -63,8 +63,8 @@ def test_failing_job_is_isolated(queue):
 
 def test_sweep_job_preserves_request_order(queue):
     requests = [
-        RunRequest(small(), memento=True),
-        RunRequest(small(), memento=False),
+        RunRequest(small(), stack="memento"),
+        RunRequest(small(), stack="baseline"),
     ]
     job = queue.submit(requests, kind="sweep")
     assert job.wait(timeout=120)
@@ -79,8 +79,8 @@ def test_counts_cover_every_state(queue):
 
 
 def test_jobs_listed_in_submission_order(queue):
-    first = queue.submit([RunRequest(small(), memento=True)])
-    second = queue.submit([RunRequest(small(), memento=False)])
+    first = queue.submit([RunRequest(small(), stack="memento")])
+    second = queue.submit([RunRequest(small(), stack="baseline")])
     assert [job.id for job in queue.jobs()] == [first.id, second.id]
 
 
@@ -93,7 +93,7 @@ def test_shutdown_rejects_new_jobs(engine):
     jq = JobQueue(engine, workers=1)
     jq.shutdown()
     with pytest.raises(RuntimeError, match="shut down"):
-        jq.submit([RunRequest(small(), memento=True)])
+        jq.submit([RunRequest(small(), stack="memento")])
     jq.shutdown()  # idempotent
 
 

@@ -59,7 +59,7 @@ class TestTracePropagation:
     ):
         tracer = Tracer()
         with instrumented(tracer=tracer):
-            job_id = client.submit(RunRequest(small(), memento=True))
+            job_id = client.submit(RunRequest(small(), stack="memento"))
             client.result(job_id, timeout=60)
         trace_id = client.last_trace_id
         assert trace_id
@@ -99,7 +99,7 @@ class TestTracePropagation:
 
     def test_explicit_trace_id_is_honored(self, client):
         job_id = client.submit(
-            RunRequest(small(), memento=False), trace_id="cafecafe"
+            RunRequest(small(), stack="baseline"), trace_id="cafecafe"
         )
         client.result(job_id, timeout=60)
         assert client.last_trace_id == "cafecafe"

@@ -25,7 +25,7 @@ def interesting_request() -> RunRequest:
     """A request exercising every nested codec path."""
     return RunRequest(
         small("html"),
-        memento=True,
+        stack="memento",
         config=MementoConfig(region_bytes=1 << 15),
         machine_params=MachineParams(),
         cold_start=True,
@@ -44,9 +44,9 @@ class TestRoundTrip:
         a round-tripped request hashes to the same content key."""
         for request in (
             interesting_request(),
-            RunRequest(small(), memento=False),
+            RunRequest(small(), stack="baseline"),
             RunRequest(
-                small(), memento=False,
+                small(), stack="baseline",
                 allocator="pymalloc",
                 allocator_kwargs=(("arena_bytes", 131072),),
             ),
@@ -85,7 +85,7 @@ class TestWorkloadByName:
         by_name = run_request_from_wire(
             {"workload": "aes", "memento": True}
         )
-        inline = RunRequest(get_workload("aes"), memento=True)
+        inline = RunRequest(get_workload("aes"), stack="memento")
         assert by_name.content_key() == inline.content_key()
 
 

@@ -54,13 +54,14 @@ def test_legacy_spellings_map_to_paper_stacks():
 
 
 def test_coerce_accepts_bool_name_and_stack():
+    # One resolver: a name or a Stack resolves; a bool or anything else
+    # is a usage error naming every registered choice.
     memento = stacks.get_stack("memento")
-    assert stacks.coerce(True) is memento
-    assert stacks.coerce(False) is stacks.get_stack("baseline")
-    assert stacks.coerce("snapshot") is stacks.get_stack("snapshot")
-    assert stacks.coerce(memento) is memento
-    with pytest.raises(ValueError, match="cannot resolve a stack"):
-        stacks.coerce(3.5)
+    assert resolve_stack("snapshot") == "snapshot"
+    assert resolve_stack(memento) == "memento"
+    for value in (True, False, 3.5):
+        with pytest.raises(UsageError, match="choose from baseline"):
+            resolve_stack(value)
 
 
 def test_unknown_stack_names_every_choice():
@@ -96,9 +97,15 @@ def test_register_rejects_incomplete_stacks():
 
 
 def test_resolve_stack_centralizes_boolean_derivation():
-    assert resolve_stack(True) == "memento"
-    assert resolve_stack(False) == "baseline"
+    # The boolean derivation is gone from the program: only the wire
+    # (RunRequest.from_dict) still reads the legacy flag.
     assert resolve_stack("reclaim") == "reclaim"
+    with pytest.raises(UsageError, match="unknown stack True"):
+        resolve_stack(True)
+    with pytest.raises(UsageError, match="unknown stack False"):
+        resolve_stack(False)
+    with pytest.raises(UsageError, match="unknown stack"):
+        resolve_stack_list([True])
 
 
 def test_resolve_stack_list_aliases_and_dedup():

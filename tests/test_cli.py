@@ -178,3 +178,101 @@ def test_energy_command(capsys, monkeypatch):
 def test_command_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+# -- one request path per command: run --stack, audit --diff, fleet run ------
+
+
+def test_run_stacks_export_metrics_per_stack(capsys, monkeypatch, tmp_path):
+    import json
+    from dataclasses import replace
+
+    import repro.cli as cli
+    from repro.harness.engine import ExperimentEngine, RunRequest
+    from repro.stacks import stack_names
+
+    original = cli.get_workload
+    monkeypatch.setattr(
+        cli, "get_workload",
+        lambda name: replace(original(name), num_allocs=1_000),
+    )
+    prom = tmp_path / "stacks.prom"
+    assert main([
+        "run", "html", "--stack", "all", "--metrics", str(prom),
+        "--no-cache",
+    ]) == 0
+    assert "runs: baseline, memento, snapshot, reclaim" in (
+        capsys.readouterr().out
+    )
+    records = [
+        json.loads(line)
+        for line in (tmp_path / "stacks.prom.jsonl").read_text().splitlines()
+    ]
+    runs = {r["stack"]: r for r in records if r["kind"] == "run"}
+    assert list(runs) == list(stack_names())
+    engine = ExperimentEngine(use_disk_cache=False)
+    spec = cli.get_workload("html")
+    for stack, record in runs.items():
+        assert record["workload"] == "html"
+        expected = engine.run(RunRequest(spec, stack=stack))
+        assert record["total_cycles"] == expected.total_cycles
+    for stack in stack_names():
+        assert f'stack="{stack}"' in prom.read_text()
+
+
+def test_run_diff_flags_are_gone(capsys):
+    # The differential oracle has one entry point: `repro audit --diff`.
+    with pytest.raises(SystemExit):
+        main(["run", "html", "--diff"])
+    with pytest.raises(SystemExit):
+        main(["run", "html", "--diff-allocs", "100"])
+
+
+def test_audit_diff_writes_json_report(capsys, tmp_path):
+    import json
+
+    report = tmp_path / "audit.json"
+    assert main([
+        "audit", "html", "--stack", "memento", "--num-allocs", "300",
+        "--diff", "--json", str(report),
+    ]) == 0
+    payload = json.loads(report.read_text())
+    (leg,) = payload["legs"]
+    assert leg["stack"] == "memento"
+    assert leg["audit"]["checks"] > 0
+    assert leg["diff"]["ok"] is True
+
+
+def test_fleet_run_matches_simulate_fleet(capsys, tmp_path):
+    import json
+
+    from repro.fleet import FleetRequest, simulate_fleet
+    from repro.harness.engine import ExperimentEngine
+
+    out = tmp_path / "fleet.json"
+    assert main([
+        "fleet", "run", "--workloads", "html", "aes",
+        "--invocations", "300", "--duration", "600", "--seed", "11",
+        "--profile-seeds", "1", "--allocs", "300", "--keep-alive", "60",
+        "--stacks", "baseline,snapshot", "--no-cache", "--out", str(out),
+    ]) == 0
+    request = FleetRequest(
+        workloads=("html", "aes"),
+        invocations=300,
+        duration_s=600.0,
+        seed=11,
+        profile_seeds=1,
+        invocation_allocs=300,
+        keep_alive_s=60.0,
+        stacks=("baseline", "snapshot"),
+    )
+    direct = simulate_fleet(
+        request, engine=ExperimentEngine(use_disk_cache=False)
+    )
+    assert json.loads(out.read_text()) == json.loads(
+        json.dumps(direct.to_dict())
+    )
+    # One stack flag: --stacks.
+    with pytest.raises(SystemExit) as exc:
+        main(["fleet", "run", "--stack", "memento"])
+    assert exc.value.code == 2

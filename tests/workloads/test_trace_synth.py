@@ -286,8 +286,8 @@ def test_columnar_replay_matches_event_replay():
 
     spec = small_spec(num_allocs=800)
     trace = generate_trace(spec)
-    fast = SimulatedSystem(spec, memento=False).run(trace)
+    fast = SimulatedSystem(spec, stack="baseline").run(trace)
     slow_trace = generate_trace(spec)
     slow_trace.columnar = lambda: None  # force the per-event fallback
-    slow = SimulatedSystem(spec, memento=False).run(slow_trace)
+    slow = SimulatedSystem(spec, stack="baseline").run(slow_trace)
     assert fast.to_dict() == slow.to_dict()
