@@ -56,12 +56,28 @@ def canonical(value: Any) -> Any:
     raise TypeError(f"cannot canonicalize {type(value).__name__} for hashing")
 
 
+def fields_of(value: Any) -> Dict[str, Any]:
+    """A dataclass's type-tagged field dict, one level deep.
+
+    :func:`canonical` of the result equals :func:`canonical` of
+    ``value``, so a request type can adjust its top-level fields before
+    hashing and still pay for only one canonical walk of the tree.
+    """
+    body = {"__type__": type(value).__name__}
+    for f in dataclasses.fields(value):
+        body[f.name] = getattr(value, f.name)
+    return body
+
+
+def _hash(form: Any) -> str:
+    """sha256 hex digest of an already-canonical form."""
+    blob = json.dumps(form, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def digest(payload: Any) -> str:
     """sha256 hex digest of the canonical JSON form of ``payload``."""
-    blob = json.dumps(
-        canonical(payload), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _hash(canonical(payload))
 
 
 def content_key(
@@ -80,7 +96,8 @@ def content_key(
     payload: Dict[str, Any] = {"schema": schema}
     payload.update(sorted(fingerprints.items()))
     payload["request"] = canonical(body)
-    return digest(payload)
+    # Canonical already: the one walk is the body's.
+    return _hash(payload)
 
 
 def checked_fields(cls: type, data: Any, label: str) -> Dict[str, Any]:

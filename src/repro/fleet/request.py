@@ -162,7 +162,7 @@ class FleetRequest:
         source/cost-model fingerprints) with ``RunRequest``: a request
         before and after :meth:`resolved` hashes identically.
         """
-        body = codec.canonical(self.resolved())
+        body = codec.fields_of(self.resolved())
         # The retired replay-kernel field stays in the hashed body, so
         # every key written while it existed still matches.
         body["kernel"] = None

@@ -216,12 +216,10 @@ class RunRequest:
         keys) carry the ``stack`` field into the hash.
         """
         entry = stack_registry.get_stack(self.stack)
-        normalized = dataclasses.replace(self, spec=self.spec.resolved())
+        body = codec.fields_of(self)
+        body["spec"] = self.spec.resolved()
         if not entry.hardware:
-            normalized = dataclasses.replace(
-                normalized, config=MementoConfig()
-            )
-        body = codec.canonical(normalized)
+            body["config"] = MementoConfig()
         body["memento"] = entry.hardware
         if entry.legacy_memento is not None:
             del body["stack"]
@@ -419,7 +417,7 @@ def _spec_groups(
     alone, so every member of a group replays the same trace."""
     groups: Dict[str, List[Tuple[str, RunRequest]]] = {}
     for key, request in misses:
-        spec_digest = codec.digest(codec.canonical(request.spec.resolved()))
+        spec_digest = codec.digest(request.spec.resolved())
         groups.setdefault(spec_digest, []).append((key, request))
     return list(groups.values())
 
@@ -559,12 +557,15 @@ class ExperimentEngine:
         self,
         requests: Sequence[RunRequest],
         jobs: Optional[int] = None,
+        keys: Optional[Sequence[str]] = None,
     ) -> List[RunResult]:
         """Execute a batch, answering from cache where possible.
 
         Results come back in request order. Duplicate requests within
         one batch execute once. Misses run in parallel when ``jobs`` (or
         the engine default) exceeds one and the batch has several.
+        ``keys`` are the requests' content keys under this engine's cost
+        model, when the caller computed them already.
         """
         jobs = self.jobs if jobs is None else resolve_jobs(jobs)
         tracer = current_instruments().tracer
@@ -572,10 +573,15 @@ class ExperimentEngine:
             "engine.run_many", requests=len(requests)
         ) as batch_span:
             with tracer.span("cache.lookup"):
-                keys = [
-                    request.content_key(self.cost_model)
-                    for request in requests
-                ]
+                if keys is None:
+                    keys = [
+                        request.content_key(self.cost_model)
+                        for request in requests
+                    ]
+                elif len(keys) != len(requests):
+                    raise ValueError(
+                        f"{len(keys)} keys for {len(requests)} requests"
+                    )
                 # The first request per key executes, and is the one the
                 # ledger and progress report.
                 first: Dict[str, RunRequest] = {}
@@ -675,6 +681,19 @@ class ExperimentEngine:
             )
 
     # -- cache plumbing --------------------------------------------------
+
+    def answerable(self, keys: Sequence[str]) -> bool:
+        """Whether :meth:`run_many` would answer every key without
+        simulating: from the memo, or from a current envelope on the
+        backend. Reads only: no counter moves and nothing is admitted,
+        so the batch that follows counts exactly as it would have."""
+        for key in keys:
+            if key in self._memo:
+                continue
+            payload = self.disk.get(key) if self.disk is not None else None
+            if payload is None or not _envelope_ok(payload):
+                return False
+        return True
 
     def _lookup(self, key: str) -> Optional[RunResult]:
         memo = self._memo.get(key)

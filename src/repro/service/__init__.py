@@ -2,9 +2,10 @@
 
 ``repro serve`` turns the process-local :class:`ExperimentEngine` into a
 long-running service for many concurrent clients: submissions arrive
-over HTTP as versioned :class:`RunRequest` wire payloads, queue as jobs
-(``queued`` → ``running`` → ``done``/``failed``), drain into the shared
-engine (same memo, same result backend, same ledger), and stream back as
+over HTTP as versioned :class:`RunRequest` wire payloads, become jobs
+(``queued`` → ``running`` → ``done``/``failed``) run by the shared
+engine (same memo, same result backend, same ledger) — at submission
+for cache hits, from a bounded queue otherwise — and stream back as
 :class:`RunResult` payloads bit-identical to in-process execution.
 """
 

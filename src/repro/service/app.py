@@ -8,12 +8,16 @@ transport, with no web framework dependency. Handlers are small
 
 Endpoints (all JSON unless noted):
 
-* ``POST /api/v1/runs`` — submit one run; 202 with the job id.
+* ``POST /api/v1/runs`` — submit one run; 202 with the job id. A run
+  the engine can answer from its memo or result store is answered at
+  submission: the job comes back already ``done``.
 * ``POST /api/v1/sweeps`` — submit ``{"requests": [...]}`` as one job.
 * ``POST /api/v1/fleets`` — submit one fleet simulation (a
   ``FleetRequest`` wire payload); 202 with the job id.
 * ``GET /api/v1/jobs`` — every job, submission order.
-* ``GET /api/v1/jobs/<id>`` — job status and transition history.
+* ``GET /api/v1/jobs/<id>`` — job status and transition history;
+  ``?wait=S`` first blocks until the job finishes or ``S`` seconds
+  pass (at most :data:`MAX_WAIT_S`).
 * ``GET /api/v1/jobs/<id>/result`` — 200 with results when done, 202
   while queued/running, 500 when failed.
 * ``GET /api/v1/traces/<trace_id>`` — span record for one trace id.
@@ -24,6 +28,13 @@ Endpoints (all JSON unless noted):
 * ``GET /metrics`` — engine + service counters and job latency
   histograms, Prometheus text.
 
+A submission that would queue past ``jobs.MAX_QUEUED`` waiting jobs
+answers 429 with ``Retry-After``; a job evicted past
+``jobs.MAX_RETAINED`` answers 404 like any unknown id.
+
+Connections are HTTP/1.1 and kept alive; one idle for
+:data:`IDLE_TIMEOUT_S` is closed, releasing its thread.
+
 Trace propagation: a client sends ``X-Repro-Trace: <id>`` on a
 submission (or lets the server mint one); the id is stamped onto the
 job and every span it produces, so one id follows the request from the
@@ -33,6 +44,8 @@ client's ``client.submit`` span through queue wait and engine phases.
 from __future__ import annotations
 
 import json
+import math
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -44,7 +57,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.harness.engine import ExperimentEngine
 from repro.obs.metrics import histogram_lines, prometheus_lines
 from repro.resolve import resolve_count
-from repro.service.jobs import DEFAULT_WORKERS, JobQueue
+from repro.service.jobs import DEFAULT_WORKERS, JobQueue, QueueFull
 from repro.service.telemetry import ServiceTelemetry
 from repro.service.wire import (
     WIRE_SCHEMA_VERSION,
@@ -64,6 +77,16 @@ _PROM = "text/plain; version=0.0.4; charset=utf-8"
 #: Trace-context propagation header: the client mints a trace id and
 #: sends it here; the service stamps it onto the job and its spans.
 TRACE_HEADER = "X-Repro-Trace"
+
+#: Longest a status read may block on ``?wait=``; clients keep their
+#: own request under their socket timeout too.
+MAX_WAIT_S = 20.0
+
+#: Seconds a kept-alive connection may sit idle before it is closed.
+IDLE_TIMEOUT_S = 60.0
+
+#: ``Retry-After`` seconds sent with a 429 (queue full).
+RETRY_AFTER_S = 1
 
 #: ``(status, payload, content_type)`` — payload is a dict for JSON
 #: responses or pre-rendered text otherwise.
@@ -102,6 +125,8 @@ class ServiceState:
 
     def close(self) -> None:
         self.queue.shutdown()
+        if self.engine.ledger is not None:
+            self.engine.ledger.close()
 
 
 # -- operations ---------------------------------------------------------------
@@ -143,6 +168,8 @@ def op_metrics(state: ServiceState) -> Response:
         "service.http_requests": state.requests_served,
         "service.queue_depth": state.queue.depth(),
         "service.workers_alive": state.queue.alive_workers(),
+        "service.rejected": state.queue.rejected,
+        "service.evicted": state.queue.evicted,
         **{
             f"service.jobs.{job_state}": count
             for job_state, count in counts.items()
@@ -217,7 +244,7 @@ def op_submit_fleet(
             "job_id": job.id,
             "state": job.state,
             "trace_id": trace_id,
-            "fleet_key": fleet.content_key(state.engine.cost_model),
+            "fleet_key": job.keys[0],
             "status_url": f"/api/v1/jobs/{job.id}",
             "result_url": f"/api/v1/jobs/{job.id}/result",
         },
@@ -236,10 +263,41 @@ def op_jobs(state: ServiceState) -> Response:
     )
 
 
-def op_job_status(state: ServiceState, job_id: str) -> Response:
+def _unknown_job(job_id: str) -> Response:
+    return (
+        404,
+        {"error": f"unknown job {job_id!r} (never submitted, or evicted)"},
+        _JSON,
+    )
+
+
+def _wait_seconds(value: Optional[str]) -> float:
+    """The ``?wait=`` query value as seconds, capped at
+    :data:`MAX_WAIT_S`; unset means no wait."""
+    if value is None:
+        return 0.0
+    try:
+        seconds = float(value)
+    except ValueError:
+        seconds = math.nan
+    if not seconds >= 0.0 or math.isinf(seconds):
+        raise ValueError(
+            f"wait must be a non-negative number of seconds, got {value!r}"
+        )
+    return min(seconds, MAX_WAIT_S)
+
+
+def op_job_status(
+    state: ServiceState, job_id: str, wait: Optional[str] = None
+) -> Response:
+    """The job's status; with ``wait``, once it finishes or the wait
+    runs out, whichever comes first."""
+    seconds = _wait_seconds(wait)
     job = state.queue.get(job_id)
     if job is None:
-        return 404, {"error": f"unknown job {job_id!r}"}, _JSON
+        return _unknown_job(job_id)
+    if seconds:
+        job.wait(seconds)
     payload = job.to_dict()
     payload["schema_version"] = WIRE_SCHEMA_VERSION
     return 200, payload, _JSON
@@ -248,7 +306,7 @@ def op_job_status(state: ServiceState, job_id: str) -> Response:
 def op_job_result(state: ServiceState, job_id: str) -> Response:
     job = state.queue.get(job_id)
     if job is None:
-        return 404, {"error": f"unknown job {job_id!r}"}, _JSON
+        return _unknown_job(job_id)
     if job.state == "failed":
         return (
             500,
@@ -334,7 +392,8 @@ ROUTES: List[Tuple[str, Any, RouteFn]] = [
     ("GET", re_compile(r"^/api/v1/jobs$"),
      lambda state, m, q, b, t: op_jobs(state)),
     ("GET", re_compile(r"^/api/v1/jobs/(?P<job_id>[0-9a-f]+)$"),
-     lambda state, m, q, b, t: op_job_status(state, m["job_id"])),
+     lambda state, m, q, b, t: op_job_status(
+         state, m["job_id"], q.get("wait", [None])[0])),
     ("GET", re_compile(r"^/api/v1/jobs/(?P<job_id>[0-9a-f]+)/result$"),
      lambda state, m, q, b, t: op_job_result(state, m["job_id"])),
     ("GET", re_compile(r"^/api/v1/traces/(?P<trace_id>[0-9a-fA-F-]+)$"),
@@ -351,6 +410,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # A kept-alive reply is a small write right after a small read; with
+    # Nagle on, it waits for the client's delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
+    #: Socket timeout while reading a request: an idle kept-alive
+    #: connection is closed after this long, freeing its thread.
+    timeout = IDLE_TIMEOUT_S
 
     @property
     def state(self) -> ServiceState:
@@ -384,10 +449,16 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(400, {"error": str(exc)}, _JSON)
                 return
             trace_id = self.headers.get(TRACE_HEADER) or None
+            headers: Dict[str, str] = {}
             try:
                 status, payload, content_type = fn(
                     self.state, match, query, body, trace_id
                 )
+            except QueueFull as exc:
+                status, payload, content_type = 429, {
+                    "error": str(exc)
+                }, _JSON
+                headers["Retry-After"] = str(RETRY_AFTER_S)
             except WireError as exc:
                 status, payload, content_type = 400, {
                     "error": str(exc)
@@ -401,7 +472,7 @@ class _Handler(BaseHTTPRequestHandler):
                 status, payload, content_type = 500, {
                     "error": f"{type(exc).__name__}: {exc}"
                 }, _JSON
-            self._send(status, payload, content_type)
+            self._send(status, payload, content_type, headers)
             return
         if path_matched:
             self._send(
@@ -422,7 +493,13 @@ class _Handler(BaseHTTPRequestHandler):
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"request body is not valid JSON: {exc}")
 
-    def _send(self, status: int, payload: Any, content_type: str) -> None:
+    def _send(
+        self,
+        status: int,
+        payload: Any,
+        content_type: str,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
         if content_type == _JSON:
             data = json.dumps(payload, sort_keys=True).encode("utf-8")
         else:
@@ -430,8 +507,45 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
+
+
+class _Server(ThreadingHTTPServer):
+    """A threading server that can release its kept-alive connections.
+
+    ``server_close`` joins every handler thread, and a thread serving a
+    kept-alive connection otherwise sits in a read until the client
+    hangs up or :data:`IDLE_TIMEOUT_S` passes. Shutting the read side
+    of each open connection ends those reads at once; a reply being
+    written still completes.
+    """
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        self._connections: set = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        with self._connections_lock:
+            for connection in self._connections:
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+        super().server_close()
 
 
 class ExperimentServer:
@@ -462,8 +576,7 @@ class ExperimentServer:
             workers=workers,
             telemetry=telemetry,
         )
-        self._http = ThreadingHTTPServer((host, port), _Handler)
-        self._http.daemon_threads = True
+        self._http = _Server((host, port), _Handler)
         self._http.state = self.state  # type: ignore[attr-defined]
         self._http.log_requests = log_requests  # type: ignore[attr-defined]
         self.host, self.port = self._http.server_address[:2]

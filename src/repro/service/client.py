@@ -1,9 +1,11 @@
 """HTTP client for the experiment service.
 
 The scripting-side counterpart of ``repro serve``: submit a
-:class:`RunRequest` (or a wire dict), poll job status, and fetch results
-back as live :class:`RunResult` objects — stdlib ``urllib`` only, so the
-client rides along with the package everywhere the service does.
+:class:`RunRequest` (or a wire dict), wait for the job, and fetch
+results back as live :class:`RunResult` objects — stdlib ``http.client``
+only, so the client rides along with the package everywhere the service
+does. Each calling thread keeps one HTTP/1.1 connection alive across
+requests; waits block on the server (``?wait=``) instead of polling.
 
 ::
 
@@ -20,13 +22,15 @@ helpers build a client per call from that resolution for one-liners.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
+import threading
 import time
-import urllib.error
-import urllib.request
 import uuid
+import weakref
 from typing import Any, Dict, List, Optional, Sequence, Union
+from urllib.parse import urlsplit
 
 from repro.fleet.metrics import FleetResult
 from repro.fleet.request import FleetRequest
@@ -45,6 +49,11 @@ DEFAULT_SERVICE_URL = f"http://{DEFAULT_HOST}:{DEFAULT_PORT}"
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_S = 0.1
 MAX_BACKOFF_S = 2.0
+
+
+def _close_all(connections: set) -> None:
+    while connections:
+        connections.pop().close()
 
 
 class ServiceError(RuntimeError):
@@ -80,11 +89,54 @@ class ServiceClient:
         #: Trace id of the most recent submission (client- or
         #: server-minted), for scripting a follow-up ``trace()`` call.
         self.last_trace_id: Optional[str] = None
-        # Injection seam for tests (connection-failure simulation).
-        self._urlopen = urllib.request.urlopen
+        split = urlsplit(self.base_url)
+        self._address = (split.hostname, split.port)
+        self._https = split.scheme == "https"
+        self._prefix = split.path
+        # One connection per calling thread: a client may be shared by
+        # threads, and a connection carries one request at a time.
+        self._local = threading.local()
+        # Every connection in use, whichever thread holds it, so close()
+        # (or collecting the client) closes them all.
+        self._open: set = set()
+        weakref.finalize(self, _close_all, self._open)
+        # Injection seams for tests (connection-failure simulation).
+        self._connect = self._open_connection
         self._sleep = time.sleep
 
     # -- plumbing --------------------------------------------------------
+
+    def _open_connection(self) -> http.client.HTTPConnection:
+        kind = (
+            http.client.HTTPSConnection
+            if self._https
+            else http.client.HTTPConnection
+        )
+        return kind(*self._address, timeout=self.timeout)
+
+    def _connection(self, fresh: bool) -> http.client.HTTPConnection:
+        """This thread's kept-alive connection; with ``fresh``, a new one
+        (every kept connection has carried a request already)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None or fresh:
+            self._drop()
+            connection = self._local.connection = self._connect()
+        # Re-added per request: a closed connection reopens on use.
+        self._open.add(connection)
+        return connection
+
+    def _drop(self) -> None:
+        """Close the calling thread's connection."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            self._local.connection = None
+            self._open.discard(connection)
+            connection.close()
+
+    def close(self) -> None:
+        """Close every connection this client holds, on any thread. Call
+        it with no request in flight; later requests reconnect."""
+        _close_all(self._open)
 
     def _request(
         self,
@@ -96,48 +148,47 @@ class ServiceClient:
         data = (
             json.dumps(body).encode("utf-8") if body is not None else None
         )
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json", **(headers or {})},
-        )
+        headers = {"Content-Type": "application/json", **(headers or {})}
         # Only idempotent reads retry: re-POSTing a submission after an
-        # ambiguous connection error could enqueue the job twice.
+        # ambiguous connection error could enqueue the job twice. For
+        # the same reason a POST goes out only on a fresh connection: a
+        # kept-alive one the server has just closed would fail it
+        # ambiguously too.
         attempts = 1 + (self.retries if method == "GET" else 0)
         for attempt in range(attempts):
+            connection = self._connection(fresh=method != "GET")
             try:
-                with self._urlopen(
-                    request, timeout=self.timeout
-                ) as response:
-                    raw = response.read()
-                    content_type = response.headers.get(
-                        "Content-Type", ""
-                    )
-                break
-            except urllib.error.HTTPError as exc:
-                detail = ""
-                try:
-                    detail = json.loads(exc.read().decode("utf-8")).get(
-                        "error", ""
-                    )
-                except Exception:  # noqa: BLE001 - best-effort detail
-                    pass
-                raise ServiceError(
-                    f"{method} {path} failed with HTTP {exc.code}"
-                    + (f": {detail}" if detail else ""),
-                    status=exc.code,
+                connection.request(
+                    method, self._prefix + path, body=data, headers=headers
                 )
-            except urllib.error.URLError as exc:
+                response = connection.getresponse()
+                raw = response.read()
+                break
+            except (OSError, http.client.HTTPException) as exc:
+                self._drop()
                 if attempt + 1 >= attempts:
                     raise ServiceError(
-                        f"cannot reach service at {self.base_url}: "
-                        f"{exc.reason}"
+                        f"cannot reach service at {self.base_url}: {exc}"
                     )
                 self._sleep(
                     min(MAX_BACKOFF_S, self.backoff_s * (2 ** attempt))
                 )
-        if content_type.startswith("application/json"):
+        if response.will_close:
+            self._drop()
+        if response.status >= 400:
+            detail = ""
+            try:
+                detail = json.loads(raw.decode("utf-8")).get("error", "")
+            except Exception:  # noqa: BLE001 - best-effort detail
+                pass
+            raise ServiceError(
+                f"{method} {path} failed with HTTP {response.status}"
+                + (f": {detail}" if detail else ""),
+                status=response.status,
+            )
+        if response.getheader("Content-Type", "").startswith(
+            "application/json"
+        ):
             return json.loads(raw.decode("utf-8"))
         return raw.decode("utf-8")
 
@@ -237,7 +288,12 @@ class ServiceClient:
     def _wait(
         self, job_id: str, timeout: float, poll_s: float
     ) -> Dict[str, Any]:
-        """Poll until the job finishes; returns its result payload.
+        """Wait until the job finishes; returns its result payload.
+
+        State is read only through :meth:`status`. Between reads the
+        server holds a ``?wait=`` request open until the job finishes,
+        kept under this client's socket timeout; ``poll_s`` spaces the
+        reads only when a wait comes back with the job unfinished.
 
         Raises :class:`JobFailed` when the job fails and
         :class:`ServiceError` on timeout.
@@ -251,12 +307,22 @@ class ServiceClient:
                 raise JobFailed(
                     f"job {job_id} failed: {status.get('error')}"
                 )
-            if time.monotonic() >= deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 raise ServiceError(
                     f"job {job_id} still {status['state']} after "
                     f"{timeout:.0f}s"
                 )
-            time.sleep(poll_s)
+            begun = time.monotonic()
+            wait_s = min(remaining, self.timeout / 2)
+            waited = self._request(
+                "GET", f"/api/v1/jobs/{job_id}?wait={wait_s:.3f}"
+            )
+            if waited["state"] not in ("done", "failed"):
+                self._sleep(
+                    max(0.0, min(remaining, poll_s)
+                        - (time.monotonic() - begun))
+                )
 
     def results(
         self,
@@ -264,7 +330,7 @@ class ServiceClient:
         timeout: float = 600.0,
         poll_s: float = 0.2,
     ) -> List[RunResult]:
-        """Poll until the job finishes; returns its results in order.
+        """Wait until the job finishes; returns its results in order.
 
         Raises :class:`JobFailed` when the job fails and
         :class:`ServiceError` on timeout.
@@ -293,7 +359,7 @@ class ServiceClient:
         timeout: float = 600.0,
         poll_s: float = 0.2,
     ) -> FleetResult:
-        """Poll until a fleet job finishes; returns its platform
+        """Wait until a fleet job finishes; returns its platform
         metrics as a live :class:`FleetResult`."""
         payload = self._wait(job_id, timeout, poll_s)
         return FleetResult.from_dict(payload["results"][0])

@@ -1,15 +1,26 @@
 """Async job queue draining submissions into the experiment engine.
 
 Every HTTP submission becomes a :class:`Job` — a request batch plus its
-lifecycle state (``queued`` → ``running`` → ``done``/``failed``) — on a
-FIFO queue that a pool of worker threads drains into one shared
-:class:`~repro.harness.engine.ExperimentEngine`. Sharing the engine is
-the point of the service: every client's runs land in the same
-in-process memo, the same result backend, and the same run ledger, so a
-result computed for one client is a cache hit for all. Worker threads
-hold no per-thread state; engine internals they touch concurrently (the
-memo dict, the atomic-write backends, the lock-guarded ledger) are safe
-under the GIL's dict-operation atomicity plus their own locking.
+lifecycle state (``queued`` → ``running`` → ``done``/``failed``) — run
+by one shared :class:`~repro.harness.engine.ExperimentEngine`. Sharing
+the engine is the point of the service: every client's runs land in the
+same in-process memo, the same result backend, and the same run ledger,
+so a result computed for one client is a cache hit for all.
+
+A batch the engine can answer without simulating (every content key in
+the memo or on the backend) runs at once on the submitting thread and
+comes back ``done``; only misses and fleets go on the FIFO queue that a
+pool of worker threads drains. Both paths run a job through the same
+:meth:`JobQueue._run_job`, so the ledger line, engine counters,
+telemetry spans and transitions do not depend on which one ran it. The
+threads hold no per-thread state; engine internals they touch
+concurrently (the memo dict, the atomic-write backends, the
+lock-guarded ledger) are safe under the GIL's dict-operation atomicity
+plus their own locking.
+
+Everything is bounded: a submission that would queue past
+:data:`MAX_QUEUED` jobs is refused with :class:`QueueFull`, and past
+:data:`MAX_RETAINED` jobs the oldest finished ones are forgotten.
 
 Failures are per-job: a request batch that raises marks only its own job
 ``failed`` (with the error message) and the worker moves on.
@@ -21,6 +32,7 @@ import queue
 import threading
 import time
 import uuid
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -36,6 +48,17 @@ JOB_STATES = ("queued", "running", "done", "failed")
 
 #: Default worker threads draining the queue.
 DEFAULT_WORKERS = 2
+
+#: Jobs waiting for a worker; a submission past this is refused.
+MAX_QUEUED = 256
+
+#: Jobs kept for status and result reads. Past this the oldest finished
+#: jobs are evicted; queued and running jobs never are.
+MAX_RETAINED = 1024
+
+
+class QueueFull(RuntimeError):
+    """The queue already holds :data:`MAX_QUEUED` waiting jobs."""
 
 
 @dataclass
@@ -62,7 +85,8 @@ class Job:
     started_s: Optional[float] = None
     finished_s: Optional[float] = None
     error: Optional[str] = None
-    #: Engine content keys, filled when the job completes.
+    #: Engine content keys in request order (the fleet key for a fleet),
+    #: computed once at submission.
     keys: List[str] = field(default_factory=list)
     #: ``RunResult.to_dict`` payloads in request order (``done`` only).
     results: Optional[List[Dict[str, Any]]] = None
@@ -122,7 +146,8 @@ class Job:
 
 
 class JobQueue:
-    """FIFO job queue with a worker-thread pool over one engine."""
+    """Runs jobs over one engine: hits at submission, the rest on a FIFO
+    queue drained by a worker-thread pool."""
 
     def __init__(
         self,
@@ -134,10 +159,14 @@ class JobQueue:
         self.telemetry = telemetry
         self.workers = resolve_workers(workers)
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
-        self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
+        #: Retained jobs, submission order.
+        self._jobs: "OrderedDict[str, Job]" = OrderedDict()
         self._lock = threading.Lock()
         self._shutdown = False
+        #: Submissions refused because the queue was full.
+        self.rejected = 0
+        #: Finished jobs forgotten past :data:`MAX_RETAINED`.
+        self.evicted = 0
         self._threads = [
             threading.Thread(
                 target=self._drain, name=f"repro-job-worker-{i}",
@@ -156,41 +185,70 @@ class JobQueue:
         kind: str = "run",
         trace_id: Optional[str] = None,
     ) -> Job:
-        """Enqueue a request batch; returns the queued :class:`Job`."""
+        """Run a request batch; returns its :class:`Job`.
+
+        A batch the engine answers without simulating runs here and
+        comes back ``done``; any other is queued. Raises
+        :class:`QueueFull` when the queue is full.
+        """
         if not requests:
             raise ValueError("cannot submit an empty request batch")
-        with self._lock:
-            if self._shutdown:
-                raise RuntimeError("job queue is shut down")
-            job = Job(
-                id=uuid.uuid4().hex[:12],
-                kind=kind,
-                requests=list(requests),
-                trace_id=trace_id,
-            )
-            self._jobs[job.id] = job
-            self._order.append(job.id)
-        self._queue.put(job)
+        job = Job(
+            id=uuid.uuid4().hex[:12],
+            kind=kind,
+            requests=list(requests),
+            trace_id=trace_id,
+            keys=[
+                request.content_key(self.engine.cost_model)
+                for request in requests
+            ],
+        )
+        hit = self.engine.answerable(job.keys)
+        self._admit(job, enqueue=not hit)
+        if hit:
+            self._run_job(job)
         return job
 
     def submit_fleet(
         self, fleet: FleetRequest, trace_id: Optional[str] = None
     ) -> Job:
         """Enqueue one fleet simulation; returns the queued :class:`Job`."""
+        job = Job(
+            id=uuid.uuid4().hex[:12],
+            kind="fleet",
+            requests=[],
+            fleet=fleet,
+            trace_id=trace_id,
+            keys=[fleet.content_key(self.engine.cost_model)],
+        )
+        self._admit(job, enqueue=True)
+        return job
+
+    def _admit(self, job: Job, enqueue: bool) -> None:
+        """Retain ``job`` (evicting the oldest finished jobs past
+        :data:`MAX_RETAINED`) and, with ``enqueue``, queue it."""
         with self._lock:
             if self._shutdown:
                 raise RuntimeError("job queue is shut down")
-            job = Job(
-                id=uuid.uuid4().hex[:12],
-                kind="fleet",
-                requests=[],
-                fleet=fleet,
-                trace_id=trace_id,
-            )
+            if enqueue and self._queue.qsize() >= MAX_QUEUED:
+                self.rejected += 1
+                raise QueueFull(
+                    f"job queue is full ({MAX_QUEUED} waiting); retry later"
+                )
             self._jobs[job.id] = job
-            self._order.append(job.id)
-        self._queue.put(job)
-        return job
+            excess = len(self._jobs) - MAX_RETAINED
+            if excess > 0:
+                doomed = []
+                for retained in self._jobs.values():
+                    if len(doomed) == excess:
+                        break
+                    if retained.finished:
+                        doomed.append(retained.id)
+                for job_id in doomed:
+                    del self._jobs[job_id]
+                self.evicted += len(doomed)
+            if enqueue:
+                self._queue.put(job)
 
     # -- inspection ------------------------------------------------------
 
@@ -201,7 +259,7 @@ class JobQueue:
     def jobs(self) -> List[Job]:
         """Every job, submission order."""
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._order]
+            return list(self._jobs.values())
 
     def counts(self) -> Dict[str, int]:
         """Jobs per lifecycle state (all states present, zeros kept)."""
@@ -228,10 +286,11 @@ class JobQueue:
             self._run_job(job)
 
     def _run_job(self, job: Job) -> None:
-        # When telemetry is on, the worker traces this job into a
-        # private tracer: a bundle set on a worker thread stays on that
-        # thread, so engine spans land here, never in the tracer another
-        # thread (or the test harness) may own.
+        # When telemetry is on, the thread running the job (a worker,
+        # or the HTTP thread for a hit) traces it into a private tracer:
+        # a bundle set off the main thread stays on that thread, so
+        # engine spans land here, never in the tracer another thread (or
+        # the test harness) may own.
         job_tracer = Tracer() if self.telemetry is not None else None
         bind = {} if job_tracer is None else {"tracer": job_tracer}
         started_pc = time.perf_counter()
@@ -252,14 +311,9 @@ class JobQueue:
     def _execute(self, job: Job) -> None:
         if job.fleet is not None:
             fleet_result = simulate_fleet(job.fleet, engine=self.engine)
-            job.keys = [job.fleet.content_key(self.engine.cost_model)]
             job.results = [fleet_result.to_dict()]
         else:
-            results = self.engine.run_many(job.requests)
-            job.keys = [
-                request.content_key(self.engine.cost_model)
-                for request in job.requests
-            ]
+            results = self.engine.run_many(job.requests, keys=job.keys)
             job.results = [result.to_dict() for result in results]
 
     def shutdown(self, wait: bool = True) -> None:

@@ -6,7 +6,7 @@ queue drains:
 
 * **Traces** — each job gets a synthesized ``job.queued`` span (submit →
   start) and a ``job.run`` span (start → finish) whose children are the
-  engine's own span forest, captured on the worker thread via a
+  engine's own span forest, captured on the thread that ran it via a
   per-thread :class:`~repro.obs.tracing.Tracer`. The submission's
   ``trace_id`` is stamped onto every span, so one id links the client's
   ``client.submit`` span, the queue lifecycle, and the engine phases in
@@ -62,7 +62,7 @@ class ServiceTelemetry:
         #: trace_id -> span record, insertion order == recency.
         self._traces: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
 
-    # -- observation (called from queue worker threads) ------------------
+    # -- observation (called from the threads that run jobs) ------------
 
     def observe_job(
         self,
@@ -74,7 +74,7 @@ class ServiceTelemetry:
         """Fold one finished job into traces, histograms, and counters.
 
         ``started_pc``/``finished_pc`` are ``perf_counter`` stamps taken
-        on the worker thread; together with the job's ``submitted_pc``
+        on the thread that ran the job; together with its ``submitted_pc``
         they synthesize the ``job.queued`` and ``job.run`` spans on the
         same clock the engine's tracer uses, so the timeline exporter
         can rebase them all onto one axis.

@@ -2,6 +2,8 @@
 checks that read it and the bench history (:mod:`repro.obs.trend`)."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -66,6 +68,46 @@ class TestRunLedger:
 
     def test_read_missing_file(self, tmp_path):
         assert RunLedger(tmp_path / "nope.jsonl").read() == []
+
+    def test_concurrent_appends_never_tear_a_line(self, tmp_path):
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        # Long lines, so a torn write would show as unparseable JSON.
+        pad = "x" * 2_000
+
+        def write(thread: int) -> None:
+            for index in range(50):
+                ledger.append({"key": f"t{thread}-{index}", "pad": pad})
+
+        threads = [
+            threading.Thread(target=write, args=(n,)) for n in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # A fresh reader, while the writer's handle is still open, sees
+        # every line whole.
+        entries, skipped = RunLedger(ledger.path).read_classified()
+        assert skipped == 0
+        assert sorted(e["key"] for e in entries) == sorted(
+            f"t{n}-{i}" for n in range(8) for i in range(50)
+        )
+
+    def test_close_then_append_reopens(self, tmp_path):
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        ledger.append(self.entry("a"))
+        ledger.close()
+        ledger.close()  # idempotent
+        ledger.append(self.entry("b"))
+        assert [e["key"] for e in RunLedger(ledger.path).read()] == [
+            "a", "b"
+        ]
 
     def test_read_skips_corrupt_and_keyless_lines(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

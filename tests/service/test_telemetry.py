@@ -7,9 +7,7 @@ back through ``GET /api/v1/traces/<id>``, exported to JSONL, and
 renderable as a valid Perfetto timeline.
 """
 
-import io
 import json
-import urllib.error
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -137,18 +135,34 @@ class TestHealth:
 
 
 class FakeResponse:
-    def __init__(self, payload):
+    def __init__(self, payload, status=200):
         self._payload = payload
-        self.headers = {"Content-Type": "application/json"}
+        self.status = status
+        self.will_close = False
 
     def read(self):
         return json.dumps(self._payload).encode("utf-8")
 
-    def __enter__(self):
-        return self
+    def getheader(self, name, default=None):
+        return "application/json" if name == "Content-Type" else default
 
-    def __exit__(self, *exc):
-        return False
+
+class FakeConnection:
+    """Stands in for one ``http.client`` connection: ``send`` decides
+    each request's fate (raise, or return a :class:`FakeResponse`)."""
+
+    def __init__(self, send):
+        self._send = send
+        self._response = None
+
+    def request(self, method, url, body=None, headers=None):
+        self._response = self._send(method, url)
+
+    def getresponse(self):
+        return self._response
+
+    def close(self):
+        pass
 
 
 class TestClientRetry:
@@ -160,13 +174,13 @@ class TestClientRetry:
         state = {"calls": 0}
         sleeps = []
 
-        def fake_urlopen(request, timeout):
+        def send(method, url):
             state["calls"] += 1
             if state["calls"] <= failures:
-                raise urllib.error.URLError("connection refused")
+                raise ConnectionRefusedError("connection refused")
             return FakeResponse({"ok": state["calls"]})
 
-        client._urlopen = fake_urlopen
+        client._connect = lambda: FakeConnection(send)
         client._sleep = sleeps.append
         return client, state, sleeps
 
@@ -200,14 +214,11 @@ class TestClientRetry:
         client = ServiceClient("http://127.0.0.1:9", retries=3)
         state = {"calls": 0}
 
-        def fake_urlopen(request, timeout):
+        def send(method, url):
             state["calls"] += 1
-            raise urllib.error.HTTPError(
-                "http://x", 404, "nope", {},
-                io.BytesIO(b'{"error": "unknown job"}'),
-            )
+            return FakeResponse({"error": "unknown job"}, status=404)
 
-        client._urlopen = fake_urlopen
+        client._connect = lambda: FakeConnection(send)
         client._sleep = lambda s: pytest.fail("must not sleep")
         with pytest.raises(ServiceError) as err:
             client._request("GET", "/api/v1/jobs/x")
