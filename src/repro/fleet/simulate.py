@@ -127,6 +127,24 @@ def simulate_fleet(
         engine_runs=len(ordered),
     )
 
+    # No stack changes the arrival stream: generate it once.
+    epoch_streams = [
+        (
+            arrival.epoch_arrivals(
+                epoch,
+                counts[epoch],
+                edges[epoch],
+                edges[epoch + 1],
+                req.pattern,
+                req.seed,
+            ),
+            arrival.assign_functions(
+                epoch, counts[epoch], weights, req.seed
+            ),
+        )
+        for epoch in range(req.epochs)
+    ]
+
     from repro import stacks as stack_registry
 
     for stack in req.stacks:
@@ -144,48 +162,51 @@ def simulate_fleet(
             recorder=recorder,
             stack=stack,
         )
+        # What one invocation costs on this stack, per profile-seed
+        # variant and workload pick: (name, warm_s, cold_extra_s,
+        # resident_bytes, warm DRAM bytes, cold DRAM bytes).
+        invocation_costs = []
+        for variant in range(req.profile_seeds):
+            row = []
+            for name in req.workloads:
+                warm = profiles[(name, stack, False, variant)]
+                cold_run = profiles[(name, stack, True, variant)]
+                row.append((
+                    name,
+                    warm.seconds,
+                    max(0.0, cold_run.seconds - warm.seconds),
+                    stack_entry.resident_bytes(warm.peak_pages * PAGE_SIZE),
+                    warm.dram_bytes,
+                    cold_run.dram_bytes,
+                ))
+            invocation_costs.append(row)
         latencies_ms: List[float] = []
         cold_ms: List[float] = []
         dram_bytes = 0.0
-        for epoch in range(req.epochs):
+        for epoch, (times, picks) in enumerate(epoch_streams):
             before = (
                 pool.stats.cold_starts,
                 pool.stats.warm_starts,
                 pool.stats.expirations,
                 pool.stats.evictions,
             )
-            times = arrival.epoch_arrivals(
-                epoch,
-                counts[epoch],
-                edges[epoch],
-                edges[epoch + 1],
-                req.pattern,
-                req.seed,
-            )
-            picks = arrival.assign_functions(
-                epoch, counts[epoch], weights, req.seed
-            )
-            variant = epoch % req.profile_seeds
+            costs = invocation_costs[epoch % req.profile_seeds]
             for t, pick in zip(times, picks):
-                name = req.workloads[pick]
-                warm = profiles[(name, stack, False, variant)]
-                cold_run = profiles[(name, stack, True, variant)]
-                cold_extra = max(0.0, cold_run.seconds - warm.seconds)
+                (name, warm_s, cold_extra, resident, warm_dram,
+                 cold_dram) = costs[pick]
                 was_cold, latency = pool.invoke(
                     name,
                     t,
-                    warm_s=warm.seconds,
+                    warm_s=warm_s,
                     cold_extra_s=cold_extra,
-                    resident_bytes=stack_entry.resident_bytes(
-                        warm.peak_pages * PAGE_SIZE
-                    ),
+                    resident_bytes=resident,
                 )
                 latencies_ms.append(latency * 1e3)
                 if was_cold:
                     cold_ms.append(latency * 1e3)
-                    dram_bytes += cold_run.dram_bytes
+                    dram_bytes += cold_dram
                 else:
-                    dram_bytes += warm.dram_bytes
+                    dram_bytes += warm_dram
             if recorder is not None or ring is not None:
                 deltas = {
                     "cold_starts": pool.stats.cold_starts - before[0],

@@ -55,6 +55,7 @@ from repro import codec
 from repro import stacks as stack_registry
 from repro.core.config import MementoConfig
 from repro.resolve import resolve_jobs, resolve_stack
+from repro.harness import collector
 from repro.harness import system as harness_system
 from repro.harness.system import RunResult, SimulatedSystem
 from repro.obs import ledger as obs_ledger
@@ -448,7 +449,10 @@ def _run_group(
     A group of several generates its trace once and replays it on every
     member; a lone request generates its own inside ``system.run``,
     exactly like a direct :meth:`RunRequest.execute`. The trace dies with
-    the generator, so a serial batch holds one trace at a time.
+    the generator, so a serial batch holds one trace at a time. Each
+    member builds, runs and serializes under one collector scope
+    (:func:`repro.harness.collector.paused`), whose exit frees its dead
+    system before the next member starts.
     """
     trace = None
     if len(requests) > 1:
@@ -461,8 +465,9 @@ def _run_group(
             trace = harness_system.generate_trace(spec)
     for request in requests:
         started = time.perf_counter()
-        result = request.execute(cost_model, trace=trace)
-        yield result.to_dict(), time.perf_counter() - started
+        with collector.paused():
+            data = request.execute(cost_model, trace=trace).to_dict()
+        yield data, time.perf_counter() - started
 
 
 def _execute_group(

@@ -16,6 +16,7 @@ from typing import Any, Dict, Mapping, Optional
 from repro.allocators import ALLOCATOR_BY_LANGUAGE
 from repro.allocators.jemalloc import JemallocAllocator
 from repro.audit import invariants as audit_invariants
+from repro.harness import collector
 from repro import stacks as stack_registry
 from repro.resolve import resolve_stack
 from repro.obs.instruments import current as current_instruments
@@ -582,13 +583,13 @@ class SimulatedSystem:
         replay, stats fold — runs under a tracer span; with the default
         null tracer every span is one shared no-op context manager, so
         the instrumented path is indistinguishable from the bare one.
+        The whole run holds the cyclic collector paused
+        (:func:`repro.harness.collector.paused`).
         """
-        import gc
-
         tracer = current_instruments().tracer
         profile = self._profile
         marks = []
-        with tracer.span(
+        with collector.paused(), tracer.span(
             "system.run",
             workload=self.spec.name,
             stack=self.stack_name,
@@ -614,24 +615,11 @@ class SimulatedSystem:
                 columnar = None
             else:
                 columnar = trace.columnar()
-            # The replay churns through dataclass records and OrderedDict
-            # nodes fast enough to trip the cyclic collector thousands of
-            # times per run; nothing in the simulator creates cycles
-            # mid-run, so the pauses buy no memory back. Suspend
-            # collection for the replay only (restoring the caller's
-            # setting on every exit path).
-            gc_was_enabled = gc.isenabled()
-            if gc_was_enabled:
-                gc.disable()
-            try:
-                with tracer.span("replay", events=len(trace)):
-                    if columnar is None:
-                        allocs, frees = self._replay_events(trace, audit)
-                    else:
-                        allocs, frees = self._replay_columnar(columnar)
-            finally:
-                if gc_was_enabled:
-                    gc.enable()
+            with tracer.span("replay", events=len(trace)):
+                if columnar is None:
+                    allocs, frees = self._replay_events(trace, audit)
+                else:
+                    allocs, frees = self._replay_columnar(columnar)
             if profile is not None:
                 marks.append(("replay", self.core.cycles))
             # The per-run check fires before function exit: teardown

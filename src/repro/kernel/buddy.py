@@ -26,6 +26,12 @@ class BuddyAllocator:
     ``2**order`` pages. Blocks are naturally aligned relative to ``base``,
     which makes the buddy of block ``b`` at order ``k`` simply
     ``b XOR (1 << k)`` (in base-relative coordinates).
+
+    The top-order blocks no allocation has touched yet are not listed:
+    they are always the suffix ``[_next_top, _top_end)``, because an
+    allocation takes the lowest free top-order block, and
+    ``free_lists[MAX_ORDER]`` holds only the blocks freed back to the top
+    order, all of which lie below ``_next_top``.
     """
 
     def __init__(
@@ -46,14 +52,12 @@ class BuddyAllocator:
 
     def _seed_free_lists(self) -> None:
         """Carve the initial range into maximal aligned free blocks: the
-        whole top-order blocks from ``base`` up, then the tail below the
-        top order in descending powers of two (each starts where a larger
-        block ended, so each is aligned)."""
-        top = 1 << MAX_ORDER
-        full = self.total_frames - self.total_frames % top
-        self.free_lists[MAX_ORDER].update(
-            range(self.base, self.base + full, top)
-        )
+        whole top-order blocks from ``base`` up (the untouched range),
+        then the tail below the top order in descending powers of two
+        (each starts where a larger block ended, so each is aligned)."""
+        full = self.total_frames - self.total_frames % (1 << MAX_ORDER)
+        self._next_top = self.base
+        self._top_end = self.base + full
         offset = full
         for order in range(MAX_ORDER - 1, -1, -1):
             if self.total_frames & (1 << order):
@@ -65,14 +69,18 @@ class BuddyAllocator:
         if not 0 <= order <= MAX_ORDER:
             raise ValueError(f"order {order} out of range")
         search = order
-        while search <= MAX_ORDER and not self.free_lists[search]:
+        while search < MAX_ORDER and not self.free_lists[search]:
             search += 1
-        if search > MAX_ORDER:
+        if self.free_lists[search]:
+            block = min(self.free_lists[search])
+            self.free_lists[search].discard(block)
+        elif self._next_top < self._top_end:
+            block = self._next_top
+            self._next_top += 1 << MAX_ORDER
+        else:
             raise OutOfMemoryError(
                 f"no free block of order {order} or larger"
             )
-        block = min(self.free_lists[search])
-        self.free_lists[search].discard(block)
         # Split down to the requested order, freeing the upper halves.
         while search > order:
             search -= 1
@@ -115,8 +123,8 @@ class BuddyAllocator:
 
     @property
     def free_frames(self) -> int:
-        """Total frames currently on the free lists."""
-        return sum(
+        """Total frames currently free: on the free lists or untouched."""
+        return self._top_end - self._next_top + sum(
             len(blocks) << order
             for order, blocks in enumerate(self.free_lists)
         )
@@ -129,8 +137,18 @@ class BuddyAllocator:
         """Assert structural invariants (used by property tests).
 
         Free blocks must be disjoint, in-range, aligned, and together with
-        allocated blocks exactly tile the managed range.
+        allocated blocks and the untouched top-order range exactly tile
+        the managed range.
         """
+        top = 1 << MAX_ORDER
+        if not (
+            self.base <= self._next_top <= self._top_end
+            and (self._next_top - self.base) % top == 0
+        ):
+            raise AssertionError(
+                f"untouched range [{self._next_top}, {self._top_end}) "
+                "is misplaced"
+            )
         seen: Set[int] = set()
         for order, blocks in enumerate(self.free_lists):
             size = 1 << order
@@ -151,6 +169,7 @@ class BuddyAllocator:
                     f"allocated block {block} overlaps a free block"
                 )
             seen |= span
-        expected = set(range(self.base, self.base + self.total_frames))
+        expected = set(range(self.base, self._next_top))
+        expected.update(range(self._top_end, self.base + self.total_frames))
         if seen != expected:
             raise AssertionError("free+allocated blocks do not tile range")
