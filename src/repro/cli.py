@@ -47,6 +47,7 @@ import argparse
 import signal
 import sys
 import threading
+from contextlib import closing
 from pathlib import Path
 from typing import Any, List, Optional
 
@@ -248,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="engine worker processes per request batch "
-        "(default: $REPRO_JOBS or 1)",
+        help="engine worker processes per request batch; the server "
+        "simulates in workers x N processes (default: $REPRO_JOBS or 1)",
     )
     serve_parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -727,7 +728,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             args.jobs = 1
         args.no_cache = True
     engine = _make_engine(args)
-    with instrumented(
+    with closing(engine), instrumented(
         tracer=tracer, ring=ring, profile=profile, audit=auditor
     ):
         if stacks is None:
@@ -912,7 +913,7 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
 
         recorder = FleetRecorder()
         ring = EventRing(capacity=8192, sample_every=1)
-    with instrumented(recorder=recorder, ring=ring):
+    with closing(engine), instrumented(recorder=recorder, ring=ring):
         result = simulate_fleet(
             request,
             engine=engine,

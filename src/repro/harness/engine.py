@@ -4,13 +4,14 @@ Every simulated run in the repository is described by a declarative
 :class:`RunRequest` — workload spec, stack, :class:`MementoConfig`,
 :class:`MachineParams`, and replay flags — which hashes into a stable
 content key. :class:`ExperimentEngine` executes batches of requests,
-fanning independent ones out across a ``ProcessPoolExecutor`` (the
-simulator is deterministic, so parallel results are bit-identical to
-serial ones), and stores every completed :class:`RunResult` as a JSON
-artifact under ``.repro-cache/``. The cache key folds in a schema tag
-and a fingerprint of the cycle cost model, so recalibrating the model or
-changing the result format invalidates stale artifacts automatically —
-pay the simulation cost once, restore cheaply forever.
+in-process or on one persistent worker-process pool that every later
+batch reuses (the simulator is deterministic, so pooled results are
+bit-identical to serial ones), and stores every completed
+:class:`RunResult` as a JSON artifact under ``.repro-cache/``. The
+cache key folds in a schema tag and a fingerprint of the cycle cost
+model, so recalibrating the model or changing the result format
+invalidates stale artifacts automatically — pay the simulation cost
+once, restore cheaply forever.
 
 ``run_workload``/``run_all`` in :mod:`repro.harness.experiment`, the
 sweeps, the benchmark suite's shared fixtures, and the CLI all route
@@ -23,8 +24,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import multiprocessing
+import multiprocessing.connection
 import os
+import threading
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -60,6 +65,8 @@ from repro.harness import system as harness_system
 from repro.harness.system import RunResult, SimulatedSystem
 from repro.obs import ledger as obs_ledger
 from repro.obs.instruments import current as current_instruments
+from repro.obs.instruments import instrumented
+from repro.obs.tracing import Tracer
 from repro.sim.cycles import CostModel, DEFAULT_COSTS
 from repro.sim.params import CacheParams, MachineParams, TlbParams
 from repro.sim.stats import Stats
@@ -471,14 +478,47 @@ def _run_group(
 
 
 def _execute_group(
-    requests: Sequence[RunRequest], cost_model: CostModel
-) -> List[Tuple[Dict[str, Any], float]]:
+    requests: Sequence[RunRequest], cost_model: CostModel, traced: bool
+) -> Tuple[List[Tuple[Dict[str, Any], float]], List[Dict[str, Any]]]:
     """Worker-process entry point: one task per (split) spec group.
 
-    Returns serialized results so the parallel path and the disk-cache
-    path hand back byte-identical payloads.
+    Returns serialized results, so the pooled path and the disk-cache
+    path hand back byte-identical payloads, and, when ``traced``, the
+    spans the group recorded under a tracer local to the worker (in
+    ``to_dict`` form, for the parent to attach under its own span).
     """
-    return list(_run_group(requests, cost_model))
+    if not traced:
+        return list(_run_group(requests, cost_model)), []
+    tracer = Tracer()
+    with instrumented(tracer=tracer):
+        members = list(_run_group(requests, cost_model))
+    return members, tracer.to_dict()["spans"]
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: end the worker when the process that owns
+    the pool dies. A worker blocks on its task queue, which never closes
+    while any worker holds it, so the workers of a killed server (and
+    the fork server they keep alive) would otherwise run forever."""
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(
+        target=watch, name="repro-parent-watch", daemon=True
+    ).start()
+
+
+def _pool_context() -> Any:
+    """The start method of the engine's pool: ``forkserver`` forks each
+    worker from a single-threaded server process, so a threaded parent
+    (the service) can start one safely, and preloading this module
+    there makes every fork start with the simulator imported."""
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([__name__])
+    return context
 
 
 def _envelope_ok(payload: Dict[str, Any]) -> bool:
@@ -500,8 +540,11 @@ class ExperimentEngine:
     The engine is the single execution path for experiments: it answers
     each request from (1) an in-process memo holding the live
     :class:`RunResult` objects, (2) the on-disk JSON cache, or (3) a
-    fresh simulation — serial, or fanned out over ``jobs`` worker
-    processes when a batch holds several misses.
+    fresh simulation — in-process, or on the engine's persistent worker
+    pool. The first batch with several misses at ``jobs > 1`` starts
+    that pool with ``jobs`` processes (or :meth:`start_pool` starts it
+    ahead); from then on every batch with a miss runs there, until
+    :meth:`close` stops it.
     """
 
     def __init__(
@@ -551,6 +594,13 @@ class ExperimentEngine:
         self.summary_progress = summary_progress
         self.stats = Stats()
         self._memo: Dict[str, RunResult] = {}
+        #: The persistent worker pool, the size it is (re)started at (0:
+        #: none asked for yet) and the finalizer that stops it, also for
+        #: an engine never closed.
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_processes = 0
+        self._pool_stop: Optional[weakref.finalize] = None
+        self._pool_lock = threading.Lock()
 
     # -- execution -------------------------------------------------------
 
@@ -654,24 +704,37 @@ class ExperimentEngine:
         self, misses: Sequence[Tuple[str, RunRequest]], jobs: int
     ):
         """Yield ``(key, result, seconds)`` for each miss, one trace per
-        spec group (:func:`_spec_groups`), in group order; parallel when
-        it pays. Results round-trip through ``to_dict`` either way so
-        cached, serial, and parallel runs are bit-identical."""
+        spec group (:func:`_spec_groups`), in group order; in-process, or
+        on the pool :meth:`_pool_for` hands out. Results round-trip
+        through ``to_dict`` either way so cached, serial, and pooled runs
+        are bit-identical."""
         started = time.perf_counter()
         groups = _spec_groups(misses)
-        if jobs > 1 and len(misses) > 1:
+        pool = self._pool_for(jobs, len(misses))
+        if pool is not None:
             self.stats.add("engine.parallel_batches")
+            tracer = current_instruments().tracer
             tasks = _split_groups(groups, jobs)
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outputs = pool.map(
+            futures = [
+                pool.submit(
                     _execute_group,
-                    [[request for _, request in task] for task in tasks],
-                    [self.cost_model] * len(tasks),
+                    [request for _, request in task],
+                    self.cost_model,
+                    tracer.enabled,
                 )
-                for task, output in zip(tasks, outputs):
+                for task in tasks
+            ]
+            try:
+                for task, future in zip(tasks, futures):
+                    output, spans = future.result()
+                    tracer.adopt(spans)
                     for (key, request), (data, elapsed) in zip(task, output):
                         result = self._admit(key, request, data, elapsed)
                         yield key, result, elapsed
+            finally:
+                # A failed batch leaves no queued work on the shared pool.
+                for future in futures:
+                    future.cancel()
         else:
             for group in groups:
                 members = _run_group(
@@ -684,6 +747,75 @@ class ExperimentEngine:
             self.stats.add(
                 "engine.live_seconds", time.perf_counter() - started
             )
+
+    # -- worker pool -----------------------------------------------------
+
+    def start_pool(self, processes: int) -> None:
+        """Start the persistent worker pool with ``processes`` workers
+        (unless one is already running) and wait until they are up."""
+        with self._pool_lock:
+            self._pool_processes = self._pool_processes or processes
+            pool = self._live_pool()
+        # The executor spawns workers on demand; a no-op per worker
+        # starts the fork server and the workers now, not on a miss.
+        for future in [pool.submit(os.getpid) for _ in range(processes)]:
+            future.result()
+
+    def _pool_for(
+        self, jobs: int, misses: int
+    ) -> Optional[ProcessPoolExecutor]:
+        """The pool a batch of ``misses`` runs on: the running one, a
+        fresh one if it broke, a new one of ``jobs`` processes when none
+        was asked for yet and ``jobs > 1 and misses > 1``; else none."""
+        with self._pool_lock:
+            if not self._pool_processes:
+                if jobs < 2 or misses < 2:
+                    return None
+                self._pool_processes = jobs
+            return self._live_pool()
+
+    def _live_pool(self) -> ProcessPoolExecutor:
+        """The running pool, started (or restarted in place of a broken
+        one) at ``_pool_processes`` workers. Holds ``_pool_lock``."""
+        # The executor's manager thread sets ``_broken`` as soon as a
+        # worker dies; the batch that was on the pool then fails, and
+        # the next batch gets a fresh pool.
+        if self._pool is not None and self._pool._broken:
+            self._pool_stop()
+            self._pool = None
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                self._pool_processes,
+                mp_context=_pool_context(),
+                initializer=_exit_with_parent,
+            )
+            self._pool_stop = weakref.finalize(
+                self, self._pool.shutdown, cancel_futures=True
+            )
+        return self._pool
+
+    def worker_pids(self) -> List[int]:
+        """Pids of the pool's workers (none with no pool or a broken
+        one)."""
+        with self._pool_lock:
+            pool = self._pool
+            if pool is None or pool._broken:
+                return []
+            return sorted(pool._processes)
+
+    def close(self) -> None:
+        """Stop the worker pool and close the ledger's append handle.
+
+        The engine stays usable: a later batch runs in-process, or starts
+        a new pool by the same rule as a new engine.
+        """
+        with self._pool_lock:
+            stop, self._pool, self._pool_stop = self._pool_stop, None, None
+            self._pool_processes = 0
+        if stop is not None:
+            stop()
+        if self.ledger is not None:
+            self.ledger.close()
 
     # -- cache plumbing --------------------------------------------------
 

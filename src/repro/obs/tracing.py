@@ -70,6 +70,18 @@ class Span:
             out["children"] = [child.to_dict() for child in self.children]
         return out
 
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any], tracer: "Tracer") -> "Span":
+        """Rebuild a finished span tree from its :meth:`to_dict` form."""
+        span = cls(payload["name"], tracer, dict(payload.get("attrs") or {}))
+        span.start = payload["start"]
+        span.end = span.start + payload["seconds"]
+        span.children = [
+            cls.from_dict(child, tracer)
+            for child in payload.get("children", ())
+        ]
+        return span
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Span({self.name!r}, {self.seconds:.6f}s)"
 
@@ -81,7 +93,8 @@ class Tracer:
     onto the nesting stack (becoming the parent of spans opened inside),
     exiting records the duration. Completed top-level spans accumulate in
     ``roots``. Thread-compatible for the harness's use (one tracer per
-    process; worker processes run untraced).
+    thread; a worker process records into its own tracer, whose spans
+    the parent attaches with :meth:`adopt`).
     """
 
     enabled = True
@@ -109,6 +122,18 @@ class Tracer:
             top = self._stack.pop()
             if top is span:
                 break
+
+    def adopt(self, spans: List[Dict[str, Any]]) -> None:
+        """Attach finished spans in :meth:`to_dict` form (recorded by
+        another tracer, such as a worker process's) under the open span.
+        The default clock, ``perf_counter``, reads the system-wide
+        monotonic clock on Linux, so their starts share this axis."""
+        for payload in spans:
+            span = Span.from_dict(payload, self)
+            if self._stack:
+                self._stack[-1].children.append(span)
+            else:
+                self.roots.append(span)
 
     def clear(self) -> None:
         self.roots = []
@@ -150,6 +175,9 @@ class NullTracer:
     @property
     def roots(self) -> List[Span]:
         return []
+
+    def adopt(self, spans: List[Dict[str, Any]]) -> None:
+        pass
 
     def clear(self) -> None:
         pass

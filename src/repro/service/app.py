@@ -125,8 +125,6 @@ class ServiceState:
 
     def close(self) -> None:
         self.queue.shutdown()
-        if self.engine.ledger is not None:
-            self.engine.ledger.close()
 
 
 # -- operations ---------------------------------------------------------------

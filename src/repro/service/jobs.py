@@ -18,12 +18,19 @@ concurrently (the memo dict, the atomic-write backends, the
 lock-guarded ledger) are safe under the GIL's dict-operation atomicity
 plus their own locking.
 
+The queue starts the engine's worker-process pool (``workers × jobs``
+processes, the most a full set of worker threads can fan out) before it
+takes a job, so every miss and fleet shard simulates in a worker
+process: the server's interpreter keeps only HTTP, hits and admission.
+
 Everything is bounded: a submission that would queue past
 :data:`MAX_QUEUED` jobs is refused with :class:`QueueFull`, and past
 :data:`MAX_RETAINED` jobs the oldest finished ones are forgotten.
 
 Failures are per-job: a request batch that raises marks only its own job
-``failed`` (with the error message) and the worker moves on.
+``failed`` (with the error message) and the worker moves on. A pool
+process that dies fails the batch that was on the pool the same way;
+the engine starts a fresh pool for the next one.
 """
 
 from __future__ import annotations
@@ -167,6 +174,7 @@ class JobQueue:
         self.rejected = 0
         #: Finished jobs forgotten past :data:`MAX_RETAINED`.
         self.evicted = 0
+        engine.start_pool(self.workers * engine.jobs)
         self._threads = [
             threading.Thread(
                 target=self._drain, name=f"repro-job-worker-{i}",
@@ -317,7 +325,8 @@ class JobQueue:
             job.results = [result.to_dict() for result in results]
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting jobs; drain workers (joining when ``wait``)."""
+        """Stop accepting jobs; drain workers and, once they are joined
+        (with ``wait``), close the engine: its pool and ledger handle."""
         with self._lock:
             if self._shutdown:
                 return
@@ -327,3 +336,4 @@ class JobQueue:
         if wait:
             for thread in self._threads:
                 thread.join()
+            self.engine.close()

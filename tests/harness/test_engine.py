@@ -1,11 +1,17 @@
 """Tests for the parallel experiment engine and its persistent cache."""
 
 import json
+import os
+import subprocess
+import sys
+import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import stacks as stack_registry
 from repro.backends import JsonBackend
 from repro.core.config import MementoConfig
@@ -18,6 +24,8 @@ from repro.harness.engine import (
 )
 from repro.harness.experiment import run_workload, workload_requests
 from repro.harness.system import RunResult
+from repro.obs.instruments import instrumented
+from repro.obs.tracing import Tracer
 from repro.sim.cycles import CostModel
 from repro.sim.params import MachineParams
 from repro.workloads.registry import get_workload
@@ -170,6 +178,131 @@ def test_grouped_batch_matches_per_request_execution(tmp_path, monkeypatch):
     monkeypatch.setattr(harness_system, "generate_trace", real_generate)
     parallel = make_engine(tmp_path / "parallel").run_many(requests, jobs=2)
     assert [result.to_dict() for result in parallel] == reference
+
+
+def alive(pid):
+    """Whether ``pid`` runs: a zombie waiting to be reaped does not."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def test_pool_persists_across_batches_until_close():
+    engine = ExperimentEngine(use_disk_cache=False, jobs=2)
+    batches = [
+        [RunRequest(small(name), stack="memento") for name in pair]
+        for pair in (("aes", "html"), ("bfs-go", "US"))
+    ]
+    try:
+        engine.run_many(batches[0])
+        pids = engine.worker_pids()
+        assert len(pids) == 2
+        engine.run_many(batches[1])
+        assert engine.worker_pids() == pids
+        assert engine.summary()["engine.parallel_batches"] == 2
+        # A lone miss runs on the pool too, once there is one.
+        engine.run(RunRequest(small("ir"), stack="baseline"))
+        assert engine.summary()["engine.parallel_batches"] == 3
+        assert engine.worker_pids() == pids
+    finally:
+        engine.close()
+    assert engine.worker_pids() == []
+    assert not any(alive(pid) for pid in pids)
+
+
+def test_workers_exit_when_the_pool_owner_is_killed():
+    owner = subprocess.Popen(
+        [
+            sys.executable, "-c",
+            "import time\n"
+            "from repro.harness.engine import ExperimentEngine\n"
+            "engine = ExperimentEngine(use_disk_cache=False, jobs=2)\n"
+            "engine.start_pool(2)\n"
+            "print(*engine.worker_pids(), flush=True)\n"
+            "time.sleep(120)\n",
+        ],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(
+                [str(Path(repro.__file__).parent.parent)]
+                + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+            ),
+        ),
+    )
+    try:
+        pids = [int(pid) for pid in owner.stdout.readline().split()]
+        assert len(pids) == 2 and all(alive(pid) for pid in pids)
+    finally:
+        owner.kill()
+        owner.wait(timeout=30)
+        owner.stdout.close()
+    deadline = time.monotonic() + 30
+    while any(alive(pid) for pid in pids):
+        assert time.monotonic() < deadline, "workers outlived their owner"
+        time.sleep(0.05)
+
+
+def test_threads_share_one_pool():
+    engine = ExperimentEngine(use_disk_cache=False, jobs=2)
+    batches = [
+        [
+            RunRequest(replace(small(num_allocs=300), seed=seed), stack=stack)
+            for stack in ("baseline", "memento")
+        ]
+        for seed in range(1, 7)
+    ]
+    out = {}
+    barrier = threading.Barrier(len(batches))
+
+    def submit(index):
+        barrier.wait(timeout=30)
+        out[index] = engine.run_many(batches[index])
+
+    threads = [
+        threading.Thread(target=submit, args=(index,))
+        for index in range(len(batches))
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        # Six submitting threads, one pool of two workers.
+        assert len(engine.worker_pids()) == 2
+    finally:
+        engine.close()
+    for index, batch in enumerate(batches):
+        assert [result.to_dict() for result in out[index]] == [
+            request.execute().to_dict() for request in batch
+        ]
+
+
+def test_pooled_batch_brings_worker_spans_home():
+    engine = ExperimentEngine(use_disk_cache=False, jobs=2)
+    tracer = Tracer()
+    try:
+        with instrumented(tracer=tracer):
+            engine.run_many([
+                RunRequest(small(), stack=stack)
+                for stack in ("baseline", "memento")
+            ])
+    finally:
+        engine.close()
+    (batch,) = tracer.to_dict()["spans"]
+    (execute,) = [s for s in batch["children"] if s["name"] == "execute"]
+    runs = [c for c in execute["children"] if c["name"] == "system.run"]
+    assert len(runs) == 2
+    for run in runs:
+        assert "replay" in [c["name"] for c in run["children"]]
+        assert execute["start"] <= run["start"]
+        assert run["start"] + run["seconds"] <= (
+            execute["start"] + execute["seconds"]
+        )
 
 
 def test_split_groups_keeps_every_worker_busy():

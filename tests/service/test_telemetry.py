@@ -83,6 +83,8 @@ class TestTracePropagation:
             s for s in record["spans"] if s["name"] == "job.run"
         ]
         assert run_span["children"], "engine spans missing from job.run"
+        # The miss simulated in a worker process; its spans came back.
+        assert "replay" in [span["name"] for span in walk([run_span])]
 
         # The JSONL export + the client's span record render into one
         # valid Perfetto timeline.
