@@ -22,8 +22,8 @@ documented in DESIGN.md: result/config objects expose
 every instrument is off by default. Instruments (tracer, event ring,
 cycle profile, auditor, fleet recorder) are bound through one slot:
 ``with instrumented(...)`` sets them, ``current()`` reads them. Drift
-over the run ledger and the committed bench files is judged by one gate
-(``check_trend``, ``check_fleet_trend``, ``repro obs trend``).
+over the run ledger is judged by one gate (``check_trend``,
+``check_fleet_trend``, ``repro obs trend``).
 
 Fleet simulation is part of the same declarative request hierarchy:
 build a ``FleetRequest`` and hand it to ``simulate_fleet`` (in-process),

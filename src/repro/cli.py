@@ -27,13 +27,12 @@ Commands:
 * ``sweep NAME`` — one sensitivity study (populate, multiprocess,
   tuning, fragmentation, coldstart, iso-storage, mallacc, ablation).
 * ``energy WORKLOAD`` — the energy comparison for one workload.
-* ``bench`` — the replay-throughput microbenchmark.
 * ``obs report|diff`` — render the run ledger and exported metrics, or
-  diff two metric/bench files.
+  diff two metric JSONL files.
 * ``obs profile|timeline|trend`` — render an exported cycle profile,
   export spans + sampled events as Perfetto trace JSON, or gate the
-  ledger and bench history for drift (wall time, digests, fleet
-  headline metrics, bench events/s; ``--bench`` adds a fresh payload).
+  ledger history for drift (wall time, digests, fleet headline
+  metrics).
 
 Conventions (shared by every handler): handlers take the parsed
 ``argparse.Namespace`` and return the process exit code — 0 on success,
@@ -100,7 +99,6 @@ from repro.obs import (
     EventRing,
     RunLedger,
     Tracer,
-    check_bench_trend,
     check_fleet_trend,
     check_trend,
     default_ledger_path,
@@ -116,7 +114,6 @@ from repro.obs import (
     render_prometheus,
     render_span_tree,
     render_top_consumers,
-    render_bench_trend,
     render_fleet_trend,
     render_trend,
     run_record,
@@ -390,40 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     energy_parser.add_argument("workload", metavar="WORKLOAD")
     energy_parser.set_defaults(handler=cmd_energy)
 
-    bench_parser = sub.add_parser(
-        "bench", help="replay-throughput microbenchmark (BENCH_<date>.json)"
-    )
-    bench_parser.add_argument(
-        "--smoke", action="store_true",
-        help="tiny traces, one repeat: crash check for CI, not a timing",
-    )
-    bench_parser.add_argument(
-        "--repeats", type=int, default=None, metavar="N",
-        help="best-of-N timing per workload/stack (default 7; smoke 1)",
-    )
-    bench_parser.add_argument(
-        "--num-allocs", type=int, default=None, metavar="N",
-        help="trace size override (default 8000; smoke 500)",
-    )
-    bench_parser.add_argument(
-        "--workloads", nargs="*", default=None, metavar="WORKLOAD",
-        help="workloads to bench (default: html Redis deploy)",
-    )
-    bench_parser.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="output JSON path (default: ./BENCH_<date>.json)",
-    )
-    bench_parser.add_argument(
-        "--compare", default=None, metavar="JSON",
-        help="previous BENCH_*.json to compute per-key speedups against",
-    )
-    bench_parser.add_argument(
-        "--stacks", default=None, metavar="LIST",
-        help="stacks to bench: a comma list, 'both', or 'all' "
-        "(default: baseline,memento — keeps BENCH payloads comparable)",
-    )
-    bench_parser.set_defaults(handler=cmd_bench)
-
     audit_parser = sub.add_parser(
         "audit", help="invariant checks + differential oracle"
     )
@@ -490,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.set_defaults(handler=cmd_obs_report)
 
     diff_parser = obs_sub.add_parser(
-        "diff", help="diff two metric JSONL or BENCH json files"
+        "diff", help="diff two metric JSONL files"
     )
     diff_parser.add_argument("old", metavar="OLD")
     diff_parser.add_argument("new", metavar="NEW")
@@ -528,16 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     trend_parser.add_argument(
         "--ledger", default=None, metavar="PATH",
         help="ledger file (default: <cache-dir>/ledger.jsonl)",
-    )
-    trend_parser.add_argument(
-        "--bench-root", default=None, metavar="DIR",
-        help="directory holding committed BENCH_<date>.json files for "
-        "the events/s gate (default: current directory)",
-    )
-    trend_parser.add_argument(
-        "--bench", default=None, metavar="JSON",
-        help="a fresh `repro bench` payload (e.g. bench-smoke.json), "
-        "judged as the newest bench point",
     )
     trend_parser.add_argument(
         "--report-only", action="store_true",
@@ -1094,76 +1047,6 @@ def cmd_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.harness import perfbench
-
-    payload = perfbench.run_bench(
-        smoke=args.smoke,
-        repeats=args.repeats,
-        num_allocs=args.num_allocs,
-        workloads=args.workloads or None,
-        compare_path=Path(args.compare) if args.compare else None,
-        stacks=args.stacks,
-    )
-    out = (
-        Path(args.out)
-        if args.out
-        else perfbench.default_output_path(Path.cwd(), smoke=args.smoke)
-    )
-    perfbench.write_bench(payload, out)
-    rows = [
-        [
-            key,
-            row["events"],
-            f"{row['seconds'] * 1e3:.1f}",
-            f"{row['events_per_sec']:,.0f}",
-        ]
-        for key, row in sorted(payload["replay"].items())
-    ]
-    print(render_table(
-        ["workload/stack", "events", "best ms", "events/sec"],
-        rows,
-        title="Replay throughput" + (" (smoke)" if args.smoke else ""),
-    ))
-    if "engine_cache" in payload:
-        cache = payload["engine_cache"]
-        print(
-            f"engine cache: miss {cache['miss_seconds'] * 1e3:.1f} ms, "
-            f"disk hit {cache['disk_hit_seconds'] * 1e3:.1f} ms "
-            f"({cache['disk_hit_speedup']:.0f}x), "
-            f"memo hit {cache['memo_hit_seconds'] * 1e3:.3f} ms"
-        )
-    if "obs_overhead" in payload:
-        obs = payload["obs_overhead"]
-        print(
-            f"obs overhead: disabled {obs['disabled_seconds'] * 1e3:.1f} ms, "
-            f"enabled {obs['enabled_seconds'] * 1e3:.1f} ms "
-            f"({(obs['overhead_ratio'] - 1) * 100:+.1f}%)"
-        )
-    if "profile_overhead" in payload:
-        prof = payload["profile_overhead"]
-        print(
-            f"profile overhead: disabled "
-            f"{prof['disabled_seconds'] * 1e3:.1f} ms, "
-            f"enabled {prof['enabled_seconds'] * 1e3:.1f} ms "
-            f"({(prof['overhead_ratio'] - 1) * 100:+.1f}%)"
-        )
-    if "comparison" in payload:
-        comparison = payload["comparison"]
-        if comparison.get("warning"):
-            print(f"comparison: {comparison['warning']}")
-        else:
-            against = (
-                f"{comparison['reference']} "
-                f"({comparison.get('reference_date')}, "
-                f"{comparison.get('reference_fingerprint')})"
-            )
-            for key, ratio in sorted(comparison["speedup"].items()):
-                print(f"  {key}: {ratio:.2f}x vs {against}")
-    print(f"wrote {out}")
-    return 0
-
-
 # -- repro obs ----------------------------------------------------------------
 
 
@@ -1299,47 +1182,9 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_payload(path: Path):
-    """Sniff OLD/NEW diff operands: bench JSON dict or metrics JSONL.
-
-    A one-line JSONL file also parses as a JSON document, so the
-    ``kind`` discriminator (present on every metrics record, never on a
-    bench payload) decides, not parseability alone.
-    """
-    import json
-
-    text = path.read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
-        if isinstance(payload, dict) and "kind" not in payload:
-            return "bench", payload
-    except json.JSONDecodeError:
-        pass
-    return "jsonl", read_jsonl(path)
-
-
 def cmd_obs_diff(args: argparse.Namespace) -> int:
-    from repro.harness import perfbench
-
     old_path, new_path = Path(args.old), Path(args.new)
-    old_kind, old = _load_payload(old_path)
-    new_kind, new = _load_payload(new_path)
-    if old_kind != new_kind:
-        return _usage_error(
-            "obs diff: operands must both be bench JSON or both JSONL"
-        )
-    if old_kind == "bench":
-        speedups = perfbench.compare(
-            new.get("replay", new), old.get("replay", old)
-        )
-        if not speedups:
-            return _usage_error("obs diff: no overlapping replay keys")
-        print(render_table(
-            ["workload/stack", "new/old events/sec"],
-            [[key, f"{ratio:.3f}x"] for key, ratio in sorted(speedups.items())],
-            title=f"bench diff: {new_path.name} vs {old_path.name}",
-        ))
-        return 0
+    old, new = read_jsonl(old_path), read_jsonl(new_path)
     old_runs = {
         (r.get("workload"), r.get("stack")): r
         for r in old if r.get("kind") == "run"
@@ -1350,7 +1195,10 @@ def cmd_obs_diff(args: argparse.Namespace) -> int:
     }
     keys = sorted(set(old_runs) & set(new_runs))
     if not keys:
-        return _usage_error("obs diff: no overlapping run records")
+        return _usage_error(
+            "obs diff: no overlapping run records (both operands must be "
+            "metrics JSONL from `repro run --metrics`)"
+        )
     rows = []
     for key in keys:
         o, n = old_runs[key], new_runs[key]
@@ -1418,45 +1266,21 @@ def cmd_obs_timeline(args: argparse.Namespace) -> int:
 
 
 def cmd_obs_trend(args: argparse.Namespace) -> int:
-    import json
-
-    newest = None
-    if args.bench:
-        try:
-            newest = json.loads(Path(args.bench).read_text())
-        except (OSError, ValueError) as exc:
-            return _usage_error(f"obs trend: unreadable --bench: {exc}")
-        if not isinstance(newest, dict) or "replay" not in newest:
-            return _usage_error(
-                f"obs trend: {args.bench} is not a `repro bench` payload"
-            )
-        newest["_file"] = Path(args.bench).name
     ledger = _ledger_at(args.ledger)
     report = check_trend(ledger)
-    bench_report = check_bench_trend(
-        Path(args.bench_root) if args.bench_root else Path.cwd(), newest
-    )
     fleet_report = check_fleet_trend(ledger)
-    if (
-        not report["entries"]
-        and not bench_report["rows"]
-        and not fleet_report["entries"]
-    ):
+    if not report["entries"] and not fleet_report["entries"]:
         print(f"obs trend: ledger has no entries ({ledger.path})")
         return 0
     if report["entries"]:
         print(render_trend(report))
-    if bench_report["rows"]:
-        print()
-        print(f"Bench throughput ({len(bench_report['files'])} files)")
-        print(render_bench_trend(bench_report))
     if fleet_report["entries"]:
         print()
         print(
             f"Fleet trend ({fleet_report['entries']} ledger entries)"
         )
         print(render_fleet_trend(fleet_report))
-    ok = report["ok"] and bench_report["ok"] and fleet_report["ok"]
+    ok = report["ok"] and fleet_report["ok"]
     if ok:
         print("obs trend: ok")
         return 0

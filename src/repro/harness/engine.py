@@ -315,6 +315,14 @@ class RunRequest:
         thing.
         """
         data = REQUEST_CODEC.open(drop_legacy_kernel(data))
+        # A flag is a JSON boolean: ``bool("false")`` is True, so any
+        # other value is rejected rather than coerced.
+        for flag in ("memento", "cold_start", "mmap_populate"):
+            if not isinstance(data.get(flag, False), bool):
+                raise ValueError(
+                    f"RunRequest field {flag!r} must be a boolean, got "
+                    f"{data[flag]!r}"
+                )
         # The legacy boolean is tolerated here, on the wire, and nowhere
         # else: it names one of the paper's two stacks.
         has_memento = "memento" in data
@@ -326,14 +334,14 @@ class RunRequest:
                 "(or the legacy memento flag)"
             )
         if data.get("stack") is None:
-            stack = "memento" if bool(memento) else "baseline"
+            stack = "memento" if memento else "baseline"
         else:
             stack = resolve_stack(str(data["stack"]))
             hardware = stack_registry.get_stack(stack).hardware
-            if has_memento and bool(memento) != hardware:
+            if has_memento and memento != hardware:
                 raise ValueError(
                     f"RunRequest payload is inconsistent: stack {stack!r} "
-                    f"with memento={bool(memento)!r}"
+                    f"with memento={memento!r}"
                 )
         return cls(
             spec=spec_from_dict(data["spec"]),
@@ -342,8 +350,8 @@ class RunRequest:
             machine_params=machine_params_from_dict(
                 data.get("machine_params")
             ),
-            cold_start=bool(data.get("cold_start", False)),
-            mmap_populate=bool(data.get("mmap_populate", False)),
+            cold_start=data.get("cold_start", False),
+            mmap_populate=data.get("mmap_populate", False),
             allocator=data.get("allocator"),
             allocator_kwargs=tuple(
                 (str(name), value)
@@ -382,10 +390,15 @@ def spec_from_dict(data: Any) -> WorkloadSpec:
             )
         )
     if body.get("size_modes") is not None:
-        body["size_modes"] = tuple(
-            (int(size), float(weight))
-            for size, weight in body["size_modes"]
-        )
+        try:
+            body["size_modes"] = tuple(
+                (int(size), float(weight))
+                for size, weight in body["size_modes"]
+            )
+        except OverflowError as exc:
+            # A JSON number past the float range (1e400 parses as
+            # infinity, 10**400 stays an int) overflows int() or float().
+            raise ValueError(f"size_modes out of range: {exc}") from None
     return WorkloadSpec(**body)
 
 

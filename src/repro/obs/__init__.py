@@ -20,8 +20,8 @@ harness so enabling them costs one CLI flag (``repro run --trace
 * :mod:`repro.obs.timeline` — span trees and sampled events exported as
   Chrome/Perfetto trace-event JSON (``repro obs timeline``).
 * :mod:`repro.obs.trend` — the one drift gate (``repro obs trend``):
-  per-key wall time, digests, fleet headline metrics and bench
-  throughput, judged by one policy table.
+  per-key wall time, digests and fleet headline metrics, judged by one
+  policy table.
 """
 
 from repro.obs.events import EventRing
@@ -71,12 +71,10 @@ from repro.obs.tracing import (
     render_span_tree,
 )
 from repro.obs.trend import (
-    check_bench_trend,
     check_fleet_trend,
     check_trend,
     fleet_trend,
     gate,
-    render_bench_trend,
     render_fleet_trend,
     render_trend,
     trend_by_key,
@@ -94,7 +92,6 @@ __all__ = [
     "RunLedger",
     "Span",
     "Tracer",
-    "check_bench_trend",
     "check_fleet_trend",
     "check_trend",
     "counter_digest",
@@ -124,7 +121,6 @@ __all__ = [
     "split_fleet_entries",
     "trace_events",
     "trend_by_key",
-    "render_bench_trend",
     "render_fleet_trend",
     "render_trend",
     "validate_trace_events",

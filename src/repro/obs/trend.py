@@ -12,29 +12,22 @@ against the median of the ones before it. :func:`gate` is that test and
   artifact in ~0 time, so only ``source == "live"`` entries count.
 * **fleet cold-start p95** and **stranded GB·s** per (scenario, stack)
   flag beyond +25%.
-* **bench events/s** per replay key flags beyond a 40% drop. Bench files
-  are committed from whatever machine produced the PR, so cross-machine
-  scatter is part of the series; points only join a key's series when
-  their bench protocol (allocations per trace, repeats) matches the
-  newest point's.
 
-Only worsening flags — faster and leaner are good news — and every
-policy abstains below :data:`MIN_SAMPLES` points. Digest drift rides
-along: the simulator is deterministic, so a content key (or fleet key)
-whose history holds more than one counter (metrics) digest is a
-correctness regression, never noise, whatever its sample count.
+Every quantity is one where larger is worse, and only a rise flags —
+faster and leaner are good news. Every policy abstains below
+:data:`MIN_SAMPLES` points. Digest drift rides along: the simulator is
+deterministic, so a content key (or fleet key) whose history holds more
+than one counter (metrics) digest is a correctness regression, never
+noise, whatever its sample count.
 
-:func:`check_trend`, :func:`check_fleet_trend` and
-:func:`check_bench_trend` turn the per-key verdicts into the gate
-results behind ``repro obs trend`` (report-only in CI).
+:func:`check_trend` and :func:`check_fleet_trend` turn the per-key
+verdicts into the gate results behind ``repro obs trend`` (report-only
+in CI).
 """
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.obs.ledger import RunLedger, split_fleet_entries
@@ -52,11 +45,8 @@ MIN_SAMPLES = 3
 class Policy:
     """When the newest point of a series counts as a regression."""
 
-    #: How far the newest point may be worse than the history median (%).
+    #: How far the newest point may rise above the history median (%).
     pct: float
-    #: True when a larger value is worse (time, stranding); False for
-    #: throughput.
-    higher_is_worse: bool
     #: When set, the newest point must also lie this many scaled MADs
     #: from the median.
     mad_k: Optional[float] = None
@@ -64,13 +54,10 @@ class Policy:
 
 #: The one policy table, keyed by the measured quantity.
 POLICIES: Dict[str, Policy] = {
-    "wall_s": Policy(50.0, higher_is_worse=True, mad_k=4.0),
-    "cold_start_p95_ms": Policy(25.0, higher_is_worse=True),
-    "stranded_gb_s": Policy(25.0, higher_is_worse=True),
-    "events_per_sec": Policy(40.0, higher_is_worse=False),
+    "wall_s": Policy(50.0, mad_k=4.0),
+    "cold_start_p95_ms": Policy(25.0),
+    "stranded_gb_s": Policy(25.0),
 }
-
-_BENCH_PATTERN = re.compile(r"^BENCH_(\d{4}-\d{2}-\d{2})\.json$")
 
 
 def median(values: Sequence[float]) -> float:
@@ -112,12 +99,9 @@ def gate(series: Sequence[float], policy: Policy) -> Dict[str, Any]:
     center = median(history)
     verdict["median"] = center
     verdict["latest"] = latest
-    if policy.higher_is_worse:
-        worse = latest > center * (1.0 + policy.pct / 100.0) and (
-            latest > center + 1e-12
-        )
-    else:
-        worse = latest < center * (1.0 - policy.pct / 100.0)
+    worse = latest > center * (1.0 + policy.pct / 100.0) and (
+        latest > center + 1e-12
+    )
     if policy.mad_k is not None:
         spread = MAD_SCALE * mad(history, center)
         if spread > 0:
@@ -323,136 +307,6 @@ def render_fleet_trend(report: Mapping[str, Any]) -> str:
             f"{str(row.get('scenario')):<18} {str(row.get('stack')):<9} "
             f"{row.get('runs', 0):>5} {pair(cold):>18} "
             f"{pair(stranded):>16}  {status}"
-        )
-    return "\n".join(lines)
-
-
-def bench_history(root: Path) -> List[Dict[str, Any]]:
-    """Committed ``BENCH_<date>.json`` payloads under ``root``, oldest
-    first (smoke files and unparseable payloads are skipped)."""
-    files = sorted(
-        path
-        for path in root.glob("BENCH_*.json")
-        if _BENCH_PATTERN.match(path.name)
-    )
-    payloads: List[Dict[str, Any]] = []
-    for path in files:
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            continue
-        if not isinstance(payload, dict) or "replay" not in payload:
-            continue
-        payload["_file"] = path.name
-        payloads.append(payload)
-    return payloads
-
-
-def _protocol(payload: Mapping[str, Any]) -> tuple:
-    protocol = payload.get("protocol") or {}
-    return (protocol.get("num_allocs"), protocol.get("repeats"))
-
-
-def bench_trend(payloads: Sequence[Mapping[str, Any]]) -> List[Dict[str, Any]]:
-    """Per-replay-key throughput rows over the bench history.
-
-    ``payloads`` run oldest first. A key's series holds the events/s of
-    the payloads whose protocol (``num_allocs``, ``repeats``) matches the
-    newest payload's, judged by the ``events_per_sec`` policy. A key
-    absent from the newest payload abstains (the bench workload set
-    changed); a key left with too few points because older points ran
-    another protocol abstains with ``protocol_differs``.
-    """
-    newest = payloads[-1] if payloads else {}
-    protocol = _protocol(newest)
-    series: Dict[str, List[float]] = {}
-    mismatched = set()
-    for payload in payloads:
-        same = _protocol(payload) == protocol
-        for key, row in payload.get("replay", {}).items():
-            value = row.get("events_per_sec")
-            if not isinstance(value, (int, float)) or value <= 0:
-                continue
-            values = series.setdefault(key, [])
-            if same:
-                values.append(float(value))
-            else:
-                mismatched.add(key)
-    latest_keys = set(newest.get("replay", {}))
-    rows: List[Dict[str, Any]] = []
-    for key, values in series.items():
-        verdict = gate(
-            values if key in latest_keys else (),
-            POLICIES["events_per_sec"],
-        )
-        center, latest = verdict["median"], verdict["latest"]
-        rows.append({
-            "key": key,
-            "samples": len(values),
-            "throughput_drift": verdict["drift"],
-            "protocol_differs": center is None and key in mismatched,
-            "median_events_per_sec": center,
-            "latest_events_per_sec": latest,
-            "change_pct": (
-                None if center is None else (latest / center - 1.0) * 100.0
-            ),
-        })
-    return rows
-
-
-def check_bench_trend(
-    root: Path, newest: Optional[Mapping[str, Any]] = None
-) -> Dict[str, Any]:
-    """Throughput gate over the committed bench files under ``root``.
-
-    ``newest`` (a fresh ``repro bench`` payload) joins the history as its
-    newest point. ``{"ok": bool, "files": [...], "rows": [...]}`` —
-    ``ok`` is False when any replay key's newest events/s dropped past
-    the ``events_per_sec`` policy.
-    """
-    payloads: List[Mapping[str, Any]] = list(bench_history(root))
-    if newest is not None:
-        payloads.append(newest)
-    rows = bench_trend(payloads)
-    drifted = [row for row in rows if row["throughput_drift"]]
-    return {
-        "ok": not drifted,
-        "files": [payload.get("_file", "(newest)") for payload in payloads],
-        "rows": rows,
-    }
-
-
-def render_bench_trend(report: Mapping[str, Any]) -> str:
-    """ASCII table of a :func:`check_bench_trend` report."""
-    rows = report.get("rows", [])
-    if not rows:
-        return "(no bench history)"
-    lines = [
-        f"{'workload/stack':<18} {'files':>5} {'median ev/s':>12} "
-        f"{'latest ev/s':>12} {'change':>8}  status"
-    ]
-    for row in rows:
-        med = row.get("median_events_per_sec")
-        latest = row.get("latest_events_per_sec")
-        change = row.get("change_pct")
-        if row.get("throughput_drift"):
-            status = "THROUGHPUT DRIFT"
-        elif row.get("protocol_differs"):
-            status = "(protocol differs)"
-        elif med is None:
-            status = "(insufficient history)"
-        else:
-            status = "ok"
-        med_text = f"{med:>12,.0f}" if med is not None else f"{'-':>12}"
-        latest_text = (
-            f"{latest:>12,.0f}" if latest is not None else f"{'-':>12}"
-        )
-        change_text = (
-            f"{change:>+7.1f}%" if change is not None else f"{'-':>8}"
-        )
-        lines.append(
-            f"{str(row.get('key')):<18} {row.get('samples', 0):>5} "
-            f"{med_text} {latest_text} {change_text}  {status}"
         )
     return "\n".join(lines)
 

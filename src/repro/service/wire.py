@@ -52,6 +52,10 @@ def run_request_from_wire(payload: Any) -> RunRequest:
     body = dict(payload)
     name = body.pop("workload", None)
     if name is not None:
+        if not isinstance(name, str):
+            raise WireError(
+                f"workload must be a name, got {type(name).__name__}"
+            )
         if "spec" in body:
             raise WireError("pass either workload or spec, not both")
         overrides = body.pop("spec_overrides", None) or {}

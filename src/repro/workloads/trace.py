@@ -62,8 +62,7 @@ class Compute:
 
 Event = Union[Alloc, Free, Touch, Compute]
 
-#: Columnar kind tags (stable — BENCH trajectories and any persisted
-#: packed traces rely on them).
+#: Columnar kind tags (stable — persisted packed traces rely on them).
 KIND_ALLOC = 0
 KIND_FREE = 1
 KIND_TOUCH = 2
@@ -258,8 +257,7 @@ class ColumnarTrace:
         """Memoized run segmentation (see :class:`SegmentIndex`).
 
         Columns are immutable once packed, so the index is built at most
-        once per packed trace — replays (and the benchmark protocol,
-        which packs outside every timed region) amortize it away.
+        once per packed trace and later replays amortize it away.
         """
         index = self._segments
         if index is None:

@@ -1,11 +1,10 @@
 """Tests for the run ledger (:mod:`repro.obs.ledger`) and the drift
-checks that read it and the bench history (:mod:`repro.obs.trend`)."""
+checks that read it (:mod:`repro.obs.trend`)."""
 
 import json
 import sys
 import threading
 
-import pytest
 
 from repro.obs.ledger import (
     RunLedger,
@@ -13,7 +12,7 @@ from repro.obs.ledger import (
     default_ledger_path,
     manifest,
 )
-from repro.obs.trend import bench_trend, check_trend, trend_by_key
+from repro.obs.trend import check_trend, trend_by_key
 
 
 class TestCounterDigest:
@@ -133,43 +132,6 @@ class TestRunLedger:
         rows = {row["key"]: row for row in trend_by_key(ledger.read())}
         assert rows["k"]["digests"] == ["d1", "d2"]
         assert rows["other"]["digests"] == ["d9"]
-
-
-class TestCheckBench:
-    """The bench policy: the newest payload's events/s per replay key
-    against the median of the older same-protocol payloads."""
-
-    def payload(self, **keys):
-        return {
-            "protocol": {"num_allocs": 8000, "repeats": 7},
-            "replay": {
-                key: {"events_per_sec": value} for key, value in keys.items()
-            },
-        }
-
-    def rows(self, newest, **history):
-        older = [self.payload(**history), self.payload(**history)]
-        return {row["key"]: row for row in bench_trend(older + [newest])}
-
-    def test_within_threshold_ok(self):
-        row = self.rows(self.payload(a=65.0), a=100.0)["a"]
-        assert row["change_pct"] == pytest.approx(-35.0)
-        assert not row["throughput_drift"]
-
-    def test_breach_fails(self):
-        row = self.rows(self.payload(a=50.0), a=100.0)["a"]
-        assert row["throughput_drift"]
-
-    def test_improvement_never_fails(self):
-        row = self.rows(self.payload(a=500.0), a=100.0)["a"]
-        assert not row["throughput_drift"]
-
-    def test_missing_keys_reported_not_failed(self):
-        rows = self.rows(self.payload(new=100.0), old=100.0)
-        assert set(rows) == {"new", "old"}
-        for row in rows.values():
-            assert not row["throughput_drift"]
-            assert row["median_events_per_sec"] is None
 
 
 def test_check_ledger_determinism(tmp_path):

@@ -60,10 +60,6 @@ GATE_CASES = [
     ("stranded_gb_s", [2.0, 2.0, 2.4], False),
     ("stranded_gb_s", [0.0, 0.0, 0.0], False),
     ("stranded_gb_s", [2.0, 20.0], False),
-    ("events_per_sec", [100e3, 102e3, 40e3], True),
-    ("events_per_sec", [100e3, 102e3, 65e3], False),
-    ("events_per_sec", [100e3, 102e3, 900e3], False),
-    ("events_per_sec", [100e3, 1e3], False),
 ]
 
 
@@ -82,17 +78,11 @@ class TestGate:
     def test_every_policy_abstains_below_min_samples(self):
         assert MIN_SAMPLES == 3
         for policy in POLICIES.values():
-            worst = [1.0, 1e9] if policy.higher_is_worse else [1e9, 1.0]
-            assert not gate(worst, policy)["drift"]
+            assert not gate([1.0, 1e9], policy)["drift"]
 
     def test_improvement_never_flags(self):
         for policy in POLICIES.values():
-            best = (
-                [10.0, 10.0, 0.001]
-                if policy.higher_is_worse
-                else [10.0, 10.0, 1e9]
-            )
-            assert not gate(best, policy)["drift"]
+            assert not gate([10.0, 10.0, 0.001], policy)["drift"]
 
     def test_only_mad_policies_report_deviation(self):
         assert "deviation_mads" in gate([1.0, 2.0, 3.0], POLICIES["wall_s"])

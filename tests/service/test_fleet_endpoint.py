@@ -107,6 +107,7 @@ class TestEndpoint:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(http_request, timeout=30)
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_fleet_result_payload_parses_as_fleet_result(self, server):

@@ -51,7 +51,8 @@ def http_get(url: str):
         with urllib.request.urlopen(request, timeout=30) as response:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
+        with exc:
+            return exc.code, json.loads(exc.read())
 
 
 class TestEndpoints:
@@ -106,6 +107,16 @@ class TestEndpoints:
             client.submit({"workload": "nope", "memento": True})
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("body", [
+        {"workload": ["html"], "memento": True},
+        {"workload": {}, "memento": True},
+        {"workload": "html", "memento": "false"},
+    ])
+    def test_mistyped_submission_400(self, server, client, body):
+        with pytest.raises(ServiceError) as err:
+            client.submit(body)
+        assert err.value.status == 400
+
     def test_non_json_body_400(self, server):
         request = urllib.request.Request(
             f"{server.url}/api/v1/runs",
@@ -114,6 +125,7 @@ class TestEndpoints:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=30)
+        err.value.close()
         assert err.value.code == 400
 
     def test_retired_kernel_field_accepted_unknown_value_400(
