@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.obs.instruments import current as current_instruments
-from repro.sim.params import PAGE_SIZE
+from repro.sim.params import PAGE_SHIFT, PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.kernel import Kernel
@@ -117,6 +117,9 @@ class SoftwareAllocator(abc.ABC):
         machine_stats = kernel.machine.stats
         self._ua_cycles = machine_stats.counter("cycles.user_alloc")
         self._uf_cycles = machine_stats.counter("cycles.user_free")
+        self._warm_prefaulted = machine_stats.counter(
+            "kernel.warm_prefaulted_pages"
+        )
         # Fast-path cycle constants, hoisted so subclasses can charge
         # inline (same arithmetic _charge_alloc/_charge_free perform).
         # The inline form is only valid when the charge hooks are not
@@ -254,9 +257,14 @@ class SoftwareAllocator(abc.ABC):
             core, self.process, length, populate or self.mmap_populate
         )
         if self.warm:
+            # A warm container's earlier invocations already faulted the
+            # heap in: the pages are backed before the measured run, with
+            # no cycles or fault stats charged.
             pages = pages_for(length)
-            for page in range(pages):
-                self.kernel.prefault_warm(self.process, base + page * PAGE_SIZE)
+            frames, _ = self.kernel.back_range(
+                self.process, base >> PAGE_SHIFT, pages
+            )
+            self._warm_prefaulted.pending += len(frames)
             if self.warm_charge is not None:
                 self.warm_charge(core, pages)
         return base

@@ -186,10 +186,9 @@ class JemallocAllocator(SoftwareAllocator):
         if not self.warm:
             # Cold init: the library pre-faults its pool on the critical
             # path; a warm container inherited the backed pages already.
-            for page in range(PREFAULT_PAGES):
-                self.kernel.fault_handler.handle(
-                    core, self.process, base + page * PAGE_SIZE
-                )
+            self.kernel.fault_handler.handle_range(
+                core, self.process, base, PREFAULT_PAGES
+            )
         self._initialized = True
         self.stats.add("prefaulted_pages", PREFAULT_PAGES)
 

@@ -19,6 +19,8 @@ both request hierarchies use:
   simulating the wrong thing.
 * :func:`checked_fields` — strict unknown-field rejection for nested
   dataclass bodies.
+* :func:`check_scalars` — strict type (and optional range) checks of
+  a body's scalar fields against the dataclass's declared types.
 * :func:`content_key` — the shared key derivation: schema tag plus
   provenance fingerprints plus the canonicalized request body, hashed.
 
@@ -31,8 +33,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import sys
+import typing
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping
+from functools import lru_cache
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 
 def canonical(value: Any) -> Any:
@@ -109,6 +115,77 @@ def checked_fields(cls: type, data: Any, label: str) -> Dict[str, Any]:
     if unknown:
         raise ValueError(f"unknown {label} fields: {sorted(unknown)}")
     return dict(data)
+
+
+#: Inclusive ``(low, high)`` bounds per field name; ``None`` leaves a
+#: side open.
+Bounds = Mapping[str, Tuple[Optional[float], Optional[float]]]
+
+_NOUNS = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a finite number",
+    str: "a string",
+}
+
+
+@lru_cache(maxsize=None)
+def _scalar_kinds(cls: type) -> Dict[str, Tuple[type, bool]]:
+    """``{field: (type, optional)}`` for ``cls``'s ``bool``, ``int``,
+    ``float`` and ``str`` fields, ``Optional`` or not."""
+    kinds = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        args = typing.get_args(hint)
+        optional = typing.get_origin(hint) is typing.Union
+        if optional and len(args) == 2 and args[1] is type(None):
+            hint = args[0]
+        if hint in _NOUNS:
+            kinds[name] = (hint, optional)
+    return kinds
+
+
+def is_scalar(kind: type, value: Any) -> bool:
+    """Whether ``value`` is a wire value of type ``kind``, uncoerced: an
+    ``int`` is not a bool, and a ``float`` is a finite int or float."""
+    if kind is bool or kind is str:
+        return isinstance(value, kind)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if kind is int:
+        return isinstance(value, int)
+    # 1e400 parses as infinity; 10**400 stays an int past the float range.
+    return abs(value) <= sys.float_info.max and not math.isnan(value)
+
+
+def check_scalars(
+    cls: type,
+    body: Mapping[str, Any],
+    label: str,
+    bounds: Optional[Bounds] = None,
+) -> None:
+    """Reject a wire body whose ``bool``/``int``/``float``/``str``
+    fields do not hold ``cls``'s declared types (see :func:`is_scalar`;
+    ``None`` where the field is ``Optional``), or lie outside
+    ``bounds``. Nothing is coerced: a coerced value would run a
+    different request than the one sent."""
+    kinds = _scalar_kinds(cls)
+    for name, value in body.items():
+        if name not in kinds or (value is None and kinds[name][1]):
+            continue
+        kind = kinds[name][0]
+        if not is_scalar(kind, value):
+            raise ValueError(
+                f"{label} field {name!r} must be {_NOUNS[kind]}, "
+                f"got {value!r}"
+            )
+        low, high = (bounds or {}).get(name, (None, None))
+        if (low is not None and value < low) or (
+            high is not None and value > high
+        ):
+            raise ValueError(
+                f"{label} field {name!r} must lie in [{low}, {high}] "
+                f"(None: unbounded), got {value!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -369,18 +369,20 @@ class HardwarePageAllocator:
         costs = self.machine.costs
         state = self.state_of(process)
         span = arena_span_bytes(size_class, self.config)
-        base_vpn = va >> PAGE_SHIFT
-        freed = 0
-        for page in range(span // PAGE_SIZE):
-            vpn = base_vpn + page
-            if state.page_table.walk(vpn) is None:
-                continue
-            pfn, _tables = state.page_table.unmap(vpn)
-            self.pool.append(pfn)
-            self.machine.frames.move("user", "memento")
-            freed += 1
-            for core_id in state.walker_cores:
-                self.machine.cores[core_id].tlb.invalidate(vpn)
+        vpns, released, tables = state.page_table.unmap_range(
+            va >> PAGE_SHIFT, span // PAGE_SIZE
+        )
+        freed = len(vpns)
+        # Frames and emptied table pages go back in teardown order: the
+        # pool is LIFO, so that order picks the frames later fills get.
+        self.pool.extend(released)
+        if freed:
+            self.machine.frames.move("user", "memento", freed)
+        if tables:
+            self.machine.frames.move("kernel", "memento", tables)
+            self.stats.add("table_pages_live", -tables)
+        for core_id in state.walker_cores:
+            self.machine.cores[core_id].tlb.invalidate_pages(vpns)
         remote = len(state.walker_cores - {core.core_id})
         free_cycles = freed * costs.hw_arena_free_per_page
         shootdown_cycles = remote * costs.tlb_shootdown
@@ -412,8 +414,7 @@ class HardwarePageAllocator:
         if state is None:
             return 0
         leaf_pfns, _interior = state.page_table.clear()
-        for pfn in leaf_pfns:
-            self.pool.append(pfn)
+        self.pool.extend(leaf_pfns)
         if leaf_pfns:
             self.machine.frames.move("user", "memento", len(leaf_pfns))
         # clear() already routed interior node frames through
@@ -433,8 +434,7 @@ class HardwarePageAllocator:
     def return_pool_to_os(self, core: "Core") -> int:
         """Give pool pages back to the kernel (e.g. machine teardown)."""
         returned = len(self.pool)
-        for pfn in self.pool:
-            self.kernel.buddy.free(pfn)
+        self.kernel.buddy.free_pages(self.pool)
         if returned:
             self.machine.frames.credit("memento", returned)
         self.pool.clear()

@@ -203,6 +203,7 @@ class FleetRequest:
         ``kernel`` field, unknown fields and newer schema versions
         rejected)."""
         body = FLEET_CODEC.open_into(cls, drop_legacy_kernel(data))
+        codec.check_scalars(cls, body, FLEET_CODEC.label)
         if "workloads" in body:
             body["workloads"] = tuple(body["workloads"])
         if "stacks" in body:

@@ -70,8 +70,13 @@ from repro.obs.tracing import Tracer
 from repro.sim.cycles import CostModel, DEFAULT_COSTS
 from repro.sim.params import CacheParams, MachineParams, TlbParams
 from repro.sim.stats import Stats
-from repro.workloads.profiles import LifetimeProfile
-from repro.workloads.synth import WorkloadSpec
+from repro.workloads.profiles import LifetimeProfile, PROFILES
+from repro.workloads.synth import (
+    CATEGORIES,
+    LIFETIME_BOUNDS,
+    SPEC_BOUNDS,
+    WorkloadSpec,
+)
 from repro.workloads.trace import Trace
 
 #: Bumped whenever the cache payload or key derivation changes shape;
@@ -353,11 +358,27 @@ class RunRequest:
             cold_start=data.get("cold_start", False),
             mmap_populate=data.get("mmap_populate", False),
             allocator=data.get("allocator"),
-            allocator_kwargs=tuple(
-                (str(name), value)
-                for name, value in data.get("allocator_kwargs") or ()
-            ),
+            allocator_kwargs=_allocator_kwargs(data.get("allocator_kwargs")),
         )
+
+
+def _allocator_kwargs(pairs: Any) -> Tuple[Tuple[str, Any], ...]:
+    """``[[name, value], ...]`` as a tuple of pairs. An object is
+    rejected, not iterated: ``{"ab": 1}`` would unpack its key into
+    the kwarg ``a="b"``."""
+    if pairs is None:
+        return ()
+    if not isinstance(pairs, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple))
+        and len(pair) == 2
+        and isinstance(pair[0], str)
+        for pair in pairs
+    ):
+        raise ValueError(
+            "RunRequest field 'allocator_kwargs' must be a list of "
+            f"[name, value] pairs, got {pairs!r}"
+        )
+    return tuple((name, value) for name, value in pairs)
 
 
 def drop_legacy_kernel(data: Any) -> Any:
@@ -381,34 +402,62 @@ def drop_legacy_kernel(data: Any) -> Any:
 
 
 def spec_from_dict(data: Any) -> WorkloadSpec:
-    """Rebuild a :class:`WorkloadSpec` from its ``asdict`` wire form."""
+    """Rebuild a :class:`WorkloadSpec` from its ``asdict`` wire form,
+    rejecting any field of the wrong type or out of range."""
     body = codec.checked_fields(WorkloadSpec, data, "spec")
+    codec.check_scalars(WorkloadSpec, body, "spec", SPEC_BOUNDS)
+    for name, choices in (
+        ("language", tuple(PROFILES)),
+        ("category", CATEGORIES),
+    ):
+        if name in body and body[name] not in choices:
+            raise ValueError(
+                f"spec field {name!r} must be one of {choices}, "
+                f"got {body[name]!r}"
+            )
     if body.get("lifetime") is not None:
-        body["lifetime"] = LifetimeProfile(
-            **codec.checked_fields(
-                LifetimeProfile, body["lifetime"], "lifetime"
-            )
+        lifetime = codec.checked_fields(
+            LifetimeProfile, body["lifetime"], "lifetime"
         )
+        codec.check_scalars(
+            LifetimeProfile, lifetime, "lifetime", LIFETIME_BOUNDS
+        )
+        body["lifetime"] = LifetimeProfile(**lifetime)
+        if body["lifetime"].medium_max <= body["lifetime"].short_max:
+            raise ValueError("lifetime medium_max must exceed short_max")
     if body.get("size_modes") is not None:
-        try:
-            body["size_modes"] = tuple(
-                (int(size), float(weight))
-                for size, weight in body["size_modes"]
-            )
-        except OverflowError as exc:
-            # A JSON number past the float range (1e400 parses as
-            # infinity, 10**400 stays an int) overflows int() or float().
-            raise ValueError(f"size_modes out of range: {exc}") from None
+        body["size_modes"] = _size_modes(body["size_modes"])
     return WorkloadSpec(**body)
+
+
+def _size_modes(modes: Any) -> Tuple[Tuple[int, float], ...]:
+    """``[[size, weight], ...]``: integer sizes in [1, 512] bytes and
+    finite non-negative weights, at least one of them positive."""
+    if not isinstance(modes, (list, tuple)) or not all(
+        isinstance(mode, (list, tuple))
+        and len(mode) == 2
+        and codec.is_scalar(int, mode[0])
+        and codec.is_scalar(float, mode[1])
+        and 1 <= mode[0] <= 512
+        and mode[1] >= 0
+        for mode in modes
+    ):
+        raise ValueError(
+            "size_modes out of range: each mode is an integer size in "
+            f"[1, 512] and a finite weight >= 0, got {modes!r}"
+        )
+    if not any(weight > 0 for _, weight in modes):
+        raise ValueError("size_modes out of range: no positive weight")
+    return tuple((size, float(weight)) for size, weight in modes)
 
 
 def config_from_dict(data: Any) -> MementoConfig:
     """Rebuild a :class:`MementoConfig` (``None`` → defaults)."""
     if data is None:
         return MementoConfig()
-    return MementoConfig(
-        **codec.checked_fields(MementoConfig, data, "config")
-    )
+    body = codec.checked_fields(MementoConfig, data, "config")
+    codec.check_scalars(MementoConfig, body, "config")
+    return MementoConfig(**body)
 
 
 def machine_params_from_dict(data: Any) -> MachineParams:
@@ -416,16 +465,16 @@ def machine_params_from_dict(data: Any) -> MachineParams:
     if data is None:
         return MachineParams()
     body = codec.checked_fields(MachineParams, data, "machine_params")
-    for name in ("l1d", "l1i", "l2", "llc"):
-        if isinstance(body.get(name), dict):
-            body[name] = CacheParams(
-                **codec.checked_fields(CacheParams, body[name], name)
-            )
-    for name in ("tlb_l1", "tlb_l2"):
-        if isinstance(body.get(name), dict):
-            body[name] = TlbParams(
-                **codec.checked_fields(TlbParams, body[name], name)
-            )
+    codec.check_scalars(MachineParams, body, "machine_params")
+    for names, params in (
+        (("l1d", "l1i", "l2", "llc"), CacheParams),
+        (("tlb_l1", "tlb_l2"), TlbParams),
+    ):
+        for name in names:
+            if isinstance(body.get(name), dict):
+                nested = codec.checked_fields(params, body[name], name)
+                codec.check_scalars(params, nested, name)
+                body[name] = params(**nested)
     return MachineParams(**body)
 
 

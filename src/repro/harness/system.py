@@ -907,10 +907,9 @@ class SimulatedSystem:
         base = self.kernel.syscalls.mmap(
             self.core, self.process, COLD_START_PAGES * PAGE_SIZE
         )
-        for page in range(COLD_START_PAGES):
-            self.kernel.fault_handler.handle(
-                self.core, self.process, base + page * PAGE_SIZE
-            )
+        self.kernel.fault_handler.handle_range(
+            self.core, self.process, base, COLD_START_PAGES
+        )
         self.machine.dram.record_bulk_bytes(COLD_START_PAGES * 1024)
 
     def _function_exit(self) -> None:

@@ -8,7 +8,7 @@ coalescing freed buddies. Frame numbers are plain ints in
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Iterable, List, Set
 
 from repro.sim.stats import ScopedStats, Stats
 
@@ -93,33 +93,123 @@ class BuddyAllocator:
         return block
 
     def alloc_pages(self, pages: int) -> List[int]:
-        """Allocate ``pages`` individual frames (order-0 blocks)."""
-        return [self.alloc(0) for _ in range(pages)]
+        """Allocate ``pages`` individual frames (order-0 blocks).
+
+        Exactly ``pages`` calls of ``alloc(0)``: the same frames in the
+        same order, the same free lists and the same stats, but a whole
+        block at a time. The smallest free block is the one ``alloc(0)``
+        would split, and page-by-page allocation then walks it in address
+        order, leaving the aligned decomposition of its tail free. Raises
+        :class:`OutOfMemoryError`, changing nothing, if fewer than
+        ``pages`` frames are free.
+        """
+        if pages <= 0:
+            return []
+        if pages > self.free_frames:
+            raise OutOfMemoryError(f"{pages} frames requested")
+        frames: List[int] = []
+        free_lists = self.free_lists
+        splits = 0
+        order = 0
+        remaining = pages
+        while remaining:
+            while order < MAX_ORDER and not free_lists[order]:
+                order += 1
+            size = 1 << order
+            blocks = free_lists[order]
+            if blocks:
+                # Whole blocks go out lowest first, as repeated min()
+                # would take them; only the last may be split.
+                whole = min(len(blocks), remaining >> order)
+                taken = sorted(blocks)[: whole or 1]
+                blocks.difference_update(taken)
+            else:
+                whole = min(
+                    (self._top_end - self._next_top) >> MAX_ORDER,
+                    remaining >> MAX_ORDER,
+                )
+                taken = range(
+                    self._next_top, self._next_top + (whole or 1) * size, size
+                )
+                self._next_top = taken[-1] + size
+            for block in taken[:whole]:
+                frames.extend(range(block, block + size))
+            # Walking an order-k block takes k splits for its first frame
+            # and trailing_zeros(i) for frame i, k + m - popcount(m) over
+            # frames 0..m: 2**k - 1 for the whole block.
+            splits += whole * (size - 1)
+            remaining -= whole << order
+            if not whole:
+                block = taken[0]
+                frames.extend(range(block, block + remaining))
+                last = remaining - 1
+                splits += order + last - bin(last).count("1")
+                # The untaken tail [remaining, size) decomposes into one
+                # aligned block per set bit of size - remaining, smallest
+                # first.
+                offset = remaining
+                rest = size - remaining
+                for low in range(order):
+                    if rest >> low & 1:
+                        free_lists[low].add(block + offset)
+                        offset += 1 << low
+                remaining = 0
+        self._allocated.update(dict.fromkeys(frames, 0))
+        if splits:
+            self.stats.add("splits", splits)
+        self.stats.add("allocs", pages)
+        self.stats.add("frames_out", pages)
+        return frames
 
     def free(self, block: int, order: int | None = None) -> None:
         """Free a previously allocated block, coalescing with buddies."""
-        if block not in self._allocated:
-            raise ValueError(f"frame {block} is not an allocated block")
-        actual = self._allocated[block]
-        if order is not None and order != actual:
-            raise ValueError(
-                f"block {block} was allocated at order {actual}, "
-                f"freed at {order}"
-            )
-        del self._allocated[block]
-        self.stats.add("frees")
-        self.stats.add("frames_out", -(1 << actual))
-        rel = block - self.base
-        current = rel
-        while actual < MAX_ORDER:
-            buddy = current ^ (1 << actual)
-            if self.base + buddy not in self.free_lists[actual]:
-                break
-            self.free_lists[actual].discard(self.base + buddy)
-            current = min(current, buddy)
-            actual += 1
-            self.stats.add("coalesces")
-        self.free_lists[actual].add(self.base + current)
+        if order is None:
+            order = self._allocated.get(block, 0)
+        self._free_blocks((block,), order)
+
+    def free_pages(self, frames: Iterable[int]) -> None:
+        """Free order-0 frames: ``free(frame)`` for each in turn, with the
+        stats summed once."""
+        self._free_blocks(frames, 0)
+
+    def _free_blocks(self, blocks: Iterable[int], order: int) -> None:
+        """Free ``blocks``, all allocated at ``order``, in turn; each
+        coalesces with its free buddy as far up as the top order."""
+        allocated = self._allocated
+        free_lists = self.free_lists
+        base = self.base
+        freed = coalesces = 0
+        try:
+            for block in blocks:
+                actual = allocated.get(block)
+                if actual is None:
+                    raise ValueError(
+                        f"frame {block} is not an allocated block"
+                    )
+                if actual != order:
+                    raise ValueError(
+                        f"block {block} was allocated at order {actual}, "
+                        f"freed at {order}"
+                    )
+                del allocated[block]
+                freed += 1
+                current = block - base
+                while actual < MAX_ORDER:
+                    buddy = current ^ (1 << actual)
+                    buddies = free_lists[actual]
+                    if base + buddy not in buddies:
+                        break
+                    buddies.discard(base + buddy)
+                    current &= ~(1 << actual)
+                    actual += 1
+                    coalesces += 1
+                free_lists[actual].add(base + current)
+        finally:
+            if freed:
+                self.stats.add("frees", freed)
+                self.stats.add("frames_out", -(freed << order))
+            if coalesces:
+                self.stats.add("coalesces", coalesces)
 
     @property
     def free_frames(self) -> int:

@@ -9,10 +9,10 @@ page allocator removes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List
 
 from repro.obs.instruments import current as current_instruments
-from repro.sim.params import PAGE_SHIFT
+from repro.sim.params import PAGE_SHIFT, PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.kernel import Kernel
@@ -97,3 +97,57 @@ class PageFaultHandler:
         # processes whose kernel paths are cold.
         self.kernel.machine.dram.record_bulk_bytes(1024, write=False)
         return pfn
+
+    def handle_range(
+        self, core: "Core", process: "Process", vaddr: int, pages: int
+    ) -> List[int]:
+        """Service first-touch faults on ``pages`` pages from ``vaddr`` up,
+        as that many :meth:`handle` calls in address order would; return
+        the newly mapped frames.
+
+        The frames and table pages come from one
+        :meth:`~repro.kernel.kernel.Kernel.back_range`; the pages are
+        then zeroed one by one, in the same order, and nothing touches
+        the caches in between, so the cache state and every counter end
+        up as page-at-a-time faults leave them. Already backed pages
+        cost a spurious fault. Raises :class:`PageFaultError`, backing
+        nothing, unless one VMA covers the whole range.
+        """
+        if pages <= 0:
+            return []
+        costs = self.kernel.machine.costs
+        vma = process.vmas.find(vaddr)
+        if vma is None or vaddr + pages * PAGE_SIZE > vma.end:
+            self._segv.add()
+            raise PageFaultError(
+                f"no VMA covers {vaddr:#x} + {pages} pages"
+            )
+        frames, created = self.kernel.back_range(
+            process, vaddr >> PAGE_SHIFT, pages
+        )
+        spurious = pages - len(frames)
+        spurious_cycles = costs.page_fault // 4
+        per_page = costs.page_fault + costs.buddy_alloc + costs.page_zero
+        tables = sum(built for _, built in created)
+        fault_cycles = len(frames) * per_page + tables * costs.buddy_alloc
+        core.charge(fault_cycles + spurious * spurious_cycles, "kernel_page")
+        if self._p_fault is not None:
+            # One sample per page at that page's own cost; the first page
+            # of a new leaf table carries the table pages it built.
+            cell, hist = self._p_fault, self._h_fault
+            cell.count += pages
+            cell.cycles += fault_cycles + spurious * spurious_cycles
+            hist.record(spurious_cycles, spurious)
+            hist.record(per_page, len(frames) - len(created))
+            for _, built in created:
+                hist.record(per_page + built * costs.buddy_alloc)
+        self._faults.pending += len(frames)
+        self._fault_cycles.pending += fault_cycles
+        self._spurious.pending += spurious
+        zero_fill = core.caches.zero_fill_page
+        for pfn in frames:
+            zero_fill(pfn << PAGE_SHIFT)
+        self.kernel.machine.dram.record_bulk_bytes(
+            1024 * len(frames), write=False
+        )
+        return frames

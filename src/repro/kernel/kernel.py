@@ -8,7 +8,7 @@ context switch, exit-time batch teardown — the path that frees the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.buddy import BuddyAllocator
 from repro.kernel.fault import PageFaultHandler
@@ -34,7 +34,6 @@ class Kernel:
         self._next_pid = 1
         self._running: Optional[Process] = None
         self.stats = machine.stats.scoped("kernel")
-        self._warm_prefaulted = self.stats.counter("warm_prefaulted_pages")
         # Cycle-attribution cells, bound at construction (obs/profile.py).
         profile = current_instruments().profile
         if profile is None:
@@ -96,8 +95,7 @@ class Kernel:
             raise ValueError(f"process {process.pid} already exited")
         costs = self.machine.costs
         freed_pfns, _interior = process.page_table.clear()
-        for pfn in freed_pfns:
-            self.buddy.free(pfn)
+        self.buddy.free_pages(freed_pfns)
         if freed_pfns:
             process.credit_user_page(len(freed_pfns))
         cycles = (
@@ -114,26 +112,39 @@ class Kernel:
         self.stats.add("processes_exited")
         self.stats.add("exit_freed_pages", len(freed_pfns))
 
-    def prefault_warm(self, process: Process, vaddr: int) -> int:
-        """Back a page without charging cycles or fault stats.
+    # -- page ranges ----------------------------------------------------------
 
-        Models a warm-started container whose previous invocations already
-        faulted the page in: the physical page exists before the measured
-        run begins. Physical accounting still happens. Runs once per heap
-        page at warm-allocator init (hundreds of pages before the first
-        malloc returns), hence the interned counter and single walk.
+    def back_range(
+        self, process: Process, vpn: int, pages: int
+    ) -> Tuple[List[int], List[Tuple[int, int]]]:
+        """Back every unmapped page of ``[vpn, vpn + pages)`` with a fresh
+        frame, charging no cycles.
+
+        The frames and table pages come from the buddy in the order
+        backing the pages one at a time would draw them
+        (:meth:`PageTable.map_range`). Returns ``map_range``'s
+        ``(frames, created)``; callers charge the work their path costs.
         """
-        from repro.sim.params import PAGE_SHIFT
+        frames, created = process.page_table.map_range(
+            vpn, pages, self.buddy.alloc_pages
+        )
+        if frames:
+            process.charge_user_page(len(frames))
+        return frames, created
 
-        vpn = vaddr >> PAGE_SHIFT
-        pfn = process.page_table.walk(vpn)
-        if pfn is not None:
-            return pfn
-        pfn = self.buddy.alloc(0)
-        process.charge_user_page()
-        process.page_table.map(vpn, pfn)
-        self._warm_prefaulted.pending += 1
-        return pfn
+    def release_range(
+        self, process: Process, vpn: int, pages: int
+    ) -> List[int]:
+        """Unmap every backed page of ``[vpn, vpn + pages)``; return the
+        frames and emptied table pages to the buddy in one call. Returns
+        the pages that were backed, for the caller's TLB shootdown."""
+        vpns, released, tables = process.page_table.unmap_range(vpn, pages)
+        self.buddy.free_pages(released)
+        if vpns:
+            process.credit_user_page(len(vpns))
+        if tables:
+            self.machine.frames.credit("kernel", tables)
+        return vpns
 
     # -- memory access (baseline translation path) --------------------------
 

@@ -53,11 +53,7 @@ class SyscallInterface:
         clears every page with no per-page trap — far cheaper per page
         than a fault, but it backs pages that may never be used."""
         costs = self.kernel.machine.costs
-        for page in range(vma.pages):
-            vpn = (vma.start >> PAGE_SHIFT) + page
-            pfn = self.kernel.buddy.alloc(0)
-            process.charge_user_page()
-            process.page_table.map(vpn, pfn)
+        self.kernel.back_range(process, vma.start >> PAGE_SHIFT, vma.pages)
         core.charge(vma.pages * costs.populate_per_page, "kernel_page")
         # Zeroing streams through non-temporal stores straight to DRAM.
         self.kernel.machine.dram.record_bulk_bytes(
@@ -74,17 +70,11 @@ class SyscallInterface:
         """
         costs = self.kernel.machine.costs
         cycles = costs.syscall_entry_exit + costs.munmap_base // 2
-        dropped = 0
-        start_vpn = addr >> PAGE_SHIFT
-        for page in range(-(-length // PAGE_SIZE)):
-            vpn = start_vpn + page
-            if process.page_table.walk(vpn) is None:
-                continue
-            pfn, _tables = process.page_table.unmap(vpn)
-            self.kernel.buddy.free(pfn)
-            process.credit_user_page()
-            dropped += 1
-            core.tlb.invalidate(vpn)
+        vpns = self.kernel.release_range(
+            process, addr >> PAGE_SHIFT, -(-length // PAGE_SIZE)
+        )
+        dropped = len(vpns)
+        core.tlb.invalidate_pages(vpns)
         cycles += dropped * (costs.munmap_per_page + costs.buddy_free)
         core.charge(cycles, "kernel_page")
         self.stats.add("madvise_calls")
@@ -100,16 +90,11 @@ class SyscallInterface:
         costs = self.kernel.machine.costs
         vma = process.vmas.remove(addr)
         cycles = costs.syscall_entry_exit + costs.munmap_base
-        freed_pages = 0
-        for page in range(vma.pages):
-            vpn = (vma.start >> PAGE_SHIFT) + page
-            if process.page_table.walk(vpn) is None:
-                continue  # never faulted in
-            pfn, _tables = process.page_table.unmap(vpn)
-            self.kernel.buddy.free(pfn)
-            process.credit_user_page()
-            freed_pages += 1
-            core.tlb.invalidate(vpn)
+        vpns = self.kernel.release_range(
+            process, vma.start >> PAGE_SHIFT, vma.pages
+        )
+        freed_pages = len(vpns)
+        core.tlb.invalidate_pages(vpns)
         cycles += freed_pages * (costs.munmap_per_page + costs.buddy_free)
         core.charge(cycles, "kernel_page")
         self.stats.add("munmap_calls")

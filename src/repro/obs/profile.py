@@ -129,13 +129,14 @@ class Log2Histogram:
         self.count = 0
         self.total = 0
 
-    def record(self, value: int) -> None:
+    def record(self, value: int, times: int = 1) -> None:
+        """Record ``times`` samples of ``value``."""
         idx = value.bit_length() if value > 0 else 0
         if idx >= self.N_BUCKETS:
             idx = self.N_BUCKETS - 1
-        self.buckets[idx] += 1
-        self.count += 1
-        self.total += value
+        self.buckets[idx] += times
+        self.count += times
+        self.total += value * times
 
     def upper_bounds(self) -> List[int]:
         """Inclusive ``le`` upper bound per bucket (last is unbounded)."""

@@ -14,7 +14,7 @@ consecutive-line fast path can account a hit without re-probing.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.sim.params import MachineParams, TlbParams
 from repro.sim.stats import Counter, ScopedStats, Stats
@@ -132,9 +132,11 @@ class TlbHierarchy:
         self.l1.insert(vpn, frame)
         self.l2.insert(vpn, frame)
 
-    def invalidate(self, vpn: int) -> None:
-        self.l1.invalidate(vpn)
-        self.l2.invalidate(vpn)
+    def invalidate_pages(self, vpns: Iterable[int]) -> None:
+        """Shoot down the translations of every page in ``vpns``."""
+        for vpn in vpns:
+            self.l1.invalidate(vpn)
+            self.l2.invalidate(vpn)
 
     def flush(self) -> None:
         self.l1.flush()

@@ -117,6 +117,44 @@ class WorkloadSpec:
         return replace(self, **updates) if updates else self
 
 
+#: Categories a spec may name.
+CATEGORIES = ("function", "dataproc", "platform")
+
+#: Inclusive ``(low, high)`` bounds of the numeric spec fields, checked
+#: when a spec arrives over the wire (``None`` leaves a side open).
+#: Fractions and probabilities lie in [0, 1]; a trace has at least one
+#: allocation and one phase; large buffers are drawn log-uniformly from
+#: 600 B up to ``large_max``, which must exceed the 512 B small limit.
+SPEC_BOUNDS = {
+    "num_allocs": (1, None),
+    "small_fraction": (0, 1),
+    "size_jitter": (0, 1),
+    "compute_per_alloc": (0, None),
+    "app_dram_per_alloc": (0, None),
+    "retouch_prob": (0, 1),
+    "extra_touch_lines": (0, None),
+    "large_every": (1, None),
+    "large_lifetime": (0, None),
+    "large_max": (513, None),
+    "large_touch_fraction": (0, 1),
+    "phases": (1, None),
+    "phase_local": (0, 1),
+    "longlived_early_fraction": (0, 1),
+    "startup_fraction": (0, 1),
+    "startup_compute_scale": (0, None),
+    "startup_size_multiplier": (0, None),
+}
+
+#: Bounds of a lifetime mixture's fields (``medium_max`` must also
+#: exceed ``short_max``: medium distances are drawn above it).
+LIFETIME_BOUNDS = {
+    "short": (0, 1),
+    "medium": (0, 1),
+    "short_max": (1, None),
+    "medium_max": (2, None),
+}
+
+
 def generate_trace(spec: WorkloadSpec) -> Trace:
     """Generate the deterministic event trace for ``spec``."""
     spec = spec.resolved()

@@ -323,6 +323,106 @@ def test_matches_frozen_reference_allocator(base, tops, tail, ops):
     buddy.check_invariants()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    base=st.one_of(
+        st.integers(min_value=0, max_value=1 << 20),
+        st.integers(min_value=0, max_value=64).map(lambda k: k << MAX_ORDER),
+    ),
+    total_frames=st.one_of(
+        st.integers(min_value=1, max_value=5_000),
+        st.integers(min_value=1, max_value=4).map(lambda k: k << MAX_ORDER),
+    ),
+    history=st.lists(
+        st.tuples(
+            st.sampled_from(["alloc", "free", "pages", "free_pages"]),
+            st.integers(min_value=0, max_value=1 << 16),
+        ),
+        max_size=30,
+    ),
+)
+def test_bulk_pages_match_reference_page_loop(base, total_frames, history):
+    """``alloc_pages(n)`` and ``free_pages(frames)`` against ``n`` calls
+    of the frozen allocator's ``alloc(0)`` and one ``free`` per frame,
+    from random prior histories of single-block allocs and frees at
+    every order: the same frames in the same order, free lists,
+    ``_allocated`` (in insertion order) and stats. A request larger than
+    the free frames raises and changes nothing."""
+    stats, ref_stats = Stats(), Stats()
+    buddy = BuddyAllocator(base=base, total_frames=total_frames, stats=stats)
+    reference = ReferenceBuddyAllocator(
+        base=base, total_frames=total_frames, stats=ref_stats
+    )
+    blocks: List[int] = []  # single blocks, any order
+    pages: List[int] = []  # order-0 frames from bulk calls
+    for kind, arg in history:
+        if kind == "alloc":
+            order = arg % (MAX_ORDER + 1)
+            try:
+                block = buddy.alloc(order)
+            except OutOfMemoryError:
+                with pytest.raises(OutOfMemoryError):
+                    reference.alloc(order)
+                continue
+            assert reference.alloc(order) == block
+            blocks.append(block)
+        elif kind == "free" and blocks:
+            block = blocks.pop(arg % len(blocks))
+            buddy.free(block)
+            reference.free(block)
+        elif kind == "pages":
+            count = arg % (total_frames + 2)
+            if count > buddy.free_frames:
+                before = (materialized(buddy), dict(buddy._allocated))
+                with pytest.raises(OutOfMemoryError):
+                    buddy.alloc_pages(count)
+                assert (materialized(buddy), buddy._allocated) == before
+                continue
+            frames = buddy.alloc_pages(count)
+            assert frames == [reference.alloc(0) for _ in range(count)]
+            pages.extend(frames)
+        elif kind == "free_pages" and pages:
+            # A random subset, in a random order.
+            chosen = [
+                pages.pop((arg * (i + 7)) % len(pages))
+                for i in range(1 + arg % len(pages))
+            ]
+            buddy.free_pages(chosen)
+            for frame in chosen:
+                reference.free(frame)
+        assert materialized(buddy) == reference.free_lists
+        assert list(buddy._allocated.items()) == list(
+            reference._allocated.items()
+        )
+        assert stats.snapshot() == ref_stats.snapshot()
+    buddy.check_invariants()
+
+
+def test_alloc_pages_walks_a_split_block_in_address_order():
+    buddy = make_buddy(frames=64)
+    assert buddy.alloc_pages(3) == [0, 1, 2]
+    # The tail of the first 64-frame block: 3 (order 0), 4 (order 2),
+    # 8 (order 3), 16 (order 4), 32 (order 5).
+    assert [sorted(blocks) for blocks in buddy.free_lists[:6]] == [
+        [3], [], [4], [8], [16], [32],
+    ]
+    # Six splits for frame 0, none for 1, one for 2.
+    assert buddy.stats["splits"] == 7
+    buddy.free_pages([2, 0, 1])
+    assert buddy.free_lists[6] == {0}
+    assert buddy.stats["coalesces"] == 7
+    assert buddy.stats["frees"] == 3 and buddy.stats["frames_out"] == 0
+
+
+def test_free_pages_rejects_unallocated_and_larger_blocks():
+    buddy = make_buddy()
+    block = buddy.alloc(2)
+    with pytest.raises(ValueError, match="allocated at order 2"):
+        buddy.free_pages([block])
+    with pytest.raises(ValueError, match="not an allocated block"):
+        buddy.free_pages([block + 100])
+
+
 # A verbatim copy of the allocator before the untouched top-order range
 # became a bump pointer: it seeds every top-order block into a set and
 # takes ``min()`` over it. The property tests above hold the current

@@ -40,8 +40,9 @@ def test_double_map_raises():
 def test_unmap_returns_pfn_and_frees_empty_tables():
     table = PageTable()
     table.map(0x2000, 42)
-    pfn, freed_tables = table.unmap(0x2000)
-    assert pfn == 42
+    vpns, released, freed_tables = table.unmap_range(0x2000, 1)
+    assert vpns == [0x2000]
+    assert released[-1] == 42  # after the three tables it emptied
     assert freed_tables == 3
     assert table.table_pages == 1  # only the root survives
     assert table.walk(0x2000) is None
@@ -51,15 +52,17 @@ def test_unmap_keeps_shared_tables():
     table = PageTable()
     table.map(0x3000, 1)
     table.map(0x3001, 2)
-    _, freed = table.unmap(0x3000)
-    assert freed == 0
+    _, released, freed = table.unmap_range(0x3000, 1)
+    assert (released, freed) == ([1], 0)
     assert table.walk(0x3001) == 2
 
 
-def test_unmap_missing_raises():
+def test_unmap_range_of_unmapped_pages_is_empty():
     table = PageTable()
-    with pytest.raises(KeyError):
-        table.unmap(99)
+    assert table.unmap_range(99, 1) == ([], [], 0)
+    table.map(100, 7)
+    assert table.unmap_range(99, 1) == ([], [], 0)
+    assert table.walk(100) == 7
 
 
 def test_walk_path_grows_with_mapping():
@@ -98,8 +101,10 @@ def test_free_callback_invoked():
         free_table_page=freed.append,
     )
     table.map(0x9000, 5)
-    table.unmap(0x9000)
+    table.clear()
     assert len(freed) == 3
+    table.release_root()
+    assert len(freed) == 4
 
 
 def test_mappings_iterates_everything():
@@ -128,8 +133,8 @@ def test_map_unmap_roundtrip_property(vpns):
         table.map(vpn, i + 1)
     assert table.mapped_pages == len(vpns)
     for i, vpn in enumerate(vpns):
-        pfn, _ = table.unmap(vpn)
-        assert pfn == i + 1
+        unmapped, released, _ = table.unmap_range(vpn, 1)
+        assert unmapped == [vpn] and released[-1] == i + 1
     assert table.mapped_pages == 0
     assert table.table_pages == 1
 

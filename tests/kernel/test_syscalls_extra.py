@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.allocators.pymalloc import PymallocAllocator
 from repro.kernel.kernel import Kernel
 from repro.sim.machine import Machine
-from repro.sim.params import PAGE_SIZE
+from repro.sim.params import PAGE_SHIFT, PAGE_SIZE
 
 
 @pytest.fixture
@@ -97,12 +98,26 @@ def test_populated_pages_freed_at_exit(system):
 def test_warm_prefault_is_unmetered(system):
     machine, kernel, process = system
     addr = kernel.syscalls.mmap(machine.core, process, 4 * PAGE_SIZE)
+    vpn = addr >> PAGE_SHIFT
     before = machine.core.cycles
-    for page in range(4):
-        kernel.prefault_warm(process, addr + page * PAGE_SIZE)
+    frames, created = kernel.back_range(process, vpn, 4)
     assert machine.core.cycles == before  # no cycles charged
+    assert len(frames) == 4
+    assert created == [(0, 3)]  # the first page built the three tables
+    assert [process.page_table.walk(vpn + i) for i in range(4)] == frames
     assert process.user_pages_live == 4
-    assert machine.stats["kernel.warm_prefaulted_pages"] == 4
+    assert "kernel.fault.faults" not in machine.stats
     # Idempotent on already-backed pages.
-    kernel.prefault_warm(process, addr)
+    assert kernel.back_range(process, vpn, 4) == ([], [])
     assert process.user_pages_live == 4
+
+
+def test_warm_allocator_counts_prefaulted_pages(system):
+    machine, kernel, process = system
+    allocator = PymallocAllocator(kernel, process)
+    allocator.warm = True
+    allocator.malloc(machine.core, 64)
+    pages = process.user_pages_live
+    assert pages > 0
+    assert machine.stats["kernel.warm_prefaulted_pages"] == pages
+    assert "kernel.fault.faults" not in machine.stats

@@ -2,10 +2,11 @@
 
 import copy
 import json
+import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MementoConfig
@@ -21,6 +22,7 @@ from repro.service.wire import (
 )
 from repro.sim.params import MachineParams
 from repro.workloads.registry import get_workload
+from repro.workloads.synth import SPEC_BOUNDS
 
 
 def small(name: str = "aes", num_allocs: int = 1_500):
@@ -161,6 +163,63 @@ class TestRejections:
             })
 
 
+#: Mistyped numeric fields, each accepted before the decoders checked
+#: types: ``(decoder, payload, message)``.
+MISTYPED = [
+    (fleet_request_from_wire, {"invocations": 1e400}, "'invocations' must be an integer"),
+    (fleet_request_from_wire, {"invocations": 2.5}, "'invocations' must be an integer"),
+    (fleet_request_from_wire, {"invocations": True}, "'invocations' must be an integer"),
+    (fleet_request_from_wire, {"duration_s": float("nan")}, "'duration_s' must be a finite number"),
+    (fleet_request_from_wire, {"keep_alive_s": 1e400}, "'keep_alive_s' must be a finite number"),
+    (run_request_from_wire,
+     {"workload": "html", "memento": True, "spec_overrides": {"num_allocs": "x"}},
+     "'num_allocs' must be an integer"),
+    (run_request_from_wire,
+     {"workload": "html", "memento": True, "spec_overrides": {"num_allocs": float("nan")}},
+     "'num_allocs' must be an integer"),
+    (run_request_from_wire,
+     {"workload": "html", "memento": True, "spec_overrides": {"num_allocs": -5}},
+     "'num_allocs' must lie in"),
+    (run_request_from_wire,
+     {"workload": "html", "memento": True, "spec_overrides": {"retouch_prob": 1.5}},
+     "'retouch_prob' must lie in"),
+    (run_request_from_wire,
+     {"workload": "html", "memento": True, "spec_overrides": {"language": "rust"}},
+     "'language' must be one of"),
+    (run_request_from_wire,
+     {"workload": "html", "memento": True,
+      "spec_overrides": {"size_modes": [[64, 0]]}},
+     "size_modes out of range: no positive weight"),
+    (run_request_from_wire,
+     {"workload": "html", "memento": True,
+      "spec_overrides": {"size_modes": [["64", 1.0]]}},
+     "size_modes out of range"),
+    (run_request_from_wire,
+     {"workload": "html", "stack": "baseline", "allocator_kwargs": {"ab": 1}},
+     "'allocator_kwargs' must be a list of"),
+    (run_request_from_wire,
+     {"workload": "html", "stack": "baseline", "allocator_kwargs": [[1, 2]]},
+     "'allocator_kwargs' must be a list of"),
+    (run_request_from_wire,
+     {"workload": "html", "memento": True, "config": {"pool_low_water": "8"}},
+     "config field 'pool_low_water' must be an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "decode, payload, message", MISTYPED,
+    ids=[json.dumps(payload)[:60] for _, payload, _ in MISTYPED],
+)
+def test_mistyped_numeric_field_rejected(decode, payload, message):
+    with pytest.raises(WireError, match=message):
+        decode(payload)
+
+
+def test_float_field_takes_an_integer():
+    request = fleet_request_from_wire({"duration_s": 60, "keep_alive_s": 0})
+    assert (request.duration_s, request.keep_alive_s) == (60, 0)
+
+
 class TestBatch:
     def test_single_run_body(self):
         requests = run_requests_from_wire(
@@ -248,15 +307,79 @@ def payloads(fields, valid):
     return json_values | keyed | mutated()
 
 
+FLEET_INTS = ("invocations", "seed", "epochs", "max_warm",
+              "profile_seeds", "invocation_allocs")
+FLEET_FLOATS = ("duration_s", "keep_alive_s")
+SPEC_INTS = ("seed", "num_allocs", "compute_per_alloc",
+             "app_dram_per_alloc", "extra_touch_lines", "large_every",
+             "large_lifetime", "large_max", "phases")
+
+
+def is_int(value):
+    return type(value) is int
+
+
+def is_number(value):
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def assert_well_typed(request, payload):
+    """What the decoders promise of everything they accept: integer
+    fields hold ints (not bools), float fields finite numbers, spec
+    fields lie in their bounds, and kwargs are the sent named pairs."""
+    if isinstance(request, FleetRequest):
+        assert all(is_int(getattr(request, f)) for f in FLEET_INTS)
+        assert all(is_number(getattr(request, f)) for f in FLEET_FLOATS)
+        assert all(type(name) is str for name in request.stacks)
+        assert all(type(name) is str for name in request.workloads)
+        return
+    spec = request.spec
+    for name, (low, high) in SPEC_BOUNDS.items():
+        value = getattr(spec, name)
+        if value is None:
+            continue
+        assert is_int(value) if name in SPEC_INTS else is_number(value)
+        assert (low is None or value >= low) and (high is None or value <= high)
+    assert is_int(spec.seed)
+    for pair in request.allocator_kwargs:
+        assert type(pair) is tuple and len(pair) == 2
+        assert type(pair[0]) is str
+    assert [list(pair) for pair in request.allocator_kwargs] == (
+        payload.get("allocator_kwargs") or []
+    )
+
+
 def decodes_or_rejects(decode, payload):
     try:
-        decode(payload)
+        decoded = decode(payload)
     except WireError:
-        pass
+        return
+    if isinstance(decoded, list):
+        bodies = payload["requests"] if "requests" in payload else [payload]
+        for request, body in zip(decoded, bodies):
+            assert_well_typed(request, body)
+    else:
+        assert_well_typed(decoded, payload)
+
+
+def run_examples(test):
+    """Every mistyped run case, as an explicit example of the property."""
+    for decode, payload, _ in MISTYPED:
+        if decode is run_request_from_wire:
+            test = example(payload)(test)
+    return test
+
+
+def fleet_examples(test):
+    for decode, payload, _ in MISTYPED:
+        if decode is fleet_request_from_wire:
+            test = example(payload)(test)
+    return test
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(payloads(RUN_FIELDS, RUN_BASE))
+@run_examples
 def test_run_decoder_raises_only_wire_errors(payload):
     decodes_or_rejects(run_requests_from_wire, payload)
     decodes_or_rejects(run_requests_from_wire, {"requests": [payload]})
@@ -264,5 +387,6 @@ def test_run_decoder_raises_only_wire_errors(payload):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(payloads(FLEET_FIELDS, FLEET_BASE))
+@fleet_examples
 def test_fleet_decoder_raises_only_wire_errors(payload):
     decodes_or_rejects(fleet_request_from_wire, payload)

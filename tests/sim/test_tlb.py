@@ -84,7 +84,7 @@ def test_hierarchy_miss_returns_none():
 def test_hierarchy_invalidate_both():
     hier = TlbHierarchy(MachineParams(), Stats())
     hier.insert(5, 50)
-    hier.invalidate(5)
+    hier.invalidate_pages([5])
     assert hier.lookup(5) is None
 
 
