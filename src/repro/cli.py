@@ -50,6 +50,7 @@ from contextlib import closing
 from pathlib import Path
 from typing import Any, List, Optional
 
+from repro import limits
 from repro.analysis.characterize import (
     LIFETIME_BIN_LABELS,
     SIZE_BIN_LABELS,
@@ -795,6 +796,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
         specs = [get_workload(name) for name in (names or ["html"])]
     stacks = resolve_stack_list(args.stack)
     num_allocs = args.num_allocs or None
+    if num_allocs is not None:
+        limits.check("MAX_NUM_ALLOCS", "--num-allocs", num_allocs)
     findings = 0
     payload = {"legs": [], "num_allocs": num_allocs, "epoch": args.epoch}
     for spec in specs:

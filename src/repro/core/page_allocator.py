@@ -20,7 +20,6 @@ Responsibilities:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, Set, Tuple
 
 from repro.core.arena import arena_span_bytes
@@ -113,21 +112,23 @@ class ArenaAllocationCache:
     def __init__(self, config: MementoConfig, stats) -> None:
         self.config = config
         self.stats = stats
-        self.entries: Dict[int, OrderedDict] = {}
+        #: Core slot -> the classes it caches, in LRU order (a plain
+        #: dict, probed like a cache set; see ``repro.sim.cache.Cache``).
+        self.entries: Dict[int, Dict[int, bool]] = {}
         #: Sampled hardware-event ring, bound at construction.
         self._ring = current_instruments().ring
 
     def access(self, core_id: int, size_class: int) -> bool:
         """Touch (core, class); return True on an AAC hit."""
-        entry = self.entries.setdefault(core_id % 32, OrderedDict())
+        entry = self.entries.setdefault(core_id % 32, {})
         if size_class in entry:
-            entry.move_to_end(size_class)
+            entry[size_class] = entry.pop(size_class)
             self.stats.add("hits")
             if self._ring is not None:
                 self._ring.record("aac.hit", size_class)
             return True
         if len(entry) >= self.config.aac_classes_per_core:
-            entry.popitem(last=False)
+            entry.pop(next(iter(entry)))
         entry[size_class] = True
         self.stats.add("misses")
         if self._ring is not None:

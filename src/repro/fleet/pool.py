@@ -14,7 +14,8 @@ Policies:
 * ``keepalive`` — fixed-TTL: an idle instance survives ``keep_alive_s``
   seconds after its last invocation, then is reclaimed (the
   OpenWhisk/Azure default model). ``keep_alive_s == 0`` degenerates to
-  every invocation cold with zero stranding.
+  every invocation cold with zero stranding, each instance expiring as
+  its invocation ends.
 * ``lru`` — keep-alive TTL plus a fleet-wide cap of ``max_warm`` idle
   instances; exceeding the cap evicts the least-recently-used idle
   instance immediately.
@@ -118,15 +119,24 @@ class FleetPool:
     def _record_idle_end(
         self, inst: _Instance, end: float, outcome: str
     ) -> None:
-        """Telemetry: one idle span, from park to ``end``."""
-        if self._recorder is not None and end > inst.idle_since:
+        """Telemetry: one idle span, from park to ``end``.
+
+        Every retirement (``expired``, ``evicted``, ``horizon``) is
+        recorded, even one with no idle time (an instance evicted or cut
+        off at the horizon before it parked), so the spans account for
+        every instance the pool created; an empty ``reused`` span is
+        left out.
+        """
+        if self._recorder is not None and (
+            end > inst.idle_since or outcome != "reused"
+        ):
             self._recorder.instance_span(
                 self._stack,
                 inst.function,
                 inst.uid,
                 "idle",
                 inst.idle_since,
-                end,
+                max(end, inst.idle_since),
                 outcome=outcome,
             )
 
@@ -232,8 +242,9 @@ class FleetPool:
         A warm hit pops the most-recently-idled instance of ``function``
         (crediting its idle span as stranding); a miss cold-starts. In
         both cases the instance parks idle again when the invocation
-        finishes. ``keep_alive_s == 0`` never parks, so every arrival is
-        cold and nothing strands.
+        finishes. ``keep_alive_s == 0`` never parks: the instance expires
+        as its invocation ends, so every arrival is cold and nothing
+        strands.
         """
         self._last_now = now
         self._reap(now)
@@ -277,7 +288,10 @@ class FleetPool:
         if self.keep_alive_s > 0:
             self._park(inst, now + latency)
         else:
+            inst.idle_since = now + latency
+            self._record_idle_end(inst, inst.idle_since, "expired")
             inst.alive = False
+            self.stats.expirations += 1
         return cold, latency
 
     def finish(self, horizon: float) -> PoolStats:

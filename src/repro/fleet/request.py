@@ -22,7 +22,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
-from repro import codec
+from repro import codec, limits
 from repro.core.config import MementoConfig
 from repro.fleet.arrival import MIXES, PATTERNS
 from repro.fleet.pool import POLICIES
@@ -121,6 +121,13 @@ class FleetRequest:
             raise ValueError("invocation_allocs must be >= 1")
         if not self.stacks:
             raise ValueError("stacks must name at least one stack")
+        limits.check("MAX_INVOCATIONS", "invocations", self.invocations)
+        limits.check("MAX_EPOCHS", "epochs", self.epochs)
+        limits.check("MAX_PROFILE_SEEDS", "profile_seeds", self.profile_seeds)
+        limits.check(
+            "MAX_NUM_ALLOCS", "invocation_allocs", self.invocation_allocs
+        )
+        limits.check_machine(self.machine_params)
         from repro import stacks as stack_registry
 
         for stack in self.stacks:

@@ -1,9 +1,10 @@
 """One scope for the cyclic garbage collector over a simulator shard.
 
-A :class:`~repro.harness.system.SimulatedSystem` is a few thousand
-objects of cyclic garbage once its run ends (cache-set ``OrderedDict``s,
-closures and bound methods stored on their owners), so only the cyclic
-collector can free it. Left to run freely, young collections re-walk
+A :class:`~repro.harness.system.SimulatedSystem` is a few hundred
+tracked objects of cyclic garbage once its run ends (closures, cells
+and bound methods stored on their owners; its cache and TLB sets are
+plain dicts of ints, which the collector never tracks), so only the
+cyclic collector can free it. Left to run freely, young collections re-walk
 the live system again and again while it is built and replayed, and
 dead systems are promoted until a full collection finds them.
 

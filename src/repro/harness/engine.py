@@ -56,7 +56,7 @@ from repro.backends import (
     ResultBackend,
     create_backend,
 )
-from repro import codec
+from repro import codec, limits
 from repro import stacks as stack_registry
 from repro.core.config import MementoConfig
 from repro.resolve import resolve_jobs, resolve_stack
@@ -187,6 +187,8 @@ class RunRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stack", resolve_stack(self.stack))
+        limits.check_spec(self.spec)
+        limits.check_machine(self.machine_params)
         if self.allocator is not None and self.allocator not in (
             ALLOCATOR_REGISTRY
         ):
@@ -471,10 +473,16 @@ def machine_params_from_dict(data: Any) -> MachineParams:
         (("tlb_l1", "tlb_l2"), TlbParams),
     ):
         for name in names:
-            if isinstance(body.get(name), dict):
-                nested = codec.checked_fields(params, body[name], name)
-                codec.check_scalars(params, nested, name)
-                body[name] = params(**nested)
+            if name not in body:
+                continue
+            if not isinstance(body[name], dict):
+                raise ValueError(
+                    f"machine_params field {name!r} must be an object, "
+                    f"got {body[name]!r}"
+                )
+            nested = codec.checked_fields(params, body[name], name)
+            codec.check_scalars(params, nested, name)
+            body[name] = params(**nested)
     return MachineParams(**body)
 
 

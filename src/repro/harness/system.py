@@ -321,17 +321,14 @@ class SimulatedSystem:
             vpn = vaddr >> page_shift
             tlb_set = tlb_sets[vpn % tlb_nsets]
             if vpn in tlb_set:
-                tlb_set.move_to_end(vpn)
+                tlb_set[vpn] = pfn = tlb_set.pop(vpn)
                 tlb_hit.pending += 1
-                pfn = tlb_set[vpn]
             else:
                 pfn = translate(vaddr)
             line = ((pfn << page_shift) | (vaddr & page_mask)) >> 6
             l1_set = l1_sets[line % l1_nsets]
             if line in l1_set:
-                l1_set.move_to_end(line)
-                if write:
-                    l1_set[line] = True
+                l1_set[line] = l1_set.pop(line) or write
                 l1_hit.pending += 1
                 cycles = l1_hit_cycles
             else:
@@ -355,15 +352,14 @@ class SimulatedSystem:
                 vpn = vaddr >> page_shift
                 tlb_set = tlb_sets[vpn % tlb_nsets]
                 if vpn in tlb_set:
-                    tlb_set.move_to_end(vpn)
+                    tlb_set[vpn] = pfn = tlb_set.pop(vpn)
                     tlb_hit.pending += 1
-                    pfn = tlb_set[vpn]
                 else:
                     pfn = translate(vaddr)
                 line = ((pfn << page_shift) | (vaddr & page_mask)) >> 6
                 l1_set = l1_sets[line % l1_nsets]
                 if line in l1_set:
-                    l1_set.move_to_end(line)
+                    l1_set.pop(line)
                     l1_set[line] = True
                     l1_hit.pending += 1
                     cycles = l1_hit_cycles
@@ -460,9 +456,9 @@ class SimulatedSystem:
                     if vpn != last_vpn:
                         tlb_set = tlb_sets[vpn % tlb_nsets]
                         if vpn in tlb_set:
-                            tlb_set.move_to_end(vpn)
+                            tlb_set[vpn] = pfn = tlb_set.pop(vpn)
                             tlb_hit.pending += 1
-                            frame_base = tlb_set[vpn] << page_shift
+                            frame_base = pfn << page_shift
                         else:
                             frame_base = translate(vaddr) << page_shift
                         last_vpn = vpn
@@ -471,9 +467,7 @@ class SimulatedSystem:
                     line = (frame_base | (vaddr & page_mask)) >> 6
                     l1_set = l1_sets[line % l1_nsets]
                     if line in l1_set:
-                        l1_set.move_to_end(line)
-                        if write:
-                            l1_set[line] = True
+                        l1_set[line] = l1_set.pop(line) or write
                         l1_hit.pending += 1
                         total += l1_hit_cycles
                     else:
@@ -508,9 +502,9 @@ class SimulatedSystem:
                     if vpn != last_vpn:
                         tlb_set = tlb_sets[vpn % tlb_nsets]
                         if vpn in tlb_set:
-                            tlb_set.move_to_end(vpn)
+                            tlb_set[vpn] = pfn = tlb_set.pop(vpn)
                             tlb_hit.pending += 1
-                            frame_base = tlb_set[vpn] << page_shift
+                            frame_base = pfn << page_shift
                         else:
                             frame_base = translate(vaddr) << page_shift
                         last_vpn = vpn
@@ -538,9 +532,7 @@ class SimulatedSystem:
                         line = cache_addr >> 6
                         l1_set = l1_sets[line % l1_nsets]
                         if line in l1_set:
-                            l1_set.move_to_end(line)
-                            if write:
-                                l1_set[line] = True
+                            l1_set[line] = l1_set.pop(line) or write
                             l1_hit.pending += 1
                             total += l1_hit_cycles
                         else:
@@ -551,9 +543,9 @@ class SimulatedSystem:
                     if vpn != last_vpn:
                         tlb_set = tlb_sets[vpn % tlb_nsets]
                         if vpn in tlb_set:
-                            tlb_set.move_to_end(vpn)
+                            tlb_set[vpn] = pfn = tlb_set.pop(vpn)
                             tlb_hit.pending += 1
-                            frame_base = tlb_set[vpn] << page_shift
+                            frame_base = pfn << page_shift
                         else:
                             frame_base = translate(vaddr) << page_shift
                         last_vpn = vpn
@@ -562,9 +554,7 @@ class SimulatedSystem:
                     line = (frame_base | (vaddr & page_mask)) >> 6
                     l1_set = l1_sets[line % l1_nsets]
                     if line in l1_set:
-                        l1_set.move_to_end(line)
-                        if write:
-                            l1_set[line] = True
+                        l1_set[line] = l1_set.pop(line) or write
                         l1_hit.pending += 1
                         total += l1_hit_cycles
                     else:
@@ -746,9 +736,9 @@ class SimulatedSystem:
                     vpn = vaddr >> page_shift
                     tlb_set = tlb_sets[vpn % tlb_nsets]
                     if vpn in tlb_set:
-                        tlb_set.move_to_end(vpn)
+                        tlb_set[vpn] = pfn = tlb_set.pop(vpn)
                         tlb_hit.pending += 1
-                        frame_base = tlb_set[vpn] << page_shift
+                        frame_base = pfn << page_shift
                     else:
                         frame_base = translate(vaddr) << page_shift
                     cache_addr = frame_base | (vaddr & page_mask)
@@ -778,9 +768,7 @@ class SimulatedSystem:
                     line = cache_addr >> 6
                     l1_set = l1_sets[line % l1_nsets]
                     if line in l1_set:
-                        l1_set.move_to_end(line)
-                        if d:
-                            l1_set[line] = True
+                        l1_set[line] = l1_set.pop(line) or d
                         l1_hit.pending += 1
                         total = l1_hit_cycles
                     else:
@@ -806,17 +794,15 @@ class SimulatedSystem:
                     vpn = vaddr >> page_shift
                     tlb_set = tlb_sets[vpn % tlb_nsets]
                     if vpn in tlb_set:
-                        tlb_set.move_to_end(vpn)
+                        tlb_set[vpn] = pfn = tlb_set.pop(vpn)
                         tlb_hit.pending += 1
-                        frame_base = tlb_set[vpn] << page_shift
+                        frame_base = pfn << page_shift
                     else:
                         frame_base = translate(vaddr) << page_shift
                     line = (frame_base | (vaddr & page_mask)) >> 6
                     l1_set = l1_sets[line % l1_nsets]
                     if line in l1_set:
-                        l1_set.move_to_end(line)
-                        if d:
-                            l1_set[line] = True
+                        l1_set[line] = l1_set.pop(line) or d
                         l1_hit.pending += 1
                         total = l1_hit_cycles
                     else:

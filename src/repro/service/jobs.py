@@ -39,7 +39,6 @@ import queue
 import threading
 import time
 import uuid
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -167,7 +166,7 @@ class JobQueue:
         self.workers = resolve_workers(workers)
         self._queue: "queue.Queue[Optional[Job]]" = queue.Queue()
         #: Retained jobs, submission order.
-        self._jobs: "OrderedDict[str, Job]" = OrderedDict()
+        self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
         self._shutdown = False
         #: Submissions refused because the queue was full.

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -60,7 +59,7 @@ class ServiceTelemetry:
         self.run_us = Log2Histogram("service.job.run_us")
         self._counters: Dict[str, float] = {}
         #: trace_id -> span record, insertion order == recency.
-        self._traces: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._traces: Dict[str, Dict[str, Any]] = {}
 
     # -- observation (called from the threads that run jobs) ------------
 
@@ -122,10 +121,10 @@ class ServiceTelemetry:
             self._bump(f"service.jobs.finished.{job.state}")
             self._bump(f"service.jobs.kind.{job.kind}")
             if trace_id:
+                self._traces.pop(trace_id, None)
                 self._traces[trace_id] = record
-                self._traces.move_to_end(trace_id)
                 while len(self._traces) > self.max_traces:
-                    self._traces.popitem(last=False)
+                    self._traces.pop(next(iter(self._traces)))
         if self.path is not None:
             line = json.dumps(record, sort_keys=True) + "\n"
             with self._lock:

@@ -18,7 +18,6 @@ a hit allocates nothing.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from typing import List, NamedTuple, Optional, Tuple
 
 from repro.obs.instruments import current as current_instruments
@@ -50,9 +49,14 @@ class AccessResult(NamedTuple):
 class Cache:
     """One set-associative cache level.
 
-    Lines are identified by their line address (byte address >> 6). Sets are
-    ``OrderedDict`` instances ordered least- to most-recently used, mapping
-    line address to a dirty bit.
+    Lines are identified by their line address (byte address >> 6). Each
+    set is a plain ``dict`` mapping line address to a dirty bit, whose
+    insertion order is the LRU order (least-recently used first): a hit
+    re-inserts its line, ``s[line] = s.pop(line)``, and the victim is the
+    first key, ``s.pop(next(iter(s)))``. Every inlined copy of a probe or
+    fill in this module and in :mod:`repro.harness.system` spells the
+    two operations exactly so. A set holds only ints and bools, so the
+    cyclic collector never tracks it.
     """
 
     __slots__ = (
@@ -72,22 +76,17 @@ class Cache:
         self.stats = stats
         self._num_sets = params.num_sets
         self._ways = params.ways
-        self._sets = [OrderedDict() for _ in range(self._num_sets)]
+        self._sets = [{} for _ in range(self._num_sets)]
         self._hits = stats.counter("hits")
         self._misses = stats.counter("misses")
         self._evictions = stats.counter("evictions")
         self._dirty_evictions = stats.counter("dirty_evictions")
 
-    def _set_for(self, line_addr: int) -> OrderedDict:
-        return self._sets[line_addr % self._num_sets]
-
     def lookup(self, line_addr: int, write: bool) -> bool:
         """Probe for ``line_addr``; update LRU and dirty state on a hit."""
         cache_set = self._sets[line_addr % self._num_sets]
         if line_addr in cache_set:
-            cache_set.move_to_end(line_addr)
-            if write:
-                cache_set[line_addr] = True
+            cache_set[line_addr] = cache_set.pop(line_addr) or write
             self._hits.pending += 1
             return True
         self._misses.pending += 1
@@ -100,12 +99,12 @@ class Cache:
         was evicted, else ``None``."""
         cache_set = self._sets[line_addr % self._num_sets]
         if line_addr in cache_set:
-            cache_set.move_to_end(line_addr)
-            cache_set[line_addr] = cache_set[line_addr] or dirty
+            cache_set[line_addr] = cache_set.pop(line_addr) or dirty
             return None
         victim = None
         if len(cache_set) >= self._ways:
-            victim_addr, victim_dirty = cache_set.popitem(last=False)
+            victim_addr = next(iter(cache_set))
+            victim_dirty = cache_set.pop(victim_addr)
             victim = (victim_addr, victim_dirty)
             self._evictions.pending += 1
             if victim_dirty:
@@ -115,7 +114,7 @@ class Cache:
 
     def invalidate(self, line_addr: int) -> bool:
         """Drop ``line_addr`` if present; return whether it was present."""
-        cache_set = self._set_for(line_addr)
+        cache_set = self._sets[line_addr % self._num_sets]
         if line_addr in cache_set:
             del cache_set[line_addr]
             return True
@@ -123,7 +122,7 @@ class Cache:
 
     def contains(self, line_addr: int) -> bool:
         """Probe without touching LRU or stats (used by tests)."""
-        return line_addr in self._set_for(line_addr)
+        return line_addr in self._sets[line_addr % self._num_sets]
 
     def flush(self) -> int:
         """Drop all contents; return the number of dirty lines discarded."""
@@ -312,23 +311,21 @@ class CacheHierarchy:
             # Inlined L1 probe — the overwhelmingly common case.
             l1_set = l1_sets[line % l1_num_sets]
             if line in l1_set:
-                l1_set.move_to_end(line)
-                if write:
-                    l1_set[line] = True
+                l1_set[line] = l1_set.pop(line) or write
                 l1_hits.pending += 1
                 return r_l1
             l1_misses.pending += 1
 
             l2_set = l2_sets[line % l2_num_sets]
             if line in l2_set:
-                l2_set.move_to_end(line)
+                l2_set[line] = l2_set.pop(line)
                 l2_hits.pending += 1
                 result = r_l2
             else:
                 l2_misses.pending += 1
                 llc_set = llc_sets[line % llc_num_sets]
                 if line in llc_set:
-                    llc_set.move_to_end(line)
+                    llc_set[line] = llc_set.pop(line)
                     llc_hits.pending += 1
                     result = r_llc
                 else:
@@ -337,7 +334,7 @@ class CacheHierarchy:
                     dram_read_lines.pending += 1
                     dram_read_bytes.pending += line_size
                     if len(llc_set) >= llc_ways:
-                        victim_dirty = llc_set.popitem(last=False)[1]
+                        victim_dirty = llc_set.pop(next(iter(llc_set)))
                         llc_evictions.pending += 1
                         if victim_dirty:
                             llc_dirty_evictions.pending += 1
@@ -348,7 +345,8 @@ class CacheHierarchy:
                     result = r_dram
                 # Fill the L2 (the line was not present — we missed it).
                 if len(l2_set) >= l2_ways:
-                    victim_addr, victim_dirty = l2_set.popitem(last=False)
+                    victim_addr = next(iter(l2_set))
+                    victim_dirty = l2_set.pop(victim_addr)
                     l2_evictions.pending += 1
                     if victim_dirty:
                         l2_dirty_evictions.pending += 1
@@ -358,30 +356,31 @@ class CacheHierarchy:
                         # return value.
                         v_set = llc_sets[victim_addr % llc_num_sets]
                         if victim_addr in v_set:
-                            v_set.move_to_end(victim_addr)
+                            v_set.pop(victim_addr)
                             v_set[victim_addr] = True
                         else:
                             if len(v_set) >= llc_ways:
                                 llc_evictions.pending += 1
-                                if v_set.popitem(last=False)[1]:
+                                if v_set.pop(next(iter(v_set))):
                                     llc_dirty_evictions.pending += 1
                             v_set[victim_addr] = True
                 l2_set[line] = False
             # Fill the L1 (missed above; victims spill dirty into L2).
             if len(l1_set) >= l1_ways:
-                victim_addr, victim_dirty = l1_set.popitem(last=False)
+                victim_addr = next(iter(l1_set))
+                victim_dirty = l1_set.pop(victim_addr)
                 l1_evictions.pending += 1
                 if victim_dirty:
                     l1_dirty_evictions.pending += 1
                     # Inlined l2.insert(victim, dirty=True), victim dropped.
                     v_set = l2_sets[victim_addr % l2_num_sets]
                     if victim_addr in v_set:
-                        v_set.move_to_end(victim_addr)
+                        v_set.pop(victim_addr)
                         v_set[victim_addr] = True
                     else:
                         if len(v_set) >= l2_ways:
                             l2_evictions.pending += 1
-                            if v_set.popitem(last=False)[1]:
+                            if v_set.pop(next(iter(v_set))):
                                 l2_dirty_evictions.pending += 1
                         v_set[victim_addr] = True
             l1_set[line] = write
@@ -452,11 +451,11 @@ class CacheHierarchy:
             bypass_fills.pending += 1
             llc_set = llc_sets[line % llc_num_sets]
             if line in llc_set:
-                llc_set.move_to_end(line)
+                llc_set.pop(line)
                 llc_set[line] = True
             else:
                 if len(llc_set) >= llc_ways:
-                    victim_dirty = llc_set.popitem(last=False)[1]
+                    victim_dirty = llc_set.pop(next(iter(llc_set)))
                     llc_evictions.pending += 1
                     if victim_dirty:
                         llc_dirty_evictions.pending += 1
@@ -466,44 +465,45 @@ class CacheHierarchy:
                 llc_set[line] = True
             l2_set = l2_sets[line % l2_num_sets]
             if line in l2_set:
-                l2_set.move_to_end(line)
+                l2_set[line] = l2_set.pop(line)
             else:
                 if len(l2_set) >= l2_ways:
-                    victim_addr, victim_dirty = l2_set.popitem(last=False)
+                    victim_addr = next(iter(l2_set))
+                    victim_dirty = l2_set.pop(victim_addr)
                     l2_evictions.pending += 1
                     if victim_dirty:
                         l2_dirty_evictions.pending += 1
                         # Inlined llc.insert(victim, True), victim dropped.
                         v_set = llc_sets[victim_addr % llc_num_sets]
                         if victim_addr in v_set:
-                            v_set.move_to_end(victim_addr)
+                            v_set.pop(victim_addr)
                             v_set[victim_addr] = True
                         else:
                             if len(v_set) >= llc_ways:
                                 llc_evictions.pending += 1
-                                if v_set.popitem(last=False)[1]:
+                                if v_set.pop(next(iter(v_set))):
                                     llc_dirty_evictions.pending += 1
                             v_set[victim_addr] = True
                 l2_set[line] = False
             l1_set = l1_sets[line % l1_num_sets]
             if line in l1_set:
-                l1_set.move_to_end(line)
-                l1_set[line] = l1_set[line] or write
+                l1_set[line] = l1_set.pop(line) or write
             else:
                 if len(l1_set) >= l1_ways:
-                    victim_addr, victim_dirty = l1_set.popitem(last=False)
+                    victim_addr = next(iter(l1_set))
+                    victim_dirty = l1_set.pop(victim_addr)
                     l1_evictions.pending += 1
                     if victim_dirty:
                         l1_dirty_evictions.pending += 1
                         # Inlined l2.insert(victim, True), victim dropped.
                         v_set = l2_sets[victim_addr % l2_num_sets]
                         if victim_addr in v_set:
-                            v_set.move_to_end(victim_addr)
+                            v_set.pop(victim_addr)
                             v_set[victim_addr] = True
                         else:
                             if len(v_set) >= l2_ways:
                                 l2_evictions.pending += 1
-                                if v_set.popitem(last=False)[1]:
+                                if v_set.pop(next(iter(v_set))):
                                     l2_dirty_evictions.pending += 1
                             v_set[victim_addr] = True
                 l1_set[line] = write
@@ -544,11 +544,11 @@ class CacheHierarchy:
         for line in range(base_line, base_line + 64):
             cache_set = llc_sets[line % num_sets]
             if line in cache_set:
-                cache_set.move_to_end(line)
+                cache_set.pop(line)
                 cache_set[line] = True
                 continue
             if len(cache_set) >= ways:
-                victim_dirty = cache_set.popitem(last=False)[1]
+                victim_dirty = cache_set.pop(next(iter(cache_set)))
                 evictions.pending += 1
                 if victim_dirty:
                     dirty_evictions.pending += 1

@@ -13,7 +13,6 @@ consecutive-line fast path can account a hit without re-probing.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterable, Optional
 
 from repro.sim.params import MachineParams, TlbParams
@@ -21,7 +20,12 @@ from repro.sim.stats import Counter, ScopedStats, Stats
 
 
 class Tlb:
-    """One set-associative TLB level, LRU-replaced, keyed by virtual page."""
+    """One set-associative TLB level, LRU-replaced, keyed by virtual page.
+
+    Each set is a plain ``dict`` from virtual page to frame in LRU order,
+    probed and filled with the same two spellings as a cache set (see
+    :class:`~repro.sim.cache.Cache`).
+    """
 
     __slots__ = (
         "params",
@@ -40,22 +44,19 @@ class Tlb:
         self.stats = stats
         self._num_sets = max(1, params.entries // params.ways)
         self._ways = params.ways
-        self._sets = [OrderedDict() for _ in range(self._num_sets)]
+        self._sets = [{} for _ in range(self._num_sets)]
         self._hits = stats.counter("hits")
         self._misses = stats.counter("misses")
         self._evictions = stats.counter("evictions")
         self._flushes = stats.counter("flushes")
 
-    def _set_for(self, vpn: int) -> OrderedDict:
-        return self._sets[vpn % self._num_sets]
-
     def lookup(self, vpn: int) -> Optional[int]:
         """Return the cached frame for virtual page ``vpn``, or ``None``."""
         tlb_set = self._sets[vpn % self._num_sets]
         if vpn in tlb_set:
-            tlb_set.move_to_end(vpn)
+            tlb_set[vpn] = pfn = tlb_set.pop(vpn)
             self._hits.pending += 1
-            return tlb_set[vpn]
+            return pfn
         self._misses.pending += 1
         return None
 
@@ -63,17 +64,17 @@ class Tlb:
         """Install a translation, evicting LRU if the set is full."""
         tlb_set = self._sets[vpn % self._num_sets]
         if vpn in tlb_set:
-            tlb_set.move_to_end(vpn)
+            tlb_set.pop(vpn)
             tlb_set[vpn] = frame
             return
         if len(tlb_set) >= self._ways:
-            tlb_set.popitem(last=False)
+            tlb_set.pop(next(iter(tlb_set)))
             self._evictions.pending += 1
         tlb_set[vpn] = frame
 
     def invalidate(self, vpn: int) -> bool:
         """Shoot down one translation; return whether it was present."""
-        tlb_set = self._set_for(vpn)
+        tlb_set = self._sets[vpn % self._num_sets]
         if vpn in tlb_set:
             del tlb_set[vpn]
             return True
@@ -118,9 +119,9 @@ class TlbHierarchy:
         # Inlined L1 probe — the common case on replay.
         tlb_set = self._l1_sets[vpn % self._l1_num_sets]
         if vpn in tlb_set:
-            tlb_set.move_to_end(vpn)
+            tlb_set[vpn] = pfn = tlb_set.pop(vpn)
             self.l1_hits.pending += 1
-            return tlb_set[vpn]
+            return pfn
         self._l1_misses.pending += 1
         frame = self.l2.lookup(vpn)
         if frame is not None:

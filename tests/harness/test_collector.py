@@ -15,6 +15,7 @@ import pytest
 
 from repro.harness import collector
 from repro.harness.engine import ExperimentEngine, RunRequest
+from repro.harness.system import SimulatedSystem
 from repro.workloads.registry import get_workload
 
 
@@ -133,3 +134,26 @@ def test_overlapping_shards_on_two_threads(
     assert gc.isenabled()
     assert [enabled for _, enabled in systems] == [False, False]
     assert all(system() is None for system, _ in systems)
+
+
+@pytest.mark.parametrize("stack", ["baseline", "memento"])
+def test_cache_tlb_and_aac_sets_stay_untracked(stack):
+    """Every cache, TLB and AAC set holds only ints and bools, so the
+    cyclic collector never tracks it: a replayed system's sets add
+    nothing to a collection. Storing a tuple or any other container in
+    a set would track it again (and every set would be walked)."""
+    system = SimulatedSystem(
+        replace(get_workload("html"), num_allocs=300), stack
+    )
+    system.run()
+    sets = []
+    for core in system.machine.cores:
+        for level in (core.caches.l1d, core.caches.l2, core.caches.llc):
+            sets.extend(level._sets)
+        sets.extend(core.tlb.l1._sets)
+        sets.extend(core.tlb.l2._sets)
+    if system.page_allocator is not None:
+        sets.extend(system.page_allocator.aac.entries.values())
+        assert system.page_allocator.aac.entries
+    assert sum(map(len, sets)) > 1_000
+    assert [s for s in sets if gc.is_tracked(s)] == []

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import limits
 from repro.core.config import MementoConfig
 from repro.fleet import FleetRequest
 from repro.harness.engine import RunRequest
@@ -326,14 +327,19 @@ def is_number(value):
 def assert_well_typed(request, payload):
     """What the decoders promise of everything they accept: integer
     fields hold ints (not bools), float fields finite numbers, spec
-    fields lie in their bounds, and kwargs are the sent named pairs."""
+    fields lie in their bounds, sizes within the work limits, and kwargs
+    are the sent named pairs."""
+    assert request.machine_params.num_cores <= limits.MAX_NUM_CORES
     if isinstance(request, FleetRequest):
+        assert request.invocations <= limits.MAX_INVOCATIONS
+        assert request.invocation_allocs <= limits.MAX_NUM_ALLOCS
         assert all(is_int(getattr(request, f)) for f in FLEET_INTS)
         assert all(is_number(getattr(request, f)) for f in FLEET_FLOATS)
         assert all(type(name) is str for name in request.stacks)
         assert all(type(name) is str for name in request.workloads)
         return
     spec = request.spec
+    assert spec.num_allocs <= limits.MAX_NUM_ALLOCS
     for name, (low, high) in SPEC_BOUNDS.items():
         value = getattr(spec, name)
         if value is None:
