@@ -15,8 +15,7 @@ RUN pip install --no-cache-dir -e .
 
 # Persistent result store; mount a volume here to keep results across
 # container restarts.
-ENV REPRO_CACHE_DIR=/data/repro-cache \
-    REPRO_BACKEND=sqlite
+ENV REPRO_CACHE_DIR=/data/repro-cache
 VOLUME /data
 
 EXPOSE 8023

@@ -18,8 +18,7 @@ stable. Import from here in notebooks, downstream scripts, and docs::
 Everything in ``__all__`` is covered by the round-trip conventions
 documented in DESIGN.md: result/config objects expose
 ``to_dict``/``from_dict``, engines honor ``REPRO_CACHE_DIR`` /
-``REPRO_NO_CACHE`` / ``REPRO_NO_LEDGER`` / ``REPRO_BACKEND``, and
-every instrument is off by default. Instruments (tracer, event ring,
+``REPRO_NO_CACHE`` / ``REPRO_NO_LEDGER``, and every instrument is off by default. Instruments (tracer, event ring,
 cycle profile, auditor, fleet recorder) are bound through one slot:
 ``with instrumented(...)`` sets them, ``current()`` reads them. Drift
 over the run ledger is judged by one gate (``check_trend``,
@@ -33,18 +32,15 @@ request's content key.
 
 The service surface is exported here too: ``ServiceClient`` (plus the
 one-liner ``submit``/``status``/``result`` helpers honoring
-``REPRO_SERVICE_URL``) talks to a ``repro serve`` instance, and
-``ExperimentServer``/``create_backend`` embed the service or its result
-store in-process.
+``REPRO_SERVICE_URL``) talks to a ``repro serve`` instance,
+``ExperimentServer`` embeds the service in-process, and ``JsonBackend``
+opens the result store (one ``<key>.json`` file per run under the cache
+directory) for inspection.
 """
 
 from __future__ import annotations
 
-from repro.backends import (
-    ResultBackend,
-    backend_names,
-    create_backend,
-)
+from repro.backends import JsonBackend
 from repro.core.config import MementoConfig
 from repro.fleet import (
     FleetRecorder,
@@ -153,15 +149,13 @@ __all__ = [
     "trace_events",
     "trend_by_key",
     "validate_trace_events",
-    # service + result backends
+    # service + result store
     "ExperimentServer",
     "JobFailed",
-    "ResultBackend",
+    "JsonBackend",
     "ServiceClient",
     "ServiceError",
     "ServiceTelemetry",
-    "backend_names",
-    "create_backend",
     "fleet_request_from_wire",
     "fleet_request_to_wire",
     "result",

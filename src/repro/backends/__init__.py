@@ -1,35 +1,10 @@
-"""Pluggable result backends for the experiment engine and service.
+"""The result store behind the experiment engine and the service.
 
-See :mod:`repro.backends.base` for the contract. Importing this package
-registers the built-in backends (``json``, ``sqlite``, ``memory``);
-:func:`create_backend` builds the one configured via argument,
-``REPRO_BACKEND``, or the ``json`` default.
+One implementation, :class:`~repro.backends.json_backend.JsonBackend`:
+a flat directory of ``<content-key>.json`` files under the cache
+directory.
 """
 
-from repro.backends.base import (
-    BACKEND_ENV,
-    DEFAULT_BACKEND,
-    DEFAULT_CACHE_DIR,
-    ResultBackend,
-    backend_names,
-    create_backend,
-    register_backend,
-    resolve_backend_kind,
-)
 from repro.backends.json_backend import JsonBackend
-from repro.backends.memory import MemoryBackend
-from repro.backends.sqlite_backend import SqliteBackend
 
-__all__ = [
-    "BACKEND_ENV",
-    "DEFAULT_BACKEND",
-    "DEFAULT_CACHE_DIR",
-    "JsonBackend",
-    "MemoryBackend",
-    "ResultBackend",
-    "SqliteBackend",
-    "backend_names",
-    "create_backend",
-    "register_backend",
-    "resolve_backend_kind",
-]
+__all__ = ["JsonBackend"]

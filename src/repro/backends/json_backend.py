@@ -1,12 +1,27 @@
-"""JSON-file result backend: a flat directory of ``<key>.json`` artifacts.
+"""The result store: a flat directory of ``<key>.json`` artifacts.
 
-This is the original ``DiskCache`` store extracted behind the
-:class:`~repro.backends.base.ResultBackend` contract. One file per
-content key keeps entries independently inspectable (``cat`` a result,
-``rm`` a single key) and makes concurrent writers trivially safe: each
-``put`` writes to a private temp file and atomically renames it into
-place, so readers see either the old payload or the new one, never a
-torn file.
+:class:`JsonBackend` is the persistence layer behind the
+:class:`~repro.harness.engine.ExperimentEngine`'s content-addressed
+result store: a durable key/value map from content keys to
+JSON-serializable payload dicts. The engine owns the *semantics* of the
+payload (envelope schema, ``result`` body, invalidation fingerprints);
+the store owns only storage, under this contract
+(``tests/backends/test_backend_contract.py``):
+
+* ``get`` returns the stored payload dict, or ``None`` when the key is
+  absent **or the stored bytes are corrupt**; corrupt entries are
+  evicted on read so a later ``put`` starts clean.
+* ``put`` is atomic and last-writer-wins: each write goes to a private
+  temp file that is renamed into place, so a crashed or concurrent
+  writer never leaves a torn entry, and concurrent writers of the same
+  key leave one of the written payloads, intact.
+* ``delete`` is idempotent; ``clear`` empties the store and returns the
+  number of entries removed; ``keys`` lists stored content keys.
+* ``info`` reports ``backend``, ``path``, ``entries`` and ``bytes``
+  (the ``repro cache info`` table).
+
+One file per content key keeps entries independently inspectable
+(``cat`` a result, ``rm`` a single key).
 """
 
 from __future__ import annotations
@@ -17,10 +32,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.backends.base import ResultBackend, register_backend
 
-
-class JsonBackend(ResultBackend):
+class JsonBackend:
     """One ``<content-key>.json`` file per entry under ``root``."""
 
     kind = "json"
@@ -98,6 +111,3 @@ class JsonBackend(ResultBackend):
             "entries": len(entries),
             "bytes": sum(p.stat().st_size for p in entries),
         }
-
-
-register_backend(JsonBackend.kind, JsonBackend)

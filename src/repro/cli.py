@@ -12,8 +12,7 @@ Commands:
   counters as Prometheus text plus a JSONL sidecar; ``--profile``
   attributes every simulated cycle to its architectural component and
   prints the Fig. 9-style breakdown (serial, cache-bypassing runs).
-* ``cache info|clear`` — inspect or empty the persistent result cache
-  (``--backend json|sqlite|memory`` selects the result backend).
+* ``cache info|clear`` — inspect or empty the persistent result cache.
 * ``serve`` — run the experiment service: a REST API over an async job
   queue draining into the shared engine (submit/status/results,
   ``/healthz``, ``/metrics``).
@@ -62,7 +61,7 @@ from repro.analysis.energy import EnergyModel
 from repro.analysis.pricing import PricingModel
 from repro.analysis.report import render_grouped, render_table
 from repro.audit import Auditor
-from repro.backends import backend_names, create_backend
+from repro.backends import JsonBackend
 from repro.core.errors import MementoError
 from repro.fleet import (
     MIXES,
@@ -74,7 +73,6 @@ from repro.fleet import (
     simulate_fleet,
 )
 from repro.harness.engine import (
-    DEFAULT_CACHE_DIR,
     ExperimentEngine,
     RunRequest,
     cost_model_fingerprint,
@@ -86,8 +84,8 @@ from repro.harness.experiment import (
     run_workload,
 )
 from repro.resolve import (
+    DEFAULT_CACHE_DIR,
     UsageError,
-    resolve_backend,
     resolve_cache_dir,
     resolve_count,
     resolve_jobs,
@@ -228,10 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help=f"result cache location (default: {DEFAULT_CACHE_DIR})",
     )
-    cache_parser.add_argument(
-        "--backend", default=None, choices=backend_names(),
-        help="result backend (default: $REPRO_BACKEND or json)",
-    )
     cache_parser.set_defaults(handler=cmd_cache)
 
     serve_parser = sub.add_parser(
@@ -255,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="job-queue worker threads (default: 2)",
     )
     serve_parser.add_argument(
-        "--backend", default=None, choices=backend_names(),
-        help="result backend (default: $REPRO_BACKEND or json)",
+        "--backend", default="json", choices=["json"],
+        help="result store: one JSON file per run (the only store)",
     )
     serve_parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -507,10 +501,6 @@ def _usage_error(message: str) -> int:
     ``main``, so handlers can use either form."""
     print(f"repro: error: {message}", file=sys.stderr)
     return 2
-
-
-def _default_cache_dir(cache_dir: Optional[str]) -> str:
-    return resolve_cache_dir(cache_dir)
 
 
 def cmd_list(args: argparse.Namespace) -> int:
@@ -908,19 +898,17 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    backend = resolve_backend(args.backend)
-    with create_backend(backend, _default_cache_dir(args.cache_dir)) as cache:
-        if args.action == "info":
-            info = cache.info()
-            rows = [
-                [key, info[key]]
-                for key in ("backend", "path", "entries", "bytes")
-            ]
-            rows.append(["source fingerprint", source_fingerprint()])
-            rows.append(["cost-model fingerprint", cost_model_fingerprint()])
-            print(render_table(["field", "value"], rows, title="result cache"))
-        else:
-            print(f"removed {cache.clear()} cache entries")
+    cache = JsonBackend(resolve_cache_dir(args.cache_dir))
+    if args.action == "info":
+        info = cache.info()
+        rows = [
+            [key, info[key]] for key in ("backend", "path", "entries", "bytes")
+        ]
+        rows.append(["source fingerprint", source_fingerprint()])
+        rows.append(["cost-model fingerprint", cost_model_fingerprint()])
+        print(render_table(["field", "value"], rows, title="result cache"))
+    else:
+        print(f"removed {cache.clear()} cache entries")
     return 0
 
 
@@ -945,7 +933,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         jobs=jobs,
         use_disk_cache=False if args.no_cache else None,
-        backend=resolve_backend(args.backend),
     )
     server = ExperimentServer(
         host=host,
@@ -1056,7 +1043,7 @@ def cmd_energy(args: argparse.Namespace) -> int:
 def _ledger_at(path: Optional[str]) -> RunLedger:
     if path is not None:
         return RunLedger(Path(path))
-    return RunLedger(default_ledger_path(_default_cache_dir(None)))
+    return RunLedger(default_ledger_path(resolve_cache_dir()))
 
 
 def cmd_obs_report(args: argparse.Namespace) -> int:
@@ -1299,7 +1286,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.handler(args)
     except UsageError as exc:
-        # Bad runtime options (a zero --jobs, an unknown $REPRO_BACKEND)
+        # Bad runtime options (a zero --jobs, an unparsable $REPRO_JOBS)
         # are usage errors: same one-line report, exit code 2.
         return _usage_error(str(exc))
     except _REPORTED_ERRORS as exc:

@@ -51,15 +51,11 @@ from repro.allocators import (
     MallaccAllocator,
     PymallocAllocator,
 )
-from repro.backends import (
-    DEFAULT_CACHE_DIR,
-    ResultBackend,
-    create_backend,
-)
+from repro.backends import JsonBackend
 from repro import codec, limits
 from repro import stacks as stack_registry
 from repro.core.config import MementoConfig
-from repro.resolve import resolve_jobs, resolve_stack
+from repro.resolve import resolve_cache_dir, resolve_jobs, resolve_stack
 from repro.harness import collector
 from repro.harness import system as harness_system
 from repro.harness.system import RunResult, SimulatedSystem
@@ -592,7 +588,7 @@ def _pool_context() -> Any:
 
 
 def _envelope_ok(payload: Dict[str, Any]) -> bool:
-    """Validate a cache envelope (any backend).
+    """Validate a cache envelope.
 
     Version-0 envelopes spelled the version field ``schema``; the
     current writer stamps ``schema_version`` (and keeps ``schema`` so
@@ -625,11 +621,9 @@ class ExperimentEngine:
         cost_model: Optional[CostModel] = None,
         progress: Optional[ProgressFn] = None,
         use_ledger: Optional[bool] = None,
-        backend: Any = None,
         summary_progress: Optional[SummaryFn] = None,
     ) -> None:
-        if cache_dir is None:
-            cache_dir = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
+        cache_dir = resolve_cache_dir(cache_dir)
         if use_disk_cache is None:
             use_disk_cache = os.environ.get("REPRO_NO_CACHE", "") == ""
         # The run ledger rides with the disk cache by default: every
@@ -642,15 +636,9 @@ class ExperimentEngine:
             )
         self.jobs = resolve_jobs(jobs)
         self.cost_model = cost_model or DEFAULT_COSTS
-        # ``backend`` names a registered result backend ("json",
-        # "sqlite", "memory") or is a ready ResultBackend instance;
-        # unset, the REPRO_BACKEND env var then the json default decide.
-        if not use_disk_cache:
-            self.disk: Optional[ResultBackend] = None
-        elif isinstance(backend, ResultBackend):
-            self.disk = backend
-        else:
-            self.disk = create_backend(backend, cache_dir)
+        self.disk: Optional[JsonBackend] = (
+            JsonBackend(cache_dir) if use_disk_cache else None
+        )
         self.ledger = (
             obs_ledger.RunLedger(obs_ledger.default_ledger_path(cache_dir))
             if use_ledger
@@ -891,8 +879,8 @@ class ExperimentEngine:
 
     def answerable(self, keys: Sequence[str]) -> bool:
         """Whether :meth:`run_many` would answer every key without
-        simulating: from the memo, or from a current envelope on the
-        backend. Reads only: no counter moves and nothing is admitted,
+        simulating: from the memo, or from a current envelope on
+        disk. Reads only: no counter moves and nothing is admitted,
         so the batch that follows counts exactly as it would have."""
         for key in keys:
             if key in self._memo:

@@ -8,7 +8,8 @@ per cache and TLB set up front). The ``RunRequest`` and
 ``FleetRequest`` constructors check against them, so the wire decoders
 (HTTP 400) and the CLI (exit 2, ``LimitError`` is a ``UsageError``)
 refuse the same requests the Python API does, and every message names
-the limit it exceeds.
+the limit it exceeds. The machine counts the simulator indexes or
+divides by (cores, ways, line size) must also be at least 1.
 
 Each limit sits well above anything the paper's workloads, the sweeps,
 the benchmark and the README ask for (the README's largest fleet has
@@ -46,7 +47,16 @@ MAX_SETS = 1 << 16
 
 
 class LimitError(UsageError):
-    """A request beyond a work limit: HTTP 400, or exit 2 on the CLI."""
+    """A request outside a work limit: HTTP 400, or exit 2 on the CLI."""
+
+
+def _shown(value: Any) -> str:
+    """``value`` for a message: a wire integer may have hundreds of
+    digits, so a huge one is named by its size."""
+    if isinstance(value, int) and abs(value) > 10**15:
+        sign = "-" if value < 0 else ""
+        return f"{sign}~10**{int(value.bit_length() * 0.30103)}"
+    return repr(value)
 
 
 def check(limit: str, field: str, value: Any) -> None:
@@ -54,15 +64,17 @@ def check(limit: str, field: str, value: Any) -> None:
     limit named ``limit``; ``field`` names what the request set."""
     bound = globals()[limit]
     if value > bound:
-        # A wire integer may have hundreds of digits: name its size.
-        shown = (
-            f"~10**{int(value.bit_length() * 0.30103)}"
-            if isinstance(value, int) and value > 10**15
-            else repr(value)
-        )
         raise LimitError(
-            f"{field} = {shown} exceeds the work limit {limit} ({bound})"
+            f"{field} = {_shown(value)} exceeds the work limit {limit} "
+            f"({bound})"
         )
+
+
+def check_positive(field: str, value: Any) -> None:
+    """Raise :class:`LimitError` if ``value`` is below 1: a count the
+    simulator indexes or divides by."""
+    if value < 1:
+        raise LimitError(f"{field} = {_shown(value)} must be at least 1")
 
 
 def check_spec(spec: Any) -> None:
@@ -79,13 +91,17 @@ def check_spec(spec: Any) -> None:
 
 def check_machine(params: Any) -> None:
     """The core count and the set count of every cache and TLB level
-    of a :class:`~repro.sim.params.MachineParams`."""
+    of a :class:`~repro.sim.params.MachineParams`, and the lower bounds
+    of the counts the simulator indexes or divides by: at least one
+    core, one way per level and one byte per cache line."""
+    check_positive("machine_params num_cores", params.num_cores)
     check("MAX_NUM_CORES", "machine_params num_cores", params.num_cores)
     for name in ("l1d", "l1i", "l2", "llc", "tlb_l1", "tlb_l2"):
         level = getattr(params, name)
+        check_positive(f"machine_params {name} ways", level.ways)
         if name.startswith("tlb"):
             entries, ways = level.entries, level.ways
         else:
+            check_positive(f"machine_params {name} line_size", level.line_size)
             entries, ways = level.size_bytes, level.line_size * level.ways
-        sets = entries // max(1, ways)
-        check("MAX_SETS", f"machine_params {name} sets", sets)
+        check("MAX_SETS", f"machine_params {name} sets", entries // ways)

@@ -1,18 +1,13 @@
 """Unified runtime-option resolution: argument → environment → default.
 
-``--jobs``, ``--backend``, and the cache directory once each had
-their own resolution path — ``resolve_jobs`` in
-:mod:`repro.harness.engine`, ``$REPRO_BACKEND`` in
-:mod:`repro.backends.base`, and ad-hoc ``$REPRO_CACHE_DIR`` lookups in
-the CLI, the engine, and ``create_backend`` — with different error
-behaviours. This module is the single front door: every entry
-point (CLI subcommands, ``repro serve``, the engine, the benchmark
-conftest) resolves options here, and a bad value always raises
-:class:`UsageError`, which ``repro``'s ``main`` reports as one
-``repro: error: ...`` line with exit code 2.
-
-The underlying env-var names and defaults are unchanged; only the
-resolution entry point moved.
+``--jobs`` and the cache directory once each had their own resolution
+path, with different error behaviours. This module is the single front
+door: every entry point (CLI subcommands, ``repro serve``, the engine,
+the benchmark conftest) resolves options here, and a bad value always
+raises :class:`UsageError`, which ``repro``'s ``main`` reports as one
+``repro: error: ...`` line with exit code 2. :func:`resolve_cache_dir`
+is the only place the ``$REPRO_CACHE_DIR`` → ``.repro-cache`` fallback
+is spelled.
 """
 
 from __future__ import annotations
@@ -20,16 +15,15 @@ from __future__ import annotations
 import os
 from typing import Any, Optional
 
-from repro.backends.base import (
-    DEFAULT_CACHE_DIR,
-    resolve_backend_kind as _resolve_backend_kind,
-)
-
 #: Worker-process count for engine fan-out (``--jobs``).
 JOBS_ENV = "REPRO_JOBS"
 
 #: Result-cache location (``--cache-dir``).
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: The result cache's location when neither ``--cache-dir`` nor
+#: ``$REPRO_CACHE_DIR`` names one.
+DEFAULT_CACHE_DIR = ".repro-cache"
 
 
 class UsageError(ValueError):
@@ -69,15 +63,7 @@ def resolve_workers(workers: Any = None, default: int = 2) -> int:
     return resolve_count(workers, "workers", default=default)
 
 
-def resolve_backend(kind: Optional[str] = None) -> str:
-    """Result-backend name: argument → ``$REPRO_BACKEND`` → ``json``."""
-    try:
-        return _resolve_backend_kind(kind)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def resolve_cache_dir(cache_dir: Optional[str] = None) -> str:
+def resolve_cache_dir(cache_dir: Optional[os.PathLike] = None) -> str:
     """Result-cache root: argument → ``$REPRO_CACHE_DIR`` → default."""
     if cache_dir is not None:
         return str(cache_dir)

@@ -1,56 +1,27 @@
-"""The result-backend contract, enforced over every implementation.
+"""The result-store contract, enforced on :class:`JsonBackend`.
 
-Each registered backend (json, sqlite, memory) must behave identically
-behind the :class:`ResultBackend` interface: get/put round-trips,
-corruption recovery, concurrent-writer safety, and the maintenance
-surface (``keys``/``info``/``clear``/``delete``). The suite is
-parametrized so adding a backend means adding one fixture row, not a new
-test file.
+get/put round-trips, corruption recovery, concurrent-writer safety, and
+the maintenance surface (``keys``/``info``/``clear``/``delete``), plus
+the on-disk layout: one ``<key>.json`` file per content key.
 """
 
 import json
-import sqlite3
 import threading
 
 import pytest
 
-from repro.backends import (
-    BACKEND_ENV,
-    DEFAULT_BACKEND,
-    JsonBackend,
-    MemoryBackend,
-    ResultBackend,
-    SqliteBackend,
-    backend_names,
-    create_backend,
-    resolve_backend_kind,
-)
-
-BACKENDS = sorted(backend_names())
+from repro.backends import JsonBackend
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request, tmp_path):
-    store = create_backend(request.param, tmp_path / "store")
-    yield store
-    store.close()
+# One store; the ``[json]`` id suffix is kept so test ids stay stable.
+@pytest.fixture(params=["json"])
+def backend(tmp_path):
+    return JsonBackend(tmp_path / "store")
 
 
-def corrupt_entry(store: ResultBackend, key: str) -> None:
-    """Rot the stored bytes for ``key`` in a backend-specific way."""
-    if isinstance(store, JsonBackend):
-        store.path(key).write_text("{not json", encoding="utf-8")
-    elif isinstance(store, SqliteBackend):
-        with sqlite3.connect(store.db_path) as conn:
-            conn.execute(
-                "UPDATE results SET payload = ? WHERE key = ?",
-                ("{not json", key),
-            )
-    elif isinstance(store, MemoryBackend):
-        with store._lock:
-            store._data[key] = "{not json"
-    else:  # pragma: no cover - future backends must opt in
-        raise NotImplementedError(type(store).__name__)
+def corrupt_entry(store: JsonBackend, key: str) -> None:
+    """Rot the stored bytes for ``key``."""
+    store.path(key).write_text("{not json", encoding="utf-8")
 
 
 PAYLOAD = {
@@ -106,15 +77,10 @@ class TestMaintenance:
     def test_info_reports_contract_fields(self, backend):
         backend.put("k1", PAYLOAD)
         info = backend.info()
-        assert info["backend"] == backend.kind
-        assert isinstance(info["path"], str)
+        assert info["backend"] == "json"
+        assert info["path"] == str(backend.root)
         assert info["entries"] == 1
         assert info["bytes"] > 0
-
-    def test_context_manager_closes(self, backend):
-        with backend as store:
-            store.put("k1", {"v": 1})
-            assert store.get("k1") == {"v": 1}
 
 
 class TestCorruptionRecovery:
@@ -170,37 +136,10 @@ class TestConcurrency:
             assert final["round"] == rounds - 1
 
 
-class TestFactory:
-    def test_registry_covers_expected_backends(self):
-        assert {"json", "sqlite", "memory"} <= set(BACKENDS)
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown result backend"):
-            create_backend("bogus", tmp_path)
-
-    def test_env_var_selects_backend(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "sqlite")
-        store = create_backend(None, tmp_path)
-        assert isinstance(store, SqliteBackend)
-
-    def test_argument_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "sqlite")
-        store = create_backend("memory", tmp_path)
-        assert isinstance(store, MemoryBackend)
-
-    def test_default_resolution(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend_kind() == DEFAULT_BACKEND
-
+class TestLayout:
     def test_json_backend_stores_one_file_per_key(self, tmp_path):
         store = JsonBackend(tmp_path)
         store.put("abc123", {"v": 1})
         path = store.path("abc123")
         assert path.name == "abc123.json"
         assert json.loads(path.read_text()) == {"v": 1}
-
-    def test_sqlite_backend_stores_one_database(self, tmp_path):
-        store = SqliteBackend(tmp_path)
-        store.put("abc123", {"v": 1})
-        store.put("def456", {"v": 2})
-        assert [p.name for p in tmp_path.iterdir()] == ["results.sqlite"]

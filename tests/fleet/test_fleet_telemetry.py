@@ -151,9 +151,7 @@ class TestLedgerCanary:
         """Two runs of one seeded fleet request write ledger lines whose
         full-payload digests agree — the fleet determinism canary."""
         request = small_fleet()
-        eng = ExperimentEngine(
-            cache_dir=tmp_path, backend="memory", use_ledger=True
-        )
+        eng = ExperimentEngine(cache_dir=tmp_path, use_ledger=True)
         simulate_fleet(request, engine=eng)
         simulate_fleet(request, engine=eng)
         entries, skipped = eng.ledger.read_classified()
@@ -173,9 +171,7 @@ class TestLedgerCanary:
 
     def test_digest_drift_flags_the_gate(self, tmp_path):
         request = small_fleet()
-        eng = ExperimentEngine(
-            cache_dir=tmp_path, backend="memory", use_ledger=True
-        )
+        eng = ExperimentEngine(cache_dir=tmp_path, use_ledger=True)
         simulate_fleet(request, engine=eng)
         entries, _ = eng.ledger.read_classified()
         _, (entry,) = split_fleet_entries(entries)

@@ -25,9 +25,7 @@ LABELS_RE = re.compile(r"\{[^}]*\}")
 @pytest.fixture(scope="module")
 def metrics_text(tmp_path_factory):
     """One scrape of ``/metrics`` after a run completed."""
-    engine = ExperimentEngine(
-        cache_dir=tmp_path_factory.mktemp("cache"), backend="memory"
-    )
+    engine = ExperimentEngine(cache_dir=tmp_path_factory.mktemp("cache"))
     with ExperimentServer(host="127.0.0.1", port=0, engine=engine) as srv:
         client = ServiceClient(srv.url, timeout=30)
         job_id = client.submit({

@@ -38,7 +38,7 @@ def walk(spans):
 
 @pytest.fixture
 def server(tmp_path):
-    engine = ExperimentEngine(cache_dir=tmp_path, backend="memory")
+    engine = ExperimentEngine(cache_dir=tmp_path)
     with ExperimentServer(host="127.0.0.1", port=0, engine=engine) as srv:
         yield srv
 

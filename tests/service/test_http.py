@@ -2,9 +2,9 @@
 
 The acceptance criteria from the service redesign live here: an
 HTTP-submitted run is bit-identical (counter digest included) to the
-same request executed directly through the engine, under both the json
-and sqlite backends; and eight simultaneous submissions all complete
-with correct lifecycle transitions and no cross-job result mixing.
+same request executed directly through the engine, and shares its
+cache entry; and eight simultaneous submissions all complete with
+correct lifecycle transitions and no cross-job result mixing.
 """
 
 import hashlib
@@ -34,7 +34,7 @@ def payload_digest(result) -> str:
 
 @pytest.fixture
 def server(tmp_path):
-    engine = ExperimentEngine(cache_dir=tmp_path, backend="memory")
+    engine = ExperimentEngine(cache_dir=tmp_path)
     with ExperimentServer(host="127.0.0.1", port=0, engine=engine) as srv:
         yield srv
 
@@ -59,7 +59,7 @@ class TestEndpoints:
     def test_healthz(self, client):
         health = client.healthz()
         assert health["status"] == "ok"
-        assert health["backend"] == "memory"
+        assert health["backend"] == "json"
         assert set(health["jobs"]) == {
             "queued", "running", "done", "failed"
         }
@@ -194,11 +194,10 @@ class TestJobLifecycle:
         assert [r.memento for r in results] == [True, False]
 
 
-@pytest.mark.parametrize("backend", ["json", "sqlite"])
-def test_http_run_bit_identical_to_direct(tmp_path, backend):
+def test_http_run_bit_identical_to_direct(tmp_path):
     """HTTP-submitted and direct runs agree bit-for-bit (counter digest
-    included) and share one cache entry, under both durable backends."""
-    engine = ExperimentEngine(cache_dir=tmp_path / backend, backend=backend)
+    included) and share one cache entry."""
+    engine = ExperimentEngine(cache_dir=tmp_path)
     request = RunRequest(small("html"), stack="memento")
     with ExperimentServer(host="127.0.0.1", port=0, engine=engine) as srv:
         client = ServiceClient(srv.url, timeout=30)
@@ -210,7 +209,7 @@ def test_http_run_bit_identical_to_direct(tmp_path, backend):
     assert counter_digest(served.stats) == counter_digest(direct.stats)
     # The served run persisted under the request's content key, so the
     # direct engine pointed at the same store now gets a disk hit.
-    warm = ExperimentEngine(cache_dir=tmp_path / backend, backend=backend)
+    warm = ExperimentEngine(cache_dir=tmp_path)
     assert warm.run(request).to_dict() == served.to_dict()
     assert warm.stats.snapshot().get("engine.disk.hits", 0) >= 1
 

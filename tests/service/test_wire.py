@@ -327,9 +327,15 @@ def is_number(value):
 def assert_well_typed(request, payload):
     """What the decoders promise of everything they accept: integer
     fields hold ints (not bools), float fields finite numbers, spec
-    fields lie in their bounds, sizes within the work limits, and kwargs
+    fields lie in their bounds, sizes within the work limits, machine
+    counts the simulator indexes or divides by at least 1, and kwargs
     are the sent named pairs."""
-    assert request.machine_params.num_cores <= limits.MAX_NUM_CORES
+    machine = request.machine_params
+    assert 1 <= machine.num_cores <= limits.MAX_NUM_CORES
+    for name in ("l1d", "l1i", "l2", "llc", "tlb_l1", "tlb_l2"):
+        assert getattr(machine, name).ways >= 1
+    for name in ("l1d", "l1i", "l2", "llc"):
+        assert getattr(machine, name).line_size >= 1
     if isinstance(request, FleetRequest):
         assert request.invocations <= limits.MAX_INVOCATIONS
         assert request.invocation_allocs <= limits.MAX_NUM_ALLOCS

@@ -86,35 +86,12 @@ def test_cache_info_and_clear(capsys, tmp_path, monkeypatch):
     assert main(["cache", "info", "--cache-dir", cache_dir]) == 0
     out = capsys.readouterr().out
     assert "entries" in out and "3" in out
+    assert "json" in out and cache_dir in out
 
     assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
     assert "removed 3" in capsys.readouterr().out
     assert main(["cache", "info", "--cache-dir", cache_dir]) == 0
     assert "0" in capsys.readouterr().out
-
-
-def test_cache_sqlite_backend(capsys, tmp_path, monkeypatch):
-    from dataclasses import replace
-    import repro.cli as cli
-
-    original = cli.get_workload
-    monkeypatch.setattr(
-        cli, "get_workload",
-        lambda name: replace(original(name), num_allocs=1_000),
-    )
-    cache_dir = str(tmp_path / "cache")
-    monkeypatch.setenv("REPRO_BACKEND", "sqlite")
-    assert main(["run", "aes", "--cache-dir", cache_dir]) == 0
-    capsys.readouterr()
-
-    # ``cache`` honors both the env var and the explicit flag.
-    assert main(["cache", "info", "--cache-dir", cache_dir]) == 0
-    assert "sqlite" in capsys.readouterr().out
-    monkeypatch.delenv("REPRO_BACKEND")
-    assert main([
-        "cache", "clear", "--cache-dir", cache_dir, "--backend", "sqlite",
-    ]) == 0
-    assert "removed 3" in capsys.readouterr().out
 
 
 def test_serve_validates_arguments(capsys):
@@ -132,6 +109,30 @@ def test_serve_validates_arguments(capsys):
 def test_serve_rejects_unknown_backend():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["serve", "--backend", "bogus"])
+
+
+def test_parser_accepts_the_benchmark_server_argv():
+    # The argv the benchmark starts its server with.
+    args = build_parser().parse_args([
+        "serve", "--port", "0", "--cache-dir", "D", "--workers", "2",
+        "--jobs", "1", "--backend", "json",
+    ])
+    assert (args.port, args.cache_dir, args.workers, args.jobs) == (
+        0, "D", 2, 1,
+    )
+    assert args.backend == "json"
+
+
+@pytest.mark.parametrize("argv", [
+    ["serve", "--backend", "sqlite"],
+    ["serve", "--backend", "memory"],
+    ["cache", "info", "--backend", "json"],
+])
+def test_retired_backend_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(argv)
+    assert info.value.code == 2
+    assert "--backend" in capsys.readouterr().err
 
 
 def test_sweep_choices_validated():

@@ -16,7 +16,7 @@ import pytest
 from repro import limits
 from repro.cli import main
 from repro.fleet import FleetRequest
-from repro.harness.engine import RunRequest
+from repro.harness.engine import RunRequest, machine_params_from_dict
 from repro.service.wire import (
     WireError,
     fleet_request_from_wire,
@@ -160,6 +160,53 @@ def test_wire_decoders_reject_work_beyond_a_limit(decode, payload, limit):
         decode(payload)
     # A 400-digit integer is named by its size, not echoed.
     assert len(str(info.value)) < 200
+
+
+L1D = {"size_bytes": 32 * 1024, "ways": 8, "latency": 2, "line_size": 64}
+TLB_L1 = {"entries": 64, "ways": 4}
+
+
+@pytest.mark.parametrize(
+    "machine, field",
+    [
+        ({"num_cores": 0}, "num_cores"),
+        ({"num_cores": -3}, "num_cores"),
+        ({"num_cores": -(10**400)}, "num_cores"),
+        ({"l1d": dict(L1D, ways=0)}, "l1d ways"),
+        ({"l1d": dict(L1D, line_size=0)}, "l1d line_size"),
+        ({"l1d": dict(L1D, line_size=-64)}, "l1d line_size"),
+        ({"llc": dict(L1D, ways=-1)}, "llc ways"),
+        ({"tlb_l1": dict(TLB_L1, ways=0)}, "tlb_l1 ways"),
+        ({"tlb_l2": {"entries": 2048, "ways": 0}}, "tlb_l2 ways"),
+    ],
+)
+def test_machine_counts_below_one_are_refused(machine, field):
+    # Each once decoded, then failed in execute() with an IndexError
+    # (no core) or a ZeroDivisionError (no way, no line byte).
+    for decode, payload in (
+        (run_request_from_wire,
+         {"workload": "html", "stack": "baseline", "machine_params": machine}),
+        (fleet_request_from_wire, {"machine_params": machine}),
+    ):
+        with pytest.raises(WireError, match=f"{field} = .* at least 1") as info:
+            decode(payload)
+        assert len(str(info.value)) < 200
+    with pytest.raises(limits.LimitError, match=field):
+        RunRequest(
+            get_workload("html"),
+            machine_params=machine_params_from_dict(machine),
+        )
+
+
+def test_machine_counts_of_one_pass():
+    one = CacheParams(64, 1, 1, line_size=1)
+    RunRequest(
+        get_workload("html"),
+        machine_params=MachineParams(
+            num_cores=1, l1d=one, l1i=one, l2=one, llc=one,
+            tlb_l1=TlbParams(1, 1), tlb_l2=TlbParams(1, 1),
+        ),
+    )
 
 
 @pytest.mark.parametrize(
