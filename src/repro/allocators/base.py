@@ -95,14 +95,13 @@ class SoftwareAllocator(abc.ABC):
         #: the snapshot stack installs its per-page restore latency here.
         self.warm_charge = None
         self.touch = touch or (lambda core, addr, write, cat: None)
-        # Pre-specialized header-touch callbacks for the malloc/free fast
-        # paths (category and write flag folded in). The harness attaches
-        # them to its touch closure; plain callables fall back to a shim.
-        self.touch_alloc = getattr(touch, "alloc", None) or (
-            lambda core, addr: self.touch(core, addr, True, "user_alloc")
+        # Header-touch shims for the malloc/free fast paths (category and
+        # write flag folded in).
+        self.touch_alloc = lambda core, addr: self.touch(
+            core, addr, True, "user_alloc"
         )
-        self.touch_free = getattr(touch, "free", None) or (
-            lambda core, addr: self.touch(core, addr, True, "user_free")
+        self.touch_free = lambda core, addr: self.touch(
+            core, addr, True, "user_free"
         )
         self.stats = kernel.machine.stats.scoped(f"alloc.{self.name}")
         # Interned per-operation cells (one bump per malloc/free).

@@ -11,6 +11,7 @@ management.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from typing import Any, Dict, Mapping, Optional
 
 from repro.allocators import ALLOCATOR_BY_LANGUAGE
@@ -33,10 +34,11 @@ from repro.workloads.synth import WorkloadSpec, generate_trace
 from repro.workloads.trace import (
     OP_ALLOC,
     OP_FREE,
-    OP_TOUCH_SINGLE,
+    OP_TOUCH,
     Alloc,
     Compute,
     Free,
+    PackedTrace,
     Touch,
     Trace,
 )
@@ -239,10 +241,6 @@ class SimulatedSystem:
         self._cache_l1_nsets = caches._l1_num_sets
         self._cache_l1_hit = caches._l1_hits
         self._l1_hit_cycles = caches._r_l1.cycles
-        self._meta_cells: Dict[str, Any] = {}
-        # The allocator metadata-touch callback is built as a closure so
-        # its per-call state loads from closure cells, not `self`.
-        self._metadata_touch = self._make_metadata_touch()
 
         if memento:
             self.page_allocator = page_allocator or HardwarePageAllocator(
@@ -258,6 +256,8 @@ class SimulatedSystem:
             )
             self.allocator = None
             self._header_of = self.runtime.context.object_allocator.header_of
+            self._malloc = self.runtime.malloc
+            self._free = self.runtime.free
         else:
             self.page_allocator = None
             self.runtime = None
@@ -270,7 +270,7 @@ class SimulatedSystem:
             ):
                 kwargs["purge_after"] = DATAPROC_PURGE_AFTER
                 kwargs["run_bytes"] = DATAPROC_RUN_BYTES
-            kwargs["touch"] = self._metadata_touch
+            kwargs["touch"] = self._make_metadata_touch()
             self.allocator = cls(self.kernel, self.process, **kwargs)
             self.allocator.mmap_populate = mmap_populate
             # The stack decides whether heap mmaps arrive pre-backed
@@ -282,6 +282,8 @@ class SimulatedSystem:
             self.allocator.large.warm = warm
             self.stack.configure_allocator(self, self.allocator)
             self._header_of = None
+            self._malloc = partial(self.allocator.malloc, self.core)
+            self._free = partial(self.allocator.free, self.core)
         # Built last: the touch closure captures the stack-specific cells
         # (bypass engine on Memento) chosen above.
         self._touch_lines = self._make_touch_lines()
@@ -312,7 +314,7 @@ class SimulatedSystem:
         l1_hit_cycles = self._l1_hit_cycles
         access_line = self.core.caches.access_line
         translate = self._translate
-        meta_cells = self._meta_cells
+        meta_cells: Dict[str, Any] = {}
         cycle_counter = self.core.cycle_counter
         page_shift = PAGE_SHIFT
         page_mask = _PAGE_MASK
@@ -339,57 +341,13 @@ class SimulatedSystem:
                 cell = meta_cells[category] = cycle_counter(category)
             cell.pending += cycles
 
-        # Specialized variants for the two categories every allocator
-        # emits on its malloc/free fast paths: the category cell and the
-        # write flag are bound into the closure, dropping two arguments
-        # and a dict probe per call. Exposed as attributes so the
-        # allocator base class can pick them up without a new parameter.
-        def make_category_touch(category):
-            cell = None
-
-            def category_touch(core, vaddr):
-                nonlocal cell
-                vpn = vaddr >> page_shift
-                tlb_set = tlb_sets[vpn % tlb_nsets]
-                if vpn in tlb_set:
-                    tlb_set[vpn] = pfn = tlb_set.pop(vpn)
-                    tlb_hit.pending += 1
-                else:
-                    pfn = translate(vaddr)
-                line = ((pfn << page_shift) | (vaddr & page_mask)) >> 6
-                l1_set = l1_sets[line % l1_nsets]
-                if line in l1_set:
-                    l1_set.pop(line)
-                    l1_set[line] = True
-                    l1_hit.pending += 1
-                    cycles = l1_hit_cycles
-                else:
-                    cycles = access_line(line, True)[1]
-                core.cycles += cycles
-                if cell is None:
-                    cell = meta_cells.get(category)
-                    if cell is None:
-                        cell = meta_cells[category] = cycle_counter(category)
-                cell.pending += cycles
-
-            return category_touch
-
-        metadata_touch.alloc = make_category_touch("user_alloc")
-        metadata_touch.free = make_category_touch("user_free")
         return metadata_touch
 
     # -- the malloc/free/access surface ---------------------------------------
-
-    def _malloc(self, size: int) -> int:
-        if self.memento:
-            return self.runtime.malloc(size)
-        return self.allocator.malloc(self.core, size)
-
-    def _free(self, addr: int) -> None:
-        if self.memento:
-            self.runtime.free(addr)
-        else:
-            self.allocator.free(self.core, addr)
+    #
+    # ``_malloc(size)`` and ``_free(addr)`` are bound in ``__init__``: the
+    # Memento runtime's methods, or the software allocator's with this
+    # system's core bound in.
 
     def _translate(self, vaddr: int) -> int:
         """MMU path: TLB, then the owning page table, filling on demand."""
@@ -414,8 +372,9 @@ class SimulatedSystem:
         """Build the per-event line-touch kernel as a closure.
 
         Accesses ``lines`` consecutive cache lines of an object: the
-        innermost replay loop. Two fast-path transformations, both
-        accounting-identical to the straightforward per-line form:
+        innermost replay loop, shared by every stack and by both replay
+        paths. Two fast-path transformations, both accounting-identical
+        to the straightforward per-line form:
 
         * consecutive lines on the same page skip the TLB probe — the
           previous line's lookup/insert left the page MRU in the L1 TLB,
@@ -423,6 +382,11 @@ class SimulatedSystem:
           manually via the exposed ``l1_hits`` cell;
         * per-line latencies (ints) are summed locally and charged to
           ``cycles.touch`` once per event.
+
+        On Memento, when the touched object has a live arena header, each
+        line first takes the bypass decision (inlined
+        ``BypassEngine.access``, §3.3). Software stacks and headerless
+        objects (``header is None``) skip that block.
 
         A closure rather than a method so every piece of per-call state —
         TLB/L1 sets, counter cells, the bypass engine's decision inputs —
@@ -443,76 +407,43 @@ class SimulatedSystem:
         touch_cycles = self._touch_cycles
         page_shift = PAGE_SHIFT
         page_mask = _PAGE_MASK
-
-        if not self.memento:
-
-            def touch_lines(obj, lines, line_offset, write):
-                base = addr_of[obj] + line_offset * 64
-                total = 0
-                last_vpn = -1
-                frame_base = 0
-                for vaddr in range(base, base + lines * 64, 64):
-                    vpn = vaddr >> page_shift
-                    if vpn != last_vpn:
-                        tlb_set = tlb_sets[vpn % tlb_nsets]
-                        if vpn in tlb_set:
-                            tlb_set[vpn] = pfn = tlb_set.pop(vpn)
-                            tlb_hit.pending += 1
-                            frame_base = pfn << page_shift
-                        else:
-                            frame_base = translate(vaddr) << page_shift
-                        last_vpn = vpn
-                    else:
-                        tlb_hit.pending += 1
-                    line = (frame_base | (vaddr & page_mask)) >> 6
-                    l1_set = l1_sets[line % l1_nsets]
-                    if line in l1_set:
-                        l1_set[line] = l1_set.pop(line) or write
-                        l1_hit.pending += 1
-                        total += l1_hit_cycles
-                    else:
-                        total += access_line(line, write)[1]
-                core.cycles += total
-                touch_cycles.pending += total
-
-            return touch_lines
-
-        # Memento: the bypass decision (inlined BypassEngine.access, §3.3)
-        # runs per line when the touched object has a live arena header;
-        # headerless addresses take the plain route above.
         header_of = self._header_of
-        bypass = self.runtime.context.bypass
-        enabled = bypass.enabled
-        bypassed_cell = bypass._bypassed_lines
-        regular_cell = bypass._regular_lines
-        instantiate = caches.instantiate
-        bypass_cycles = caches._r_bypass.cycles
         counter_max = COUNTER_MAX
+        if self.memento:
+            bypass = self.runtime.context.bypass
+            enabled = bypass.enabled
+            bypassed_cell = bypass._bypassed_lines
+            regular_cell = bypass._regular_lines
+            instantiate = caches.instantiate
+            bypass_cycles = caches._r_bypass.cycles
+        else:
+            enabled = bypassed_cell = regular_cell = None
+            instantiate = bypass_cycles = None
 
         def touch_lines(obj, lines, line_offset, write):
             base = addr_of[obj] + line_offset * 64
+            header = header_of(base) if header_of is not None else None
             total = 0
             last_vpn = -1
             frame_base = 0
-            header = header_of(base)
-            if header is not None:
-                header_va = header.va
-                for vaddr in range(base, base + lines * 64, 64):
-                    vpn = vaddr >> page_shift
-                    if vpn != last_vpn:
-                        tlb_set = tlb_sets[vpn % tlb_nsets]
-                        if vpn in tlb_set:
-                            tlb_set[vpn] = pfn = tlb_set.pop(vpn)
-                            tlb_hit.pending += 1
-                            frame_base = pfn << page_shift
-                        else:
-                            frame_base = translate(vaddr) << page_shift
-                        last_vpn = vpn
-                    else:
+            for vaddr in range(base, base + lines * 64, 64):
+                vpn = vaddr >> page_shift
+                if vpn != last_vpn:
+                    tlb_set = tlb_sets[vpn % tlb_nsets]
+                    if vpn in tlb_set:
+                        tlb_set[vpn] = pfn = tlb_set.pop(vpn)
                         tlb_hit.pending += 1
+                        frame_base = pfn << page_shift
+                    else:
+                        frame_base = translate(vaddr) << page_shift
+                    last_vpn = vpn
+                else:
+                    tlb_hit.pending += 1
+                cache_addr = frame_base | (vaddr & page_mask)
+                if header is not None:
                     # Saturated counters never bypass: past counter_max
                     # the touched-line bound is unknown (bypass-soundness).
-                    line_index = (vaddr - header_va) >> 6
+                    line_index = (vaddr - header.va) >> 6
                     if line_index >= header.bypass_counter:
                         bypassable = enabled and line_index < counter_max
                         header.bypass_counter = (
@@ -522,43 +453,20 @@ class SimulatedSystem:
                         )
                     else:
                         bypassable = False
-                    cache_addr = frame_base | (vaddr & page_mask)
                     if bypassable:
                         bypassed_cell.pending += 1
                         instantiate(cache_addr, write)
                         total += bypass_cycles
-                    else:
-                        regular_cell.pending += 1
-                        line = cache_addr >> 6
-                        l1_set = l1_sets[line % l1_nsets]
-                        if line in l1_set:
-                            l1_set[line] = l1_set.pop(line) or write
-                            l1_hit.pending += 1
-                            total += l1_hit_cycles
-                        else:
-                            total += access_line(line, write)[1]
-            else:
-                for vaddr in range(base, base + lines * 64, 64):
-                    vpn = vaddr >> page_shift
-                    if vpn != last_vpn:
-                        tlb_set = tlb_sets[vpn % tlb_nsets]
-                        if vpn in tlb_set:
-                            tlb_set[vpn] = pfn = tlb_set.pop(vpn)
-                            tlb_hit.pending += 1
-                            frame_base = pfn << page_shift
-                        else:
-                            frame_base = translate(vaddr) << page_shift
-                        last_vpn = vpn
-                    else:
-                        tlb_hit.pending += 1
-                    line = (frame_base | (vaddr & page_mask)) >> 6
-                    l1_set = l1_sets[line % l1_nsets]
-                    if line in l1_set:
-                        l1_set[line] = l1_set.pop(line) or write
-                        l1_hit.pending += 1
-                        total += l1_hit_cycles
-                    else:
-                        total += access_line(line, write)[1]
+                        continue
+                    regular_cell.pending += 1
+                line = cache_addr >> 6
+                l1_set = l1_sets[line % l1_nsets]
+                if line in l1_set:
+                    l1_set[line] = l1_set.pop(line) or write
+                    l1_hit.pending += 1
+                    total += l1_hit_cycles
+                else:
+                    total += access_line(line, write)[1]
             core.cycles += total
             touch_cycles.pending += total
 
@@ -598,18 +506,18 @@ class SimulatedSystem:
                 marks.append(("cold_start", self.core.cycles))
             audit = self._audit
             # Event-epoch auditing counts every event, computes included,
-            # and the packed segment stream has dropped those: audited
+            # and the packed trace has folded those away: audited
             # runs take the per-event path. So do traces that cannot be
             # packed, where the per-event path names the offending event.
             if audit is not None and audit.steps_events:
-                columnar = None
+                packed = None
             else:
-                columnar = trace.columnar()
+                packed = trace.columnar()
             with tracer.span("replay", events=len(trace)):
-                if columnar is None:
+                if packed is None:
                     allocs, frees = self._replay_events(trace, audit)
                 else:
-                    allocs, frees = self._replay_columnar(columnar)
+                    allocs, frees = self._replay_columnar(packed)
             if profile is not None:
                 marks.append(("replay", self.core.cycles))
             # The per-run check fires before function exit: teardown
@@ -664,172 +572,53 @@ class SimulatedSystem:
             phases=phases,
         )
 
-    def _replay_columnar(self, columnar) -> "tuple[int, int]":
-        """Replay the packed trace over its memoized segment index.
+    def _replay_columnar(self, packed: PackedTrace) -> "tuple[int, int]":
+        """Replay a :class:`PackedTrace`.
 
-        Compute events arrive pre-reduced (:class:`SegmentIndex` folds
-        them into two exact sums at pack time) and the surviving stream
-        is fully pre-decoded — single-line touches split into their own
-        opcode, byte offsets premultiplied, write flags rebooled — so the
-        per-event body does no operand arithmetic. Every stateful edge
-        (malloc/free, TLB/L1 peeks, bypass decisions, walks and faults)
-        runs the same closures :meth:`step` does, in the same order, so
-        results are bit-identical to the per-event path.
+        Compute events arrive folded into two exact sums. Every other
+        event runs the same callables :meth:`step` does (``_malloc``,
+        ``_free``, ``_touch_lines``) in the same order, so results are
+        bit-identical to the per-event path.
         """
-        segments = columnar.segments()
-        allocs = frees = 0
+        core = self.core
+        # Interned before any event runs: the order counters are created
+        # in is the order of the stats snapshot.
+        app_cell = core.cycle_counter("app")
         addr_of = self._addr_of
         size_of = self._size_of
+        malloc = self._malloc
+        free = self._free
         touch_lines = self._touch_lines
-        core = self.core
-        app_cell = core.cycle_counter("app")
-        dram = self.machine.dram
-        read_bytes = dram._read_bytes
-        read_lines = dram._read_lines
-        # Single-line touches are the majority of every workload's events
-        # (60-75%), so that case is fully inlined against locals hoisted
-        # once per replay: TLB peek, L1 peek, and (Memento) the bypass
-        # decision, identical to the _touch_lines body for lines == 1.
-        translate = self._translate
-        tlb_sets = self._tlb_l1_sets
-        tlb_nsets = self._tlb_l1_nsets
-        tlb_hit = self._tlb_l1_hit
-        l1_sets = self._cache_l1_sets
-        l1_nsets = self._cache_l1_nsets
-        l1_hit = self._cache_l1_hit
-        l1_hit_cycles = self._l1_hit_cycles
-        caches = core.caches
-        access_line = caches.access_line
-        touch_cycles = self._touch_cycles
-        page_shift = PAGE_SHIFT
-        page_mask = _PAGE_MASK
-        op_touch1 = OP_TOUCH_SINGLE
+        op_touch = OP_TOUCH
         op_alloc = OP_ALLOC
-        op_free = OP_FREE
-        stream = zip(
-            segments.ops,
-            segments.f0,
-            segments.f1,
-            segments.f2,
-            segments.writes,
-        )
-        if self.memento:
-            # Memento stack: runtime methods bound directly (no per-event
-            # stack-selection wrapper).
-            malloc = self.runtime.malloc
-            free = self.runtime.free
-            header_of = self._header_of
-            bypass = self.runtime.context.bypass
-            bypass_enabled = bypass.enabled
-            bypassed_cell = bypass._bypassed_lines
-            regular_cell = bypass._regular_lines
-            instantiate = caches.instantiate
-            bypass_cycles = caches._r_bypass.cycles
-            counter_max = COUNTER_MAX
-            for op, a, b, c, d in stream:
-                if op == op_alloc:
-                    addr_of[a] = malloc(b)
-                    size_of[a] = b
-                    allocs += 1
-                elif op == op_touch1:
-                    vaddr = addr_of[a] + c
-                    vpn = vaddr >> page_shift
-                    tlb_set = tlb_sets[vpn % tlb_nsets]
-                    if vpn in tlb_set:
-                        tlb_set[vpn] = pfn = tlb_set.pop(vpn)
-                        tlb_hit.pending += 1
-                        frame_base = pfn << page_shift
-                    else:
-                        frame_base = translate(vaddr) << page_shift
-                    cache_addr = frame_base | (vaddr & page_mask)
-                    header = header_of(vaddr)
-                    if header is not None:
-                        # Saturated counters never bypass
-                        # (bypass-soundness, §3.3).
-                        line_index = (vaddr - header.va) >> 6
-                        if line_index >= header.bypass_counter:
-                            bypassable = (
-                                bypass_enabled and line_index < counter_max
-                            )
-                            header.bypass_counter = (
-                                line_index + 1
-                                if line_index < counter_max
-                                else counter_max
-                            )
-                        else:
-                            bypassable = False
-                        if bypassable:
-                            bypassed_cell.pending += 1
-                            instantiate(cache_addr, d)
-                            core.cycles += bypass_cycles
-                            touch_cycles.pending += bypass_cycles
-                            continue
-                        regular_cell.pending += 1
-                    line = cache_addr >> 6
-                    l1_set = l1_sets[line % l1_nsets]
-                    if line in l1_set:
-                        l1_set[line] = l1_set.pop(line) or d
-                        l1_hit.pending += 1
-                        total = l1_hit_cycles
-                    else:
-                        total = access_line(line, d)[1]
-                    core.cycles += total
-                    touch_cycles.pending += total
-                elif op == op_free:
-                    free(addr_of.pop(a))
-                    del size_of[a]
-                    frees += 1
-                else:  # OP_TOUCH_MULTI
-                    touch_lines(a, b, c, d)
-        else:
-            malloc = self.allocator.malloc
-            free = self.allocator.free
-            for op, a, b, c, d in stream:
-                if op == op_alloc:
-                    addr_of[a] = malloc(core, b)
-                    size_of[a] = b
-                    allocs += 1
-                elif op == op_touch1:
-                    vaddr = addr_of[a] + c
-                    vpn = vaddr >> page_shift
-                    tlb_set = tlb_sets[vpn % tlb_nsets]
-                    if vpn in tlb_set:
-                        tlb_set[vpn] = pfn = tlb_set.pop(vpn)
-                        tlb_hit.pending += 1
-                        frame_base = pfn << page_shift
-                    else:
-                        frame_base = translate(vaddr) << page_shift
-                    line = (frame_base | (vaddr & page_mask)) >> 6
-                    l1_set = l1_sets[line % l1_nsets]
-                    if line in l1_set:
-                        l1_set[line] = l1_set.pop(line) or d
-                        l1_hit.pending += 1
-                        total = l1_hit_cycles
-                    else:
-                        total = access_line(line, d)[1]
-                    core.cycles += total
-                    touch_cycles.pending += total
-                elif op == op_free:
-                    free(core, addr_of.pop(a))
-                    del size_of[a]
-                    frees += 1
-                else:  # OP_TOUCH_MULTI
-                    touch_lines(a, b, c, d)
+        ops = packed.ops
+        for op, a, b, c, d in zip(
+            ops, packed.f0, packed.f1, packed.f2, packed.writes
+        ):
+            if op == op_touch:
+                touch_lines(a, b, c, d)
+            elif op == op_alloc:
+                addr_of[a] = malloc(b)
+                size_of[a] = b
+            else:
+                free(addr_of.pop(a))
+                del size_of[a]
 
-        # The extracted compute events, folded once. Exact: integer
+        # The folded compute events, charged once. Exact: integer
         # cycle/byte sums commute, the dyadic bytes/64 line total is exactly
         # representable at every partial sum, and nothing reads these cells
         # (or core.cycles as a clock — allocator decay is retire-driven)
         # until after replay.
-        cycles_sum = segments.compute_cycles
+        cycles_sum = packed.compute_cycles
         if cycles_sum:
             core.cycles += cycles_sum
             app_cell.pending += cycles_sum
-        bytes_sum = segments.compute_bytes
+        bytes_sum = packed.compute_bytes
         if bytes_sum:
-            read_bytes.pending += bytes_sum
-            read_lines.pending += bytes_sum / 64
-        return allocs, frees
+            dram = self.machine.dram
+            dram._read_bytes.pending += bytes_sum
+            dram._read_lines.pending += bytes_sum / 64
+        return ops.count(OP_ALLOC), ops.count(OP_FREE)
 
     def step(self, event, index: Optional[int] = None) -> Optional[int]:
         """Apply one trace event; returns the address an Alloc got.

@@ -9,7 +9,8 @@ per cache and TLB set up front). The ``RunRequest`` and
 (HTTP 400) and the CLI (exit 2, ``LimitError`` is a ``UsageError``)
 refuse the same requests the Python API does, and every message names
 the limit it exceeds. The machine counts the simulator indexes or
-divides by (cores, ways, line size) must also be at least 1.
+divides by (cores, ways, line size) must also be at least 1, and the
+clock frequency above 0.
 
 Each limit sits well above anything the paper's workloads, the sweeps,
 the benchmark and the README ask for (the README's largest fleet has
@@ -93,7 +94,13 @@ def check_machine(params: Any) -> None:
     """The core count and the set count of every cache and TLB level
     of a :class:`~repro.sim.params.MachineParams`, and the lower bounds
     of the counts the simulator indexes or divides by: at least one
-    core, one way per level and one byte per cache line."""
+    core, one way per level and one byte per cache line. The clock
+    frequency, which converts cycles to seconds, must be above zero."""
+    if not params.freq_hz > 0:
+        raise LimitError(
+            f"machine_params freq_hz = {_shown(params.freq_hz)} must be "
+            "above 0"
+        )
     check_positive("machine_params num_cores", params.num_cores)
     check("MAX_NUM_CORES", "machine_params num_cores", params.num_cores)
     for name in ("l1d", "l1i", "l2", "llc", "tlb_l1", "tlb_l2"):

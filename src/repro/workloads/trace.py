@@ -13,22 +13,16 @@ A workload is a deterministic sequence of four event kinds:
 Traces are replayed against a baseline or Memento system by the harness;
 they are also analyzed directly for the characterization figures.
 
-For replay, :meth:`Trace.columnar` packs the event list into
-:class:`ColumnarTrace` — five parallel ``array`` columns (a kind tag plus
-four integer operand slots) — so the harness's hot loop iterates machine
-integers instead of chasing per-event objects and ``isinstance`` chains.
-
-On top of the packed form, :meth:`ColumnarTrace.segments` builds a
-:class:`SegmentIndex`: the event stream with every compute event
-pre-reduced to exact cycle/byte sums and the remaining operands
-pre-decoded. The harness's columnar replay loop iterates it, and the
-index is memoized alongside the columnar form so replays of the same
-trace share the one-time pass.
+For replay, :meth:`Trace.columnar` packs the event list in one pass into
+a :class:`PackedTrace`: parallel opcode and operand lists with every
+compute event folded into two exact sums, so the harness's replay loop
+iterates plain integers instead of chasing per-event objects and
+``isinstance`` chains. The packed form is memoized on the trace, so
+replays of the same trace share the one pass.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple, Union
 
@@ -62,61 +56,44 @@ class Compute:
 
 Event = Union[Alloc, Free, Touch, Compute]
 
-#: Columnar kind tags (stable — persisted packed traces rely on them).
-KIND_ALLOC = 0
-KIND_FREE = 1
-KIND_TOUCH = 2
-KIND_COMPUTE = 3
-
-#: Segment opcodes (:class:`SegmentIndex`). The first four alias the
-#: kind tags; single-line touches get their own opcode so the replay
-#: loop's hottest case needs no per-event ``lines == 1`` test.
-OP_ALLOC = KIND_ALLOC
-OP_FREE = KIND_FREE
-OP_TOUCH_MULTI = KIND_TOUCH
-OP_COMPUTE = KIND_COMPUTE
-OP_TOUCH_SINGLE = 4
+#: Packed-trace opcodes (:class:`PackedTrace`). Compute events have none:
+#: packing folds them into two sums.
+OP_ALLOC = 0
+OP_FREE = 1
+OP_TOUCH = 2
 
 
-class SegmentIndex:
-    """Replay-ready view of a :class:`ColumnarTrace`.
+class PackedTrace:
+    """The replay form of an event list, built in one pass by
+    :meth:`Trace.columnar`.
 
     Two transformations, both exact refactorings of the per-event replay:
 
-    * **Compute extraction.** Compute events' only effects are additions
+    * **Compute folding.** Compute events' only effects are additions
       into interned counters (``cycles.app``, DRAM byte/line totals) that
       nothing reads mid-replay, and the sums commute exactly: cycle/byte
       totals are integers, and the derived line count ``bytes / 64`` is a
       dyadic rational far below 2**53, so every partial sum is exactly
       representable and any accumulation order produces the same float.
-      All compute events are therefore pre-reduced here into
-      ``compute_cycles``/``compute_bytes`` and leave the dispatch stream
-      entirely — which also merges the alloc/touch runs they used to
-      interrupt.
+      All compute events are therefore reduced into
+      ``compute_cycles``/``compute_bytes`` and leave the dispatch stream.
 
-    * **Operand pre-decode.** The surviving stream is stored as flat,
-      fully decoded operand columns the replay loop zips over directly:
-      single-line touches are split into their own opcode at pack time
-      (``OP_TOUCH_SINGLE``) so the hot path needs no per-event
-      ``lines == 1`` test, their byte offsets are premultiplied, and
-      touch write flags are rebooled (the packed column is int64; cache
-      dirty bits must stay booleans — audit rule cache-writeback-ledger).
+    * **Flat operand columns.** The surviving events are stored as
+      parallel lists the replay loop zips over directly; touch write
+      flags are stored as ``bool`` (cache dirty bits must stay booleans —
+      audit rule cache-writeback-ledger).
 
-      ==============  ====================================================
-      column          meaning per opcode
-      ==============  ====================================================
-      ``ops``         OP_* opcode (computes already stripped)
-      ``f0``          object id (alloc/free/touch)
-      ``f1``          alloc size; touch line count; unused for frees
-      ``f2``          OP_TOUCH_SINGLE: byte offset (premultiplied);
-                      OP_TOUCH_MULTI: line offset; otherwise unused
-      ``writes``      touch write flag as ``bool``
-      ==============  ====================================================
+      ==========  ==========================================
+      column      meaning per opcode
+      ==========  ==========================================
+      ``ops``     OP_* opcode (computes already folded)
+      ``f0``      object id
+      ``f1``      alloc size; touch line count; 0 for frees
+      ``f2``      touch line offset (in lines); otherwise 0
+      ``writes``  touch write flag; otherwise False
+      ==========  ==========================================
 
-    Maximal same-opcode runs on the generated workloads average ~1.2
-    events (the generator interleaves alloc/touch/free tightly), which is
-    why the replay loop executes the flat stream per event rather than
-    dispatching per run — see DESIGN.md §15 for the arithmetic.
+    ``len()`` is the number of events packed, computes included.
     """
 
     __slots__ = (
@@ -130,162 +107,59 @@ class SegmentIndex:
         "events",
     )
 
-    def __init__(
-        self,
-        ops: List[int],
-        f0: List[int],
-        f1: List[int],
-        f2: List[int],
-        writes: List[bool],
-        compute_cycles: int,
-        compute_bytes: int,
-        events: int,
-    ) -> None:
-        self.ops = ops
-        self.f0 = f0
-        self.f1 = f1
-        self.f2 = f2
-        self.writes = writes
-        self.compute_cycles = compute_cycles
-        self.compute_bytes = compute_bytes
-        self.events = events
+    def __init__(self) -> None:
+        self.ops: List[int] = []
+        self.f0: List[int] = []
+        self.f1: List[int] = []
+        self.f2: List[int] = []
+        self.writes: List[bool] = []
+        self.compute_cycles = 0
+        self.compute_bytes = 0
+        self.events = 0
 
     @classmethod
-    def build(cls, columnar: "ColumnarTrace") -> "SegmentIndex":
-        return cls(*_segment(columnar), len(columnar.kinds))
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-
-def _segment(columnar: "ColumnarTrace"):
-    """One pass over the packed columns; returns the
-    :class:`SegmentIndex` constructor columns."""
-    compute_cycles = 0
-    compute_bytes = 0
-    ops: List[int] = []
-    f0: List[int] = []
-    f1: List[int] = []
-    f2: List[int] = []
-    writes: List[bool] = []
-    for kind, a, b, c, d in zip(
-        columnar.kinds, columnar.f0, columnar.f1, columnar.f2, columnar.f3
-    ):
-        if kind == KIND_COMPUTE:
-            compute_cycles += a
-            compute_bytes += b
-            continue
-        if kind == KIND_TOUCH and b == 1:
-            ops.append(OP_TOUCH_SINGLE)
-            f2.append(c * 64)
-        else:
-            ops.append(kind)
-            f2.append(c)
-        f0.append(a)
-        f1.append(b)
-        writes.append(d != 0)
-    return ops, f0, f1, f2, writes, compute_cycles, compute_bytes
-
-
-class ColumnarTrace:
-    """Packed struct-of-arrays form of an event sequence.
-
-    ``kinds[i]`` tags event ``i``; the operand columns ``f0..f3`` carry its
-    fields (unused slots are zero):
-
-    =========  =====  ========  =============  =========
-    kind       f0     f1        f2             f3
-    =========  =====  ========  =============  =========
-    ALLOC      obj    size      —              —
-    FREE       obj    —         —              —
-    TOUCH      obj    lines     line_offset    write
-    COMPUTE    cycles dram      —              —
-    =========  =====  ========  =============  =========
-    """
-
-    __slots__ = ("kinds", "f0", "f1", "f2", "f3", "_segments")
-
-    def __init__(
-        self,
-        kinds: array,
-        f0: array,
-        f1: array,
-        f2: array,
-        f3: array,
-    ) -> None:
-        self.kinds = kinds
-        self.f0 = f0
-        self.f1 = f1
-        self.f2 = f2
-        self.f3 = f3
-        self._segments: Optional[SegmentIndex] = None
-
-    @classmethod
-    def pack(cls, events: List[Event]) -> Optional["ColumnarTrace"]:
+    def pack(cls, events: List[Event]) -> Optional["PackedTrace"]:
         """Pack ``events``; returns None if any event is not exactly one
-        of the four canonical kinds (the replayer then steps events one
-        by one and rejects the offending event by index)."""
-        kinds = array("B", bytes(len(events)))
-        f0 = array("q", kinds)
-        f1 = array("q", kinds)
-        f2 = array("q", kinds)
-        f3 = array("q", kinds)
-        for index, event in enumerate(events):
+        of the four canonical kinds."""
+        packed = cls()
+        op = packed.ops.append
+        f0 = packed.f0.append
+        f1 = packed.f1.append
+        f2 = packed.f2.append
+        writes = packed.writes.append
+        compute_cycles = compute_bytes = 0
+        for event in events:
             kind = type(event)
             if kind is Touch:
-                kinds[index] = KIND_TOUCH
-                f0[index] = event.obj
-                f1[index] = event.lines
-                f2[index] = event.line_offset
-                f3[index] = 1 if event.write else 0
+                op(OP_TOUCH)
+                f0(event.obj)
+                f1(event.lines)
+                f2(event.line_offset)
+                writes(True if event.write else False)
             elif kind is Compute:
-                kinds[index] = KIND_COMPUTE
-                f0[index] = event.cycles
-                f1[index] = event.dram_bytes
+                compute_cycles += event.cycles
+                compute_bytes += event.dram_bytes
             elif kind is Alloc:
-                kinds[index] = KIND_ALLOC
-                f0[index] = event.obj
-                f1[index] = event.size
+                op(OP_ALLOC)
+                f0(event.obj)
+                f1(event.size)
+                f2(0)
+                writes(False)
             elif kind is Free:
-                kinds[index] = KIND_FREE
-                f0[index] = event.obj
+                op(OP_FREE)
+                f0(event.obj)
+                f1(0)
+                f2(0)
+                writes(False)
             else:
                 return None
-        return cls(kinds, f0, f1, f2, f3)
-
-    def segments(self) -> "SegmentIndex":
-        """Memoized run segmentation (see :class:`SegmentIndex`).
-
-        Columns are immutable once packed, so the index is built at most
-        once per packed trace and later replays amortize it away.
-        """
-        index = self._segments
-        if index is None:
-            with current_instruments().tracer.span(
-                "trace.segment", events=len(self.kinds)
-            ):
-                index = SegmentIndex.build(self)
-            self._segments = index
-        return index
-
-    def to_events(self) -> List[Event]:
-        """Inverse of :meth:`pack` (round-trip tested)."""
-        out: List[Event] = []
-        for kind, a, b, c, d in zip(
-            self.kinds, self.f0, self.f1, self.f2, self.f3
-        ):
-            if kind == KIND_TOUCH:
-                out.append(Touch(a, b, c, bool(d)))
-            elif kind == KIND_COMPUTE:
-                out.append(Compute(a, b))
-            elif kind == KIND_ALLOC:
-                out.append(Alloc(a, b))
-            else:
-                out.append(Free(a))
-        return out
+        packed.compute_cycles = compute_cycles
+        packed.compute_bytes = compute_bytes
+        packed.events = len(events)
+        return packed
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return self.events
 
 
 @dataclass
@@ -301,7 +175,7 @@ class Trace:
     _summary: Optional[Tuple[int, int, int, int]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _columnar: Optional[Tuple[int, Optional[ColumnarTrace]]] = field(
+    _columnar: Optional[Tuple[int, Optional[PackedTrace]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -342,15 +216,17 @@ class Trace:
     def allocs(self) -> Iterator[Alloc]:
         return (e for e in self.events if isinstance(e, Alloc))
 
-    def columnar(self) -> Optional[ColumnarTrace]:
+    def columnar(self) -> Optional[PackedTrace]:
         """The packed replay form (built once, re-packed if the event
-        count changed). None when the trace holds non-canonical events."""
+        count changed). None when the trace holds non-canonical events:
+        the replayer then steps events one by one and rejects the
+        offending event by index."""
         cached = self._columnar
         if cached is None or cached[0] != len(self.events):
             with current_instruments().tracer.span(
                 "trace.pack", trace=self.name, events=len(self.events)
             ):
-                cached = (len(self.events), ColumnarTrace.pack(self.events))
+                cached = (len(self.events), PackedTrace.pack(self.events))
             self._columnar = cached
         return cached[1]
 

@@ -1,13 +1,15 @@
 """Replay-loop equivalence suite and the retired replay-kernel field.
 
 ``SimulatedSystem`` replays a trace one of two ways: the columnar loop
-over the packed segment index (every unaudited run) or the per-event
-path through ``SimulatedSystem.step`` (audited runs and the differential
-oracle). The contract under test is absolute: the columnar form is an
-*encoding* of the event stream, not a model of it, so
-``RunResult.to_dict()`` — counters, digests, cycle totals, profile
-attribution — must be bit-identical between the two paths on every
-workload and every registered stack. Anything less is a correctness
+over the packed trace (every unaudited run) or the per-event path
+through ``SimulatedSystem.step`` (audited runs and the differential
+oracle). Both run every touch through the one line-touch kernel
+(``SimulatedSystem._touch_lines``). The contract under test is
+absolute: the packed form is an *encoding* of the event stream, not a
+model of it, so ``RunResult.to_dict()`` — counters, digests, cycle
+totals, profile attribution — must be bit-identical between the two
+paths on every workload, on a hand-built trace at the touch kernel's
+edges, and on every registered stack. Anything less is a correctness
 bug, not a tolerance.
 
 Requests once also chose between two replay kernels; the wire field
@@ -21,6 +23,7 @@ import random
 
 import pytest
 
+from repro.audit.oracle import run_lockstep
 from repro.core.config import MementoConfig
 from repro.harness.engine import RunRequest
 from repro.harness.system import SimulatedSystem
@@ -29,7 +32,7 @@ from repro.obs.profile import CycleProfile
 from repro.stacks import stack_names
 from repro.workloads.registry import all_workloads, get_workload
 from repro.workloads.synth import generate_trace
-from repro.workloads.trace import Trace
+from repro.workloads.trace import Alloc, Compute, Free, Touch, Trace
 
 ALL_SPECS = [spec.resolved() for spec in all_workloads()]
 IDS = [spec.name for spec in ALL_SPECS]
@@ -105,6 +108,59 @@ def test_kernels_identical_nondefault_config():
         generate_trace(spec),
         memento_config=MementoConfig(bypass_enabled=False),
     )
+
+
+def edge_trace(language):
+    """Hand-built events at the line-touch kernel's edges.
+
+    Object 0 is 16 KiB, over the 512 B split, so on Memento it takes the
+    large path and has no arena header. Sweeping every line offset of
+    its first two pages with single- and three-line touches puts a
+    single-line touch on the last line of a page, and a multi-line touch
+    across a page boundary, whatever the object's alignment. The small
+    objects (with arena headers on Memento) are touched on their last
+    line, read and then written, and then in full; 448 B and 192 B
+    objects do not tile a page evenly. Half of them are freed and their
+    slots reused, which resets the bypass counters of reused lines.
+    """
+    events = [Alloc(0, 16 << 10)]
+    for offset in range(130):
+        events.append(Touch(0, 1, offset, write=offset % 2 == 0))
+        events.append(Touch(0, 3, offset, write=False))
+    events += [Touch(0, 1, 5, write=False), Touch(0, 1, 5, write=True)]
+    obj = 1
+    for size in (512, 448, 192, 64):
+        lines = size // 64
+        for _ in range(12):
+            events += [
+                Alloc(obj, size),
+                Touch(obj, 1, lines - 1, write=False),
+                Touch(obj, 1, lines - 1, write=True),
+                Touch(obj, lines, 0, write=True),
+                Compute(100, 64),
+            ]
+            obj += 1
+    events += [Free(dead) for dead in range(1, obj, 2)]
+    for size in (512, 192):
+        events += [Alloc(obj, size), Touch(obj, size // 64, 0, write=True)]
+        obj += 1
+    events += [Touch(live, 2, 0, write=False) for live in range(2, obj - 2, 2)]
+    events += [Free(0), Compute(50, 0)]
+    trace = Trace("edge", language, "function", events)
+    trace.validate()
+    return trace
+
+
+@pytest.mark.parametrize("stack", ALL_STACKS)
+@pytest.mark.parametrize("workload", ["html", "US", "html-go"])
+def test_kernels_bit_identical_edge_trace(workload, stack):
+    spec = get_workload(workload).resolved()
+    trace = edge_trace(spec.language)
+    assert_paths_agree(spec, stack, trace)
+    # Both paths share the touch kernel, so hold it to the oracle's naive
+    # per-line reference as well.
+    divergence, _ = run_lockstep(list(trace.events), spec, stack)
+    assert divergence is None, divergence
 
 
 # -- @audit tier: the full sweep at a larger trace size ----------------------

@@ -204,6 +204,13 @@ MISTYPED = [
     (run_request_from_wire,
      {"workload": "html", "memento": True, "config": {"pool_low_water": "8"}},
      "config field 'pool_low_water' must be an integer"),
+    (run_request_from_wire,
+     {"workload": "aes", "stack": "baseline", "machine_params": {"freq_hz": 0}},
+     "freq_hz = 0 must be above 0"),
+    (run_request_from_wire,
+     {"workload": "aes", "stack": "baseline",
+      "machine_params": {"freq_hz": -1.0}},
+     "freq_hz = -1.0 must be above 0"),
 ]
 
 
@@ -328,9 +335,10 @@ def assert_well_typed(request, payload):
     """What the decoders promise of everything they accept: integer
     fields hold ints (not bools), float fields finite numbers, spec
     fields lie in their bounds, sizes within the work limits, machine
-    counts the simulator indexes or divides by at least 1, and kwargs
-    are the sent named pairs."""
+    counts the simulator indexes or divides by at least 1, the clock
+    frequency above 0, and kwargs are the sent named pairs."""
     machine = request.machine_params
+    assert machine.freq_hz > 0
     assert 1 <= machine.num_cores <= limits.MAX_NUM_CORES
     for name in ("l1d", "l1i", "l2", "llc", "tlb_l1", "tlb_l2"):
         assert getattr(machine, name).ways >= 1

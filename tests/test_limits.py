@@ -198,6 +198,25 @@ def test_machine_counts_below_one_are_refused(machine, field):
         )
 
 
+@pytest.mark.parametrize("freq_hz", [0, -1.0])
+def test_nonpositive_clock_is_refused(freq_hz):
+    # Each once decoded; then 0 raised ZeroDivisionError converting
+    # cycles to seconds, and -1.0 reported negative seconds.
+    for decode, payload in (
+        (run_request_from_wire,
+         {"workload": "aes", "stack": "baseline",
+          "machine_params": {"freq_hz": freq_hz}}),
+        (fleet_request_from_wire, {"machine_params": {"freq_hz": freq_hz}}),
+    ):
+        with pytest.raises(WireError, match="freq_hz = .* above 0"):
+            decode(payload)
+    with pytest.raises(limits.LimitError, match="freq_hz"):
+        RunRequest(
+            get_workload("aes"),
+            machine_params=MachineParams(freq_hz=freq_hz),
+        )
+
+
 def test_machine_counts_of_one_pass():
     one = CacheParams(64, 1, 1, line_size=1)
     RunRequest(

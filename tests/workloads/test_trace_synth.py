@@ -9,8 +9,7 @@ from repro.workloads.synth import WorkloadSpec, generate_trace
 from repro.workloads.trace import (
     OP_ALLOC,
     OP_FREE,
-    OP_TOUCH_MULTI,
-    OP_TOUCH_SINGLE,
+    OP_TOUCH,
     Alloc,
     Compute,
     Free,
@@ -213,14 +212,6 @@ def test_any_spec_generates_valid_trace_property(seed, phases, short):
 # ---------------------------------------------------------------- columnar
 
 
-def test_columnar_round_trips_canonical_events():
-    trace = generate_trace(small_spec())
-    packed = trace.columnar()
-    assert packed is not None
-    assert len(packed) == len(trace)
-    assert packed.to_events() == trace.events
-
-
 def test_columnar_is_memoized_and_refreshed_on_growth():
     trace = generate_trace(small_spec())
     first = trace.columnar()
@@ -239,34 +230,42 @@ def test_columnar_rejects_noncanonical_events():
     assert trace.columnar() is None
 
 
-def test_segments_extract_compute_and_split_touches():
+def test_pack_folds_compute_and_keeps_line_offsets():
     trace = Trace("x", "python", "function", [
         Alloc(obj=0, size=4096),
         Compute(cycles=10, dram_bytes=96),
-        Touch(obj=0, lines=1, line_offset=3, write=True),
+        Touch(obj=0, lines=1, line_offset=3, write=1),
         Compute(cycles=5, dram_bytes=0),
         Touch(obj=0, lines=4, line_offset=2, write=False),
         Free(obj=0),
     ])
-    segments = trace.columnar().segments()
-    assert segments.compute_cycles == 15
-    assert segments.compute_bytes == 96
-    assert segments.events == 6
-    assert segments.ops == [
-        OP_ALLOC, OP_TOUCH_SINGLE, OP_TOUCH_MULTI, OP_FREE
-    ]
-    # Single-line byte offset premultiplied; multi-line keeps line units.
-    assert segments.f2 == [0, 3 * 64, 2, 0]
-    assert segments.writes == [False, True, False, False]
-    assert all(isinstance(w, bool) for w in segments.writes)
+    packed = trace.columnar()
+    # Computes leave the stream, folded into two exact sums.
+    assert packed.compute_cycles == 15
+    assert packed.compute_bytes == 96
+    assert len(packed) == 6
+    assert packed.ops == [OP_ALLOC, OP_TOUCH, OP_TOUCH, OP_FREE]
+    assert packed.f0 == [0, 0, 0, 0]
+    assert packed.f1 == [4096, 1, 4, 0]
+    # Touch offsets stay in line units, single-line touches included.
+    assert packed.f2 == [0, 3, 2, 0]
+    # A truthy write flag is stored as a bool: cache dirty bits must be.
+    assert packed.writes == [False, True, False, False]
+    assert all(type(w) is bool for w in packed.writes)
 
 
-def test_segments_memoized_and_empty_trace():
-    columnar = Trace("x", "python", "function", []).columnar()
-    segments = columnar.segments()
-    assert segments is columnar.segments()
-    assert len(segments) == 0 and segments.events == 0
-    assert segments.compute_cycles == 0 and segments.compute_bytes == 0
+def test_pack_memoized_repacked_on_growth_and_empty():
+    trace = Trace("x", "python", "function", [])
+    packed = trace.columnar()
+    assert trace.columnar() is packed
+    assert len(packed) == 0 and packed.ops == []
+    assert packed.compute_cycles == 0 and packed.compute_bytes == 0
+    trace.events.append(Compute(cycles=7, dram_bytes=64))
+    trace.events.append(Alloc(obj=1, size=32))
+    grown = trace.columnar()
+    assert grown is not packed and trace.columnar() is grown
+    assert len(grown) == 2 and grown.ops == [OP_ALLOC]
+    assert (grown.compute_cycles, grown.compute_bytes) == (7, 64)
 
 
 def test_summary_properties_match_events_and_refresh():
