@@ -519,8 +519,13 @@ class Auditor:
             raise ValueError(
                 f"epoch must be one of {EPOCHS}, got {epoch!r}"
             )
+        if int(every) < 1:
+            # Clamped, a zero interval would check after every event.
+            raise ValueError(
+                f"every must be a positive integer, got {every!r}"
+            )
         self.epoch = epoch
-        self.every = max(1, int(every))
+        self.every = int(every)
         self.rules: List[Invariant] = [
             rule() if isinstance(rule, type) else rule
             for rule in (rules if rules is not None else DEFAULT_RULES)

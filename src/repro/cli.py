@@ -137,7 +137,7 @@ SWEEPS = {
 
 #: Exceptions ``main`` converts into the shared ``repro: error:`` report
 #: with exit code 1 (anything else is a bug and propagates loudly).
-_REPORTED_ERRORS = (KeyError, ValueError, FileNotFoundError, MementoError)
+_REPORTED_ERRORS = (KeyError, ValueError, OSError, MementoError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -659,7 +659,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.profile:
         profile = CycleProfile()
     if args.audit:
-        auditor = Auditor(epoch=args.audit_epoch, every=args.audit_every)
+        auditor = Auditor(
+            epoch=args.audit_epoch,
+            every=resolve_count(args.audit_every, "--audit-every"),
+        )
     if profile is not None or auditor is not None:
         # Attribution and auditing happen in-process on live runs only:
         # worker processes and cache hits carry neither, so these runs
@@ -785,6 +788,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     else:
         specs = [get_workload(name) for name in (names or ["html"])]
     stacks = resolve_stack_list(args.stack)
+    every = resolve_count(args.every, "--every")
     num_allocs = args.num_allocs or None
     if num_allocs is not None:
         limits.check("MAX_NUM_ALLOCS", "--num-allocs", num_allocs)
@@ -795,7 +799,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         if num_allocs is not None:
             resolved = dataclasses.replace(resolved, num_allocs=num_allocs)
         for stack in stacks:
-            auditor = Auditor(epoch=args.epoch, every=args.every)
+            auditor = Auditor(epoch=args.epoch, every=every)
             with instrumented(audit=auditor):
                 SimulatedSystem(resolved, stack).run()
             leg = {
@@ -1290,7 +1294,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # are usage errors: same one-line report, exit code 2.
         return _usage_error(str(exc))
     except _REPORTED_ERRORS as exc:
-        message = exc.args[0] if exc.args else str(exc)
+        # An OSError's first argument is its errno; its str() carries
+        # the errno text and the path.
+        if isinstance(exc, OSError) or not exc.args:
+            message = str(exc)
+        else:
+            message = exc.args[0]
         print(f"repro: error: {message}", file=sys.stderr)
         return 1
 

@@ -95,6 +95,8 @@ class FleetRequest:
     def __post_init__(self) -> None:
         if self.invocations < 1:
             raise ValueError("invocations must be >= 1")
+        limits.check_finite("duration_s", self.duration_s)
+        limits.check_finite("keep_alive_s", self.keep_alive_s)
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.pattern not in PATTERNS:

@@ -107,9 +107,10 @@ class PageFaultHandler:
 
         The frames and table pages come from one
         :meth:`~repro.kernel.kernel.Kernel.back_range`; the pages are
-        then zeroed one by one, in the same order, and nothing touches
-        the caches in between, so the cache state and every counter end
-        up as page-at-a-time faults leave them. Already backed pages
+        then zeroed in the same order by one
+        :meth:`~repro.sim.cache.CacheHierarchy.zero_fill_pages`, and
+        nothing touches the caches in between, so the cache state and
+        every counter end up as page-at-a-time faults leave them. Already backed pages
         cost a spurious fault. Raises :class:`PageFaultError`, backing
         nothing, unless one VMA covers the whole range.
         """
@@ -144,9 +145,7 @@ class PageFaultHandler:
         self._faults.pending += len(frames)
         self._fault_cycles.pending += fault_cycles
         self._spurious.pending += spurious
-        zero_fill = core.caches.zero_fill_page
-        for pfn in frames:
-            zero_fill(pfn << PAGE_SHIFT)
+        core.caches.zero_fill_pages(frames)
         self.kernel.machine.dram.record_bulk_bytes(
             1024 * len(frames), write=False
         )

@@ -9,8 +9,8 @@ per cache and TLB set up front). The ``RunRequest`` and
 (HTTP 400) and the CLI (exit 2, ``LimitError`` is a ``UsageError``)
 refuse the same requests the Python API does, and every message names
 the limit it exceeds. The machine counts the simulator indexes or
-divides by (cores, ways, line size) must also be at least 1, and the
-clock frequency above 0.
+divides by (cores, ways, line size) must also be at least 1, the
+clock frequency above 0, and a fleet's window and keep-alive finite.
 
 Each limit sits well above anything the paper's workloads, the sweeps,
 the benchmark and the README ask for (the README's largest fleet has
@@ -19,6 +19,7 @@ the benchmark and the README ask for (the README's largest fleet has
 
 from __future__ import annotations
 
+import sys
 from typing import Any
 
 from repro.resolve import UsageError
@@ -76,6 +77,14 @@ def check_positive(field: str, value: Any) -> None:
     simulator indexes or divides by."""
     if value < 1:
         raise LimitError(f"{field} = {_shown(value)} must be at least 1")
+
+
+def check_finite(field: str, value: Any) -> None:
+    """Raise :class:`LimitError` unless ``value`` is a finite number
+    (NaN, an infinity and an int past the float range are not): the
+    same floats the wire decoders accept."""
+    if not abs(value) <= sys.float_info.max:
+        raise LimitError(f"{field} = {_shown(value)} must be a finite number")
 
 
 def check_spec(spec: Any) -> None:

@@ -18,11 +18,33 @@ a hit allocates nothing.
 from __future__ import annotations
 
 import enum
-from typing import List, NamedTuple, Optional, Tuple
+import threading
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.obs.instruments import current as current_instruments
-from repro.sim.params import CacheParams, LINE_SHIFT, LINE_SIZE, MachineParams
+from repro.sim.params import (
+    LINE_SHIFT,
+    LINE_SIZE,
+    LINES_PER_PAGE,
+    PAGE_SHIFT,
+    CacheParams,
+    MachineParams,
+)
 from repro.sim.stats import ScopedStats, Stats
+
+
+#: Shorter ranges zero-fill line by line: copying a template costs about
+#: as much as filling 20 pages.
+ZERO_FILL_TEMPLATE_MIN_PAGES = 32
+#: Templates kept per process, oldest dropped first. A cold fleet fills
+#: three ranges (two 400-page container set-ups and a 128-page jemalloc
+#: pool) in content-key order, so fewer than that turns hits into misses.
+ZERO_FILL_TEMPLATE_CAP = 4
+#: ``(llc num_sets, ways, frames)`` -> the LLC sets that zero-filling
+#: ``frames`` into an empty LLC leaves behind (see ``zero_fill_pages``).
+_zero_fill_templates: Dict[tuple, List[dict]] = {}
+#: Held to store a template: threads of one process replay concurrently.
+_zero_fill_templates_lock = threading.Lock()
 
 
 class MemLevel(enum.IntEnum):
@@ -556,6 +578,40 @@ class CacheHierarchy:
                     on_writeback()
             cache_set[line] = True
         self._zero_filled_pages.pending += 1
+
+    def zero_fill_pages(self, frames: Sequence[int]) -> None:
+        """Zero-fill the pages of ``frames`` in order, exactly as one
+        :meth:`zero_fill_page` per frame would.
+
+        Into an empty LLC, a fill that evicts nothing leaves LLC sets
+        that depend only on the geometry and the frames: no victim means
+        no DRAM write, no writeback charge and no eviction count. The
+        first such fill of a range of at least
+        :data:`ZERO_FILL_TEMPLATE_MIN_PAGES` pages runs line by line and
+        keeps a copy of the sets; a later one copies them back instead.
+        """
+        llc_sets = self._llc_sets
+        key = None
+        if len(frames) >= ZERO_FILL_TEMPLATE_MIN_PAGES and not any(llc_sets):
+            key = (self._llc_num_sets, self._llc_ways, tuple(frames))
+            template = _zero_fill_templates.get(key)
+            if template is not None:
+                # In place: Cache._sets and the access closures share it.
+                llc_sets[:] = [s.copy() for s in template]
+                self._zero_filled_pages.pending += len(frames)
+                return
+        zero_fill = self.zero_fill_page
+        for pfn in frames:
+            zero_fill(pfn << PAGE_SHIFT)
+        if key is not None and (
+            sum(map(len, llc_sets)) == len(frames) * LINES_PER_PAGE
+        ):
+            # Every line of the range is resident: nothing was evicted.
+            template = [s.copy() for s in llc_sets]
+            with _zero_fill_templates_lock:
+                if len(_zero_fill_templates) >= ZERO_FILL_TEMPLATE_CAP:
+                    del _zero_fill_templates[next(iter(_zero_fill_templates))]
+                _zero_fill_templates[key] = template
 
     def present(self, addr: int) -> bool:
         """Whether the line holding ``addr`` is anywhere in the hierarchy."""

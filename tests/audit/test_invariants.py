@@ -186,6 +186,13 @@ def test_auditor_epoch_gating():
         Auditor(epoch="sometimes")
 
 
+@pytest.mark.parametrize("every", [0, -1])
+def test_auditor_rejects_nonpositive_interval(every):
+    # Clamping to 1 would silently check after every event.
+    with pytest.raises(ValueError, match="every must be a positive"):
+        Auditor(epoch="interval", every=every)
+
+
 def test_auditor_caps_stored_violations(run_system):
     class Noisy:
         name = "noisy"

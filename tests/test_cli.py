@@ -277,3 +277,60 @@ def test_fleet_run_matches_simulate_fleet(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["fleet", "run", "--stack", "memento"])
     assert exc.value.code == 2
+
+
+# -- file errors and interval bounds report what went wrong ------------------
+
+#: The smallest fleet the CLI runs: one workload, a few short invocations.
+SMALL_FLEET = [
+    "fleet", "run", "--workloads", "html", "--invocations", "20",
+    "--allocs", "100", "--profile-seeds", "1", "--stacks", "baseline",
+    "--no-cache",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SMALL_FLEET + ["--out", "{missing}/fleet.json"],
+        SMALL_FLEET + ["--telemetry", "{missing}/t.jsonl"],
+        ["run", "html", "--no-cache", "--metrics", "{missing}/m.prom"],
+    ],
+    ids=["fleet-out", "fleet-telemetry", "run-metrics"],
+)
+def test_unwritable_output_names_the_path(argv, capsys, monkeypatch, tmp_path):
+    # An OSError's first argument is its errno: the report once read
+    # "repro: error: 2".
+    from dataclasses import replace
+
+    import repro.cli as cli
+
+    original = cli.get_workload
+    monkeypatch.setattr(
+        cli, "get_workload",
+        lambda name: replace(original(name), num_allocs=500),
+    )
+    missing = tmp_path / "no-such-dir"
+    argv = [arg.format(missing=missing) for arg in argv]
+    assert main(argv) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("repro: error:")
+    assert str(missing) in last and "No such file or directory" in last
+
+
+@pytest.mark.parametrize("every", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "html", "--audit", "--audit-epoch", "interval",
+          "--audit-every"], "--audit-every"),
+        (["audit", "html", "--epoch", "interval", "--num-allocs", "100",
+          "--every"], "--every"),
+    ],
+)
+def test_nonpositive_audit_interval_exits_2(argv, flag, every, capsys):
+    # Clamped to 1, a zero interval once checked after every event.
+    assert main(argv + [every]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error:") and flag in err
+    assert "audit:" not in capsys.readouterr().out

@@ -243,3 +243,29 @@ def test_cli_flags_beyond_a_limit_exit_2(argv, limit, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("repro: error:") and limit in err
+
+
+@pytest.mark.parametrize("field", ["duration_s", "keep_alive_s"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+def test_fleet_floats_must_be_finite(field, value):
+    # The wire refused these already; the constructor once let NaN
+    # reach an int() conversion and an infinite keep-alive run.
+    with pytest.raises(WireError, match=field):
+        fleet_request_from_wire({field: value})
+    with pytest.raises(limits.LimitError, match=f"{field} = .* finite"):
+        FleetRequest(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--duration", "nan", "duration_s"),
+        ("--duration", "inf", "duration_s"),
+        ("--keep-alive", "inf", "keep_alive_s"),
+        ("--keep-alive", "nan", "keep_alive_s"),
+    ],
+)
+def test_cli_nonfinite_fleet_floats_exit_2(flag, value, field, capsys):
+    assert main(["fleet", "run", "--no-cache", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error:") and field in err
