@@ -8,7 +8,6 @@ the Fig. 9 breakdown.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
@@ -61,12 +60,14 @@ class Allocation:
     size_class: int  # -1 for large allocations
 
 
-class SoftwareAllocator(abc.ABC):
+class SoftwareAllocator:
     """Base class for the userspace allocator models.
 
-    Subclasses implement ``_malloc_small`` / ``_free_small``; the base class
-    handles request routing (small vs. large), the live-allocation registry,
-    and double-free detection.
+    A subclass builds its small-object ``malloc``/``free`` bodies as
+    closures and hands them to :meth:`_bind_fast_paths`, which wraps them
+    in the one routing body (small vs. large, the live-allocation
+    registry, double-free detection) bound as ``malloc``/``free``.
+    Slow paths charge through :meth:`_charge_alloc`/:meth:`_charge_free`.
     """
 
     #: Language runtime whose cost table applies (key into CostModel.user).
@@ -95,14 +96,6 @@ class SoftwareAllocator(abc.ABC):
         #: the snapshot stack installs its per-page restore latency here.
         self.warm_charge = None
         self.touch = touch or (lambda core, addr, write, cat: None)
-        # Header-touch shims for the malloc/free fast paths (category and
-        # write flag folded in).
-        self.touch_alloc = lambda core, addr: self.touch(
-            core, addr, True, "user_alloc"
-        )
-        self.touch_free = lambda core, addr: self.touch(
-            core, addr, True, "user_free"
-        )
         self.stats = kernel.machine.stats.scoped(f"alloc.{self.name}")
         # Interned per-operation cells (one bump per malloc/free).
         self._allocs = self.stats.counter("allocs")
@@ -119,21 +112,15 @@ class SoftwareAllocator(abc.ABC):
         self._warm_prefaulted = machine_stats.counter(
             "kernel.warm_prefaulted_pages"
         )
-        # Fast-path cycle constants, hoisted so subclasses can charge
-        # inline (same arithmetic _charge_alloc/_charge_free perform).
-        # The inline form is only valid when the charge hooks are not
-        # overridden (Mallacc overrides them to model its malloc cache).
+        # Fast-path cycle constants the small-path closures charge inline
+        # (Mallacc lowers them before its closures are built).
         self._c_alloc_fast = self.costs.alloc_fast
         self._c_free_fast = self.costs.free_fast
-        self._plain_charges = (
-            type(self)._charge_alloc is SoftwareAllocator._charge_alloc
-            and type(self)._charge_free is SoftwareAllocator._charge_free
-        )
         # Cycle-attribution cells for the charge hooks (obs/profile.py).
-        # The fast paths the subclasses inline into replay closures bypass
-        # these hooks on purpose; their cycles surface as the
-        # user_alloc/user_free category residual, which the profiler folds
-        # into swalloc.alloc_fast/swalloc.free_fast at reconciliation.
+        # The small-path closures charge their fast paths inline, bypassing
+        # these hooks; those cycles surface as the user_alloc/user_free
+        # category residual, which the profiler folds into
+        # swalloc.alloc_fast/swalloc.free_fast at reconciliation.
         profile = current_instruments().profile
         if profile is None:
             self._p_alloc_fast = None
@@ -160,40 +147,14 @@ class SoftwareAllocator(abc.ABC):
 
     # -- public interface ---------------------------------------------------
 
-    def malloc(self, core: "Core", size: int) -> int:
-        """Allocate ``size`` bytes; returns the (virtual) address."""
-        if size <= 0:
-            raise ValueError("allocation size must be positive")
-        if (size + 7) & ~7 > SMALL_THRESHOLD and self.large is not self:
-            addr = self.large.malloc(core, size)
-            self.live[addr] = Allocation(addr, size, -1)
-            return addr
-        allocation = self._malloc_small(core, size)
-        self.live[allocation.addr] = allocation
-        self._allocs.pending += 1
-        return allocation.addr
+    def _bind_fast_paths(self, malloc_small, free_small) -> None:
+        """Bind ``malloc``/``free``: route a request to the subclass's
+        small-path closure or to the large path, and keep the registry.
 
-    def free(self, core: "Core", addr: int) -> None:
-        """Free a previously allocated address."""
-        allocation = self.live.pop(addr, None)
-        if allocation is None:
-            raise DoubleFreeError(f"{addr:#x} is not a live allocation")
-        if allocation.size_class < 0 and self.large is not self:
-            self.large.free(core, addr)
-            return
-        self._free_small(core, allocation)
-        self._frees.pending += 1
-
-    def _bind_fast_paths(self) -> None:
-        """Shadow ``malloc``/``free`` with closures over the routing state.
-
-        Called by a subclass at the end of its ``__init__`` (after any
-        small-path closures are in place) so the public entry points skip
-        method dispatch and the ``self`` attribute loads. The closures
-        are behaviorally identical to the methods above.
+        ``malloc_small(core, size)`` returns an :class:`Allocation` and
+        charges its cycles; ``free_small(core, allocation)`` releases one.
+        Called by a subclass at the end of its ``__init__``.
         """
-        malloc_small = self._malloc_small
-        free_small = self._free_small
         live = self.live
         large = self.large
         allocs = self._allocs
@@ -201,6 +162,7 @@ class SoftwareAllocator(abc.ABC):
         route_large = large is not self
 
         def malloc(core, size):
+            """Allocate ``size`` bytes; returns the (virtual) address."""
             if size <= 0:
                 raise ValueError("allocation size must be positive")
             if (size + 7) & ~7 > SMALL_THRESHOLD and route_large:
@@ -213,6 +175,7 @@ class SoftwareAllocator(abc.ABC):
             return allocation.addr
 
         def free(core, addr):
+            """Free a previously allocated address."""
             allocation = live.pop(addr, None)
             if allocation is None:
                 raise DoubleFreeError(f"{addr:#x} is not a live allocation")
@@ -236,16 +199,6 @@ class SoftwareAllocator(abc.ABC):
     @property
     def live_bytes(self) -> int:
         return sum(a.size for a in self.live.values())
-
-    # -- subclass hooks -------------------------------------------------------
-
-    @abc.abstractmethod
-    def _malloc_small(self, core: "Core", size: int) -> Allocation:
-        """Allocate a small object; charge cycles; return the record."""
-
-    @abc.abstractmethod
-    def _free_small(self, core: "Core", allocation: Allocation) -> None:
-        """Free a small object; charge cycles."""
 
     # -- shared helpers -------------------------------------------------------
 

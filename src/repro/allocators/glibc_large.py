@@ -8,7 +8,7 @@ enough to produce the syscall/fault behaviour large allocations cause.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.allocators.base import Allocation, SoftwareAllocator, align8
 from repro.sim.params import PAGE_SIZE
@@ -35,6 +35,7 @@ class LargeAllocator(SoftwareAllocator):
         self._heap_top = 0
         self._heap_end = 0
         self._huge: Dict[int, int] = {}  # addr -> mapped length
+        self._bind_fast_paths(self._malloc_small, self._free_small)
 
     def _malloc_small(self, core: "Core", size: int) -> Allocation:
         """Any size is accepted here — 'small' routing never recurses."""
@@ -75,6 +76,3 @@ class LargeAllocator(SoftwareAllocator):
         if aligned < PAGE_SIZE:
             return (aligned + 63) & ~63
         return -(-aligned // PAGE_SIZE) * PAGE_SIZE
-
-    def _bin_key(self, size: int) -> Tuple[int, int]:  # pragma: no cover
-        return (size, self._round(size))

@@ -104,28 +104,20 @@ class GoAllocator(SoftwareAllocator):
         self._owner: Dict[int, Span] = {}
         self._garbage: List[Allocation] = []
         self.gc_runs = 0
-        self._c_alloc_fast_gc = (
-            self.costs.alloc_fast + self.costs.gc_per_object
+        self._bind_fast_paths(
+            self._make_malloc_small(), self._make_free_small()
         )
-        # Shadow the small-path methods with closures when the plain
-        # charge hooks apply (subclass overrides keep method dispatch).
-        if (
-            self._plain_charges
-            and type(self)._malloc_small is GoAllocator._malloc_small
-            and type(self)._free_small is GoAllocator._free_small
-        ):
-            self._malloc_small = self._make_malloc_small()
-            self._free_small = self._make_free_small()
-        self._bind_fast_paths()
+
+    # -- allocation ------------------------------------------------------------
 
     def _make_malloc_small(self):
         nonfull_spans = self._nonfull_spans
         owner = self._owner
         new_span = self._new_span
-        c_alloc = self._c_alloc_fast_gc
+        c_alloc = self._c_alloc_fast + self.costs.gc_per_object
         ua_cycles = self._ua_cycles
         alloc_fast = self._alloc_fast
-        touch_alloc = self.touch_alloc
+        touch = self.touch
         gc = self.gc
         collect = self.collect
 
@@ -147,7 +139,7 @@ class GoAllocator(SoftwareAllocator):
             core.cycles += c_alloc
             ua_cycles.pending += c_alloc
             alloc_fast.pending += 1
-            touch_alloc(core, span.base)
+            touch(core, span.base, True, "user_alloc")
             addr = span.base + offset
             owner[addr] = span
             # Inlined gc.on_alloc(object_size).
@@ -157,56 +149,6 @@ class GoAllocator(SoftwareAllocator):
             return Allocation(addr, size, size_class)
 
         return _malloc_small
-
-    def _make_free_small(self):
-        owner = self._owner
-        garbage = self._garbage
-        on_dead = self.gc.on_dead
-
-        def _free_small(core, allocation):
-            if allocation.addr not in owner:
-                raise AllocationError(
-                    f"{allocation.addr:#x} is not a live Go object"
-                )
-            garbage.append(allocation)
-            on_dead(allocation.size)
-
-        return _free_small
-
-    # -- allocation ------------------------------------------------------------
-
-    def _malloc_small(self, core: "Core", size: int) -> Allocation:
-        aligned = (size + 7) & ~7
-        if size <= 0 or aligned > 512:
-            size_class_index(size)  # raises with the canonical message
-        size_class = aligned // 8 - 1
-        spans = self._nonfull_spans.get(size_class)
-        if spans is None:
-            spans = self._nonfull_spans[size_class] = []
-        if not spans:
-            spans.append(self._new_span(core, size_class))
-        span = spans[0]
-        offset = span.free_offsets.pop()
-        span.allocated.add(offset)
-        if not span.free_offsets:
-            spans.pop(0)
-        if self._plain_charges:
-            # Inlined _charge_alloc(core, alloc_fast + gc_per_object, True).
-            cycles = self._c_alloc_fast_gc
-            core.cycles += cycles
-            self._ua_cycles.pending += cycles
-            self._alloc_fast.pending += 1
-        else:
-            self._charge_alloc(core, self._c_alloc_fast_gc, fast=True)
-        self.touch_alloc(core, span.base)
-        addr = span.base + offset
-        self._owner[addr] = span
-        # Inlined gc.on_alloc(object_size).
-        gc = self.gc
-        gc.heap_live += (size_class + 1) * 8
-        if gc.heap_live >= gc._goal:
-            self.collect(core)
-        return Allocation(addr, size, size_class)
 
     def _new_span(self, core: "Core", size_class: int) -> Span:
         if self._arena_top + SPAN_BYTES > self._arena_end:
@@ -221,14 +163,21 @@ class GoAllocator(SoftwareAllocator):
 
     # -- free: objects become garbage, reclaimed at GC -------------------------
 
-    def _free_small(self, core: "Core", allocation: Allocation) -> None:
-        """An object died: no work now, the sweeper reclaims it later."""
-        if allocation.addr not in self._owner:
-            raise AllocationError(
-                f"{allocation.addr:#x} is not a live Go object"
-            )
-        self._garbage.append(allocation)
-        self.gc.on_dead(allocation.size)
+    def _make_free_small(self):
+        owner = self._owner
+        garbage = self._garbage
+        on_dead = self.gc.on_dead
+
+        def _free_small(core, allocation):
+            """An object died: no work now, the sweeper reclaims it later."""
+            if allocation.addr not in owner:
+                raise AllocationError(
+                    f"{allocation.addr:#x} is not a live Go object"
+                )
+            garbage.append(allocation)
+            on_dead(allocation.size)
+
+        return _free_small
 
     def collect(self, core: "Core") -> int:
         """Run a mark-sweep collection; return objects reclaimed."""

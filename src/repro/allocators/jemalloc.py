@@ -98,83 +98,9 @@ class JemallocAllocator(SoftwareAllocator):
         self._clean_runs: List[int] = []  # retired and purged (refault)
         self._retires_since_purge = 0
         self._initialized = False
-        # Shadow the small-path methods with closures when the plain
-        # charge hooks apply (Mallacc overrides them, keeping dispatch).
-        if (
-            self._plain_charges
-            and type(self)._malloc_small is JemallocAllocator._malloc_small
-            and type(self)._free_small is JemallocAllocator._free_small
-        ):
-            self._malloc_small = self._make_malloc_small()
-            self._free_small = self._make_free_small()
-        self._bind_fast_paths()
-
-    def _make_malloc_small(self):
-        nonfull_runs = self._nonfull_runs
-        owner = self._owner
-        new_run = self._new_run
-        c_alloc = self._c_alloc_fast
-        ua_cycles = self._ua_cycles
-        alloc_fast = self._alloc_fast
-        touch_alloc = self.touch_alloc
-        self_ref = self
-
-        def _malloc_small(core, size):
-            if not self_ref._initialized:
-                self_ref.initialize(core)
-            aligned = (size + 7) & ~7
-            if size <= 0 or aligned > 512:
-                size_class_index(size)  # raises with the canonical message
-            size_class = aligned // 8 - 1
-            runs = nonfull_runs.get(size_class)
-            if runs is None:
-                runs = nonfull_runs[size_class] = []
-            if not runs:
-                runs.append(new_run(core, size_class))
-            run = runs[-1]
-            offset = run.free_offsets.pop()
-            run.allocated.add(offset)
-            if not run.free_offsets:
-                runs.pop()
-            core.cycles += c_alloc
-            ua_cycles.pending += c_alloc
-            alloc_fast.pending += 1
-            touch_alloc(core, run.base)
-            addr = run.base + offset
-            owner[addr] = run
-            return Allocation(addr, size, size_class)
-
-        return _malloc_small
-
-    def _make_free_small(self):
-        nonfull_runs = self._nonfull_runs
-        owner = self._owner
-        retire_run = self._retire_run
-        c_free = self._c_free_fast
-        uf_cycles = self._uf_cycles
-        free_fast = self._free_fast
-        touch_free = self.touch_free
-
-        def _free_small(core, allocation):
-            run = owner.pop(allocation.addr, None)
-            if run is None or run.size_class != allocation.size_class:
-                raise AllocationError(
-                    f"{allocation.addr:#x} does not belong to a live run"
-                )
-            offset = allocation.addr - run.base
-            was_full = not run.free_offsets
-            run.allocated.remove(offset)
-            run.free_offsets.append(offset)
-            core.cycles += c_free
-            uf_cycles.pending += c_free
-            free_fast.pending += 1
-            touch_free(core, run.base)
-            if was_full:
-                nonfull_runs[run.size_class].append(run)
-            if not run.allocated:
-                retire_run(core, run)
-
-        return _free_small
+        self._bind_fast_paths(
+            self._make_malloc_small(), self._make_free_small()
+        )
 
     def initialize(self, core: "Core") -> None:
         """Library init: map the first chunk and pre-fault a small pool."""
@@ -194,37 +120,44 @@ class JemallocAllocator(SoftwareAllocator):
 
     # -- small path -----------------------------------------------------------
 
-    def _malloc_small(self, core: "Core", size: int) -> Allocation:
-        if not self._initialized:
-            self.initialize(core)
-        aligned = (size + 7) & ~7
-        if size <= 0 or aligned > 512:
-            size_class_index(size)  # raises with the canonical message
-        size_class = aligned // 8 - 1
-        runs = self._nonfull_runs.get(size_class)
-        if runs is None:
-            runs = self._nonfull_runs[size_class] = []
-        if not runs:
-            runs.append(self._new_run(core, size_class))
-        # Allocate from the most recently carved/refilled run: hot runs
-        # absorb the churn while older runs drain empty and retire.
-        run = runs[-1]
-        offset = run.free_offsets.pop()
-        run.allocated.add(offset)
-        if not run.free_offsets:
-            runs.pop()
-        if self._plain_charges:
-            # Inlined _charge_alloc(core, alloc_fast, fast=True).
-            cycles = self._c_alloc_fast
-            core.cycles += cycles
-            self._ua_cycles.pending += cycles
-            self._alloc_fast.pending += 1
-        else:
-            self._charge_alloc(core, self.costs.alloc_fast, fast=True)
-        self.touch_alloc(core, run.base)
-        addr = run.base + offset
-        self._owner[addr] = run
-        return Allocation(addr, size, size_class)
+    def _make_malloc_small(self):
+        nonfull_runs = self._nonfull_runs
+        owner = self._owner
+        new_run = self._new_run
+        c_alloc = self._c_alloc_fast
+        ua_cycles = self._ua_cycles
+        alloc_fast = self._alloc_fast
+        touch = self.touch
+        self_ref = self
+
+        def _malloc_small(core, size):
+            if not self_ref._initialized:
+                self_ref.initialize(core)
+            aligned = (size + 7) & ~7
+            if size <= 0 or aligned > 512:
+                size_class_index(size)  # raises with the canonical message
+            size_class = aligned // 8 - 1
+            runs = nonfull_runs.get(size_class)
+            if runs is None:
+                runs = nonfull_runs[size_class] = []
+            if not runs:
+                runs.append(new_run(core, size_class))
+            # Allocate from the most recently carved/refilled run: hot runs
+            # absorb the churn while older runs drain empty and retire.
+            run = runs[-1]
+            offset = run.free_offsets.pop()
+            run.allocated.add(offset)
+            if not run.free_offsets:
+                runs.pop()
+            core.cycles += c_alloc
+            ua_cycles.pending += c_alloc
+            alloc_fast.pending += 1
+            touch(core, run.base, True, "user_alloc")
+            addr = run.base + offset
+            owner[addr] = run
+            return Allocation(addr, size, size_class)
+
+        return _malloc_small
 
     def _new_run(self, core: "Core", size_class: int) -> Run:
         if self._clean_runs:
@@ -251,29 +184,35 @@ class JemallocAllocator(SoftwareAllocator):
 
     # -- free -------------------------------------------------------------------
 
-    def _free_small(self, core: "Core", allocation: Allocation) -> None:
-        run = self._owner.pop(allocation.addr, None)
-        if run is None or run.size_class != allocation.size_class:
-            raise AllocationError(
-                f"{allocation.addr:#x} does not belong to a live run"
-            )
-        offset = allocation.addr - run.base
-        was_full = not run.free_offsets
-        run.allocated.remove(offset)
-        run.free_offsets.append(offset)
-        if self._plain_charges:
-            # Inlined _charge_free(core, free_fast, fast=True).
-            cycles = self._c_free_fast
-            core.cycles += cycles
-            self._uf_cycles.pending += cycles
-            self._free_fast.pending += 1
-        else:
-            self._charge_free(core, self.costs.free_fast, fast=True)
-        self.touch_free(core, run.base)
-        if was_full:
-            self._nonfull_runs[run.size_class].append(run)
-        if not run.allocated:
-            self._retire_run(core, run)
+    def _make_free_small(self):
+        nonfull_runs = self._nonfull_runs
+        owner = self._owner
+        retire_run = self._retire_run
+        c_free = self._c_free_fast
+        uf_cycles = self._uf_cycles
+        free_fast = self._free_fast
+        touch = self.touch
+
+        def _free_small(core, allocation):
+            run = owner.pop(allocation.addr, None)
+            if run is None or run.size_class != allocation.size_class:
+                raise AllocationError(
+                    f"{allocation.addr:#x} does not belong to a live run"
+                )
+            offset = allocation.addr - run.base
+            was_full = not run.free_offsets
+            run.allocated.remove(offset)
+            run.free_offsets.append(offset)
+            core.cycles += c_free
+            uf_cycles.pending += c_free
+            free_fast.pending += 1
+            touch(core, run.base, True, "user_free")
+            if was_full:
+                nonfull_runs[run.size_class].append(run)
+            if not run.allocated:
+                retire_run(core, run)
+
+        return _free_small
 
     def _retire_run(self, core: "Core", run: Run) -> None:
         """Empty runs return to the arena for reuse (jemalloc keeps the

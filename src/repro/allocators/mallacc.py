@@ -12,12 +12,7 @@ stack and is only meaningful for C++ workloads (DeathStarBench).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.allocators.jemalloc import JemallocAllocator
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.machine import Core
 
 
 #: Fraction of the fast path the malloc cache covers: the size-class
@@ -29,22 +24,39 @@ ACCELERATED_FRACTION = 0.55
 
 
 class MallaccAllocator(JemallocAllocator):
-    """jemalloc with an idealized always-hit, zero-latency malloc cache."""
+    """jemalloc with an idealized always-hit, zero-latency malloc cache.
+
+    Only the fast-path constants differ: each jemalloc small malloc or
+    free charges exactly one fast op, which the cache shortens to its
+    residual and counts as ``alloc_fast_accelerated`` /
+    ``free_fast_accelerated``. Slow paths keep their full cost.
+    """
 
     name = "mallacc"
 
-    def _charge_alloc(self, core: "Core", cycles: int, fast: bool) -> None:
-        if fast:
-            residual = int(cycles * (1 - ACCELERATED_FRACTION))
-            self.stats.add("alloc_fast_accelerated")
-            super()._charge_alloc(core, residual, fast)
-            return
-        super()._charge_alloc(core, cycles, fast)
+    def _make_malloc_small(self):
+        self._c_alloc_fast = int(
+            self.costs.alloc_fast * (1 - ACCELERATED_FRACTION)
+        )
+        malloc_small = super()._make_malloc_small()
+        accelerated = self.stats.counter("alloc_fast_accelerated")
 
-    def _charge_free(self, core: "Core", cycles: int, fast: bool) -> None:
-        if fast:
-            residual = int(cycles * (1 - ACCELERATED_FRACTION))
-            self.stats.add("free_fast_accelerated")
-            super()._charge_free(core, residual, fast)
-            return
-        super()._charge_free(core, cycles, fast)
+        def _malloc_small(core, size):
+            allocation = malloc_small(core, size)
+            accelerated.pending += 1
+            return allocation
+
+        return _malloc_small
+
+    def _make_free_small(self):
+        self._c_free_fast = int(
+            self.costs.free_fast * (1 - ACCELERATED_FRACTION)
+        )
+        free_small = super()._make_free_small()
+        accelerated = self.stats.counter("free_fast_accelerated")
+
+        def _free_small(core, allocation):
+            free_small(core, allocation)
+            accelerated.pending += 1
+
+        return _free_small

@@ -15,7 +15,6 @@ from repro.allocators.base import (
     Allocation,
     AllocationError,
     SoftwareAllocator,
-    align8,
     size_class_index,
 )
 from repro.sim.params import PAGE_SIZE
@@ -90,48 +89,11 @@ class PymallocAllocator(SoftwareAllocator):
         # usedpools: size class -> pools with at least one free object.
         self.used_pools: Dict[int, List[Pool]] = {}
         self._pool_of: Dict[int, Pool] = {}  # pool base -> Pool
-        # When the charge hooks are the plain ones, shadow the small-path
-        # methods with closures over the per-call state (dicts, cells,
-        # cost constants) — the methods below stay as the general form.
-        if (
-            self._plain_charges
-            and type(self)._malloc_small is PymallocAllocator._malloc_small
-            and type(self)._free_small is PymallocAllocator._free_small
-        ):
-            self._malloc_small = self._make_malloc_small()
-            self._free_small = self._make_free_small()
-        self._bind_fast_paths()
+        self._bind_fast_paths(
+            self._make_malloc_small(), self._make_free_small()
+        )
 
     # -- allocation (Fig. 1 steps 1-4) --------------------------------------
-
-    def _malloc_small(self, core: "Core", size: int) -> Allocation:
-        aligned = (size + 7) & ~7
-        if size <= 0 or aligned > 512:
-            size_class_index(size)  # raises with the canonical message
-        size_class = aligned // 8 - 1
-        # Fast path of _usable_pool, inlined: a used pool already exists.
-        pools = self.used_pools.get(size_class)
-        if pools:
-            pool = pools[0]
-        else:
-            pool = self._usable_pool(core, size_class)
-        offset = pool.free_offsets.pop()
-        pool.allocated.add(offset)
-        addr = pool.base + offset
-        if not pool.free_offsets:
-            # Step off the usedpools list; it returns on the next free.
-            self.used_pools[size_class].remove(pool)
-        if self._plain_charges:
-            # Inlined _charge_alloc(core, alloc_fast, fast=True).
-            cycles = self._c_alloc_fast
-            core.cycles += cycles
-            self._ua_cycles.pending += cycles
-            self._alloc_fast.pending += 1
-        else:
-            self._charge_alloc(core, self.costs.alloc_fast, fast=True)
-        # Free-list head update touches the pool header line.
-        self.touch_alloc(core, pool.base)
-        return Allocation(addr, size, size_class)
 
     def _make_malloc_small(self):
         used_pools = self.used_pools
@@ -139,13 +101,14 @@ class PymallocAllocator(SoftwareAllocator):
         c_alloc = self._c_alloc_fast
         ua_cycles = self._ua_cycles
         alloc_fast = self._alloc_fast
-        touch_alloc = self.touch_alloc
+        touch = self.touch
 
         def _malloc_small(core, size):
             aligned = (size + 7) & ~7
             if size <= 0 or aligned > 512:
                 size_class_index(size)  # raises with the canonical message
             size_class = aligned // 8 - 1
+            # Fast path of _usable_pool, inlined: a used pool already exists.
             pools = used_pools.get(size_class)
             if pools:
                 pool = pools[0]
@@ -155,46 +118,16 @@ class PymallocAllocator(SoftwareAllocator):
             pool.allocated.add(offset)
             addr = pool.base + offset
             if not pool.free_offsets:
+                # Step off the usedpools list; it returns on the next free.
                 used_pools[size_class].remove(pool)
             core.cycles += c_alloc
             ua_cycles.pending += c_alloc
             alloc_fast.pending += 1
-            touch_alloc(core, pool.base)
+            # Free-list head update touches the pool header line.
+            touch(core, pool.base, True, "user_alloc")
             return Allocation(addr, size, size_class)
 
         return _malloc_small
-
-    def _make_free_small(self):
-        pool_of = self._pool_of
-        used_pools = self.used_pools
-        retire_pool = self._retire_pool
-        c_free = self._c_free_fast
-        uf_cycles = self._uf_cycles
-        free_fast = self._free_fast
-        touch_free = self.touch_free
-        pool_mask = ~(POOL_BYTES - 1)
-
-        def _free_small(core, allocation):
-            addr = allocation.addr
-            pool = pool_of.get(addr & pool_mask)
-            if pool is None or pool.size_class != allocation.size_class:
-                raise AllocationError(
-                    f"{addr:#x} does not belong to a live pool"
-                )
-            offset = addr - pool.base
-            was_full = not pool.free_offsets
-            pool.allocated.remove(offset)
-            pool.free_offsets.append(offset)
-            core.cycles += c_free
-            uf_cycles.pending += c_free
-            free_fast.pending += 1
-            touch_free(core, pool.base)
-            if was_full:
-                used_pools[pool.size_class].append(pool)
-            if not pool.allocated:
-                retire_pool(core, pool)
-
-        return _free_small
 
     def _usable_pool(self, core: "Core", size_class: int) -> Pool:
         """Steps 2-4: used pool → free pool → new arena from mmap.
@@ -239,30 +172,37 @@ class PymallocAllocator(SoftwareAllocator):
 
     # -- free (Fig. 1 step 5) -------------------------------------------------
 
-    def _free_small(self, core: "Core", allocation: Allocation) -> None:
-        pool_base = allocation.addr & ~(POOL_BYTES - 1)
-        pool = self._pool_of.get(pool_base)
-        if pool is None or pool.size_class != allocation.size_class:
-            raise AllocationError(
-                f"{allocation.addr:#x} does not belong to a live pool"
-            )
-        offset = allocation.addr - pool.base
-        was_full = not pool.free_offsets
-        pool.allocated.remove(offset)
-        pool.free_offsets.append(offset)
-        if self._plain_charges:
-            # Inlined _charge_free(core, free_fast, fast=True).
-            cycles = self._c_free_fast
-            core.cycles += cycles
-            self._uf_cycles.pending += cycles
-            self._free_fast.pending += 1
-        else:
-            self._charge_free(core, self.costs.free_fast, fast=True)
-        self.touch_free(core, pool.base)
-        if was_full:
-            self.used_pools[pool.size_class].append(pool)
-        if not pool.allocated:
-            self._retire_pool(core, pool)
+    def _make_free_small(self):
+        pool_of = self._pool_of
+        used_pools = self.used_pools
+        retire_pool = self._retire_pool
+        c_free = self._c_free_fast
+        uf_cycles = self._uf_cycles
+        free_fast = self._free_fast
+        touch = self.touch
+        pool_mask = ~(POOL_BYTES - 1)
+
+        def _free_small(core, allocation):
+            addr = allocation.addr
+            pool = pool_of.get(addr & pool_mask)
+            if pool is None or pool.size_class != allocation.size_class:
+                raise AllocationError(
+                    f"{addr:#x} does not belong to a live pool"
+                )
+            offset = addr - pool.base
+            was_full = not pool.free_offsets
+            pool.allocated.remove(offset)
+            pool.free_offsets.append(offset)
+            core.cycles += c_free
+            uf_cycles.pending += c_free
+            free_fast.pending += 1
+            touch(core, pool.base, True, "user_free")
+            if was_full:
+                used_pools[pool.size_class].append(pool)
+            if not pool.allocated:
+                retire_pool(core, pool)
+
+        return _free_small
 
     def _retire_pool(self, core: "Core", pool: Pool) -> None:
         """Return an empty pool to its arena; munmap empty arenas."""

@@ -26,12 +26,14 @@ any instrumented site — to a named residual component. Components
 therefore sum to ``total_cycles`` exactly; the acceptance bound of "within
 1%" holds with zero slack.
 
-Two component names double as residual sinks: the software allocators
-inline their fast paths into replay closures (PR 2), so those cycles are
-deliberately *not* instrumented per call — they surface as the
-``user_alloc``/``user_free`` residual and are folded into
+Two component names double as residual sinks: every software allocator
+(Mallacc included) charges its small fast paths inline in its closures,
+so those cycles are deliberately *not* instrumented per call — they
+surface as the ``user_alloc``/``user_free`` residual and are folded into
 ``swalloc.alloc_fast`` / ``swalloc.free_fast``, which is exactly what
-they are.
+they are. On a software stack the ``op.alloc``/``op.free`` histograms
+therefore sample only the charge hooks: slow paths and the glibc large
+path.
 
 Cells whose name has no ``COMPONENT_CATEGORY`` entry are *overlays*:
 cross-cutting tallies (e.g. ``dram.access``, charged by several
@@ -71,8 +73,9 @@ COMPONENT_CATEGORY: Dict[str, str] = {
 
 #: Category -> component name its residual (un-instrumented) cycles are
 #: attributed to. When the name is also an instrumented component the
-#: residual folds into it (the software-allocator fast paths are inlined
-#: in replay closures, so their cycles arrive as category residual).
+#: residual folds into it (every software allocator's small fast paths,
+#: Mallacc's included, charge inline in their closures, so their cycles
+#: arrive as category residual).
 CATEGORY_RESIDUAL: Dict[str, str] = {
     "app": "app.compute",
     "touch": "touch.demand_lines",

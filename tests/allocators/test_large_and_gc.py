@@ -129,25 +129,37 @@ def test_no_purge_without_decay(system):
 # ---------------------------------------------------------------- Mallacc
 
 
-def test_mallacc_charges_residual_fast_path(system):
+def test_mallacc_charges_residual_fast_path(system, other_system):
     machine, kernel, process = system
     mallacc = MallaccAllocator(kernel, process)
-    mallacc.malloc(machine.core, 64)
+    addr = mallacc.malloc(machine.core, 64)
     accelerated = machine.core.cycles_in("user_alloc")
 
-    machine2 = Machine = None  # avoid confusion; build a fresh system
-    from repro.kernel.kernel import Kernel
-    from repro.sim.machine import Machine
-
-    machine2 = Machine()
-    kernel2 = Kernel(machine2)
-    process2 = kernel2.create_process()
-    plain = JemallocAllocator(kernel2, process2)
-    plain.malloc(machine2.core, 64)
-    full = machine2.core.cycles_in("user_alloc")
+    plain_machine, plain_kernel, plain_process = other_system
+    plain = JemallocAllocator(plain_kernel, plain_process)
+    plain.malloc(plain_machine.core, 64)
+    full = plain_machine.core.cycles_in("user_alloc")
     # Same slow-path init costs; the fast-path delta is the accelerated
     # fraction.
     assert accelerated < full
     saved = full - accelerated
     fast = kernel.machine.costs.user("cpp").alloc_fast
     assert saved == pytest.approx(fast * ACCELERATED_FRACTION, abs=2)
+
+    # Every small malloc/free is one accelerated fast op, including the
+    # free that retires its run (a slow op too); the large path is not.
+    large = mallacc.malloc(machine.core, 4096)
+    mallacc.free(machine.core, addr)
+    mallacc.free(machine.core, large)
+    stats = machine.stats
+    assert stats["alloc.mallacc.free_slow"] == 1
+    assert (
+        stats["alloc.mallacc.alloc_fast_accelerated"]
+        == stats["alloc.mallacc.alloc_fast"]
+        == 1
+    )
+    assert (
+        stats["alloc.mallacc.free_fast_accelerated"]
+        == stats["alloc.mallacc.free_fast"]
+        == 1
+    )

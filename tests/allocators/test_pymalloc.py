@@ -1,12 +1,6 @@
 """Tests for the pymalloc model."""
 
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.allocators.pymalloc import ARENA_BYTES, POOL_BYTES, PymallocAllocator
-from repro.kernel.kernel import Kernel
-from repro.sim.machine import Machine
 
 
 def make(system):
@@ -113,47 +107,3 @@ def test_alloc_charges_user_cycles(system):
     addr = alloc.malloc(machine.core, 16)
     alloc.free(machine.core, addr)
     assert machine.core.cycles_in("user_free") > 0
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    sizes=st.lists(
-        st.integers(min_value=1, max_value=512), min_size=1, max_size=80
-    )
-)
-def test_no_overlapping_allocations_property(sizes):
-    """Live allocations never overlap, for any request sequence."""
-    machine = Machine()
-    kernel = Kernel(machine)
-    process = kernel.create_process()
-    alloc = PymallocAllocator(kernel, process)
-    intervals = []
-    for size in sizes:
-        addr = alloc.malloc(machine.core, size)
-        intervals.append((addr, addr + size))
-    intervals.sort()
-    for (a_start, a_end), (b_start, _) in zip(intervals, intervals[1:]):
-        assert a_end <= b_start
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=1000))
-def test_alloc_free_interleave_property(seed):
-    """Random alloc/free interleavings leave the allocator consistent."""
-    import random
-
-    rng = random.Random(seed)
-    machine = Machine()
-    kernel = Kernel(machine)
-    process = kernel.create_process()
-    alloc = PymallocAllocator(kernel, process)
-    live = []
-    for _ in range(120):
-        if live and rng.random() < 0.45:
-            alloc.free(machine.core, live.pop(rng.randrange(len(live))))
-        else:
-            live.append(alloc.malloc(machine.core, rng.randint(1, 512)))
-    for addr in live:
-        alloc.free(machine.core, addr)
-    assert alloc.live_bytes == 0
-    assert len(alloc.arenas) == 0  # everything returned to the OS
