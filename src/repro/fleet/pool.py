@@ -20,37 +20,42 @@ Policies:
   instances; exceeding the cap evicts the least-recently-used idle
   instance immediately.
 
-Mechanics: arrivals are processed in time order. Expiry is a lazy-deleted
-min-heap — each idle period pushes ``(deadline, instance)`` and stale
-entries (the instance was reused first) are skipped on pop. Warm reuse
-is LIFO (most-recently-idled first), which both matches real platforms
-and maximizes the chance the reused heap is cache/TLB-warm.
+Mechanics: arrivals are processed in time order. Every live instance
+holds exactly one expiry-heap entry, keyed ``(deadline, tiebreak)`` as
+of some park; a reuse re-parks the instance without touching the heap.
+An instance's key only grows (it is reused only once idle, and parks
+again no earlier), so a popped entry that is behind its instance's
+current key is pushed back with that key, and expirations still come
+out in current-key order. Under ``lru`` a second heap orders idle
+instances the same way by ``(idle_since, tiebreak)``. Warm reuse is LIFO
+(most-recently-idled first), which both matches real platforms and
+maximizes the chance the reused heap is cache/TLB-warm.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush, heapreplace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 POLICIES = ("keepalive", "lru")
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _Instance:
     """One warm container: its function, heap size, and idle state."""
 
     function: str
     resident_bytes: float
-    idle_since: float = 0.0
-    #: Monotonic generation stamp; an expiry-heap entry is stale unless
-    #: its recorded generation matches (the instance was reused since).
-    generation: int = 0
-    alive: bool = True
     #: Pool-assigned id, stable across the instance's whole lifetime —
     #: the telemetry track key for its busy/idle span sequence.
-    uid: int = 0
+    uid: int
+    idle_since: float = 0.0
+    #: Tiebreak of the instance's latest park; a heap entry with another
+    #: tiebreak is behind (the instance was reused since it was pushed).
+    tiebreak: int = 0
+    alive: bool = True
 
 
 @dataclass
@@ -92,16 +97,19 @@ class FleetPool:
         self.keep_alive_s = float(keep_alive_s)
         self.policy = policy
         self.max_warm = max_warm
+        #: The LRU heap is kept only when a cap can evict.
+        self._capped = policy == "lru" and max_warm > 0
         self._edges = list(epoch_edges) if epoch_edges else []
         self.stats = PoolStats(
             stranding_timeline=[0.0] * max(0, len(self._edges) - 1)
         )
         #: function -> LIFO stack of idle instances.
         self._idle: Dict[str, List[_Instance]] = {}
-        #: lazy-deleted expiry heap: (deadline, tiebreak, generation, inst).
-        self._expiry: List[Tuple[float, int, int, _Instance]] = []
-        #: LRU order over idle instances: (idle_since, tiebreak, gen, inst).
-        self._lru: List[Tuple[float, int, int, _Instance]] = []
+        #: expiry heap, one entry per live instance: (deadline, tiebreak,
+        #: inst).
+        self._expiry: List[Tuple[float, int, _Instance]] = []
+        #: LRU order over idle instances: (idle_since, tiebreak, inst).
+        self._lru: List[Tuple[float, int, _Instance]] = []
         self._idle_count = 0
         self._tiebreak = 0
         #: Optional FleetRecorder (duck-typed): observes instance
@@ -110,26 +118,20 @@ class FleetPool:
         self._recorder = recorder
         self._stack = stack
         self._next_uid = 0
+        #: Arrival time of the invocation being processed.
+        self._last_now = 0.0
 
     @property
     def idle_count(self) -> int:
         """Idle (warm, resident) instances right now."""
         return self._idle_count
 
-    def _record_idle_end(
-        self, inst: _Instance, end: float, outcome: str
-    ) -> None:
-        """Telemetry: one idle span, from park to ``end``.
-
-        Every retirement (``expired``, ``evicted``, ``horizon``) is
-        recorded, even one with no idle time (an instance evicted or cut
-        off at the horizon before it parked), so the spans account for
-        every instance the pool created; an empty ``reused`` span is
-        left out.
-        """
-        if self._recorder is not None and (
-            end > inst.idle_since or outcome != "reused"
-        ):
+    def _retire(self, inst: _Instance, end: float, outcome: str) -> None:
+        """End ``inst``'s life at ``end``: credit and record its idle
+        span (an empty one too, so the spans account for every instance
+        the pool created) and take it out of the idle pool."""
+        self._credit_stranding(inst.resident_bytes, inst.idle_since, end)
+        if self._recorder is not None:
             self._recorder.instance_span(
                 self._stack,
                 inst.function,
@@ -139,95 +141,96 @@ class FleetPool:
                 max(end, inst.idle_since),
                 outcome=outcome,
             )
+        inst.alive = False
+        stack = self._idle[inst.function]
+        stack.remove(inst)
+        if not stack:
+            del self._idle[inst.function]
+        self._idle_count -= 1
 
     # -- stranding accounting -------------------------------------------
 
-    def _credit_stranding(self, inst: _Instance, until: float) -> None:
-        """Account ``inst``'s idle residency from ``idle_since`` to
-        ``until``, split across epoch buckets."""
-        start, end = inst.idle_since, until
+    def _credit_stranding(
+        self, resident_bytes: float, start: float, end: float
+    ) -> None:
+        """Account an idle residency of ``resident_bytes`` from
+        ``start`` to ``end``, split across epoch buckets."""
         if end <= start:
             return
-        self.stats.stranded_byte_seconds += inst.resident_bytes * (
-            end - start
-        )
-        if not self._edges:
-            return
+        credit = resident_bytes * (end - start)
+        self.stats.stranded_byte_seconds += credit
+        edges = self._edges
         timeline = self.stats.stranding_timeline
-        lo = max(0, bisect_right(self._edges, start) - 1)
-        for i in range(lo, len(timeline)):
-            seg_start = max(start, self._edges[i])
-            seg_end = min(end, self._edges[i + 1])
+        lo = bisect_right(edges, start) - 1
+        if 0 <= lo < len(timeline) and end <= edges[lo + 1]:
+            # The whole span lies in one bucket.
+            timeline[lo] += credit
+        else:
+            self._spread(resident_bytes, start, end, lo)
+
+    def _spread(
+        self, resident_bytes: float, start: float, end: float, lo: int
+    ) -> None:
+        """Credit a span that crosses a bucket edge (or lies outside the
+        timeline) bucket by bucket; ``lo`` is the index of the last edge
+        at or before ``start``."""
+        edges = self._edges
+        timeline = self.stats.stranding_timeline
+        for i in range(max(0, lo), len(timeline)):
+            seg_start = max(start, edges[i])
+            seg_end = min(end, edges[i + 1])
             if seg_end <= seg_start:
-                if self._edges[i] >= end:
+                if edges[i] >= end:
                     break
                 continue
-            timeline[i] += inst.resident_bytes * (seg_end - seg_start)
+            timeline[i] += resident_bytes * (seg_end - seg_start)
 
-    # -- instance bookkeeping -------------------------------------------
-
-    def _park(self, inst: _Instance, now: float) -> None:
-        """Mark ``inst`` idle (warm, resident) starting at ``now``."""
-        inst.idle_since = now
-        inst.generation += 1
-        self._tiebreak += 1
-        self._idle.setdefault(inst.function, []).append(inst)
-        self._idle_count += 1
-        self.stats.peak_warm = max(self.stats.peak_warm, self._idle_count)
-        if self.keep_alive_s > 0:
-            heapq.heappush(
-                self._expiry,
-                (
-                    now + self.keep_alive_s,
-                    self._tiebreak,
-                    inst.generation,
-                    inst,
-                ),
-            )
-        if self.policy == "lru":
-            heapq.heappush(
-                self._lru, (now, self._tiebreak, inst.generation, inst)
-            )
-            self._enforce_cap()
-
-    def _remove_idle(self, inst: _Instance) -> None:
-        stack = self._idle.get(inst.function, [])
-        stack.remove(inst)
-        if not stack:
-            self._idle.pop(inst.function, None)
-        self._idle_count -= 1
+    # -- expiry and eviction --------------------------------------------
 
     def _reap(self, now: float) -> None:
         """Retire every idle instance whose keep-alive lapsed by ``now``."""
-        while self._expiry and self._expiry[0][0] <= now:
-            deadline, _, generation, inst = heapq.heappop(self._expiry)
-            if not inst.alive or inst.generation != generation:
-                continue  # stale: reused (or evicted) since this push
-            self._credit_stranding(inst, deadline)
-            self._record_idle_end(inst, deadline, "expired")
-            inst.alive = False
-            self._remove_idle(inst)
-            self.stats.expirations += 1
+        expiry = self._expiry
+        while expiry:
+            deadline, tiebreak, inst = expiry[0]
+            if deadline > now:
+                return
+            if not inst.alive:
+                heappop(expiry)
+            elif tiebreak != inst.tiebreak:
+                # Reused since this entry was pushed: requeue it at the
+                # instance's current deadline.
+                heapreplace(
+                    expiry,
+                    (
+                        inst.idle_since + self.keep_alive_s,
+                        inst.tiebreak,
+                        inst,
+                    ),
+                )
+            else:
+                heappop(expiry)
+                self._retire(inst, deadline, "expired")
+                self.stats.expirations += 1
 
     def _enforce_cap(self) -> None:
         """LRU policy: evict oldest-idle instances beyond ``max_warm``."""
-        if self.max_warm <= 0:
-            return
-        while self._idle_count > self.max_warm and self._lru:
-            idle_since, _, generation, inst = heapq.heappop(self._lru)
-            if not inst.alive or inst.generation != generation:
-                continue
-            # Evicted "now" == the moment the cap was exceeded, which is
-            # the new instance's park time; its idle span ends here.
-            self._credit_stranding(inst, self._last_now)
-            self._record_idle_end(inst, self._last_now, "evicted")
-            inst.alive = False
-            self._remove_idle(inst)
-            self.stats.evictions += 1
+        lru = self._lru
+        while self._idle_count > self.max_warm and lru:
+            _, tiebreak, inst = lru[0]
+            if not inst.alive:
+                heappop(lru)
+            elif tiebreak != inst.tiebreak:
+                heapreplace(lru, (inst.idle_since, inst.tiebreak, inst))
+            else:
+                heappop(lru)
+                # Evicted at ``_last_now``, the arrival time of the
+                # invocation whose instance just parked, not at its park
+                # time: an evicted instance still busy at that arrival
+                # gets an empty idle span and no stranding.
+                self._retire(inst, self._last_now, "evicted")
+                self.stats.evictions += 1
 
     # -- the public step --------------------------------------------------
-
-    _last_now = 0.0
 
     def invoke(
         self,
@@ -247,65 +250,98 @@ class FleetPool:
         strands.
         """
         self._last_now = now
-        self._reap(now)
-        self.stats.invocations += 1
-        stack = self._idle.get(function)
+        expiry = self._expiry
+        if expiry and expiry[0][0] <= now:
+            self._reap(now)
+        stats = self.stats
+        stats.invocations += 1
+        idle = self._idle
+        stack = idle.get(function)
         # LIFO reuse, skipping instances still busy at ``now`` (an
         # instance parks when its invocation *finishes*, which may be
         # after the next arrival).
         inst = None
         if stack:
-            for i in range(len(stack) - 1, -1, -1):
-                if stack[i].idle_since <= now:
-                    inst = stack.pop(i)
-                    break
+            if stack[-1].idle_since <= now:
+                inst = stack.pop()
+            else:
+                for i in range(len(stack) - 2, -1, -1):
+                    if stack[i].idle_since <= now:
+                        inst = stack.pop(i)
+                        break
         if inst is not None:
             if not stack:
-                self._idle.pop(function, None)
+                # Parking re-adds it last: ``finish`` retires the idle
+                # instances in the dict's order.
+                del idle[function]
             self._idle_count -= 1
-            self._credit_stranding(inst, now)
-            self._record_idle_end(inst, now, "reused")
-            inst.generation += 1  # invalidate queued expiry/LRU entries
+            start = inst.idle_since
+            if now > start:
+                credit = inst.resident_bytes * (now - start)
+                stats.stranded_byte_seconds += credit
+                edges = self._edges
+                timeline = stats.stranding_timeline
+                lo = bisect_right(edges, start) - 1
+                if 0 <= lo < len(timeline) and now <= edges[lo + 1]:
+                    timeline[lo] += credit
+                else:
+                    self._spread(inst.resident_bytes, start, now, lo)
             inst.resident_bytes = resident_bytes
-            self.stats.warm_starts += 1
+            stats.warm_starts += 1
             cold, latency = False, warm_s
         else:
-            inst = _Instance(function=function, resident_bytes=resident_bytes)
-            inst.uid = self._next_uid
+            inst = _Instance(function, resident_bytes, self._next_uid)
             self._next_uid += 1
-            self.stats.cold_starts += 1
+            stats.cold_starts += 1
             cold, latency = True, warm_s + cold_extra_s
-        if self._recorder is not None:
-            self._recorder.instance_span(
-                self._stack,
-                function,
-                inst.uid,
-                "busy",
-                now,
-                now + latency,
+            start = now
+        park = now + latency
+        inst.idle_since = park
+        keep_alive = self.keep_alive_s
+        recorder = self._recorder
+        if recorder is not None:
+            # The idle span a reuse ended (an empty one is left out),
+            # this invocation, and with no keep-alive the instance's
+            # empty last idle span.
+            if now > start:
+                recorder.instance_span(
+                    self._stack, function, inst.uid, "idle", start, now,
+                    outcome="reused",
+                )
+            recorder.instance_span(
+                self._stack, function, inst.uid, "busy", now, park,
                 cold=cold,
             )
-        if self.keep_alive_s > 0:
-            self._park(inst, now + latency)
+            if keep_alive == 0:
+                recorder.instance_span(
+                    self._stack, function, inst.uid, "idle", park, park,
+                    outcome="expired",
+                )
+        if keep_alive > 0:
+            # Park: idle (warm, resident) from ``park``.
+            self._tiebreak += 1
+            tiebreak = inst.tiebreak = self._tiebreak
+            idle.setdefault(function, []).append(inst)
+            self._idle_count += 1
+            if self._idle_count > stats.peak_warm:
+                stats.peak_warm = self._idle_count
+            if cold:
+                # A reused instance still holds its entry from an
+                # earlier park; ``_reap`` and ``_enforce_cap`` requeue it.
+                heappush(expiry, (park + keep_alive, tiebreak, inst))
+                if self._capped:
+                    heappush(self._lru, (park, tiebreak, inst))
+            if self._capped:
+                self._enforce_cap()
         else:
-            inst.idle_since = now + latency
-            self._record_idle_end(inst, inst.idle_since, "expired")
-            inst.alive = False
-            self.stats.expirations += 1
+            stats.expirations += 1
         return cold, latency
 
     def finish(self, horizon: float) -> PoolStats:
         """End the run: reap, then credit still-idle spans up to the
         earlier of each instance's deadline and ``horizon``."""
         self._reap(horizon)
-        for stack in self._idle.values():
-            for inst in stack:
-                until = min(horizon, inst.idle_since + self.keep_alive_s)
-                self._credit_stranding(inst, max(until, inst.idle_since))
-                self._record_idle_end(
-                    inst, max(until, inst.idle_since), "horizon"
-                )
-                inst.alive = False
-        self._idle.clear()
-        self._idle_count = 0
+        for inst in [inst for stack in self._idle.values() for inst in stack]:
+            until = min(horizon, inst.idle_since + self.keep_alive_s)
+            self._retire(inst, max(until, inst.idle_since), "horizon")
         return self.stats

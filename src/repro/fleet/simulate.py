@@ -183,6 +183,8 @@ def simulate_fleet(
         latencies_ms: List[float] = []
         cold_ms: List[float] = []
         dram_bytes = 0.0
+        invoke = pool.invoke
+        record_latency = latencies_ms.append
         for epoch, (times, picks) in enumerate(epoch_streams):
             before = (
                 pool.stats.cold_starts,
@@ -194,16 +196,13 @@ def simulate_fleet(
             for t, pick in zip(times, picks):
                 (name, warm_s, cold_extra, resident, warm_dram,
                  cold_dram) = costs[pick]
-                was_cold, latency = pool.invoke(
-                    name,
-                    t,
-                    warm_s=warm_s,
-                    cold_extra_s=cold_extra,
-                    resident_bytes=resident,
+                was_cold, latency = invoke(
+                    name, t, warm_s, cold_extra, resident
                 )
-                latencies_ms.append(latency * 1e3)
+                latency_ms = latency * 1e3
+                record_latency(latency_ms)
                 if was_cold:
-                    cold_ms.append(latency * 1e3)
+                    cold_ms.append(latency_ms)
                     dram_bytes += cold_dram
                 else:
                     dram_bytes += warm_dram
