@@ -91,10 +91,6 @@ class SoftwareAllocator:
         #: already faulted by earlier invocations, so backing them is
         #: unmetered (C++ functions against a retained jemalloc heap).
         self.warm = False
-        #: Optional ``(core, pages)`` hook charged per warm-prefaulted
-        #: mmap. ``None`` (baseline/memento) keeps warm backing unmetered;
-        #: the snapshot stack installs its per-page restore latency here.
-        self.warm_charge = None
         self.touch = touch or (lambda core, addr, write, cat: None)
         self.stats = kernel.machine.stats.scoped(f"alloc.{self.name}")
         # Interned per-operation cells (one bump per malloc/free).
@@ -211,14 +207,12 @@ class SoftwareAllocator:
         if self.warm:
             # A warm container's earlier invocations already faulted the
             # heap in: the pages are backed before the measured run, with
-            # no cycles or fault stats charged.
-            pages = pages_for(length)
+            # no cycles or fault stats charged. A stack that prices the
+            # backing (snapshot's restore) reads the count afterwards.
             frames, _ = self.kernel.back_range(
-                self.process, base >> PAGE_SHIFT, pages
+                self.process, base >> PAGE_SHIFT, pages_for(length)
             )
             self._warm_prefaulted.pending += len(frames)
-            if self.warm_charge is not None:
-                self.warm_charge(core, pages)
         return base
 
     def _munmap(self, core: "Core", addr: int) -> None:

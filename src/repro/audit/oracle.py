@@ -297,10 +297,10 @@ def run_lockstep(
     every probe matched. The fast system comes back with its replay state
     intact (no teardown) so the caller can run invariant checks over it.
 
-    Neither system runs the stack's begin-run/exit hooks: lockstep
-    replays bare events, and the hooks charge the same cycles to both
-    sides anyway, so skipping them on both keeps the probe surface
-    identical for every registered stack.
+    Neither system tears down or applies the stack's charges: lockstep
+    replays bare events, and the charges are a pure function of the
+    replay, so leaving them out keeps the probe surface identical for
+    every registered stack.
     """
     entry = stack_registry.get_stack(resolve_stack(stack))
     fast = SimulatedSystem(spec, entry)
@@ -458,14 +458,11 @@ def _compare_columnar(
     columnar path on fresh fast systems; the final stats must be
     bit-identical (the columnar form is an encoding, not a model)."""
     stepped = SimulatedSystem(spec, stack)
-    # The packed leg goes through run(), which fires the stack's
-    # begin-run hook (e.g. snapshot's restore charge); the stepped leg
-    # drives the internals by hand and must fire it too, or the totals
-    # diverge on any stack with a nonzero begin-run cost.
-    stepped.stack.begin_run(stepped)
+    # The stepped leg drives the internals by hand, through the same
+    # teardown and post-replay charge step run() takes.
     allocs, frees = stepped._replay_events(trace)
-    if trace.category == "function":
-        stepped._function_exit()
+    stepped._teardown(trace)
+    stepped._charge()
     stepped_result = stepped._collect(trace, allocs, frees)
 
     packed_result = SimulatedSystem(spec, stack).run(trace)

@@ -246,6 +246,40 @@ class RunRequest:
             },
         )
 
+    def replay_key(self) -> Optional[Tuple[Any, ...]]:
+        """What this request's replay depends on, or ``None`` when it
+        replays alone.
+
+        The content-key body with ``stack`` replaced by the one thing a
+        software stack decides about a replay, ``allocator_warm`` (its
+        ``charges`` come after teardown), and the Memento config left
+        out, as :meth:`content_key` leaves it out of software runs.
+        Requests with equal keys replay the same machine step for step,
+        so the engine replays one and derives the others
+        (:func:`_run_group`). Hardware stacks, runs while a
+        ``CycleProfile`` or ``Auditor`` is bound (both attach
+        per-system state), and a knob the stack rejects replay alone.
+        """
+        entry = stack_registry.get_stack(self.stack)
+        instruments = current_instruments()
+        if (
+            entry.hardware
+            or instruments.profile is not None
+            or instruments.audit is not None
+            or (self.mmap_populate and "mmap_populate" not in entry.knobs)
+        ):
+            return None
+        spec = self.spec.resolved()
+        return (
+            spec,
+            self.machine_params,
+            self.cold_start,
+            self.mmap_populate,
+            self.allocator,
+            self.allocator_kwargs,
+            entry.allocator_warm(spec, self.cold_start),
+        )
+
     def build_system(
         self, cost_model: Optional[CostModel] = None
     ) -> SimulatedSystem:
@@ -497,20 +531,38 @@ def _spec_groups(
 
 
 def _split_groups(
-    groups: List[List[Tuple[str, RunRequest]]], workers: int
-) -> List[List[Tuple[str, RunRequest]]]:
-    """Halve the largest group until every worker has a task or no group
-    has two members left: an idle worker costs more than generating one
-    trace twice."""
-    tasks = list(groups)
+    groups: List[List[Any]],
+    workers: int,
+    replay_key: Callable[[Any], Any] = lambda member: None,
+) -> List[List[Any]]:
+    """Halve the group with the most replays until every worker has a
+    task or no group has two replays left: an idle worker costs more
+    than generating one trace twice.
+
+    A group's replays are its members clustered by ``replay_key`` in
+    order of first appearance; a member whose key is ``None`` is a
+    cluster of its own. A split falls between clusters, never inside
+    one, so members that share a replay keep sharing it on the pool.
+    """
+    tasks = []
+    for group in groups:
+        clusters: Dict[Any, List[Any]] = {}
+        for index, member in enumerate(group):
+            key = replay_key(member)
+            clusters.setdefault(
+                ("alone", index) if key is None else key, []
+            ).append(member)
+        tasks.append(list(clusters.values()))
     while len(tasks) < workers:
         largest = max(range(len(tasks)), key=lambda i: len(tasks[i]))
-        group = tasks[largest]
-        if len(group) < 2:
+        clusters = tasks[largest]
+        if len(clusters) < 2:
             break
-        half = len(group) // 2
-        tasks[largest:largest + 1] = [group[:half], group[half:]]
-    return tasks
+        half = len(clusters) // 2
+        tasks[largest:largest + 1] = [clusters[:half], clusters[half:]]
+    return [
+        [member for cluster in task for member in cluster] for task in tasks
+    ]
 
 
 def _run_group(
@@ -522,8 +574,14 @@ def _run_group(
     A group of several generates its trace once and replays it on every
     member; a lone request generates its own inside ``system.run``,
     exactly like a direct :meth:`RunRequest.execute`. The trace dies with
-    the generator, so a serial batch holds one trace at a time. Each
-    member builds, runs and serializes under one collector scope
+    the generator, so a serial batch holds one trace at a time.
+
+    Members with equal replay keys (:meth:`RunRequest.replay_key`)
+    replay once: the first builds a system and runs it uncharged, and
+    every one of them, the first included, is that result plus its own
+    stack's charges (:meth:`RunResult.with_charges`). A member with no
+    key runs through ``execute``. Each member runs and serializes
+    under one collector scope
     (:func:`repro.harness.collector.paused`), whose exit frees its dead
     system before the next member starts.
     """
@@ -536,11 +594,35 @@ def _run_group(
             # Looked up at call time, so a wrapper installed on the
             # system module sees the call.
             trace = harness_system.generate_trace(spec)
+    replays: Dict[Any, Tuple[RunResult, stack_registry.ReplayFacts]] = {}
     for request in requests:
         started = time.perf_counter()
         with collector.paused():
-            data = request.execute(cost_model, trace=trace).to_dict()
+            key = request.replay_key()
+            if key is None:
+                result = request.execute(cost_model, trace=trace)
+            else:
+                if key not in replays:
+                    replays[key] = _replay(request, cost_model, trace)
+                uncharged, facts = replays[key]
+                charges = stack_registry.get_stack(request.stack).charges(
+                    request.cold_start, facts, cost_model
+                )
+                result = uncharged.with_charges(
+                    charges, request.machine_params
+                )
+            data = result.to_dict()
         yield data, time.perf_counter() - started
+
+
+def _replay(
+    request: RunRequest, cost_model: CostModel, trace: Optional[Trace]
+) -> Tuple[RunResult, stack_registry.ReplayFacts]:
+    """Run ``request``'s system on ``trace`` without its stack's charges;
+    return the result and the facts that price it for any stack. A
+    function of its own, so the system dies when it returns."""
+    system = request.build_system(cost_model)
+    return system.run(trace, charge=False), system.facts
 
 
 def _execute_group(
@@ -772,7 +854,9 @@ class ExperimentEngine:
         if pool is not None:
             self.stats.add("engine.parallel_batches")
             tracer = current_instruments().tracer
-            tasks = _split_groups(groups, jobs)
+            tasks = _split_groups(
+                groups, jobs, lambda member: member[1].replay_key()
+            )
             futures = [
                 pool.submit(
                     _execute_group,

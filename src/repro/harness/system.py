@@ -10,7 +10,7 @@ management.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import Any, Dict, Mapping, Optional
 
@@ -19,6 +19,7 @@ from repro.allocators.jemalloc import JemallocAllocator
 from repro.audit import invariants as audit_invariants
 from repro.harness import collector
 from repro import stacks as stack_registry
+from repro.stacks import ReplayFacts
 from repro.resolve import resolve_stack
 from repro.obs.instruments import current as current_instruments
 from repro.core.bypass import COUNTER_MAX
@@ -147,6 +148,35 @@ class RunResult:
             raise ValueError("malformed RunResult payload")
         return result
 
+    def with_charges(
+        self, charges: Mapping[str, int], params: MachineParams
+    ) -> "RunResult":
+        """This result plus a stack's ``charges`` (:meth:`Stack.charges`);
+        the result itself when there are none.
+
+        On an uncharged result (``SimulatedSystem.run(charge=False)``)
+        this is what ``run()`` returns for that stack on the same replay:
+        the cycles land in ``cycles``, ``stats["cycles.<category>"]``,
+        ``total_cycles`` and ``seconds``, nowhere else.
+        """
+        if not charges:
+            return self
+        cycles = dict(self.cycles)
+        stats = dict(self.stats)
+        total = self.total_cycles
+        for category, amount in charges.items():
+            cycles[category] = cycles.get(category, 0.0) + amount
+            name = "cycles." + category
+            stats[name] = stats.get(name, 0.0) + amount
+            total += amount
+        return replace(
+            self,
+            cycles=cycles,
+            stats=stats,
+            total_cycles=total,
+            seconds=params.cycles_to_seconds(total),
+        )
+
     @property
     def total_pages_aggregate(self) -> int:
         return self.user_pages_aggregate + self.kernel_pages_aggregate
@@ -220,6 +250,8 @@ class SimulatedSystem:
         self.core = self.machine.core
         self.cold_start = cold_start
         self.config = memento_config or MementoConfig()
+        #: What the stack's charges read, recorded at teardown.
+        self.facts: Optional[ReplayFacts] = None
 
         self._addr_of: Dict[int, int] = {}
         self._size_of: Dict[int, int] = {}
@@ -273,14 +305,12 @@ class SimulatedSystem:
             kwargs["touch"] = self._make_metadata_touch()
             self.allocator = cls(self.kernel, self.process, **kwargs)
             self.allocator.mmap_populate = mmap_populate
-            # The stack decides whether heap mmaps arrive pre-backed
-            # (baseline: the workload's warm_heap; snapshot: prefetch on
-            # warm restores; reclaim: never) and installs any per-page
-            # charge hooks (snapshot's restore latency).
+            # The stack's one say in the replay: whether heap mmaps
+            # arrive pre-backed (baseline: the workload's warm_heap;
+            # snapshot: prefetch on warm restores; reclaim: never).
             warm = self.stack.allocator_warm(self.spec, cold_start)
             self.allocator.warm = warm
             self.allocator.large.warm = warm
-            self.stack.configure_allocator(self, self.allocator)
             self._header_of = None
             self._malloc = partial(self.allocator.malloc, self.core)
             self._free = partial(self.allocator.free, self.core)
@@ -474,7 +504,9 @@ class SimulatedSystem:
 
     # -- replay ------------------------------------------------------------------
 
-    def run(self, trace: Optional[Trace] = None) -> RunResult:
+    def run(
+        self, trace: Optional[Trace] = None, charge: bool = True
+    ) -> RunResult:
         """Replay ``trace`` (generated from the spec when omitted).
 
         Each phase — trace load, columnar pack (inside ``columnar()``),
@@ -483,6 +515,12 @@ class SimulatedSystem:
         the instrumented path is indistinguishable from the bare one.
         The whole run holds the cyclic collector paused
         (:func:`repro.harness.collector.paused`).
+
+        The stack's charges (:meth:`Stack.charges`) are applied once,
+        after teardown. With ``charge`` False they are left out: the
+        result is then the one every software stack with the same
+        warm-heap setting would replay, and ``self.facts`` holds what
+        its charges read (see :meth:`RunResult.with_charges`).
         """
         tracer = current_instruments().tracer
         profile = self._profile
@@ -499,9 +537,6 @@ class SimulatedSystem:
                     trace = generate_trace(self.spec)
             if self.cold_start:
                 self._run_cold_start(trace)
-            # Invocation-entry costs (snapshot restore); a no-op on the
-            # baseline/memento stacks.
-            self.stack.begin_run(self)
             if profile is not None:
                 marks.append(("cold_start", self.core.cycles))
             audit = self._audit
@@ -520,14 +555,17 @@ class SimulatedSystem:
                     allocs, frees = self._replay_columnar(packed)
             if profile is not None:
                 marks.append(("replay", self.core.cycles))
-            # The per-run check fires before function exit: teardown
-            # destroys the structures the rules inspect.
+            # The per-run check fires before teardown, which destroys
+            # the structures the rules inspect.
             if audit is not None:
                 audit.check(audit_invariants.AuditContext.from_system(self))
-            if trace.category == "function":
-                self._function_exit()
+            self._teardown(trace)
             if profile is not None:
                 marks.append(("teardown", self.core.cycles))
+            if charge:
+                self._charge()
+            if profile is not None:
+                marks.append(("charges", self.core.cycles))
             with tracer.span("stats.fold"):
                 result = self._collect(trace, allocs, frees)
             if audit is not None:
@@ -687,16 +725,32 @@ class SimulatedSystem:
         )
         self.machine.dram.record_bulk_bytes(COLD_START_PAGES * 1024)
 
-    def _function_exit(self) -> None:
-        """Function completion: runtimes tear down, the OS batch-frees."""
-        # Invocation-exit costs charged while pages are still live
-        # (reclaim's per-page release); a no-op on baseline/memento.
-        self.stack.function_exit(self)
-        if self.memento:
-            self.runtime.teardown()
-        else:
-            self.allocator.teardown(self.core)
-        self.kernel.exit_process(self.core, self.process)
+    def _teardown(self, trace: Trace) -> None:
+        """Function completion on a ``function`` trace (runtimes tear
+        down, the OS batch-frees), then record the :class:`ReplayFacts`
+        the stack's charges read."""
+        exit_user_pages = 0
+        if trace.category == "function":
+            exit_user_pages = self.machine.frames.live("user")
+            if self.memento:
+                self.runtime.teardown()
+            else:
+                self.allocator.teardown(self.core)
+            self.kernel.exit_process(self.core, self.process)
+        self.facts = ReplayFacts(
+            int(self.machine.stats["kernel.warm_prefaulted_pages"]),
+            exit_user_pages,
+        )
+
+    def _charge(self) -> None:
+        """Apply the stack's charges for this replay to the core: the one
+        post-replay charge step (``run()`` and the oracle's per-event
+        leg)."""
+        charges = self.stack.charges(
+            self.cold_start, self.facts, self.machine.costs
+        )
+        for category, cycles in charges.items():
+            self.core.charge(cycles, category)
 
     # -- result collection ----------------------------------------------------------
 

@@ -6,6 +6,7 @@ Importing the package registers the four built-in stacks: ``baseline``,
 """
 
 from repro.stacks.base import (
+    ReplayFacts,
     Stack,
     get_stack,
     register,
@@ -20,6 +21,7 @@ from repro.stacks.builtin import (
 )
 
 __all__ = [
+    "ReplayFacts",
     "Stack",
     "get_stack",
     "register",

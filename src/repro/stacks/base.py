@@ -20,34 +20,46 @@ The contract (:class:`Stack`) has three parts:
   (:func:`register` asserts it), so an unsupported knob fails loudly
   naming the offending stack instead of silently inheriting another
   stack's semantics.
-* **system hooks** — cold-start/page-fault/free-path behavior and the
-  per-invocation reset cost model: ``allocator_warm`` decides whether
-  heap pages arrive pre-backed, ``configure_allocator`` installs
-  per-page charge hooks, ``begin_run`` charges invocation-entry costs
-  (snapshot restore), ``function_exit`` charges invocation-exit costs
-  (reclaim release). The baseline and memento entries override nothing,
-  so their replay paths are bit-identical to the pre-registry harness.
+* **behavior** — three pure methods: ``allocator_warm`` decides whether
+  heap pages arrive pre-backed, ``charges`` prices an invocation from
+  two counts its replay recorded (:class:`ReplayFacts`), and
+  ``resident_bytes`` is the idle residency the fleet pool strands.
 
-Hooks deliberately receive the live ``SimulatedSystem``: every charge
-goes through ``core.charge``/the shared kernel machinery, so the audit
-oracle's fast and reference systems (built with the same stack) stay in
-lockstep.
+A stack cannot touch a replay except through ``allocator_warm``: the
+replay of a software stack is a function of that one boolean and the
+request's other fields, and ``charges`` is added after teardown
+(:meth:`SimulatedSystem.run`). So software stacks that agree on the
+warm-heap setting share one replay, and the engine derives each one's
+result from it with :meth:`RunResult.with_charges`. The baseline and
+memento entries charge nothing, so their results are bit-identical to
+the pre-registry harness.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.harness.system import SimulatedSystem
+    from repro.sim.cycles import CostModel
     from repro.workloads.synth import WorkloadSpec
+
+
+class ReplayFacts(NamedTuple):
+    """The two counts a replay records for :meth:`Stack.charges`."""
+
+    #: Heap pages backed pre-faulted because the allocator started warm
+    #: (the ``kernel.warm_prefaulted_pages`` stat).
+    warm_pages: int
+    #: Live user pages at function exit, sampled before teardown (0 when
+    #: the trace is not a ``function`` trace, which has no exit).
+    exit_user_pages: int
 
 
 class Stack:
     """One registered memory-management stack.
 
-    Subclasses override the hooks below; the base implementations are
-    the baseline software path (no extra charges, ``spec.warm_heap``
+    Subclasses override the methods below; the base implementations are
+    the baseline software path (no charges, ``spec.warm_heap``
     semantics), so a stack only states where it differs.
     """
 
@@ -73,7 +85,7 @@ class Stack:
     #: explicit ``stack`` field in wire payloads and content keys).
     legacy_memento: Optional[bool] = None
 
-    # -- system hooks ----------------------------------------------------
+    # -- behavior --------------------------------------------------------
 
     def allocator_warm(
         self, spec: "WorkloadSpec", cold_start: bool
@@ -85,17 +97,15 @@ class Stack:
         """
         return spec.warm_heap
 
-    def configure_allocator(
-        self, system: "SimulatedSystem", allocator
-    ) -> None:
-        """Install stack-specific charge hooks on a software allocator."""
+    def charges(
+        self, cold_start: bool, facts: ReplayFacts, costs: "CostModel"
+    ) -> Dict[str, int]:
+        """Cycles per category this stack adds to a finished replay.
 
-    def begin_run(self, system: "SimulatedSystem") -> None:
-        """Per-invocation entry costs (charged before the function body)."""
-
-    def function_exit(self, system: "SimulatedSystem") -> None:
-        """Per-invocation exit costs (charged while pages are still live,
-        before allocator/runtime teardown)."""
+        Pure: the same arguments give the same charges, and nothing else
+        about the replay is visible here. The default charges nothing.
+        """
+        return {}
 
     def resident_bytes(self, peak_bytes: float) -> float:
         """Idle residency an instance of this stack strands in the pool."""

@@ -1,8 +1,8 @@
 """The four registered stacks: the paper's two plus two rivals.
 
 ``baseline`` and ``memento`` are pure extractions of the pre-registry
-boolean — they override nothing, so every replay path is bit-identical
-to the harness before stacks existed (pinned by the golden fixtures,
+boolean — they charge nothing, so every replay is bit-identical to the
+harness before stacks existed (pinned by the golden fixtures,
 the lockstep kernel suite, and the differential oracle).
 
 ``snapshot`` and ``reclaim`` model the related work's rival answers:
@@ -12,14 +12,16 @@ the lockstep kernel suite, and the differential oracle).
   from the snapshot — the recorded set is prefetched before the function
   body touches it (no demand faults), and a Table-3-style restore
   latency is charged per prefetched page plus a per-invocation setup
-  cost. Idle instances keep almost nothing resident (the snapshot lives
-  on disk), so they strand very little pool memory.
+  cost (``restore = 2200 + 480 x warm_pages``). Idle instances keep
+  almost nothing resident (the snapshot lives on disk), so they strand
+  very little pool memory.
 * **reclaim** (Squeezy-style): arena pages are released to a host pool
   between invocations — heap mmaps are never pre-backed, so every first
   touch of the next invocation pays a full demand fault (the refault
   cost, charged through the ordinary kernel fault path), and function
-  exit pays a per-page release cost returning pages to the host. Idle
-  instances keep only the runtime skeleton resident.
+  exit pays a per-page release cost returning pages to the host
+  (``reclaim_release = 150 x exit_user_pages``). Idle instances keep
+  only the runtime skeleton resident.
 """
 
 from __future__ import annotations
@@ -63,21 +65,15 @@ class SnapshotStack(Stack):
         # recorded set arrives prefetched, never demand-faulted.
         return not cold_start
 
-    def configure_allocator(self, system, allocator):
-        per_page = system.machine.costs.snapshot_restore_per_page
-
-        def restore_charge(core, pages):
-            core.charge(pages * per_page, "restore")
-
-        allocator.warm_charge = restore_charge
-        if allocator.large is not allocator:
-            allocator.large.warm_charge = restore_charge
-
-    def begin_run(self, system):
-        if not system.cold_start:
-            system.core.charge(
-                system.machine.costs.snapshot_restore_base, "restore"
-            )
+    def charges(self, cold_start, facts, costs):
+        # A warm restore pays a fixed setup plus one install per page
+        # the recorded set prefetched.
+        if cold_start:
+            return {}
+        return {
+            "restore": costs.snapshot_restore_base
+            + costs.snapshot_restore_per_page * facts.warm_pages
+        }
 
 
 class ReclaimStack(Stack):
@@ -98,13 +94,12 @@ class ReclaimStack(Stack):
         # warm_heap setting says.
         return False
 
-    def function_exit(self, system):
-        pages = system.machine.frames.live("user")
-        if pages:
-            system.core.charge(
-                pages * system.machine.costs.reclaim_release_per_page,
-                "reclaim_release",
-            )
+    def charges(self, cold_start, facts, costs):
+        # Every page still live at function exit goes back to the host.
+        pages = facts.exit_user_pages
+        if not pages:
+            return {}
+        return {"reclaim_release": pages * costs.reclaim_release_per_page}
 
 
 BUILTIN_STACKS = (

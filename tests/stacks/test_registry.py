@@ -1,5 +1,5 @@
 """The stack registry contract: every registered stack satisfies the
-identity/knob/hook surface, coercion covers the legacy boolean, and the
+identity/knob/charge surface, coercion covers the legacy boolean, and the
 knob guards fail loudly naming the offending stack."""
 
 import dataclasses
@@ -9,6 +9,7 @@ import pytest
 from repro import stacks
 from repro.harness.system import SimulatedSystem
 from repro.resolve import UsageError, resolve_stack, resolve_stack_list
+from repro.sim.cycles import DEFAULT_COSTS
 from repro.workloads.registry import get_workload
 
 ALL_STACKS = list(stacks.stack_names())
@@ -151,6 +152,43 @@ def test_snapshot_charges_restore_on_warm_runs_only():
 def test_reclaim_charges_release_on_function_exit():
     result = SimulatedSystem(small_spec(), "reclaim").run()
     assert result.cycles.get("reclaim_release", 0) > 0
+
+
+def test_snapshot_charges_formula():
+    # restore = 2200 + 480 x warm_pages on a warm restore (US at 600
+    # allocations prefetches 768 pages); a cold record run pays nothing.
+    snapshot = stacks.get_stack("snapshot")
+    facts = stacks.ReplayFacts(warm_pages=768, exit_user_pages=900)
+    assert snapshot.charges(False, facts, DEFAULT_COSTS) == {
+        "restore": 370_840
+    }
+    assert snapshot.charges(
+        False, facts._replace(warm_pages=0), DEFAULT_COSTS
+    ) == {"restore": 2_200}
+    assert snapshot.charges(True, facts, DEFAULT_COSTS) == {}
+
+
+def test_reclaim_charges_formula():
+    # reclaim_release = 150 x the user pages live at function exit,
+    # warm or cold, and no entry at all when none are live.
+    reclaim = stacks.get_stack("reclaim")
+    facts = stacks.ReplayFacts(warm_pages=0, exit_user_pages=901)
+    for cold in (False, True):
+        assert reclaim.charges(cold, facts, DEFAULT_COSTS) == {
+            "reclaim_release": 135_150
+        }
+        assert reclaim.charges(
+            cold, facts._replace(exit_user_pages=0), DEFAULT_COSTS
+        ) == {}
+
+
+@pytest.mark.parametrize("name", ["baseline", "memento"])
+def test_paper_stacks_charge_nothing(name):
+    facts = stacks.ReplayFacts(warm_pages=768, exit_user_pages=900)
+    for cold in (False, True):
+        assert stacks.get_stack(name).charges(
+            cold, facts, DEFAULT_COSTS
+        ) == {}
 
 
 def test_paper_stacks_carry_no_rival_cost_categories():
