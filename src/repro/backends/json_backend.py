@@ -61,14 +61,19 @@ class JsonBackend:
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Atomically persist an entry (write-to-temp + rename), so a
-        crashed or concurrent writer can never leave a torn file."""
+        crashed or concurrent writer can never leave a torn file.
+
+        The payload is encoded in one ``json.dumps`` call and written
+        once: the same bytes ``json.dump`` writes, without its
+        pure-Python chunked encoder."""
+        data = json.dumps(payload, sort_keys=True)
         self.root.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=self.root, prefix=f".{key[:12]}-", suffix=".tmp"
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                handle.write(data)
             os.replace(tmp_name, self.path(key))
         except BaseException:
             try:

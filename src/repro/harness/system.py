@@ -10,7 +10,8 @@ management.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from copy import deepcopy
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from typing import Any, Dict, Mapping, Optional
 
@@ -114,11 +115,19 @@ class RunResult:
         ``audit`` only appears when an auditor was installed, keeping
         unaudited payloads (golden fixtures, cache entries, digests)
         stable across the subsystem's introduction.
+
+        The payload shares no mutable state with the result: ``cycles``
+        and ``stats`` (flat dicts of numbers) are copied, ``audit`` is
+        deep-copied; every other field is immutable.
         """
-        payload = asdict(self)
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["cycles"] = dict(self.cycles)
+        payload["stats"] = dict(self.stats)
+        if self.audit is None:
+            del payload["audit"]
+        else:
+            payload["audit"] = deepcopy(self.audit)
         payload["schema_version"] = RESULT_SCHEMA_VERSION
-        if payload.get("audit") is None:
-            payload.pop("audit", None)
         return payload
 
     @classmethod

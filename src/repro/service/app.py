@@ -10,14 +10,21 @@ Endpoints (all JSON unless noted):
 
 * ``POST /api/v1/runs`` — submit one run; 202 with the job id. A run
   the engine can answer from its memo or result store is answered at
-  submission: the job comes back already ``done``.
-* ``POST /api/v1/sweeps`` — submit ``{"requests": [...]}`` as one job.
+  submission: the job comes back already ``done``. With
+  ``Prefer: return=representation`` (RFC 7240) a job finished at
+  submission answers 200 with the job's status payload and its
+  ``results`` (none for a failed job), plus ``job_id`` and
+  ``Preference-Applied: return=representation``.
+* ``POST /api/v1/sweeps`` — submit ``{"requests": [...]}`` as one job;
+  ``Prefer`` as for runs.
 * ``POST /api/v1/fleets`` — submit one fleet simulation (a
   ``FleetRequest`` wire payload); 202 with the job id.
 * ``GET /api/v1/jobs`` — every job, submission order.
 * ``GET /api/v1/jobs/<id>`` — job status and transition history;
   ``?wait=S`` first blocks until the job finishes or ``S`` seconds
-  pass (at most :data:`MAX_WAIT_S`).
+  pass (at most :data:`MAX_WAIT_S`). With
+  ``Prefer: return=representation`` a finished job's payload carries
+  its ``results`` too.
 * ``GET /api/v1/jobs/<id>/result`` — 200 with results when done, 202
   while queued/running, 500 when failed.
 * ``GET /api/v1/traces/<trace_id>`` — span record for one trace id.
@@ -35,6 +42,10 @@ answers 429 with ``Retry-After``; a job evicted past
 Connections are HTTP/1.1 and kept alive; one idle for
 :data:`IDLE_TIMEOUT_S` is closed, releasing its thread.
 
+A run or sweep body seen before skips decoding and content keys: the
+last :data:`MAX_DECODED` distinct bodies are kept with their decoded
+requests and keys.
+
 Trace propagation: a client sends ``X-Repro-Trace: <id>`` on a
 submission (or lets the server mint one); the id is stamped onto the
 job and every span it produces, so one id follows the request from the
@@ -51,13 +62,13 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import uuid
 from re import Match, compile as re_compile
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.harness.engine import ExperimentEngine
+from repro.harness.engine import ExperimentEngine, RunRequest
 from repro.obs.metrics import histogram_lines, prometheus_lines
 from repro.resolve import resolve_count
-from repro.service.jobs import DEFAULT_WORKERS, JobQueue, QueueFull
+from repro.service.jobs import DEFAULT_WORKERS, Job, JobQueue, QueueFull
 from repro.service.telemetry import ServiceTelemetry
 from repro.service.wire import (
     WIRE_SCHEMA_VERSION,
@@ -88,9 +99,20 @@ IDLE_TIMEOUT_S = 60.0
 #: ``Retry-After`` seconds sent with a 429 (queue full).
 RETRY_AFTER_S = 1
 
-#: ``(status, payload, content_type)`` — payload is a dict for JSON
-#: responses or pre-rendered text otherwise.
-Response = Tuple[int, Any, str]
+#: The RFC 7240 preference that asks for a finished job's results in
+#: the answer to a submission or a status read.
+RETURN_REPRESENTATION = "return=representation"
+
+#: Run and sweep bodies remembered with their decoded requests and
+#: content keys; past this the least recently used is dropped.
+MAX_DECODED = 256
+
+#: ``(status, payload, content_type)``, optionally followed by a dict
+#: of response headers — payload is a dict for JSON responses or
+#: pre-rendered text otherwise.
+Response = Tuple[Any, ...]
+
+_APPLIED = {"Preference-Applied": RETURN_REPRESENTATION}
 
 
 class ServiceState:
@@ -115,6 +137,42 @@ class ServiceState:
         self._monotonic_start = time.monotonic()
         self.requests_served = 0
         self._lock = threading.Lock()
+        #: ``(kind, canonical body) -> (requests, keys)``, oldest use
+        #: first.
+        self._decoded: Dict[
+            Tuple[str, str], Tuple[Tuple[RunRequest, ...], Tuple[str, ...]]
+        ] = {}
+        self._decoded_lock = threading.Lock()
+
+    def decode(
+        self, body: Any, kind: str
+    ) -> Tuple[Sequence[RunRequest], Sequence[str]]:
+        """A run or sweep body's requests and their content keys.
+
+        Exact for a remembered body: requests are frozen, the source
+        fingerprint is fixed per process and the cost model per engine,
+        so decoding it again would build equal requests and the same
+        keys. A body that does not decode raises and is not remembered.
+        """
+        canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+        memo_key = (kind, canonical)
+        with self._decoded_lock:
+            decoded = self._decoded.pop(memo_key, None)
+            if decoded is not None:
+                self._decoded[memo_key] = decoded
+                return decoded
+        requests = tuple(run_requests_from_wire(body))
+        if kind == "run" and len(requests) != 1:
+            raise WireError("POST /api/v1/runs takes exactly one run")
+        keys = tuple(
+            request.content_key(self.engine.cost_model)
+            for request in requests
+        )
+        with self._decoded_lock:
+            self._decoded[memo_key] = (requests, keys)
+            if len(self._decoded) > MAX_DECODED:
+                del self._decoded[next(iter(self._decoded))]
+        return requests, keys
 
     def uptime_s(self) -> float:
         return time.monotonic() - self._monotonic_start
@@ -201,17 +259,47 @@ def op_metrics(state: ServiceState) -> Response:
     return 200, "\n".join(lines) + "\n", _PROM
 
 
+def _prefers_representation(headers: Any) -> bool:
+    """Whether a ``Prefer`` header of the request (RFC 7240: comma-
+    separated preferences, each with optional ``;`` parameters) asks
+    for ``return=representation``."""
+    for value in headers.get_all("Prefer") or ():
+        for preference in value.split(","):
+            token = preference.split(";", 1)[0].replace(" ", "")
+            if token.lower() == RETURN_REPRESENTATION:
+                return True
+    return False
+
+
+def _job_payload(job: Job, representation: bool) -> Dict[str, Any]:
+    """The job's status payload; with ``representation``, a done job's
+    carries its results. A job sets its results before it is marked
+    ``done``, so a payload that reads ``done`` can take them."""
+    payload = job.to_dict()
+    if representation and payload["state"] == "done":
+        payload["results"] = job.results
+    payload["schema_version"] = WIRE_SCHEMA_VERSION
+    return payload
+
+
 def op_submit(
     state: ServiceState,
     body: Any,
     kind: str,
     trace_id: Optional[str] = None,
+    representation: bool = False,
 ) -> Response:
-    requests = run_requests_from_wire(body)
-    if kind == "run" and len(requests) != 1:
-        raise WireError("POST /api/v1/runs takes exactly one run")
+    """Submit a run or sweep; a job finished at submission answers 200
+    with its results when the client asked for ``representation``."""
+    requests, keys = state.decode(body, kind)
     trace_id = trace_id or uuid.uuid4().hex[:16]
-    job = state.queue.submit(requests, kind=kind, trace_id=trace_id)
+    job = state.queue.submit(
+        requests, kind=kind, trace_id=trace_id, keys=keys
+    )
+    if representation and job.finished:
+        payload = _job_payload(job, True)
+        payload["job_id"] = job.id
+        return 200, payload, _JSON, _APPLIED
     return (
         202,
         {
@@ -286,18 +374,23 @@ def _wait_seconds(value: Optional[str]) -> float:
 
 
 def op_job_status(
-    state: ServiceState, job_id: str, wait: Optional[str] = None
+    state: ServiceState,
+    job_id: str,
+    wait: Optional[str] = None,
+    representation: bool = False,
 ) -> Response:
     """The job's status; with ``wait``, once it finishes or the wait
-    runs out, whichever comes first."""
+    runs out, whichever comes first. With ``representation``, a done
+    job's status carries its results."""
     seconds = _wait_seconds(wait)
     job = state.queue.get(job_id)
     if job is None:
         return _unknown_job(job_id)
     if seconds:
         job.wait(seconds)
-    payload = job.to_dict()
-    payload["schema_version"] = WIRE_SCHEMA_VERSION
+    payload = _job_payload(job, representation)
+    if representation and payload["state"] in ("done", "failed"):
+        return 200, payload, _JSON, _APPLIED
     return 200, payload, _JSON
 
 
@@ -312,12 +405,8 @@ def op_job_result(state: ServiceState, job_id: str) -> Response:
             _JSON,
         )
     if not job.finished:
-        payload = job.to_dict()
-        payload["schema_version"] = WIRE_SCHEMA_VERSION
-        return 202, payload, _JSON
-    payload = job.to_dict(include_results=True)
-    payload["schema_version"] = WIRE_SCHEMA_VERSION
-    return 200, payload, _JSON
+        return 202, _job_payload(job, False), _JSON
+    return 200, _job_payload(job, True), _JSON
 
 
 def op_ledger(state: ServiceState, last: Any) -> Response:
@@ -368,38 +457,46 @@ def op_workloads(state: ServiceState) -> Response:
 
 # -- router -------------------------------------------------------------------
 
-#: Route callbacks take ``(state, match, query, body, trace_id)`` —
-#: the trace id is the ``X-Repro-Trace`` header value, or None.
+#: Route callbacks take ``(state, match, query, body, headers)`` —
+#: the request's header message.
 RouteFn = Callable[
-    [ServiceState, "Match[str]", Dict[str, List[str]], Any, Optional[str]],
+    [ServiceState, "Match[str]", Dict[str, List[str]], Any, Any],
     Response,
 ]
 
 
+def _trace_id(headers: Any) -> Optional[str]:
+    """The ``X-Repro-Trace`` header value, or None."""
+    return headers.get(TRACE_HEADER) or None
+
+
 ROUTES: List[Tuple[str, Any, RouteFn]] = [
     ("GET", re_compile(r"^/healthz$"),
-     lambda state, m, q, b, t: op_health(state)),
+     lambda state, m, q, b, h: op_health(state)),
     ("GET", re_compile(r"^/metrics$"),
-     lambda state, m, q, b, t: op_metrics(state)),
+     lambda state, m, q, b, h: op_metrics(state)),
     ("POST", re_compile(r"^/api/v1/runs$"),
-     lambda state, m, q, b, t: op_submit(state, b, "run", t)),
+     lambda state, m, q, b, h: op_submit(
+         state, b, "run", _trace_id(h), _prefers_representation(h))),
     ("POST", re_compile(r"^/api/v1/sweeps$"),
-     lambda state, m, q, b, t: op_submit(state, b, "sweep", t)),
+     lambda state, m, q, b, h: op_submit(
+         state, b, "sweep", _trace_id(h), _prefers_representation(h))),
     ("POST", re_compile(r"^/api/v1/fleets$"),
-     lambda state, m, q, b, t: op_submit_fleet(state, b, t)),
+     lambda state, m, q, b, h: op_submit_fleet(state, b, _trace_id(h))),
     ("GET", re_compile(r"^/api/v1/jobs$"),
-     lambda state, m, q, b, t: op_jobs(state)),
+     lambda state, m, q, b, h: op_jobs(state)),
     ("GET", re_compile(r"^/api/v1/jobs/(?P<job_id>[0-9a-f]+)$"),
-     lambda state, m, q, b, t: op_job_status(
-         state, m["job_id"], q.get("wait", [None])[0])),
+     lambda state, m, q, b, h: op_job_status(
+         state, m["job_id"], q.get("wait", [None])[0],
+         _prefers_representation(h))),
     ("GET", re_compile(r"^/api/v1/jobs/(?P<job_id>[0-9a-f]+)/result$"),
-     lambda state, m, q, b, t: op_job_result(state, m["job_id"])),
+     lambda state, m, q, b, h: op_job_result(state, m["job_id"])),
     ("GET", re_compile(r"^/api/v1/traces/(?P<trace_id>[0-9a-fA-F-]+)$"),
-     lambda state, m, q, b, t: op_trace(state, m["trace_id"])),
+     lambda state, m, q, b, h: op_trace(state, m["trace_id"])),
     ("GET", re_compile(r"^/api/v1/ledger$"),
-     lambda state, m, q, b, t: op_ledger(state, q.get("last", [None])[0])),
+     lambda state, m, q, b, h: op_ledger(state, q.get("last", [None])[0])),
     ("GET", re_compile(r"^/api/v1/workloads$"),
-     lambda state, m, q, b, t: op_workloads(state)),
+     lambda state, m, q, b, h: op_workloads(state)),
 ]
 
 
@@ -446,12 +543,13 @@ class _Handler(BaseHTTPRequestHandler):
             except ValueError as exc:
                 self._send(400, {"error": str(exc)}, _JSON)
                 return
-            trace_id = self.headers.get(TRACE_HEADER) or None
             headers: Dict[str, str] = {}
             try:
-                status, payload, content_type = fn(
-                    self.state, match, query, body, trace_id
+                status, payload, content_type, *extra = fn(
+                    self.state, match, query, body, self.headers
                 )
+                if extra:
+                    headers.update(extra[0])
             except QueueFull as exc:
                 status, payload, content_type = 429, {
                     "error": str(exc)

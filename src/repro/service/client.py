@@ -7,6 +7,13 @@ only, so the client rides along with the package everywhere the service
 does. Each calling thread keeps one HTTP/1.1 connection alive across
 requests; waits block on the server (``?wait=``) instead of polling.
 
+Submissions and status reads send ``Prefer: return=representation``
+(RFC 7240), so a job the server has finished answers with its results.
+The client holds the newest :data:`MAX_HELD` such answers by job id:
+a status read of a held job sends no request, and waiting for it takes
+its results from the answer. A cache hit is then one request (the
+submission) and a miss three (submission, status, ``?wait=`` read).
+
 ::
 
     from repro.api import RunRequest, ServiceClient, get_workload
@@ -37,7 +44,12 @@ from repro.fleet.request import FleetRequest
 from repro.harness.engine import RunRequest
 from repro.harness.system import RunResult
 from repro.obs.instruments import current as current_instruments
-from repro.service.app import DEFAULT_HOST, DEFAULT_PORT, TRACE_HEADER
+from repro.service.app import (
+    DEFAULT_HOST,
+    DEFAULT_PORT,
+    RETURN_REPRESENTATION,
+    TRACE_HEADER,
+)
 
 #: Environment variable naming the service the default client targets.
 SERVICE_URL_ENV = "REPRO_SERVICE_URL"
@@ -49,6 +61,12 @@ DEFAULT_SERVICE_URL = f"http://{DEFAULT_HOST}:{DEFAULT_PORT}"
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_S = 0.1
 MAX_BACKOFF_S = 2.0
+
+#: Finished job answers a client holds for its next status read; past
+#: this the oldest is dropped.
+MAX_HELD = 16
+
+_PREFER = {"Prefer": RETURN_REPRESENTATION}
 
 
 def _close_all(connections: set) -> None:
@@ -100,6 +118,9 @@ class ServiceClient:
         # (or collecting the client) closes them all.
         self._open: set = set()
         weakref.finalize(self, _close_all, self._open)
+        # Finished job answers by job id, oldest first.
+        self._held: Dict[str, Dict[str, Any]] = {}
+        self._held_lock = threading.Lock()
         # Injection seams for tests (connection-failure simulation).
         self._connect = self._open_connection
         self._sleep = time.sleep
@@ -192,6 +213,22 @@ class ServiceClient:
             return json.loads(raw.decode("utf-8"))
         return raw.decode("utf-8")
 
+    def _hold(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """Keep a finished job's answer for the next status read of its
+        id; returns ``payload``."""
+        if payload.get("state") in ("done", "failed") and "id" in payload:
+            with self._held_lock:
+                self._held.pop(payload["id"], None)
+                self._held[payload["id"]] = payload
+                if len(self._held) > MAX_HELD:
+                    del self._held[next(iter(self._held))]
+        return payload
+
+    def _release(self, job_id: str) -> Optional[Dict[str, Any]]:
+        """Drop and return the held answer for ``job_id``, if any."""
+        with self._held_lock:
+            return self._held.pop(job_id, None)
+
     # -- API -------------------------------------------------------------
 
     def healthz(self) -> Dict[str, Any]:
@@ -209,16 +246,19 @@ class ServiceClient:
     ) -> str:
         """POST a submission under a ``client.submit`` span carrying the
         trace id; the same id goes out in the ``X-Repro-Trace`` header,
-        so the client span and the service's job spans share it."""
+        so the client span and the service's job spans share it. A job
+        finished at submission is held with its results."""
         trace_id = trace_id or uuid.uuid4().hex[:16]
         self.last_trace_id = trace_id
         with current_instruments().tracer.span(
             "client.submit", trace_id=trace_id, kind=kind
         ) as span:
             payload = self._request(
-                "POST", path, body, headers={TRACE_HEADER: trace_id}
+                "POST", path, body,
+                headers={TRACE_HEADER: trace_id, **_PREFER},
             )
             span.set("job_id", payload["job_id"])
+        self._hold(payload)
         return payload["job_id"]
 
     def submit(
@@ -276,8 +316,16 @@ class ServiceClient:
         return self._request("GET", f"/api/v1/traces/{trace_id}")
 
     def status(self, job_id: str) -> Dict[str, Any]:
-        """The job's state, transitions, and provenance."""
-        return self._request("GET", f"/api/v1/jobs/{job_id}")
+        """The job's state, transitions, and provenance; a done job's
+        carries its results. A held answer is returned without a
+        request."""
+        with self._held_lock:
+            held = self._held.get(job_id)
+        if held is not None:
+            return held
+        return self._hold(
+            self._request("GET", f"/api/v1/jobs/{job_id}", headers=_PREFER)
+        )
 
     def jobs(self) -> List[Dict[str, Any]]:
         return self._request("GET", "/api/v1/jobs")["jobs"]
@@ -293,7 +341,10 @@ class ServiceClient:
         State is read only through :meth:`status`. Between reads the
         server holds a ``?wait=`` request open until the job finishes,
         kept under this client's socket timeout; ``poll_s`` spaces the
-        reads only when a wait comes back with the job unfinished.
+        reads only when a wait comes back with the job unfinished. A
+        finished answer already held supplies the results, and is
+        dropped; only a server that ignored ``Prefer`` costs a
+        ``/result`` read.
 
         Raises :class:`JobFailed` when the job fails and
         :class:`ServiceError` on timeout.
@@ -302,8 +353,12 @@ class ServiceClient:
         while True:
             status = self.status(job_id)
             if status["state"] == "done":
+                held = self._release(job_id)
+                if held is not None and "results" in held:
+                    return held
                 return self._request("GET", f"/api/v1/jobs/{job_id}/result")
             if status["state"] == "failed":
+                self._release(job_id)
                 raise JobFailed(
                     f"job {job_id} failed: {status.get('error')}"
                 )
@@ -315,9 +370,10 @@ class ServiceClient:
                 )
             begun = time.monotonic()
             wait_s = min(remaining, self.timeout / 2)
-            waited = self._request(
-                "GET", f"/api/v1/jobs/{job_id}?wait={wait_s:.3f}"
-            )
+            waited = self._hold(self._request(
+                "GET", f"/api/v1/jobs/{job_id}?wait={wait_s:.3f}",
+                headers=_PREFER,
+            ))
             if waited["state"] not in ("done", "failed"):
                 self._sleep(
                     max(0.0, min(remaining, poll_s)

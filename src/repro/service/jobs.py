@@ -124,14 +124,15 @@ class Job:
         """Block until the job reaches a terminal state."""
         return self._finished.wait(timeout)
 
-    def to_dict(self, include_results: bool = False) -> Dict[str, Any]:
+    def to_dict(self) -> Dict[str, Any]:
+        """The job's status: everything but its results."""
         if self.fleet is not None:
             workloads = list(self.fleet.resolved().workloads)
             stacks = list(self.fleet.stacks)
         else:
             workloads = [req.spec.name for req in self.requests]
             stacks = [req.stack for req in self.requests]
-        payload: Dict[str, Any] = {
+        return {
             "id": self.id,
             "kind": self.kind,
             "state": self.state,
@@ -146,9 +147,6 @@ class Job:
             "keys": list(self.keys),
             "transitions": [list(step) for step in self.transitions],
         }
-        if include_results:
-            payload["results"] = self.results
-        return payload
 
 
 class JobQueue:
@@ -191,24 +189,29 @@ class JobQueue:
         requests: Sequence[RunRequest],
         kind: str = "run",
         trace_id: Optional[str] = None,
+        keys: Optional[Sequence[str]] = None,
     ) -> Job:
         """Run a request batch; returns its :class:`Job`.
 
-        A batch the engine answers without simulating runs here and
-        comes back ``done``; any other is queued. Raises
+        ``keys`` are the requests' content keys under this engine's cost
+        model, when the caller has them already; by default they are
+        computed here. A batch the engine answers without simulating
+        runs here and comes back ``done``; any other is queued. Raises
         :class:`QueueFull` when the queue is full.
         """
         if not requests:
             raise ValueError("cannot submit an empty request batch")
+        if keys is None:
+            keys = [
+                request.content_key(self.engine.cost_model)
+                for request in requests
+            ]
         job = Job(
             id=uuid.uuid4().hex[:12],
             kind=kind,
             requests=list(requests),
             trace_id=trace_id,
-            keys=[
-                request.content_key(self.engine.cost_model)
-                for request in requests
-            ],
+            keys=list(keys),
         )
         hit = self.engine.answerable(job.keys)
         self._admit(job, enqueue=not hit)

@@ -143,3 +143,13 @@ class TestLayout:
         path = store.path("abc123")
         assert path.name == "abc123.json"
         assert json.loads(path.read_text()) == {"v": 1}
+
+    def test_stored_bytes_are_one_sorted_dumps(self, tmp_path):
+        store = JsonBackend(tmp_path)
+        payload = {"z": [1.5, None], "a": {"y": True, "b": "é"}, **PAYLOAD}
+        store.put("abc123", payload)
+        assert store.path("abc123").read_bytes() == json.dumps(
+            payload, sort_keys=True
+        ).encode("utf-8")
+        # The temp file was renamed into place: nothing else is left.
+        assert [p.name for p in tmp_path.iterdir()] == ["abc123.json"]

@@ -6,8 +6,9 @@ Readers upgrade version-0 payloads (written before the field existed)
 for free and reject anything newer than they understand.
 """
 
+import copy
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -50,6 +51,27 @@ class TestRunResultVersioning:
         payload["schema_version"] = RESULT_SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="newer"):
             RunResult.from_dict(payload)
+
+    @pytest.mark.parametrize("audit", [None, {"rules": {"r": [1, {"x": 2}]}}])
+    def test_to_dict_matches_the_deep_copying_asdict(self, result, audit):
+        result = replace(result, audit=audit)
+        reference = asdict(result)
+        reference["schema_version"] = RESULT_SCHEMA_VERSION
+        if reference["audit"] is None:
+            del reference["audit"]
+        payload = result.to_dict()
+        assert payload == reference
+        assert list(payload) == list(reference)
+        assert json.dumps(payload) == json.dumps(reference)
+
+    def test_to_dict_shares_no_mutable_state(self, result):
+        result = replace(result, audit={"rules": {"r": [1]}})
+        before = copy.deepcopy(result)
+        payload = result.to_dict()
+        payload["cycles"]["restore"] = -1.0
+        payload["stats"].clear()
+        payload["audit"]["rules"]["r"].append(2)
+        assert result == before
 
 
 class TestRunRequestVersioning:

@@ -1,9 +1,11 @@
 """The service's fast paths and bounds.
 
-A cache hit is answered at submission (born ``done``, never queued) and
-travels on one kept-alive connection; a status read with ``?wait=``
-blocks until the job finishes or the server's cap; a full queue answers
-429 and an evicted job answers 404, both as JSON.
+A cache hit is answered at submission (born ``done``, never queued):
+with ``Prefer: return=representation`` the submission's answer carries
+the results, so the client's hit is one request, and a miss three; a
+status read with ``?wait=`` blocks until the job finishes or the
+server's cap; a full queue answers 429 and an evicted job answers 404,
+both as JSON.
 """
 
 import http.client
@@ -20,7 +22,9 @@ from repro.harness.engine import ExperimentEngine, RunRequest
 from repro.service import app as service_app
 from repro.service import jobs as service_jobs
 from repro.service.app import ExperimentServer
-from repro.service.client import ServiceClient, ServiceError
+from repro.service import client as service_client
+from repro.service.client import JobFailed, ServiceClient, ServiceError
+from repro.service.wire import WIRE_SCHEMA_VERSION
 from repro.workloads.registry import get_workload
 
 
@@ -50,7 +54,7 @@ def client(server):
     client.close()
 
 
-def raw(server, method, path, body=None):
+def raw(server, method, path, body=None, headers=None):
     """One request on its own connection: ``(status, headers, payload)``."""
     split = urlsplit(server.url)
     connection = http.client.HTTPConnection(
@@ -58,7 +62,7 @@ def raw(server, method, path, body=None):
     )
     try:
         data = json.dumps(body).encode("utf-8") if body is not None else None
-        connection.request(method, path, body=data)
+        connection.request(method, path, body=data, headers=headers or {})
         response = connection.getresponse()
         return response.status, response, json.loads(response.read())
     finally:
@@ -80,6 +84,37 @@ def record_queue_puts(server, monkeypatch):
     return puts
 
 
+def record_paths(monkeypatch):
+    """Every request path the server dispatches, in arrival order."""
+    paths = []
+    dispatch = service_app._Handler._dispatch
+
+    def recording(handler, method):
+        paths.append((method, handler.path))
+        dispatch(handler, method)
+
+    monkeypatch.setattr(service_app._Handler, "_dispatch", recording)
+    return paths
+
+
+class CountingClient(ServiceClient):
+    """Counts status reads and keeps the last one, as a load generator
+    that times queue wait and run from the transitions would."""
+
+    def __init__(self, url):
+        super().__init__(url, timeout=30)
+        self.polls = 0
+        self.last_status = {}
+
+    def status(self, job_id):
+        self.polls += 1
+        self.last_status = super().status(job_id)
+        return self.last_status
+
+
+PREFER = {"Prefer": "return=representation"}
+
+
 class TestHitPath:
     def test_hit_travels_on_one_connection(self, server, client):
         request = RunRequest(small(), stack="memento")
@@ -95,9 +130,139 @@ class TestHitPath:
         served_before = server.state.requests_served
         result = client.result(client.submit(request), timeout=60)
         assert result.name == "aes"
-        # Submit, one status read, the result: one TCP connection.
+        # The submission answers with the result: one request.
         assert len(opened) == 1
-        assert server.state.requests_served - served_before == 3
+        assert server.state.requests_served - served_before == 1
+
+    def test_miss_is_three_requests_and_none_reads_the_result(
+        self, server, client, monkeypatch
+    ):
+        paths = record_paths(monkeypatch)
+        result = client.result(
+            client.submit(RunRequest(small("html"), stack="memento")),
+            timeout=60,
+        )
+        assert result.name == "html"
+        # Submission, one status read, one ?wait= read.
+        assert len(paths) == 3
+        assert paths[0] == ("POST", "/api/v1/runs")
+        assert not any(path.endswith("/result") for _, path in paths)
+
+    def test_a_hit_is_one_status_call_with_its_transitions(self, server):
+        request = RunRequest(small(), stack="memento")
+        counting = CountingClient(server.url)
+        try:
+            warm(counting, request)
+            served_before = server.state.requests_served
+            counting.polls = 0
+            (result,) = counting.results(
+                counting.submit(request), timeout=60
+            )
+            assert result.name == "aes"
+            assert counting.polls == 1
+            assert server.state.requests_served - served_before == 1
+            assert [s for s, _ in counting.last_status["transitions"]] == [
+                "queued", "running", "done"
+            ]
+        finally:
+            counting.close()
+
+    def test_submission_without_prefer_is_the_unchanged_202(
+        self, server, client
+    ):
+        request = RunRequest(small(), stack="memento")
+        warm(client, request)
+        status, response, payload = raw(
+            server, "POST", "/api/v1/runs", request.to_dict()
+        )
+        assert status == 202
+        assert response.getheader("Preference-Applied") is None
+        job_id = payload["job_id"]
+        assert payload == {
+            "schema_version": WIRE_SCHEMA_VERSION,
+            "job_id": job_id,
+            "state": "done",
+            "trace_id": payload["trace_id"],
+            "status_url": f"/api/v1/jobs/{job_id}",
+            "result_url": f"/api/v1/jobs/{job_id}/result",
+        }
+
+    def test_hit_with_prefer_answers_200_with_its_results(
+        self, server, client
+    ):
+        request = RunRequest(small(), stack="memento")
+        warm(client, request)
+        status, response, payload = raw(
+            server, "POST", "/api/v1/runs", request.to_dict(),
+            headers={"Prefer": "respond-async, return=representation"},
+        )
+        assert status == 200
+        assert response.getheader("Preference-Applied") == (
+            "return=representation"
+        )
+        assert payload["job_id"] == payload["id"]
+        assert payload["state"] == "done"
+        _, _, stored = raw(
+            server, "GET", f"/api/v1/jobs/{payload['job_id']}/result"
+        )
+        assert payload["results"] == stored["results"]
+
+    def test_status_read_with_prefer_carries_results(self, server, client):
+        job_id = client.submit(RunRequest(small(), stack="memento"))
+        client.results(job_id, timeout=60)
+        status, response, payload = raw(
+            server, "GET", f"/api/v1/jobs/{job_id}", headers=PREFER
+        )
+        assert status == 200
+        assert response.getheader("Preference-Applied") == (
+            "return=representation"
+        )
+        assert payload["results"][0]["name"] == "aes"
+        _, response, payload = raw(server, "GET", f"/api/v1/jobs/{job_id}")
+        assert "results" not in payload
+        assert response.getheader("Preference-Applied") is None
+
+    def test_failed_job_answered_at_submission_raises_job_failed(
+        self, server, client, monkeypatch
+    ):
+        request = RunRequest(small(), stack="memento")
+        warm(client, request)
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("store unreadable")
+
+        monkeypatch.setattr(server.state.engine, "run_many", broken)
+        served_before = server.state.requests_served
+        job_id = client.submit(request)
+        with pytest.raises(JobFailed, match="store unreadable"):
+            client.results(job_id, timeout=60)
+        assert server.state.requests_served - served_before == 1
+        assert job_id not in client._held
+        status, _, payload = raw(
+            server, "POST", "/api/v1/runs", request.to_dict(), PREFER
+        )
+        assert status == 200
+        assert payload["state"] == "failed"
+        assert "results" not in payload
+
+    def test_held_answers_stay_within_their_bound(
+        self, server, client, monkeypatch
+    ):
+        monkeypatch.setattr(service_client, "MAX_HELD", 3)
+        request = RunRequest(small(), stack="memento")
+        warm(client, request)
+        job_ids = [client.submit(request) for _ in range(5)]
+        assert list(client._held) == job_ids[2:]
+        # A held answer is read without a request, and waiting on it
+        # drops it.
+        served_before = server.state.requests_served
+        assert client.status(job_ids[4])["id"] == job_ids[4]
+        assert client.result(job_ids[4], timeout=60).name == "aes"
+        assert server.state.requests_served == served_before
+        assert list(client._held) == job_ids[2:4]
+        # A dropped one is read from the server again.
+        assert client.result(job_ids[0], timeout=60).name == "aes"
+        assert server.state.requests_served == served_before + 1
 
     def test_hit_is_born_done_and_never_queued(
         self, server, client, monkeypatch
