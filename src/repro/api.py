@@ -93,9 +93,7 @@ from repro.service import (
     ServiceError,
     ServiceTelemetry,
     fleet_request_from_wire,
-    fleet_request_to_wire,
     run_request_from_wire,
-    run_request_to_wire,
 )
 from repro.service.client import result, status, submit
 from repro.sim.params import MachineParams
@@ -157,10 +155,8 @@ __all__ = [
     "ServiceError",
     "ServiceTelemetry",
     "fleet_request_from_wire",
-    "fleet_request_to_wire",
     "result",
     "run_request_from_wire",
-    "run_request_to_wire",
     "status",
     "submit",
     # provenance / stats

@@ -1248,7 +1248,10 @@ def cmd_obs_timeline(args: argparse.Namespace) -> int:
             f"{args.metrics} (export them with `repro run --trace "
             "--metrics PATH` or `repro fleet run --telemetry PATH`)"
         )
-    out = export_timeline(Path(args.out), relevant)
+    try:
+        out = export_timeline(Path(args.out), relevant)
+    except ValueError as exc:
+        return _usage_error(f"obs timeline: {args.metrics}: {exc}")
     import json
 
     events = json.loads(out.read_text(encoding="utf-8"))["traceEvents"]

@@ -1,22 +1,19 @@
 """One versioned wire codec shared by every declarative request type.
 
-Before PR 8, the request machinery lived in two places: content-key
-normalization and hashing in :mod:`repro.harness.engine`, and the
-``schema_version`` conventions (stamp on write, tolerate version-0
-payloads, reject anything newer) duplicated across
-``RunRequest.to_dict``/``from_dict`` and :mod:`repro.service.wire`.
-Adding a second request type (:class:`~repro.fleet.request.FleetRequest`)
-would have meant a third copy. This module is the single implementation
-both request hierarchies use:
+Every versioned wire type (the two request hierarchies,
+:class:`~repro.harness.engine.RunRequest` and
+:class:`~repro.fleet.request.FleetRequest`, and their results) reads
+and writes through this one implementation:
 
 * :func:`canonical` / :func:`digest` — reduce any dataclass tree to a
   stable JSON form and hash it (the content-key primitive).
 * :class:`VersionedCodec` — the write/read halves of the versioned wire
   schema: ``stamp`` adds ``schema_version``; ``open`` pops it back off,
-  upgrading version-0 payloads (written before the field existed — the
-  body is identical) transparently and rejecting payloads from a newer
-  schema so wire or disk corruption fails loudly instead of silently
-  simulating the wrong thing.
+  reading a missing one as the current version (so a hand-written body
+  such as ``{"workload": "html", "stack": "snapshot"}`` needs none) and
+  rejecting any other value than a supported version, so wire or disk
+  corruption fails loudly instead of silently simulating the wrong
+  thing.
 * :func:`checked_fields` — strict unknown-field rejection for nested
   dataclass bodies.
 * :func:`check_scalars` — strict type (and optional range) checks of
@@ -188,6 +185,13 @@ def check_scalars(
             )
 
 
+def supported_version(version: Any, current: int) -> bool:
+    """Whether ``version`` is a ``schema_version`` a reader at
+    ``current`` understands: an integer, not a bool, from 1 to
+    ``current``."""
+    return type(version) is int and 1 <= version <= current
+
+
 @dataclass(frozen=True)
 class VersionedCodec:
     """Stamp/validate one wire schema's ``schema_version`` field.
@@ -208,27 +212,26 @@ class VersionedCodec:
         """Validate and unwrap a wire payload; returns a mutable copy
         of the body with ``schema_version`` popped off.
 
-        Tolerates version-0 payloads (no ``schema_version`` field — the
-        body is identical); rejects payloads from a newer schema.
+        A missing ``schema_version`` reads as the current version; any
+        other value must be an integer from 1 to the current version
+        (see :func:`supported_version`).
         """
         if not isinstance(data, dict):
             raise ValueError(f"{self.label} payload must be an object")
         body = dict(data)
-        version = body.pop("schema_version", 0)
-        if not isinstance(version, int) or version > self.version:
+        version = body.pop("schema_version", self.version)
+        if type(version) is int and version > self.version:
             raise ValueError(
-                f"{self.label} schema_version {version!r} is newer than "
+                f"{self.label} schema_version {version} is newer than "
                 f"this reader understands ({self.version})"
+            )
+        if not supported_version(version, self.version):
+            raise ValueError(
+                f"{self.label} schema_version must be an integer from 1 "
+                f"to {self.version}, got {version!r}"
             )
         return body
 
     def open_into(self, cls: type, data: Any) -> Dict[str, Any]:
         """:meth:`open` plus strict unknown-field rejection for ``cls``."""
-        body = self.open(data)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(body) - known
-        if unknown:
-            raise ValueError(
-                f"unknown {self.label} fields: {sorted(unknown)}"
-            )
-        return body
+        return checked_fields(cls, self.open(data), self.label)

@@ -11,8 +11,8 @@ platform quantities the paper's argument rests on:
 for each simulated stack, plus a baseline-vs-memento comparison.
 
 ``FleetResult`` is versioned the same way as every other wire type in
-the repo (see :mod:`repro.codec`): stamped on write, version-0
-tolerated, newer versions rejected.
+the repo (see :mod:`repro.codec`): stamped on write, newer versions
+rejected.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from repro.fleet.pool import POLICIES
 from repro.harness.engine import (
     config_from_dict,
     cost_model_fingerprint,
-    drop_legacy_kernel,
     machine_params_from_dict,
     source_fingerprint,
 )
@@ -208,10 +207,9 @@ class FleetRequest:
 
     @classmethod
     def from_dict(cls, data: Any) -> "FleetRequest":
-        """Parse a wire payload (tolerant version-0 reader and retired
-        ``kernel`` field, unknown fields and newer schema versions
+        """Parse a wire payload (unknown fields and newer schema versions
         rejected)."""
-        body = FLEET_CODEC.open_into(cls, drop_legacy_kernel(data))
+        body = FLEET_CODEC.open_into(cls, data)
         codec.check_scalars(cls, body, FLEET_CODEC.label)
         if "workloads" in body:
             body["workloads"] = tuple(body["workloads"])

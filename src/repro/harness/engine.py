@@ -80,8 +80,6 @@ from repro.workloads.trace import Trace
 SCHEMA_VERSION = 1
 
 #: Version stamped into :meth:`RunRequest.to_dict` wire payloads.
-#: Version-0 payloads (written before the field existed) carry the same
-#: body and upgrade transparently in :meth:`RunRequest.from_dict`.
 REQUEST_SCHEMA_VERSION = 1
 
 #: Named baseline-allocator overrides, so a request stays declarative
@@ -208,7 +206,7 @@ class RunRequest:
     @property
     def memento(self) -> bool:
         """Whether the stack runs Memento's hardware allocators (the
-        value the legacy wire field and content-key body carry)."""
+        value the content-key body carries)."""
         return stack_registry.get_stack(self.stack).hardware
 
     def content_key(self, cost_model: CostModel = DEFAULT_COSTS) -> str:
@@ -325,11 +323,6 @@ class RunRequest:
         """
         return REQUEST_CODEC.stamp({
             "spec": dataclasses.asdict(self.spec),
-            # Both spellings ride the wire: ``stack`` is the first-class
-            # field, ``memento`` keeps pre-registry readers working (and
-            # legacy payloads carrying only ``memento`` still decode —
-            # see from_dict).
-            "memento": self.memento,
             "stack": self.stack,
             "config": dataclasses.asdict(self.config),
             "machine_params": dataclasses.asdict(self.machine_params),
@@ -345,44 +338,30 @@ class RunRequest:
     def from_dict(cls, data: Any) -> "RunRequest":
         """Rebuild a request from its :meth:`to_dict` form.
 
-        Tolerates version-0 payloads (no ``schema_version`` field — the
-        body is identical) and the retired ``kernel`` field; rejects
-        payloads from a newer schema or with unknown fields, so wire/disk
-        corruption fails loudly instead of silently simulating the wrong
-        thing.
+        Rejects payloads from a newer schema or with unknown fields, so
+        wire/disk corruption fails loudly instead of silently simulating
+        the wrong thing.
         """
-        data = REQUEST_CODEC.open(drop_legacy_kernel(data))
+        data = REQUEST_CODEC.open(data)
+        if "memento" in data:
+            raise ValueError(
+                "RunRequest field 'memento' is retired: name the stack "
+                "instead (\"stack\": \"memento\" or \"baseline\")"
+            )
         # A flag is a JSON boolean: ``bool("false")`` is True, so any
         # other value is rejected rather than coerced.
-        for flag in ("memento", "cold_start", "mmap_populate"):
+        for flag in ("cold_start", "mmap_populate"):
             if not isinstance(data.get(flag, False), bool):
                 raise ValueError(
                     f"RunRequest field {flag!r} must be a boolean, got "
                     f"{data[flag]!r}"
                 )
-        # The legacy boolean is tolerated here, on the wire, and nowhere
-        # else: it names one of the paper's two stacks.
-        has_memento = "memento" in data
-        memento = data.pop("memento", None)
         data = codec.checked_fields(cls, data, REQUEST_CODEC.label)
-        if "spec" not in data or (not has_memento and "stack" not in data):
-            raise ValueError(
-                "RunRequest payload needs spec and a stack "
-                "(or the legacy memento flag)"
-            )
-        if data.get("stack") is None:
-            stack = "memento" if memento else "baseline"
-        else:
-            stack = resolve_stack(str(data["stack"]))
-            hardware = stack_registry.get_stack(stack).hardware
-            if has_memento and memento != hardware:
-                raise ValueError(
-                    f"RunRequest payload is inconsistent: stack {stack!r} "
-                    f"with memento={memento!r}"
-                )
+        if "spec" not in data or "stack" not in data:
+            raise ValueError("RunRequest payload needs spec and stack")
         return cls(
             spec=spec_from_dict(data["spec"]),
-            stack=stack,
+            stack=data["stack"],
             config=config_from_dict(data.get("config")),
             machine_params=machine_params_from_dict(
                 data.get("machine_params")
@@ -411,26 +390,6 @@ def _allocator_kwargs(pairs: Any) -> Tuple[Tuple[str, Any], ...]:
             f"[name, value] pairs, got {pairs!r}"
         )
     return tuple((name, value) for name, value in pairs)
-
-
-def drop_legacy_kernel(data: Any) -> Any:
-    """``data`` without its retired ``kernel`` field.
-
-    Requests once chose a replay kernel; every kernel gave identical
-    results, so the field never reached content keys and is now
-    ignored. A value the field never accepted is still rejected, so no
-    payload refused before is accepted now.
-    """
-    if not isinstance(data, dict) or "kernel" not in data:
-        return data
-    data = dict(data)
-    kernel = data.pop("kernel")
-    if kernel not in (None, "scalar", "vectorized", "auto"):
-        raise ValueError(
-            f"unknown replay kernel {kernel!r}; "
-            "choose from scalar, vectorized, auto"
-        )
-    return data
 
 
 def spec_from_dict(data: Any) -> WorkloadSpec:
@@ -670,16 +629,13 @@ def _pool_context() -> Any:
 
 
 def _envelope_ok(payload: Dict[str, Any]) -> bool:
-    """Validate a cache envelope.
-
-    Version-0 envelopes spelled the version field ``schema``; the
-    current writer stamps ``schema_version`` (and keeps ``schema`` so
-    older readers skip cleanly rather than misread). Either spelling is
-    accepted at the current version; anything else — missing version,
-    other versions, no ``result`` body — is stale and gets re-simulated.
-    """
-    version = payload.get("schema_version", payload.get("schema"))
-    return version == SCHEMA_VERSION and "result" in payload
+    """Validate a cache envelope: anything but a ``schema_version`` of
+    the current version with a ``result`` body is stale and gets
+    re-simulated."""
+    return (
+        payload.get("schema_version") == SCHEMA_VERSION
+        and "result" in payload
+    )
 
 
 class ExperimentEngine:
@@ -1019,11 +975,7 @@ class ExperimentEngine:
                 self.disk.put(
                     key,
                     {
-                        # Both spellings: ``schema_version`` is the
-                        # explicit field, ``schema`` keeps version-0
-                        # readers skipping (not misreading) new entries.
                         "schema_version": SCHEMA_VERSION,
-                        "schema": SCHEMA_VERSION,
                         "key": key,
                         "workload": request.spec.name,
                         "stack": request.stack,

@@ -17,6 +17,7 @@ from typing import Any, Dict, Mapping, Optional
 
 from repro.allocators import ALLOCATOR_BY_LANGUAGE
 from repro.allocators.jemalloc import JemallocAllocator
+from repro.codec import VersionedCodec
 from repro.audit import invariants as audit_invariants
 from repro.harness import collector
 from repro import stacks as stack_registry
@@ -78,6 +79,7 @@ COLD_START_PAGES = 400
 #: Version stamped into every :meth:`RunResult.to_dict` payload. Bump on
 #: any field rename/retype; additive fields with defaults may keep it.
 RESULT_SCHEMA_VERSION = 1
+RESULT_CODEC = VersionedCodec("RunResult", RESULT_SCHEMA_VERSION)
 
 
 @dataclass
@@ -109,9 +111,7 @@ class RunResult:
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON representation (the wire and disk-cache format).
 
-        Stamped with ``schema_version`` so the format can evolve:
-        version-0 payloads (written before the field existed) carry the
-        same body and upgrade transparently in :meth:`from_dict`.
+        Stamped with ``schema_version`` so the format can evolve.
         ``audit`` only appears when an auditor was installed, keeping
         unaudited payloads (golden fixtures, cache entries, digests)
         stable across the subsystem's introduction.
@@ -134,23 +134,10 @@ class RunResult:
     def from_dict(cls, data: Mapping[str, Any]) -> "RunResult":
         """Inverse of :meth:`to_dict`; raises on unknown or missing keys
         so a corrupted cache entry fails loudly at deserialization time.
-
-        A missing ``schema_version`` marks a version-0 payload, whose
-        body is identical — it upgrades for free. A version newer than
-        this reader is rejected (never guess at a future format).
+        A version newer than this reader is rejected (never guess at a
+        future format).
         """
-        data = dict(data)
-        version = data.pop("schema_version", 0)
-        if not isinstance(version, int) or version > RESULT_SCHEMA_VERSION:
-            raise ValueError(
-                f"RunResult schema_version {version!r} is newer than "
-                f"this reader understands ({RESULT_SCHEMA_VERSION})"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown RunResult fields: {sorted(unknown)}")
-        result = cls(**data)
+        result = cls(**RESULT_CODEC.open_into(cls, data))
         if not isinstance(result.name, str) or not isinstance(
             result.cycles, dict
         ):

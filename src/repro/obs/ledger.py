@@ -23,6 +23,8 @@ import weakref
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, TextIO, Tuple
 
+from repro.codec import supported_version
+
 SCHEMA_VERSION = 1
 
 #: Ledger file name inside the engine's cache directory.
@@ -71,10 +73,7 @@ def manifest(
 ) -> Dict[str, Any]:
     """Assemble one ledger line for an engine execution."""
     return {
-        # ``schema_version`` is the explicit field; ``schema`` stays so
-        # version-0 readers keep accepting (or cleanly skipping) lines.
         "schema_version": SCHEMA_VERSION,
-        "schema": SCHEMA_VERSION,
         "ts": time.time(),
         "key": key,
         "workload": workload,
@@ -112,7 +111,6 @@ def fleet_manifest(
     """
     return {
         "schema_version": SCHEMA_VERSION,
-        "schema": SCHEMA_VERSION,
         "kind": "fleet",
         "ts": time.time(),
         "key": fleet_key,
@@ -190,10 +188,10 @@ class RunLedger:
 
         A line is skipped when it is not JSON, not an object, lacks the
         ``key`` field (pre-manifest experiments wrote bare summaries), or
-        declares a version newer than this reader understands
-        (``schema_version``, or the version-0 spelling ``schema``). Old
-        lines *without* either field are accepted as version 1 — the
-        ledger is append-only and must keep reading its own history.
+        declares a ``schema_version`` this reader does not understand
+        (see :func:`repro.codec.supported_version`). Old lines without
+        the field are accepted as version 1 — the ledger is append-only
+        and must keep reading its own history.
         """
         entries: List[Dict[str, Any]] = []
         skipped = 0
@@ -213,8 +211,9 @@ class RunLedger:
             if not isinstance(entry, dict) or "key" not in entry:
                 skipped += 1
                 continue
-            schema = entry.get("schema_version", entry.get("schema", 1))
-            if not isinstance(schema, int) or schema > SCHEMA_VERSION:
+            if not supported_version(
+                entry.get("schema_version", 1), SCHEMA_VERSION
+            ):
                 skipped += 1
                 continue
             entries.append(entry)

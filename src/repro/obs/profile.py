@@ -284,7 +284,7 @@ class CycleProfile:
     def to_dict(self) -> Dict[str, Any]:
         """Plain-JSON form (metrics sidecar / CI artifact payload)."""
         return {
-            "schema": SCHEMA_VERSION,
+            "schema_version": SCHEMA_VERSION,
             "runs": [dict(run) for run in self.runs],
             "histograms": {
                 name: self.hists[name].to_dict()

@@ -12,9 +12,6 @@ understood by ``ui.perfetto.dev`` and ``chrome://tracing``:
   the ring captured one, or laid out sequentially when not.
 
 All timestamps are rebased so the earliest span (or event) is ``ts=0``.
-Span payloads written before spans carried a ``start`` field are laid
-out synthetically — children packed sequentially inside their parent —
-preserving durations and monotone nesting so old ledgers still open.
 """
 
 from __future__ import annotations
@@ -32,11 +29,19 @@ FLEET_TID_BASE = 10
 _REQUIRED_FIELDS = ("ph", "ts", "pid", "tid")
 
 
-def _span_starts(span: Mapping[str, Any]) -> List[float]:
-    starts = []
+def _span_start(span: Mapping[str, Any]) -> float:
+    """A span's recorded ``start``; :meth:`Tracer.to_dict` always
+    writes one, so a span without it is not a span payload."""
     start = span.get("start")
-    if isinstance(start, (int, float)):
-        starts.append(float(start))
+    if not isinstance(start, (int, float)):
+        raise ValueError(
+            f"span {span.get('name', '?')!r} has no numeric 'start' field"
+        )
+    return float(start)
+
+
+def _span_starts(span: Mapping[str, Any]) -> List[float]:
+    starts = [_span_start(span)]
     for child in span.get("children", ()):
         starts.extend(_span_starts(child))
     return starts
@@ -45,21 +50,12 @@ def _span_starts(span: Mapping[str, Any]) -> List[float]:
 def _emit_span(
     span: Mapping[str, Any],
     base: float,
-    cursor_us: float,
     pid: int,
     out: List[Dict[str, Any]],
-) -> float:
-    """Emit one span (and its children) as complete events.
-
-    Returns this span's end in microseconds. ``cursor_us`` is where a
-    span lacking a recorded start is placed (sequential synthesis).
-    """
+) -> None:
+    """Emit one span (and its children) as complete events."""
     dur_us = max(0.0, float(span.get("seconds", 0.0))) * 1e6
-    start = span.get("start")
-    if isinstance(start, (int, float)):
-        ts_us = (float(start) - base) * 1e6
-    else:
-        ts_us = cursor_us
+    ts_us = (_span_start(span) - base) * 1e6
     event: Dict[str, Any] = {
         "name": str(span.get("name", "span")),
         "ph": "X",
@@ -72,10 +68,8 @@ def _emit_span(
     if attrs:
         event["args"] = dict(attrs)
     out.append(event)
-    child_cursor = ts_us
     for child in span.get("children", ()):
-        child_cursor = _emit_span(child, base, child_cursor, pid, out)
-    return ts_us + dur_us
+        _emit_span(child, base, pid, out)
 
 
 def span_trace_events(
@@ -89,9 +83,8 @@ def span_trace_events(
         starts = [s for span in spans for s in _span_starts(span)]
         base = min(starts) if starts else 0.0
     out: List[Dict[str, Any]] = []
-    cursor = 0.0
     for span in spans:
-        cursor = _emit_span(span, base, cursor, pid, out)
+        _emit_span(span, base, pid, out)
     return out
 
 

@@ -76,8 +76,7 @@ def resolve_stack(value: Any) -> str:
     The one stack resolver inside the program: anything else, the
     retired ``memento`` boolean included, raises :class:`UsageError`
     naming the registered choices, which the CLI and service report as
-    ``repro: error:`` + exit 2 / HTTP 400. The boolean survives only on
-    the wire (:meth:`repro.harness.engine.RunRequest.from_dict`).
+    ``repro: error:`` + exit 2 / HTTP 400.
     """
     from repro import stacks
 

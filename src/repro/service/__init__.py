@@ -29,9 +29,7 @@ from repro.service.wire import (
     WIRE_SCHEMA_VERSION,
     WireError,
     fleet_request_from_wire,
-    fleet_request_to_wire,
     run_request_from_wire,
-    run_request_to_wire,
     run_requests_from_wire,
 )
 
@@ -54,8 +52,6 @@ __all__ = [
     "WIRE_SCHEMA_VERSION",
     "WireError",
     "fleet_request_from_wire",
-    "fleet_request_to_wire",
     "run_request_from_wire",
-    "run_request_to_wire",
     "run_requests_from_wire",
 ]

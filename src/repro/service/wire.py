@@ -4,16 +4,16 @@ The service speaks the versioned payloads of the declarative request
 hierarchy — :meth:`RunRequest.to_dict` / ``from_dict`` for runs and
 sweeps, :meth:`FleetRequest.to_dict` / ``from_dict`` for fleet
 simulations — all built on the one shared codec in :mod:`repro.codec`
-(``schema_version`` stamping, tolerant version-0 readers, newer-version
-and unknown-field rejection). One client-side convenience on top: a run
-submission may name a registered workload
-(``{"workload": "html", "stack": "snapshot"}``, or the legacy boolean
-spelling ``{"workload": "html", "memento": true}``) instead of inlining
-the full spec, optionally with ``spec_overrides`` (e.g. a smaller
-``num_allocs``). Either way the parsed request is the same object the
-in-process API builds, so a submission over HTTP hashes to the same
-content key — and therefore the same cached result — as the same request
-executed directly through the engine.
+(``schema_version`` stamping, newer-version and unknown-field
+rejection). One client-side convenience on top: a run submission may
+name a registered workload (``{"workload": "html", "stack":
+"snapshot"}``; a missing ``schema_version`` reads as the current one)
+instead of inlining the full spec, optionally with ``spec_overrides``
+(an object, e.g. a smaller ``num_allocs``). Either way the parsed
+request is the same object the in-process API builds, so a submission
+over HTTP hashes to the same content key — and therefore the same
+cached result — as the same request executed directly through the
+engine.
 
 Malformed submissions raise :class:`WireError`, which the HTTP layer
 maps to a 400 response carrying the message.
@@ -22,7 +22,7 @@ maps to a 400 response carrying the message.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List
+from typing import Any, List
 
 from repro.fleet.request import FleetRequest
 from repro.harness.engine import REQUEST_SCHEMA_VERSION, RunRequest
@@ -35,11 +35,6 @@ WIRE_SCHEMA_VERSION = REQUEST_SCHEMA_VERSION
 
 class WireError(ValueError):
     """A submission the wire schema rejects (HTTP 400)."""
-
-
-def run_request_to_wire(request: RunRequest) -> Dict[str, Any]:
-    """The wire form of a request (already versioned)."""
-    return request.to_dict()
 
 
 def run_request_from_wire(payload: Any) -> RunRequest:
@@ -58,8 +53,8 @@ def run_request_from_wire(payload: Any) -> RunRequest:
             )
         if "spec" in body:
             raise WireError("pass either workload or spec, not both")
-        overrides = body.pop("spec_overrides", None) or {}
-        if not isinstance(overrides, dict):
+        overrides = body.pop("spec_overrides", None)
+        if overrides is not None and not isinstance(overrides, dict):
             raise WireError("spec_overrides must be an object")
         try:
             spec = get_workload(name)
@@ -72,7 +67,7 @@ def run_request_from_wire(payload: Any) -> RunRequest:
             raise WireError(f"bad spec_overrides: {exc}")
         body["spec"] = dataclasses.asdict(spec)
     try:
-        # Version tolerance/rejection is the shared codec's job (see
+        # Version checks are the shared codec's job (see
         # RunRequest.from_dict), not re-implemented here.
         return RunRequest.from_dict(body)
     except (TypeError, ValueError) as exc:
@@ -91,11 +86,6 @@ def run_requests_from_wire(payload: Any) -> List[RunRequest]:
             raise WireError("requests must be a non-empty array")
         return [run_request_from_wire(item) for item in items]
     return [run_request_from_wire(payload)]
-
-
-def fleet_request_to_wire(request: FleetRequest) -> Dict[str, Any]:
-    """The wire form of a fleet request (already versioned)."""
-    return request.to_dict()
 
 
 def fleet_request_from_wire(payload: Any) -> FleetRequest:

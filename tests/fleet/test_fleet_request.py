@@ -86,22 +86,17 @@ class TestContentKey:
         request = FleetRequest(invocations=1000, seed=5)
         assert request.resolved().content_key() == request.content_key()
 
-    def test_kernel_choice_excluded_from_key(self):
-        # The retired replay-kernel field: legacy payloads carrying any
-        # value it once accepted parse to the same request and key.
-        base = FleetRequest(workloads=("html",), seed=5)
-        for kernel in (None, "scalar", "vectorized", "auto"):
-            payload = base.to_dict()
-            payload["kernel"] = kernel
-            parsed = FleetRequest.from_dict(payload)
-            assert parsed == base
-            assert parsed.content_key() == base.content_key()
-
     def test_unknown_kernel_still_rejected(self):
-        payload = FleetRequest(workloads=("html",)).to_dict()
-        payload["kernel"] = "bogus"
-        with pytest.raises(ValueError, match="unknown replay kernel"):
-            FleetRequest.from_dict(payload)
+        # The retired replay-kernel field, like the retired ``memento``
+        # boolean, is an unknown field whatever its value.
+        for field, value in (
+            ("kernel", None), ("kernel", "scalar"), ("kernel", "bogus"),
+            ("memento", True),
+        ):
+            payload = FleetRequest(workloads=("html",)).to_dict()
+            payload[field] = value
+            with pytest.raises(ValueError, match=rf"\['{field}'\]"):
+                FleetRequest.from_dict(payload)
 
     def test_key_matches_frozen_field_list(self):
         # Re-derive the key by hand from the frozen field list, the

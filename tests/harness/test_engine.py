@@ -377,7 +377,11 @@ def test_corrupted_cache_entry_falls_back_to_rerun(tmp_path):
     path = engine.disk.path(request.content_key())
     assert path.is_file()
 
-    for garbage in ("{not json", '{"schema": 999}', '{"schema": 1, "result": {"bogus": 1}}'):
+    for garbage in (
+        "{not json",
+        '{"schema_version": 999}',
+        '{"schema_version": 1, "result": {"bogus": 1}}',
+    ):
         path.write_text(garbage)
         fresh = make_engine(tmp_path)
         recovered = fresh.run(request)

@@ -1,9 +1,9 @@
-"""Schema versioning: explicit fields, tolerant readers, loud rejection.
+"""Schema versioning: one explicit field, loud rejection.
 
 Every serialized artifact (RunRequest/RunResult payloads, cache
-envelopes, ledger lines) carries an explicit ``schema_version``.
-Readers upgrade version-0 payloads (written before the field existed)
-for free and reject anything newer than they understand.
+envelopes, ledger lines) carries an explicit ``schema_version`` and no
+other version spelling. Readers take a missing version as the current
+one and reject anything but an integer from 1 to the current version.
 """
 
 import copy
@@ -12,6 +12,7 @@ from dataclasses import asdict, replace
 
 import pytest
 
+from repro.fleet import FleetRequest
 from repro.harness.engine import (
     ExperimentEngine,
     REQUEST_SCHEMA_VERSION,
@@ -94,31 +95,52 @@ class TestRunRequestVersioning:
             RunRequest.from_dict(payload)
 
 
+@pytest.mark.parametrize("version", [True, False, 0, -3, 1.0, "1", None])
+@pytest.mark.parametrize(
+    "decode, payload",
+    [
+        (RunRequest.from_dict,
+         lambda: RunRequest(small(), stack="memento").to_dict()),
+        (FleetRequest.from_dict,
+         lambda: FleetRequest(workloads=("html",)).to_dict()),
+        (RunResult.from_dict,
+         lambda: RunResult(name="x", memento=False).to_dict()),
+    ],
+    ids=["RunRequest", "FleetRequest", "RunResult"],
+)
+def test_unsupported_version_rejected(decode, payload, version):
+    # ``bool`` is an ``int`` and versions start at 1: neither a flag nor
+    # a zero or negative number is a version.
+    body = payload()
+    body["schema_version"] = version
+    with pytest.raises(ValueError, match="must be an integer from 1"):
+        decode(body)
+
+
 class TestCacheEnvelopeVersioning:
-    def test_cache_payload_carries_both_spellings(self, tmp_path):
+    def test_cache_payload_carries_one_spelling(self, tmp_path):
         engine = ExperimentEngine(cache_dir=tmp_path)
         request = RunRequest(small(), stack="memento")
         engine.run(request)
         key = request.content_key(engine.cost_model)
         payload = engine.disk.get(key)
         assert payload["schema_version"] == SCHEMA_VERSION
-        # The legacy spelling stays so version-0 readers skip (not
-        # misread) entries written by this version.
-        assert payload["schema"] == SCHEMA_VERSION
+        assert "schema" not in payload
 
-    def test_legacy_envelope_still_read(self, tmp_path):
-        """A version-0 entry (``schema`` only) is a valid disk hit."""
+    def test_unversioned_envelope_evicted_and_rerun(self, tmp_path):
+        """An entry spelling its version ``schema`` only is stale."""
         engine = ExperimentEngine(cache_dir=tmp_path)
         request = RunRequest(small(), stack="memento")
         engine.run(request)
         key = request.content_key(engine.cost_model)
         payload = engine.disk.get(key)
-        del payload["schema_version"]
+        payload["schema"] = payload.pop("schema_version")
         engine.disk.put(key, payload)
 
         warm = ExperimentEngine(cache_dir=tmp_path)
         warm.run(request)
-        assert warm.stats.snapshot().get("engine.disk.hits", 0) == 1
+        assert warm.stats.snapshot().get("engine.disk.hits", 0) == 0
+        assert engine.disk.get(key)["schema_version"] == SCHEMA_VERSION
 
     def test_foreign_envelope_evicted_and_rerun(self, tmp_path):
         engine = ExperimentEngine(cache_dir=tmp_path)
@@ -136,19 +158,19 @@ class TestCacheEnvelopeVersioning:
 
 
 class TestLedgerVersioning:
-    def test_manifest_carries_both_spellings(self):
+    def test_manifest_carries_one_spelling(self):
         entry = manifest("k", "aes", "memento", "live", 0.1, {})
         assert entry["schema_version"] == 1
-        assert entry["schema"] == 1
+        assert "schema" not in entry
 
     def test_reader_tolerates_history_and_rejects_future(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         lines = [
-            {"key": "k1", "schema_version": 1, "schema": 1},  # current
-            {"key": "k2", "schema": 1},                       # version-0
-            {"key": "k3"},                                    # pre-field
-            {"key": "k4", "schema_version": 99},              # future
-            {"no_key": True},                                 # pre-manifest
+            {"key": "k1", "schema_version": 1},  # current
+            {"key": "k2", "schema": 1},          # old spelling, ignored
+            {"key": "k3"},                       # pre-field
+            {"key": "k4", "schema_version": 99}, # future
+            {"no_key": True},                    # pre-manifest
         ]
         with ledger.path.open("w", encoding="utf-8") as handle:
             for line in lines:

@@ -1,10 +1,10 @@
 """Wire round-trips and cache-key compatibility for the ``stack`` field.
 
-The stack registry replaced the ``memento`` boolean, but the wire and
-the on-disk result cache both predate it: legacy payloads carrying only
-``memento`` must still decode, and baseline/memento requests must hash
-to exactly their pre-registry content keys (pinned here by re-deriving
-the legacy body shape by hand) so ``.repro-cache/`` stays warm.
+The stack registry replaced the ``memento`` boolean. The wire carries
+``stack`` only and refuses the boolean, but the on-disk result cache
+predates the registry: baseline/memento requests must hash to exactly
+their pre-registry content keys (pinned here by re-deriving the legacy
+body shape by hand) so ``.repro-cache/`` stays warm.
 """
 
 import dataclasses as dc
@@ -74,8 +74,8 @@ def legacy_key(request: RunRequest) -> str:
 
 
 def test_both_spellings_build_the_same_request():
-    # Inside the program a stack is a name: the boolean keyword is gone
-    # (it survives only on the wire, see the legacy-payload tests).
+    # A stack is a name: the boolean keyword is gone (and the wire
+    # refuses it, see the legacy-payload tests).
     with pytest.raises(TypeError):
         RunRequest(spec(), memento=True)
     with pytest.raises(UsageError, match="unknown stack"):
@@ -110,43 +110,42 @@ def test_allocator_knob_rejected_for_undeclaring_stack():
 def test_wire_round_trip(name):
     request = RunRequest(spec(), stack=name, cold_start=True)
     payload = request.to_dict()
-    assert payload["stack"] == name  # first-class spelling on the wire
-    assert "memento" in payload  # legacy spelling rides along
+    assert payload["stack"] == name  # the one spelling on the wire
+    assert "memento" not in payload
     decoded = RunRequest.from_dict(payload)
     assert decoded == request
     assert decoded.content_key() == request.content_key()
 
 
 @pytest.mark.parametrize("memento", [True, False])
-def test_legacy_boolean_payload_decodes(memento):
-    request = RunRequest(spec(), stack="memento" if memento else "baseline")
-    payload = request.to_dict()
-    del payload["stack"]  # what a pre-registry writer produced
-    decoded = RunRequest.from_dict(payload)
-    assert decoded == request
-    assert decoded.stack == ("memento" if memento else "baseline")
-    assert decoded.content_key() == request.content_key()
+def test_legacy_boolean_payload_refused(memento):
+    # What a pre-registry writer produced: the boolean, no stack.
+    payload = RunRequest(spec()).to_dict()
+    del payload["stack"]
+    payload["memento"] = memento
+    with pytest.raises(ValueError, match="'memento' is retired.*stack"):
+        RunRequest.from_dict(payload)
 
 
 def test_inconsistent_payload_rejected():
-    payload = RunRequest(spec(), stack="memento").to_dict()
-    payload["memento"] = False
-    with pytest.raises(ValueError, match="inconsistent"):
-        RunRequest.from_dict(payload)
+    # The boolean is refused beside a stack too, agreeing or not.
+    for memento in (True, False):
+        payload = RunRequest(spec(), stack="memento").to_dict()
+        payload["memento"] = memento
+        with pytest.raises(ValueError, match="'memento' is retired"):
+            RunRequest.from_dict(payload)
 
 
 def test_payload_without_any_stack_rejected():
     payload = RunRequest(spec()).to_dict()
     del payload["stack"]
-    del payload["memento"]
-    with pytest.raises(ValueError, match="needs spec and a stack"):
+    with pytest.raises(ValueError, match="needs spec and stack"):
         RunRequest.from_dict(payload)
 
 
 def test_unknown_stack_on_the_wire_rejected():
     payload = RunRequest(spec()).to_dict()
     payload["stack"] = "bogus"
-    del payload["memento"]
     with pytest.raises(ValueError, match="unknown stack"):
         RunRequest.from_dict(payload)
 
@@ -157,14 +156,12 @@ def test_unknown_stack_on_the_wire_rejected():
 @pytest.mark.parametrize("memento", [True, False])
 def test_legacy_stacks_keep_pre_registry_content_keys(memento):
     # The pin: by-hand re-derivation of the pre-registry body shape
-    # must equal what content_key() produces today, for both the
-    # stack-name spelling and a legacy boolean-only wire payload.
+    # must equal what content_key() produces today, for the request and
+    # for its wire payload decoded.
     request = RunRequest(spec(), stack="memento" if memento else "baseline")
     assert request.content_key() == legacy_key(request)
-    payload = request.to_dict()
-    del payload["stack"]
-    legacy = RunRequest.from_dict(payload)
-    assert legacy.content_key() == legacy_key(request)
+    decoded = RunRequest.from_dict(request.to_dict())
+    assert decoded.content_key() == legacy_key(request)
 
 
 @pytest.mark.parametrize("name", ["snapshot", "reclaim"])

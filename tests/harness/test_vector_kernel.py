@@ -177,22 +177,12 @@ def test_audit_sweep_columnar_bit_identical(spec, stack):
 # -- the retired replay-kernel field -----------------------------------------
 
 
-def test_content_key_excludes_kernel():
-    # Legacy payloads carrying any value the field once accepted parse
-    # to the same request, and so to the same content key.
-    for stack in ALL_STACKS:
-        request = RunRequest(get_workload("html"), stack=stack)
-        payload = request.to_dict()
-        assert "kernel" not in payload
-        for kernel in (None, "scalar", "vectorized", "auto"):
-            payload["kernel"] = kernel
-            parsed = RunRequest.from_dict(payload)
-            assert parsed == request
-            assert parsed.content_key() == request.content_key()
-
-
 def test_request_rejects_unknown_kernel():
+    # The field is gone: every value, even one it once accepted, is an
+    # unknown field.
     payload = RunRequest(get_workload("html"), stack="memento").to_dict()
-    payload["kernel"] = "bogus"
-    with pytest.raises(ValueError, match="unknown replay kernel 'bogus'"):
-        RunRequest.from_dict(payload)
+    assert "kernel" not in payload
+    for kernel in (None, "scalar", "vectorized", "auto", "bogus"):
+        payload["kernel"] = kernel
+        with pytest.raises(ValueError, match=r"fields: \['kernel'\]"):
+            RunRequest.from_dict(payload)

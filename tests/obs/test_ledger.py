@@ -5,6 +5,7 @@ import json
 import sys
 import threading
 
+import pytest
 
 from repro.obs.ledger import (
     RunLedger,
@@ -44,7 +45,8 @@ def test_manifest_shape():
         },
         fingerprints={"source": "abc"},
     )
-    assert entry["schema"] == 1
+    assert entry["schema_version"] == 1
+    assert "schema" not in entry
     assert entry["key"] == "k1"
     assert entry["workload"] == "html"
     assert entry["source"] == "live"
@@ -157,22 +159,32 @@ def test_default_ledger_path(tmp_path):
 class TestReadClassified:
     def test_counts_unrecognized_lines(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
-        ledger.append({"key": "a", "schema": 1})
+        ledger.append({"key": "a", "schema_version": 1})
         ledger.append({"key": "b"})  # pre-schema line: accepted as v1
         with ledger.path.open("a", encoding="utf-8") as handle:
             handle.write("garbage\n")
             handle.write('{"no_key": true}\n')
-            handle.write('{"key": "c", "schema": 99}\n')
-            handle.write('{"key": "d", "schema": "weird"}\n')
+            handle.write('{"key": "c", "schema_version": 99}\n')
+            handle.write('{"key": "d", "schema_version": "weird"}\n')
         entries, skipped = ledger.read_classified()
         assert [e["key"] for e in entries] == ["a", "b"]
         assert skipped == 4
+
+    @pytest.mark.parametrize("version", [True, False, 0, -3, 1.0, None])
+    def test_skips_unsupported_versions(self, tmp_path, version):
+        # ``bool`` is an ``int`` and versions start at 1.
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        ledger.append({"key": "a", "schema_version": 1})
+        ledger.append({"key": "b", "schema_version": version})
+        entries, skipped = ledger.read_classified()
+        assert [e["key"] for e in entries] == ["a"]
+        assert skipped == 1
 
     def test_read_matches_classified_entries(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         ledger.append({"key": "a"})
         with ledger.path.open("a", encoding="utf-8") as handle:
-            handle.write('{"key": "z", "schema": 99}\n')
+            handle.write('{"key": "z", "schema_version": 99}\n')
         assert ledger.read() == ledger.read_classified()[0]
 
     def test_missing_file_is_empty(self, tmp_path):

@@ -365,6 +365,19 @@ class TestProfileCli:
             "no span, event, or fleet records" in capsys.readouterr().err
         )
 
+    def test_obs_timeline_startless_span_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "m.jsonl"
+        path.write_text(json.dumps(
+            {"kind": "spans", "spans": [{"name": "run", "seconds": 1.0}]}
+        ) + "\n")
+        assert main([
+            "obs", "timeline", str(path),
+            "--out", str(tmp_path / "trace.json"),
+        ]) == 2
+        assert "'run' has no numeric 'start'" in capsys.readouterr().err
+
     def trend_ledger(self, tmp_path, elapsed_series):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         for elapsed in elapsed_series:
@@ -403,7 +416,7 @@ class TestProfileCli:
     def test_report_warns_on_unknown_schema_lines(self, tmp_path, capsys):
         ledger = self.trend_ledger(tmp_path, [1.0])
         with ledger.path.open("a", encoding="utf-8") as handle:
-            handle.write('{"key": "future", "schema": 99}\n')
+            handle.write('{"key": "future", "schema_version": 99}\n')
             handle.write("corrupt\n")
         assert main(["obs", "report", "--ledger", str(ledger.path)]) == 0
         captured = capsys.readouterr()

@@ -29,7 +29,7 @@ def metrics_text(tmp_path_factory):
     with ExperimentServer(host="127.0.0.1", port=0, engine=engine) as srv:
         client = ServiceClient(srv.url, timeout=30)
         job_id = client.submit({
-            "workload": "aes", "memento": True,
+            "workload": "aes", "stack": "memento",
             "spec_overrides": {"num_allocs": 1_200},
         })
         client.result(job_id, timeout=60)

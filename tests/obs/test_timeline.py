@@ -32,18 +32,6 @@ def nested_span_payload():
     return tracer.to_dict()["spans"]
 
 
-def strip_starts(spans):
-    """Simulate a pre-``start`` span payload (older metrics files)."""
-    out = []
-    for span in spans:
-        span = dict(span)
-        span.pop("start", None)
-        if "children" in span:
-            span["children"] = strip_starts(span["children"])
-        out.append(span)
-    return out
-
-
 class TestSpanEvents:
     def test_complete_event_schema(self):
         events = span_trace_events(nested_span_payload())
@@ -66,12 +54,13 @@ class TestSpanEvents:
         events = span_trace_events(nested_span_payload())
         assert min(e["ts"] for e in events) == 0
 
-    def test_startless_payload_synthesizes_monotone_layout(self):
-        spans = strip_starts(nested_span_payload())
-        events = span_trace_events(spans)
-        validate_trace_events(events)
-        starts = [e["ts"] for e in events]
-        assert starts == sorted(starts)
+    def test_startless_span_rejected(self):
+        # ``Tracer.to_dict`` always writes ``start``; a child without
+        # one is malformed, not laid out.
+        spans = nested_span_payload()
+        del spans[0]["children"][1]["start"]
+        with pytest.raises(ValueError, match="'inner.b' has no numeric"):
+            span_trace_events(spans)
 
 
 class TestEventInstants:

@@ -180,7 +180,7 @@ class TestCheckTrend:
             garbage=[
                 "not json at all",
                 '{"no_key_field": true}',
-                '{"key": "future", "schema": 99}',
+                '{"key": "future", "schema_version": 99}',
             ],
         )
         report = check_trend(ledger)

@@ -12,11 +12,7 @@ from repro.fleet import FleetRequest, FleetResult, simulate_fleet
 from repro.harness.engine import ExperimentEngine
 from repro.service.app import ExperimentServer
 from repro.service.client import ServiceClient
-from repro.service.wire import (
-    WireError,
-    fleet_request_from_wire,
-    fleet_request_to_wire,
-)
+from repro.service.wire import WireError, fleet_request_from_wire
 
 
 def small_fleet(**overrides) -> FleetRequest:
@@ -44,7 +40,7 @@ class TestWire:
     def test_round_trip(self):
         request = small_fleet()
         assert (
-            fleet_request_from_wire(fleet_request_to_wire(request))
+            fleet_request_from_wire(request.to_dict())
             == request
         )
 

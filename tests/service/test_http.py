@@ -104,13 +104,13 @@ class TestEndpoints:
 
     def test_malformed_submission_400(self, server, client):
         with pytest.raises(ServiceError) as err:
-            client.submit({"workload": "nope", "memento": True})
+            client.submit({"workload": "nope", "stack": "memento"})
         assert err.value.status == 400
 
     @pytest.mark.parametrize("body", [
-        {"workload": ["html"], "memento": True},
-        {"workload": {}, "memento": True},
-        {"workload": "html", "memento": "false"},
+        {"workload": ["html"], "stack": "memento"},
+        {"workload": {}, "stack": "memento"},
+        {"workload": "html", "stack": "baseline", "cold_start": "false"},
     ])
     def test_mistyped_submission_400(self, server, client, body):
         with pytest.raises(ServiceError) as err:
@@ -128,27 +128,28 @@ class TestEndpoints:
         err.value.close()
         assert err.value.code == 400
 
-    def test_retired_kernel_field_accepted_unknown_value_400(
-        self, server, client
-    ):
-        legacy = {"workload": "aes", "memento": True, "kernel": "scalar",
-                  "spec_overrides": {"num_allocs": 200}}
-        assert client.submit(legacy)
-        for path, body in (
+    def test_retired_fields_400(self, server, client):
+        # The retired ``memento`` boolean and replay-kernel field are
+        # refused on both request types, naming the field.
+        for path, body, named in (
+            ("/api/v1/runs", {"workload": "aes", "memento": True},
+             "'memento' is retired: name the stack"),
             ("/api/v1/runs",
-             {"workload": "aes", "memento": True, "kernel": "bogus"}),
-            ("/api/v1/fleets", {"kernel": "bogus"}),
+             {"workload": "aes", "stack": "memento", "kernel": "scalar"},
+             "['kernel']"),
+            ("/api/v1/fleets", {"memento": True}, "['memento']"),
+            ("/api/v1/fleets", {"kernel": "scalar"}, "['kernel']"),
         ):
             with pytest.raises(ServiceError) as err:
                 client._request("POST", path, body)
             assert err.value.status == 400
-            assert "unknown replay kernel" in str(err.value)
+            assert named in str(err.value)
 
     def test_run_endpoint_rejects_batches(self, server, client):
         with pytest.raises(ServiceError) as err:
             client._request("POST", "/api/v1/runs", {"requests": [
-                {"workload": "html", "memento": True},
-                {"workload": "html", "memento": False},
+                {"workload": "html", "stack": "memento"},
+                {"workload": "html", "stack": "baseline"},
             ]})
         assert err.value.status == 400
 
@@ -156,7 +157,7 @@ class TestEndpoints:
 class TestJobLifecycle:
     def test_submit_poll_fetch(self, client):
         job_id = client.submit({
-            "workload": "aes", "memento": True,
+            "workload": "aes", "stack": "memento",
             "spec_overrides": {"num_allocs": 1_200},
         })
         result = client.result(job_id, timeout=60)

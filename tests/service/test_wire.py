@@ -18,7 +18,6 @@ from repro.service.wire import (
     WireError,
     fleet_request_from_wire,
     run_request_from_wire,
-    run_request_to_wire,
     run_requests_from_wire,
 )
 from repro.sim.params import MachineParams
@@ -45,7 +44,7 @@ def interesting_request() -> RunRequest:
 class TestRoundTrip:
     def test_round_trip_equality(self):
         request = interesting_request()
-        rebuilt = run_request_from_wire(run_request_to_wire(request))
+        rebuilt = run_request_from_wire(request.to_dict())
         assert rebuilt == request
 
     def test_round_trip_preserves_content_key(self):
@@ -64,11 +63,11 @@ class TestRoundTrip:
             assert rebuilt.content_key() == request.content_key()
 
     def test_wire_payload_is_versioned(self):
-        payload = run_request_to_wire(interesting_request())
+        payload = interesting_request().to_dict()
         assert payload["schema_version"] == WIRE_SCHEMA_VERSION
 
     def test_version_zero_payload_upgrades(self):
-        payload = run_request_to_wire(interesting_request())
+        payload = interesting_request().to_dict()
         del payload["schema_version"]
         assert run_request_from_wire(payload) == interesting_request()
 
@@ -76,15 +75,15 @@ class TestRoundTrip:
 class TestWorkloadByName:
     def test_workload_name_resolves_registry_spec(self):
         request = run_request_from_wire(
-            {"workload": "html", "memento": True}
+            {"workload": "html", "stack": "memento"}
         )
         assert request.spec == get_workload("html")
-        assert request.memento is True
+        assert request.stack == "memento"
 
     def test_spec_overrides_apply(self):
         request = run_request_from_wire({
             "workload": "html",
-            "memento": False,
+            "stack": "baseline",
             "spec_overrides": {"num_allocs": 1_000},
         })
         assert request.spec.num_allocs == 1_000
@@ -92,7 +91,7 @@ class TestWorkloadByName:
 
     def test_named_workload_matches_inline_spec_key(self):
         by_name = run_request_from_wire(
-            {"workload": "aes", "memento": True}
+            {"workload": "aes", "stack": "memento"}
         )
         inline = RunRequest(get_workload("aes"), stack="memento")
         assert by_name.content_key() == inline.content_key()
@@ -104,53 +103,66 @@ class TestRejections:
             run_request_from_wire([1, 2, 3])
 
     def test_newer_schema_rejected(self):
-        payload = {"workload": "html", "memento": True,
+        payload = {"workload": "html", "stack": "memento",
                    "schema_version": WIRE_SCHEMA_VERSION + 1}
         with pytest.raises(WireError, match="newer"):
             run_request_from_wire(payload)
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(WireError, match="nope"):
-            run_request_from_wire({"workload": "nope", "memento": True})
+            run_request_from_wire({"workload": "nope", "stack": "memento"})
 
     def test_workload_and_spec_both_rejected(self):
         with pytest.raises(WireError, match="not both"):
             run_request_from_wire({
-                "workload": "html", "spec": {}, "memento": True,
+                "workload": "html", "spec": {}, "stack": "memento",
             })
 
     def test_bad_spec_overrides_rejected(self):
         with pytest.raises(WireError, match="spec_overrides"):
             run_request_from_wire({
-                "workload": "html", "memento": True,
+                "workload": "html", "stack": "memento",
                 "spec_overrides": {"no_such_field": 1},
             })
+        # Falsy non-objects too: none of them is "no overrides".
+        for overrides in ([], 0, "", False):
+            with pytest.raises(
+                WireError, match="spec_overrides must be an object"
+            ):
+                run_request_from_wire({
+                    "workload": "html", "stack": "memento",
+                    "spec_overrides": overrides,
+                })
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(WireError, match="unknown"):
             run_request_from_wire({
-                "workload": "html", "memento": True, "surprise": 1,
+                "workload": "html", "stack": "memento", "surprise": 1,
             })
 
     def test_missing_memento_rejected(self):
-        with pytest.raises(WireError):
+        # Neither the retired boolean nor a stack: no stack is chosen.
+        with pytest.raises(WireError, match="needs spec and stack"):
             run_request_from_wire({"workload": "html"})
 
     @pytest.mark.parametrize("name", [["html"], {}, 7, True])
     def test_non_string_workload_rejected(self, name):
         with pytest.raises(WireError, match="workload must be a name"):
-            run_request_from_wire({"workload": name, "memento": True})
+            run_request_from_wire({"workload": name, "stack": "memento"})
 
     @pytest.mark.parametrize("flag", ["memento", "cold_start",
                                       "mmap_populate"])
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
     def test_non_boolean_flag_rejected(self, flag, value):
         # bool("false") is True: a coerced flag would silently run the
-        # memento stack (or a cold start) the client asked to switch off.
+        # cold start the client asked to switch off. The retired
+        # ``memento`` flag is refused whatever its value.
         payload = {"workload": "html", "stack": "baseline", flag: value}
-        if flag == "memento":
-            del payload["stack"]
-        with pytest.raises(WireError, match=f"{flag}' must be a boolean"):
+        message = (
+            "'memento' is retired" if flag == "memento"
+            else f"{flag}' must be a boolean"
+        )
+        with pytest.raises(WireError, match=message):
             run_request_from_wire(payload)
 
     @pytest.mark.parametrize("mode", [[1e400, 1.0], [64, 10**400]])
@@ -159,7 +171,7 @@ class TestRejections:
         # OverflowError, which escaped as an HTTP 500.
         with pytest.raises(WireError, match="size_modes out of range"):
             run_request_from_wire({
-                "workload": "html", "memento": True,
+                "workload": "html", "stack": "memento",
                 "spec_overrides": {"size_modes": [mode]},
             })
 
@@ -173,26 +185,26 @@ MISTYPED = [
     (fleet_request_from_wire, {"duration_s": float("nan")}, "'duration_s' must be a finite number"),
     (fleet_request_from_wire, {"keep_alive_s": 1e400}, "'keep_alive_s' must be a finite number"),
     (run_request_from_wire,
-     {"workload": "html", "memento": True, "spec_overrides": {"num_allocs": "x"}},
+     {"workload": "html", "stack": "memento", "spec_overrides": {"num_allocs": "x"}},
      "'num_allocs' must be an integer"),
     (run_request_from_wire,
-     {"workload": "html", "memento": True, "spec_overrides": {"num_allocs": float("nan")}},
+     {"workload": "html", "stack": "memento", "spec_overrides": {"num_allocs": float("nan")}},
      "'num_allocs' must be an integer"),
     (run_request_from_wire,
-     {"workload": "html", "memento": True, "spec_overrides": {"num_allocs": -5}},
+     {"workload": "html", "stack": "memento", "spec_overrides": {"num_allocs": -5}},
      "'num_allocs' must lie in"),
     (run_request_from_wire,
-     {"workload": "html", "memento": True, "spec_overrides": {"retouch_prob": 1.5}},
+     {"workload": "html", "stack": "memento", "spec_overrides": {"retouch_prob": 1.5}},
      "'retouch_prob' must lie in"),
     (run_request_from_wire,
-     {"workload": "html", "memento": True, "spec_overrides": {"language": "rust"}},
+     {"workload": "html", "stack": "memento", "spec_overrides": {"language": "rust"}},
      "'language' must be one of"),
     (run_request_from_wire,
-     {"workload": "html", "memento": True,
+     {"workload": "html", "stack": "memento",
       "spec_overrides": {"size_modes": [[64, 0]]}},
      "size_modes out of range: no positive weight"),
     (run_request_from_wire,
-     {"workload": "html", "memento": True,
+     {"workload": "html", "stack": "memento",
       "spec_overrides": {"size_modes": [["64", 1.0]]}},
      "size_modes out of range"),
     (run_request_from_wire,
@@ -202,8 +214,14 @@ MISTYPED = [
      {"workload": "html", "stack": "baseline", "allocator_kwargs": [[1, 2]]},
      "'allocator_kwargs' must be a list of"),
     (run_request_from_wire,
-     {"workload": "html", "memento": True, "config": {"pool_low_water": "8"}},
+     {"workload": "html", "stack": "memento", "config": {"pool_low_water": "8"}},
      "config field 'pool_low_water' must be an integer"),
+    *[
+        (run_request_from_wire,
+         {"workload": "html", "stack": "baseline", "spec_overrides": bad},
+         "spec_overrides must be an object")
+        for bad in ([], 0, "", False)
+    ],
     (run_request_from_wire,
      {"workload": "aes", "stack": "baseline", "machine_params": {"freq_hz": 0}},
      "freq_hz = 0 must be above 0"),
@@ -231,14 +249,14 @@ def test_float_field_takes_an_integer():
 class TestBatch:
     def test_single_run_body(self):
         requests = run_requests_from_wire(
-            {"workload": "html", "memento": True}
+            {"workload": "html", "stack": "memento"}
         )
         assert len(requests) == 1
 
     def test_sweep_body(self):
         requests = run_requests_from_wire({"requests": [
-            {"workload": "html", "memento": True},
-            {"workload": "html", "memento": False},
+            {"workload": "html", "stack": "memento"},
+            {"workload": "html", "stack": "baseline"},
         ]})
         assert [r.stack for r in requests] == ["memento", "baseline"]
 
@@ -256,9 +274,9 @@ class TestBatch:
 #: Valid payloads to mutate, as the server receives them (through
 #: JSON, so tuples are lists). Redis carries the nested ``size_modes``
 #: pairs that html lacks.
-RUN_BASE = json.loads(json.dumps(run_request_to_wire(
-    replace(interesting_request(), spec=small("Redis"))
-)))
+RUN_BASE = json.loads(json.dumps(
+    replace(interesting_request(), spec=small("Redis")).to_dict()
+))
 RUN_FIELDS = sorted(set(RUN_BASE)
                     | {"workload", "spec_overrides", "requests", "kernel"})
 FLEET_BASE = json.loads(json.dumps(FleetRequest().to_dict()))
