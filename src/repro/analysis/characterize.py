@@ -153,12 +153,6 @@ def joint_size_lifetime(traces: Iterable[Trace]) -> Dict[str, float]:
     return {key: value / total for key, value in cells.items()}
 
 
-def short_lived_fraction(traces: Sequence[Trace]) -> float:
-    """Overall fraction freed within 16 same-class allocations."""
-    dist = lifetime_distribution(traces)
-    return dist[0]
-
-
 def small_fraction(traces: Sequence[Trace]) -> float:
     """Overall fraction at or under 512 B."""
     return size_distribution(traces)[0]

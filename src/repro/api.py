@@ -18,11 +18,11 @@ stable. Import from here in notebooks, downstream scripts, and docs::
 Everything in ``__all__`` is covered by the round-trip conventions
 documented in DESIGN.md: result/config objects expose
 ``to_dict``/``from_dict``, engines honor ``REPRO_CACHE_DIR`` /
-``REPRO_NO_CACHE`` / ``REPRO_NO_LEDGER``, and every instrument is off by default. Instruments (tracer, event ring,
-cycle profile, auditor, fleet recorder) are bound through one slot:
-``with instrumented(...)`` sets them, ``current()`` reads them. Drift
-over the run ledger is judged by one gate (``check_trend``,
-``check_fleet_trend``, ``repro obs trend``).
+``REPRO_NO_CACHE`` / ``REPRO_NO_LEDGER``, and every instrument is off
+by default. Instruments (tracer, cycle profile, auditor, fleet recorder)
+are bound through one slot: ``with instrumented(...)`` sets them,
+``current()`` reads them. Drift over the run ledger is judged by one
+gate (``check_trend``, ``check_fleet_trend``, ``repro obs trend``).
 
 Fleet simulation is part of the same declarative request hierarchy:
 build a ``FleetRequest`` and hand it to ``simulate_fleet`` (in-process),
@@ -65,7 +65,6 @@ from repro.harness.experiment import (
 from repro.harness.system import RunResult, SimulatedSystem
 from repro.obs import (
     CycleProfile,
-    EventRing,
     Instruments,
     Log2Histogram,
     NullTracer,
@@ -127,7 +126,6 @@ __all__ = [
     "get_workload",
     # observability
     "CycleProfile",
-    "EventRing",
     "Instruments",
     "Log2Histogram",
     "NullTracer",

@@ -10,7 +10,7 @@ on these relationships (§3.1–§3.3); PRs 2–4 rewrote the hot paths into
 closure factories, so the checker is what keeps "fast" from silently
 diverging from "the model".
 
-Gating mirrors the EventRing/Profile pattern exactly: the ``audit`` field
+Gating mirrors the CycleProfile pattern exactly: the ``audit`` field
 of the instrument bundle (``instrumented(audit=...)``), captured by
 ``SimulatedSystem`` at construction. With no auditor bound the replay
 paths are byte-identical to the unaudited build — the only cost is one

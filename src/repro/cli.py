@@ -29,7 +29,7 @@ Commands:
 * ``obs report|diff`` — render the run ledger and exported metrics, or
   diff two metric JSONL files.
 * ``obs profile|timeline|trend`` — render an exported cycle profile,
-  export spans + sampled events as Perfetto trace JSON, or gate the
+  export spans and fleet telemetry as Perfetto trace JSON, or gate the
   ledger history for drift (wall time, digests, fleet headline
   metrics).
 
@@ -95,13 +95,11 @@ from repro.resolve import (
 from repro.harness import sweeps
 from repro.obs import (
     CycleProfile,
-    EventRing,
     RunLedger,
     Tracer,
     check_fleet_trend,
     check_trend,
     default_ledger_path,
-    event_record,
     export_timeline,
     fleet_trend,
     histogram_lines,
@@ -188,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--trace", action="store_true",
-        help="record spans + sampled hardware events; print the span tree",
+        help="record phase spans; print the span tree",
     )
     run_parser.add_argument(
         "--metrics", default=None, metavar="PATH",
@@ -363,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_run_parser.add_argument(
         "--telemetry", default=None, metavar="PATH",
         help="write fleet telemetry (per-epoch records, instance "
-        "lifetimes, sampled events) as JSONL at PATH",
+        "lifetimes) as JSONL at PATH",
     )
     fleet_run_parser.set_defaults(handler=cmd_fleet_run)
 
@@ -468,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile_parser.set_defaults(handler=cmd_obs_profile)
 
     timeline_parser = obs_sub.add_parser(
-        "timeline", help="export spans + events as Perfetto trace JSON"
+        "timeline",
+        help="export spans and fleet telemetry as Perfetto trace JSON",
     )
     timeline_parser.add_argument(
         "metrics", metavar="METRICS_JSONL",
@@ -554,7 +553,7 @@ def _make_engine(args: argparse.Namespace) -> ExperimentEngine:
     )
 
 
-def _export_metrics(path: str, runs, tracer, ring, profile=None) -> None:
+def _export_metrics(path: str, runs, tracer, profile=None) -> None:
     """Write the Prometheus text file and its JSONL sidecar; ``runs``
     holds one ``(workload, label, RunResult)`` row per run."""
     snapshots = []
@@ -568,8 +567,6 @@ def _export_metrics(path: str, runs, tracer, ring, profile=None) -> None:
         records.append(run_record(summary, stack=label))
     if tracer is not None:
         records.append(span_record(tracer.to_dict()))
-    if ring is not None:
-        records.append(event_record(ring.to_dict()))
     text = render_prometheus(snapshots)
     if profile is not None:
         payload = profile.to_dict()
@@ -652,10 +649,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         else [get_workload(name) for name in names]
     )
     args.jobs = resolve_jobs(args.jobs)
-    tracer = ring = profile = auditor = None
+    tracer = profile = auditor = None
     if args.trace:
         tracer = Tracer()
-        ring = EventRing(timestamps=True)
     if args.profile:
         profile = CycleProfile()
     if args.audit:
@@ -676,7 +672,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         args.no_cache = True
     engine = _make_engine(args)
     with closing(engine), instrumented(
-        tracer=tracer, ring=ring, profile=profile, audit=auditor
+        tracer=tracer, profile=profile, audit=auditor
     ):
         if stacks is None:
             results = run_all(
@@ -723,7 +719,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print()
         print(render_histograms(payload))
     if args.metrics:
-        _export_metrics(args.metrics, runs, tracer, ring, profile)
+        _export_metrics(args.metrics, runs, tracer, profile)
     counters = engine.summary()
     hits = int(
         counters.get("engine.memo.hits", 0)
@@ -857,13 +853,12 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
         stacks=stacks,
     )
     engine = _make_engine(args)
-    recorder = ring = None
+    recorder = None
     if args.telemetry:
         from repro.fleet import FleetRecorder
 
         recorder = FleetRecorder()
-        ring = EventRing(capacity=8192, sample_every=1)
-    with closing(engine), instrumented(recorder=recorder, ring=ring):
+    with closing(engine), instrumented(recorder=recorder):
         result = simulate_fleet(
             request,
             engine=engine,
@@ -890,8 +885,6 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
             }
         ]
         records.extend(recorder.records())
-        if ring is not None:
-            records.append(event_record(ring.to_dict()))
         write_jsonl(Path(args.telemetry), records)
         print(
             f"wrote {args.telemetry} ({len(records)} telemetry "
@@ -1163,14 +1156,6 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
                 print("=========")
                 print(render_span_tree({"spans": record["spans"]}))
                 printed = True
-            elif record.get("kind") == "events" and record.get("counts"):
-                print()
-                print(render_table(
-                    ["event", "count"],
-                    sorted(record["counts"].items()),
-                    title="sampled hardware events",
-                ))
-                printed = True
     if not printed:
         print("nothing to report: no ledger entries or metric records")
     return 0
@@ -1219,7 +1204,7 @@ def cmd_obs_profile(args: argparse.Namespace) -> int:
     records = read_jsonl(Path(args.metrics))
     profiles = [r for r in records if r.get("kind") == "profile"]
     if not profiles:
-        raise ValueError(
+        return _usage_error(
             f"obs profile: no profile records in {args.metrics} "
             "(export one with `repro run --profile --metrics PATH`)"
         )
@@ -1240,13 +1225,13 @@ def cmd_obs_timeline(args: argparse.Namespace) -> int:
     relevant = [
         r for r in records
         if r.get("kind")
-        in ("spans", "events", "fleet.instance", "fleet.epoch")
+        in ("spans", "fleet.instance", "fleet.epoch")
     ]
     if not relevant:
-        raise ValueError(
-            f"obs timeline: no span, event, or fleet records in "
-            f"{args.metrics} (export them with `repro run --trace "
-            "--metrics PATH` or `repro fleet run --telemetry PATH`)"
+        return _usage_error(
+            f"obs timeline: no span or fleet records in {args.metrics} "
+            "(export them with `repro run --trace --metrics PATH` or "
+            "`repro fleet run --telemetry PATH`)"
         )
     try:
         out = export_timeline(Path(args.out), relevant)

@@ -78,15 +78,6 @@ class ArenaHeader:
             return None
         return (inverted & -inverted).bit_length() - 1
 
-    def take_next_slot(self) -> int:
-        """Claim and return the lowest free slot — the priority-encoder
-        scan and the bitmap set fused for the alloc hot path. The caller
-        guarantees the arena is not full."""
-        inverted = ~self.bitmap & self.full_mask
-        bit = inverted & -inverted
-        self.bitmap |= bit
-        return bit.bit_length() - 1
-
     def set_slot(self, index: int) -> None:
         """Mark object ``index`` allocated."""
         mask = 1 << self._checked(index)

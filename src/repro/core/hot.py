@@ -14,7 +14,6 @@ from typing import List, Optional
 
 from repro.core.arena import ArenaHeader
 from repro.core.config import MementoConfig
-from repro.obs.instruments import current as current_instruments
 from repro.sim.stats import ScopedStats
 
 
@@ -46,7 +45,6 @@ class HardwareObjectTable:
         "_alloc_misses",
         "_free_hits",
         "_free_misses",
-        "_ring",
     )
 
     def __init__(self, config: MementoConfig, stats: ScopedStats) -> None:
@@ -55,16 +53,13 @@ class HardwareObjectTable:
         self.entries: List[HotEntry] = [
             HotEntry() for _ in range(config.num_size_classes)
         ]
-        # Interned counter cells: record_alloc/record_free run once per
+        # Interned counter cells: the object allocator bumps them once per
         # obj-alloc/obj-free — the hottest counters in the Memento stack.
         self._fills = stats.counter("fills")
         self._alloc_hits = stats.counter("alloc_hits")
         self._alloc_misses = stats.counter("alloc_misses")
         self._free_hits = stats.counter("free_hits")
         self._free_misses = stats.counter("free_misses")
-        #: Sampled hardware-event ring, bound at construction (None keeps
-        #: the record paths to a single attribute test when sampling is off).
-        self._ring = current_instruments().ring
 
     def lookup(self, size_class: int) -> HotEntry:
         """Direct-mapped index by size class (no search)."""
@@ -77,16 +72,6 @@ class HardwareObjectTable:
         entry.header = header
         self._fills.add()
         return replaced
-
-    def record_alloc(self, hit: bool) -> None:
-        (self._alloc_hits if hit else self._alloc_misses).pending += 1
-        if self._ring is not None:
-            self._ring.record("hot.alloc_hit" if hit else "hot.alloc_miss")
-
-    def record_free(self, hit: bool) -> None:
-        (self._free_hits if hit else self._free_misses).pending += 1
-        if self._ring is not None:
-            self._ring.record("hot.free_hit" if hit else "hot.free_miss")
 
     def alloc_hit_rate(self) -> float:
         """Fraction of obj-alloc requests satisfied by the resident entry."""

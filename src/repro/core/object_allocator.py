@@ -82,13 +82,10 @@ class HardwareObjectAllocator:
         self._allocs_cell = self.stats.counter("allocs")
         self._frees_cell = self.stats.counter("frees")
         self._hidden_cell = self.stats.counter("hidden_miss_cycles")
-        #: Sampled hardware-event ring, bound at construction (None keeps
-        #: the obj-alloc/obj-free fast paths to one attribute test each).
-        instruments = current_instruments()
-        self._ring = instruments.ring
-        # Cycle-attribution cells, bound the same way: disabled costs one
-        # None test per obj-alloc/obj-free; the cells never charge cycles.
-        profile = instruments.profile
+        # Cycle-attribution cells, bound at construction: disabled costs
+        # one None test per obj-alloc/obj-free; the cells never charge
+        # cycles.
+        profile = current_instruments().profile
         if profile is None:
             self._p_alloc_hit = None
             self._p_alloc_miss = None
@@ -119,8 +116,6 @@ class HardwareObjectAllocator:
 
         if header is not None and header.bitmap != header.full_mask:
             self._hot_alloc_hits.pending += 1
-            if self._ring is not None:
-                self._ring.record("hot.alloc_hit", size_class)
             if self._p_alloc_hit is not None:
                 self._p_alloc_hit.add(cycles)
         else:
@@ -133,8 +128,6 @@ class HardwareObjectAllocator:
             else:
                 cycles += miss_cycles
             self._hot_alloc_misses.pending += 1
-            if self._ring is not None:
-                self._ring.record("hot.alloc_miss", size_class)
             if self._p_alloc_miss is not None:
                 self._p_alloc_miss.add(cycles)
 
@@ -234,8 +227,6 @@ class HardwareObjectAllocator:
         if resident is not None and resident.va == arena_base:
             header = resident
             self._hot_free_hits.pending += 1
-            if self._ring is not None:
-                self._ring.record("hot.free_hit", size_class)
             # Inlined _clear_checked: recover the slot index and clear its
             # bitmap bit, validating the operand like the hardware does.
             offset = addr - arena_base - HEADER_BYTES
@@ -256,8 +247,6 @@ class HardwareObjectAllocator:
                 self._p_free_hit.add(cycles)
         else:
             self._hot_free_misses.pending += 1
-            if self._ring is not None:
-                self._ring.record("hot.free_miss", size_class)
             header = self.headers.get(arena_base)
             if header is None:
                 raise MementoDoubleFreeError(

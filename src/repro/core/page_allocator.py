@@ -115,8 +115,6 @@ class ArenaAllocationCache:
         #: Core slot -> the classes it caches, in LRU order (a plain
         #: dict, probed like a cache set; see ``repro.sim.cache.Cache``).
         self.entries: Dict[int, Dict[int, bool]] = {}
-        #: Sampled hardware-event ring, bound at construction.
-        self._ring = current_instruments().ring
 
     def access(self, core_id: int, size_class: int) -> bool:
         """Touch (core, class); return True on an AAC hit."""
@@ -124,15 +122,11 @@ class ArenaAllocationCache:
         if size_class in entry:
             entry[size_class] = entry.pop(size_class)
             self.stats.add("hits")
-            if self._ring is not None:
-                self._ring.record("aac.hit", size_class)
             return True
         if len(entry) >= self.config.aac_classes_per_core:
             entry.pop(next(iter(entry)))
         entry[size_class] = True
         self.stats.add("misses")
-        if self._ring is not None:
-            self._ring.record("aac.miss", size_class)
         return False
 
     def hit_rate(self) -> float:
@@ -154,12 +148,9 @@ class HardwarePageAllocator:
         )
         self.pool: List[int] = []
         self._states: Dict[int, ProcessPageState] = {}
-        #: Sampled hardware-event ring, bound at construction.
-        instruments = current_instruments()
-        self._ring = instruments.ring
         # Cycle-attribution cells (see obs/profile.py): bound here so the
         # disabled path pays one None test per method-level operation.
-        profile = instruments.profile
+        profile = current_instruments().profile
         if profile is None:
             self._p_aac_hit = None
             self._p_aac_miss = None
@@ -393,8 +384,6 @@ class HardwarePageAllocator:
             if remote:
                 self._p_shootdown.count += remote
                 self._p_shootdown.cycles += shootdown_cycles
-        if remote and self._ring is not None:
-            self._ring.record("tlb.shootdown", remote)
         owner = state.owner_thread(size_class, va)
         state.free_spans.setdefault((owner, size_class), []).append(va)
         self.stats.add("arenas_freed")

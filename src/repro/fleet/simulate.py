@@ -93,11 +93,9 @@ def simulate_fleet(
     engine = engine if engine is not None else ExperimentEngine()
     say = log if log is not None else (lambda message: None)
     # Telemetry is captured once at entry (bind-before-run, like the
-    # ring/profile/audit); None means disabled and the pass below takes
-    # the exact same branches as ever.
-    instruments = current_instruments()
-    recorder = instruments.recorder
-    ring = instruments.ring
+    # profile/audit); None means disabled and the pass below takes the
+    # exact same branches as ever.
+    recorder = current_instruments().recorder
     started = time.perf_counter()
 
     shards = fleet_run_requests(req)
@@ -206,26 +204,19 @@ def simulate_fleet(
                     dram_bytes += cold_dram
                 else:
                     dram_bytes += warm_dram
-            if recorder is not None or ring is not None:
-                deltas = {
-                    "cold_starts": pool.stats.cold_starts - before[0],
-                    "warm_starts": pool.stats.warm_starts - before[1],
-                    "expirations": pool.stats.expirations - before[2],
-                    "evictions": pool.stats.evictions - before[3],
-                }
-                if recorder is not None:
-                    recorder.epoch(
-                        stack,
-                        epoch,
-                        edges[epoch],
-                        edges[epoch + 1],
-                        invocations=counts[epoch],
-                        pool_size=pool.idle_count,
-                        **deltas,
-                    )
-                if ring is not None:
-                    for counter, delta in deltas.items():
-                        ring.record(f"fleet.{stack}.{counter}", delta)
+            if recorder is not None:
+                recorder.epoch(
+                    stack,
+                    epoch,
+                    edges[epoch],
+                    edges[epoch + 1],
+                    invocations=counts[epoch],
+                    pool_size=pool.idle_count,
+                    cold_starts=pool.stats.cold_starts - before[0],
+                    warm_starts=pool.stats.warm_starts - before[1],
+                    expirations=pool.stats.expirations - before[2],
+                    evictions=pool.stats.evictions - before[3],
+                )
         stats = pool.finish(req.duration_s)
         if recorder is not None:
             recorder.finish_stack(stack, stats.stranding_timeline)

@@ -285,7 +285,3 @@ def geometric_mean(values: Sequence[float]) -> float:
             )
         total += math.log(value)
     return math.exp(total / len(values))
-
-
-def average_speedup(results: Sequence[WorkloadResult]) -> float:
-    return geometric_mean([r.speedup for r in results])

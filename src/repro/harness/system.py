@@ -237,7 +237,7 @@ class SimulatedSystem:
             self._profile.checkpoint() if self._profile is not None else None
         )
         # Invariant auditor, captured at construction exactly like the
-        # profile/ring: with none bound (the default) the replay paths
+        # profile: with none bound (the default) the replay paths
         # below are byte-identical to an audit-free build.
         self._audit = instruments.audit
         self.machine = machine or Machine(machine_params, cost_model)

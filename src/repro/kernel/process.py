@@ -48,10 +48,6 @@ class Process:
         self.user_pages_live -= pages
         self.kernel.machine.frames.credit("user", pages)
 
-    def kernel_pages_live(self) -> int:
-        """Page-table pages + VMA metadata pages currently held."""
-        return self.page_table.table_pages + self.vmas.metadata_pages()
-
     def kernel_pages_aggregate(self) -> int:
         """Aggregate kernel pages for Fig. 11.
 

@@ -1,30 +1,27 @@
-"""Observability: tracing, metrics, events, ledger, profiler, timeline.
+"""Observability: tracing, metrics, ledger, profiler, timeline.
 
 The subsystem's parts are all off by default and woven through the
 harness so enabling them costs one CLI flag (``repro run --trace
 --metrics out.prom``, ``repro run --profile``) rather than code changes:
 
 * :mod:`repro.obs.instruments` — the one slot every run instrument
-  (tracer, event ring, profile, auditor, fleet recorder) is bound
+  (tracer, profile, auditor, fleet recorder) is bound
   through: ``with instrumented(...)``, read with ``current()``.
 * :mod:`repro.obs.tracing` — nested wall-clock spans over a run's
   phases, with a shared no-op null tracer when disabled.
 * :mod:`repro.obs.metrics` — Stats snapshots, span trees, histograms,
   and profiles serialized to Prometheus text and JSON-lines.
-* :mod:`repro.obs.events` — a sampled, bounded ring of hardware events
-  (HOT hits, AAC bumps, bypass instantiations, TLB shootdowns).
 * :mod:`repro.obs.ledger` — the append-only run ledger every engine
   execution writes.
 * :mod:`repro.obs.profile` — exact simulated-cycle attribution (the
   paper's Fig. 9 question) and per-op log2 latency histograms.
-* :mod:`repro.obs.timeline` — span trees and sampled events exported as
+* :mod:`repro.obs.timeline` — span trees and fleet telemetry exported as
   Chrome/Perfetto trace-event JSON (``repro obs timeline``).
 * :mod:`repro.obs.trend` — the one drift gate (``repro obs trend``):
   per-key wall time, digests and fleet headline metrics, judged by one
   policy table.
 """
 
-from repro.obs.events import EventRing
 from repro.obs.instruments import Instruments, current, instrumented
 from repro.obs.ledger import (
     LEDGER_NAME,
@@ -37,7 +34,6 @@ from repro.obs.ledger import (
     split_fleet_entries,
 )
 from repro.obs.metrics import (
-    event_record,
     histogram_lines,
     profile_record,
     prometheus_lines,
@@ -82,7 +78,6 @@ from repro.obs.trend import (
 
 __all__ = [
     "CycleProfile",
-    "EventRing",
     "Instruments",
     "LEDGER_NAME",
     "Log2Histogram",
@@ -97,7 +92,6 @@ __all__ = [
     "counter_digest",
     "current",
     "default_ledger_path",
-    "event_record",
     "export_timeline",
     "fleet_manifest",
     "fleet_trace_events",

@@ -1,8 +1,7 @@
 """One slot for every instrument that watches a run.
 
-An :class:`Instruments` bundle holds the five observers a run can carry:
-the span :class:`~repro.obs.tracing.Tracer`, the sampled
-:class:`~repro.obs.events.EventRing`, the cycle-attribution
+An :class:`Instruments` bundle holds the four observers a run can carry:
+the span :class:`~repro.obs.tracing.Tracer`, the cycle-attribution
 :class:`~repro.obs.profile.CycleProfile`, the invariant
 :class:`~repro.audit.invariants.Auditor` and the fleet
 :class:`~repro.fleet.telemetry.FleetRecorder`. Every field is off by
@@ -11,7 +10,7 @@ ever reads simulated state, so a run's numbers are the same with any of
 them on.
 
 Code that observes asks :func:`current` for the bundle. Each reader keeps
-its own timing: simulator components bind the ring/profile/audit when
+its own timing: simulator components bind the profile/audit when
 they are constructed (the disabled replay path then carries no
 instrument code at all), ``simulate_fleet`` reads the recorder at entry,
 and spans ask for the tracer when they open. Set a bundle with
@@ -39,7 +38,6 @@ from repro.obs.tracing import NULL_TRACER
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.audit.invariants import Auditor
     from repro.fleet.telemetry import FleetRecorder
-    from repro.obs.events import EventRing
     from repro.obs.profile import CycleProfile
 
 
@@ -48,7 +46,6 @@ class Instruments:
     """The instruments bound to a run; every field is off by default."""
 
     tracer: Any = NULL_TRACER
-    ring: Optional["EventRing"] = None
     profile: Optional["CycleProfile"] = None
     audit: Optional["Auditor"] = None
     recorder: Optional["FleetRecorder"] = None

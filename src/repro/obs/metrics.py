@@ -9,8 +9,8 @@ to_dict` counter snapshot carried on every :class:`RunResult`:
   dropped into a node-exporter textfile collector or diffed directly.
 * **JSON-lines** (``*.jsonl``): one self-describing record per run
   (``kind: "run"``) plus optional span-tree (``kind: "spans"``) and
-  sampled-event (``kind: "events"``) records. ``repro obs report``
-  consumes this format.
+  profile (``kind: "profile"``) records. ``repro obs report`` consumes
+  this format.
 """
 
 from __future__ import annotations
@@ -163,11 +163,6 @@ def run_record(
 def span_record(tracer_payload: Mapping[str, Any]) -> Dict[str, Any]:
     """One ``kind: "spans"`` record from ``Tracer.to_dict()``."""
     return {"kind": "spans", "spans": tracer_payload.get("spans", [])}
-
-
-def event_record(ring_payload: Mapping[str, Any]) -> Dict[str, Any]:
-    """One ``kind: "events"`` record from ``EventRing.to_dict()``."""
-    return {"kind": "events", **dict(ring_payload)}
 
 
 def profile_record(profile_payload: Mapping[str, Any]) -> Dict[str, Any]:

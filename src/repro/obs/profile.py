@@ -5,7 +5,7 @@ this module answers the paper's own question: *where did the simulated
 cycles go?* — 2-cycle HOT hits, 1-cycle AAC hits, four-digit kernel
 fault paths, bypass instantiations (PAPER.md §3, §6.4, Fig. 9).
 
-Design mirrors :mod:`repro.obs.events`: a :class:`CycleProfile` is
+A :class:`CycleProfile` is
 bound (or not) in the instrument bundle (:mod:`repro.obs.instruments`)
 *before* the system under study is constructed. Components bind its
 interned :class:`ProfileCell` / :class:`Log2Histogram` handles at

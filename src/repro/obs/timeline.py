@@ -1,17 +1,17 @@
-"""Chrome/Perfetto trace-event export of span trees and sampled events.
+"""Chrome/Perfetto trace-event export of span trees and fleet telemetry.
 
-Converts the PR-3 observability payloads — ``Tracer.to_dict()`` span
-forests (``kind: "spans"`` metrics records) and ``EventRing.to_dict()``
-samples (``kind: "events"`` records) — into the Trace Event JSON format
-understood by ``ui.perfetto.dev`` and ``chrome://tracing``:
+Converts metrics records — ``Tracer.to_dict()`` span forests
+(``kind: "spans"``) and fleet telemetry (``kind: "fleet.instance"`` /
+``kind: "fleet.epoch"``) — into the Trace Event JSON format understood
+by ``ui.perfetto.dev`` and ``chrome://tracing``:
 
 * each span becomes a ``ph: "X"`` *complete* event (microsecond ``ts`` +
   ``dur``) on the span track, nesting by timestamp containment;
-* each sampled hardware event becomes a ``ph: "i"`` *instant* event on a
-  separate track, placed by its recorded ``perf_counter`` timestamp when
-  the ring captured one, or laid out sequentially when not.
+* fleet records become per-instance lifetime tracks and per-stack
+  counter series on simulated time (:func:`fleet_trace_events`).
 
-All timestamps are rebased so the earliest span (or event) is ``ts=0``.
+Span timestamps are rebased so the earliest span is ``ts=0``. Any other
+record kind is ignored.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 #: Track (tid) assignments inside the single exported process.
 SPAN_TID = 1
-EVENT_TID = 2
 #: Fleet tracks (instance lifetimes, per-stack counters) start here.
 FLEET_TID_BASE = 10
 
@@ -85,41 +84,6 @@ def span_trace_events(
     out: List[Dict[str, Any]] = []
     for span in spans:
         _emit_span(span, base, pid, out)
-    return out
-
-
-def event_trace_events(
-    ring_payload: Mapping[str, Any],
-    base: Optional[float] = None,
-    pid: int = 1,
-) -> List[Dict[str, Any]]:
-    """``ph: "i"`` instant events for an ``EventRing.to_dict()`` payload.
-
-    Timestamped records (4-tuples) are placed on the shared clock; bare
-    3-tuple records are laid out one microsecond apart in ring order.
-    """
-    out: List[Dict[str, Any]] = []
-    records = ring_payload.get("events", ())
-    stamped = [r for r in records if len(r) >= 4]
-    if base is None:
-        base = min((float(r[3]) for r in stamped), default=0.0)
-    for index, record in enumerate(records):
-        if len(record) >= 4:
-            ts_us = (float(record[3]) - base) * 1e6
-        else:
-            ts_us = float(index)
-        seq, kind, value = record[0], record[1], record[2]
-        out.append(
-            {
-                "name": str(kind),
-                "ph": "i",
-                "ts": round(ts_us, 3),
-                "pid": pid,
-                "tid": EVENT_TID,
-                "s": "t",
-                "args": {"seq": seq, "value": value},
-            }
-        )
     return out
 
 
@@ -244,20 +208,16 @@ def trace_events(
 ) -> List[Dict[str, Any]]:
     """Trace events for a metrics-JSONL record stream.
 
-    Consumes the ``kind: "spans"`` and ``kind: "events"`` records that
-    ``repro run --trace --metrics out.jsonl`` writes; other kinds are
-    ignored. Span and sampled-event tracks share one rebased clock when
-    both carry real timestamps.
+    Consumes the ``kind: "spans"`` records that ``repro run --trace
+    --metrics out.jsonl`` writes and the fleet telemetry records; other
+    kinds are ignored.
     """
     span_forests: List[List[Mapping[str, Any]]] = []
-    ring_payloads: List[Mapping[str, Any]] = []
     fleet_records: List[Mapping[str, Any]] = []
     for record in records:
         kind = record.get("kind")
         if kind == "spans":
             span_forests.append(list(record.get("spans", ())))
-        elif kind == "events":
-            ring_payloads.append(record)
         elif kind in ("fleet.instance", "fleet.epoch"):
             fleet_records.append(record)
     starts = [
@@ -266,10 +226,6 @@ def trace_events(
         for span in forest
         for s in _span_starts(span)
     ]
-    for payload in ring_payloads:
-        starts.extend(
-            float(r[3]) for r in payload.get("events", ()) if len(r) >= 4
-        )
     base = min(starts) if starts else 0.0
     events: List[Dict[str, Any]] = [
         {
@@ -288,14 +244,6 @@ def trace_events(
             "tid": SPAN_TID,
             "args": {"name": "phases"},
         },
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "ts": 0,
-            "pid": pid,
-            "tid": EVENT_TID,
-            "args": {"name": "hw events"},
-        },
     ]
     # Forests share one track; records may arrive out of chronological
     # order (a client span appended after the service's job spans), so
@@ -305,8 +253,6 @@ def trace_events(
         span_events.extend(span_trace_events(forest, base=base, pid=pid))
     span_events.sort(key=lambda e: (e["ts"], -e.get("dur", 0.0)))
     events.extend(span_events)
-    for payload in ring_payloads:
-        events.extend(event_trace_events(payload, base=base, pid=pid))
     events.extend(fleet_trace_events(fleet_records, pid=pid))
     return events
 

@@ -408,9 +408,8 @@ class CacheHierarchy:
             l1_set[line] = write
             return result
 
-        # Cycle-attribution profiling is bound at construction exactly
-        # like the instantiate ring wrapper below: with no profile
-        # bound (the default) the un-wrapped closure is returned, so
+        # Cycle-attribution profiling is bound at construction: with no
+        # profile bound (the default) the un-wrapped closure is returned, so
         # the disabled replay path is byte-identical. The wrapper only
         # samples outer-level outcomes into latency histograms and the
         # cross-category ``dram.access`` overlay — it never charges
@@ -530,19 +529,6 @@ class CacheHierarchy:
                             v_set[victim_addr] = True
                 l1_set[line] = write
             return r_bypass
-
-        # Event-ring sampling is bound at construction: with no ring
-        # bound (the default) the un-wrapped closure above is
-        # returned, so the disabled path carries zero extra work.
-        ring = current_instruments().ring
-        if ring is None:
-            return instantiate
-        record = ring.record
-        inner = instantiate
-
-        def instantiate(addr, write=True):
-            record("bypass.instantiate", addr)
-            return inner(addr, write)
 
         return instantiate
 

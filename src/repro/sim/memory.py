@@ -82,10 +82,6 @@ class FrameSpace:
     def live_total(self) -> int:
         return sum(self._live.values())
 
-    @property
-    def aggregate_total(self) -> int:
-        return sum(self._aggregate.values())
-
     def usage_report(self) -> Dict[str, Dict[str, int]]:
         """Return ``{category: {live, aggregate, peak}}`` for all cats."""
         cats = set(self._live) | set(self._aggregate)

@@ -23,7 +23,6 @@ from repro.audit import AuditContext, Auditor
 from repro.audit.invariants import CacheWritebackLedger
 from repro.fleet.telemetry import FleetRecorder
 from repro.harness.system import SimulatedSystem
-from repro.obs.events import EventRing
 from repro.obs.instruments import Instruments, current, instrumented
 from repro.obs.profile import CycleProfile
 from repro.obs.tracing import NULL_TRACER, Tracer
@@ -34,7 +33,6 @@ from repro.workloads.synth import generate_trace
 #: without an entry here fails ``test_every_field_has_a_factory``.
 FACTORIES = {
     "tracer": Tracer,
-    "ring": EventRing,
     "profile": CycleProfile,
     "audit": lambda: Auditor(epoch="event"),
     "recorder": FleetRecorder,
@@ -55,6 +53,15 @@ def run_once(spec, stack):
 
 def test_every_field_has_a_factory():
     assert sorted(FACTORIES) == sorted(FIELD_NAMES)
+
+
+def test_unknown_field_is_refused():
+    # The sampled event ring was an instrument once; its counts are
+    # Stats counters now, so binding it is a caller error.
+    with pytest.raises(TypeError, match="ring"):
+        with instrumented(ring=object()):
+            pass
+    assert current() == Instruments()
 
 
 def assert_rebinds(stack, names):
@@ -88,7 +95,7 @@ def test_instrumented_restores_previous_bundle_on_exception():
     with instrumented(tracer=outer) as bundle:
         assert current() is bundle and bundle.tracer is outer
         with pytest.raises(RuntimeError):
-            with instrumented(tracer=inner, ring=EventRing()):
+            with instrumented(tracer=inner, profile=CycleProfile()):
                 assert current().tracer is inner
                 raise RuntimeError("boom")
         assert current() is bundle

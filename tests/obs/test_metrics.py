@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs.metrics import (
-    event_record,
     prometheus_lines,
     read_jsonl,
     render_prometheus,
@@ -102,14 +101,11 @@ class TestRecords:
         record = run_record({**self.SUMMARY, "memento": False}, "baseline")
         assert record["stack"] == "baseline"
 
-    def test_span_and_event_records(self):
+    def test_span_record(self):
         spans = span_record({"spans": [{"name": "a", "seconds": 0.0}]})
         assert spans == {
             "kind": "spans", "spans": [{"name": "a", "seconds": 0.0}]
         }
-        events = event_record({"counts": {"x": 1}, "events": []})
-        assert events["kind"] == "events"
-        assert events["counts"] == {"x": 1}
 
 
 class TestJsonl:

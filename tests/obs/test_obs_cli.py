@@ -144,11 +144,14 @@ def test_run_trace_and_metrics_end_to_end(
     ]
     kinds = [r["kind"] for r in records]
     assert kinds.count("run") == 3  # baseline, memento, memento_nobypass
-    assert "spans" in kinds and "events" in kinds
+    assert "spans" in kinds and "events" not in kinds
     stacks = {r["stack"] for r in records if r["kind"] == "run"}
     assert stacks == {"baseline", "memento", "memento_nobypass"}
-    (events,) = [r for r in records if r["kind"] == "events"]
-    assert events["counts"].get("hot.alloc_hit", 0) > 0
+    # HOT hits are counted on the run record itself.
+    (memento,) = [
+        r for r in records if r["kind"] == "run" and r["stack"] == "memento"
+    ]
+    assert memento["counters"]["memento.hot.alloc_hits"] > 0
 
     # The CLI restored the previous (empty) bundle on exit.
     assert current() == Instruments()
@@ -192,7 +195,7 @@ class TestObsCli:
         assert "run ledger" in out
         assert "metric runs" in out
         assert "Span tree" in out
-        assert "sampled hardware events" in out
+        assert "sampled hardware events" not in out
 
     def test_report_last_shows_the_newest_entries(self, tmp_path, capsys):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
@@ -328,8 +331,10 @@ class TestProfileCli:
     def test_obs_profile_without_records_errors(self, tmp_path, capsys):
         path = tmp_path / "m.jsonl"
         path.write_text('{"kind": "run"}\n')
-        assert main(["obs", "profile", str(path)]) == 1
-        assert "no profile records" in capsys.readouterr().err
+        assert main(["obs", "profile", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"no profile records in {path}" in err
+        assert len(err.splitlines()) == 1
 
     def test_obs_timeline_exports_valid_trace(
         self, tmp_path, capsys, small_cli_workloads
@@ -360,10 +365,11 @@ class TestProfileCli:
         assert main([
             "obs", "timeline", str(path),
             "--out", str(tmp_path / "trace.json"),
-        ]) == 1
-        assert (
-            "no span, event, or fleet records" in capsys.readouterr().err
-        )
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"no span or fleet records in {path}" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "trace.json").exists()
 
     def test_obs_timeline_startless_span_is_usage_error(
         self, tmp_path, capsys
@@ -424,6 +430,89 @@ class TestProfileCli:
         assert "run ledger" in captured.out
 
 
+# -- metrics files written before the event ring was removed ----------------
+
+#: A ``kind: "events"`` record as ``repro run --trace`` used to write it:
+#: exact per-kind counts plus 1-in-64 timestamped samples.
+LEGACY_EVENTS = {
+    "kind": "events",
+    "capacity": 4096,
+    "sample_every": 64,
+    "timestamps": True,
+    "counts": {"hot.alloc_hit": 128, "aac.miss": 3},
+    "events": [
+        [64, "hot.alloc_hit", 2, 10.5],
+        [128, "hot.alloc_hit", 4, 10.6],
+    ],
+}
+
+#: The Perfetto track (tid) the sampled events used to be exported on.
+LEGACY_EVENT_TID = 2
+
+
+class TestLegacyMetricsFile:
+    def legacy_file(self, tmp_path):
+        path = tmp_path / "old.prom.jsonl"
+        records = [
+            {
+                "kind": "run", "workload": "html", "stack": "memento",
+                "total_cycles": 1234.0, "seconds": 0.001,
+                "dram_bytes": 2e6,
+                "counters": {"memento.hot.alloc_hits": 128},
+            },
+            {
+                "kind": "spans",
+                "spans": [{
+                    "name": "system.run", "start": 10.0, "seconds": 1.0,
+                    "children": [
+                        {"name": "replay", "start": 10.2, "seconds": 0.7},
+                    ],
+                }],
+            },
+            LEGACY_EVENTS,
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return path
+
+    def test_report_shows_runs_and_spans_and_skips_events(
+        self, tmp_path, capsys
+    ):
+        path = self.legacy_file(tmp_path)
+        assert main([
+            "obs", "report", "--ledger", str(tmp_path / "absent.jsonl"),
+            "--metrics", str(path),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "metric runs" in out and "html" in out and "memento" in out
+        assert "Span tree" in out
+        assert "system.run" in out and "replay" in out
+        assert "hot.alloc_hit" not in out and "aac.miss" not in out
+
+    def test_timeline_exports_spans_only(self, tmp_path, capsys):
+        path = self.legacy_file(tmp_path)
+        out_path = tmp_path / "trace.json"
+        assert main([
+            "obs", "timeline", str(path), "--out", str(out_path),
+        ]) == 0
+        events = json.loads(out_path.read_text())["traceEvents"]
+        assert sorted(e["name"] for e in events if e["ph"] == "X") == [
+            "replay", "system.run",
+        ]
+        assert not [e for e in events if e["ph"] == "i"]
+        assert all(e["tid"] != LEGACY_EVENT_TID for e in events)
+        assert "hw events" not in json.dumps(events)
+
+    def test_timeline_of_only_events_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps(LEGACY_EVENTS) + "\n")
+        assert main([
+            "obs", "timeline", str(path),
+            "--out", str(tmp_path / "trace.json"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and len(err.splitlines()) == 1
+
+
 # -- the repro.api facade -----------------------------------------------------
 
 
@@ -440,7 +529,7 @@ class TestApiFacade:
         for name in (
             "RunRequest", "ExperimentEngine", "run_workload", "run_all",
             "Tracer", "Instruments", "instrumented", "render_span_tree",
-            "MementoConfig", "MachineParams", "Stats", "EventRing",
+            "MementoConfig", "MachineParams", "Stats",
             "RunResult", "WorkloadResult", "get_workload", "all_workloads",
             "CycleProfile", "render_profile",
             "export_timeline", "validate_trace_events", "check_trend",

@@ -6,13 +6,10 @@ from dataclasses import replace
 import pytest
 
 from repro.harness.engine import RunRequest
-from repro.obs.events import EventRing
 from repro.obs.instruments import instrumented
-from repro.obs.metrics import event_record, span_record
+from repro.obs.metrics import span_record
 from repro.obs.timeline import (
-    EVENT_TID,
     SPAN_TID,
-    event_trace_events,
     export_timeline,
     span_trace_events,
     trace_events,
@@ -63,47 +60,31 @@ class TestSpanEvents:
             span_trace_events(spans)
 
 
-class TestEventInstants:
-    def test_timestamped_ring_records_share_the_clock(self):
-        ring = EventRing(capacity=16, sample_every=1, timestamps=True)
-        ring.record("hot.alloc_hit", 3)
-        ring.record("tlb.shootdown", 1)
-        events = event_trace_events(ring.to_dict())
-        assert [e["ph"] for e in events] == ["i", "i"]
-        assert events[0]["tid"] == EVENT_TID
-        assert events[0]["args"] == {"seq": 1, "value": 3}
-        assert events[1]["ts"] >= events[0]["ts"]
-
-    def test_bare_records_lay_out_by_index(self):
-        ring = EventRing(capacity=16, sample_every=1)
-        ring.record("a")
-        ring.record("b")
-        events = event_trace_events(ring.to_dict())
-        assert [e["ts"] for e in events] == [0.0, 1.0]
-
-
 class TestTraceEvents:
     def test_metadata_tracks_are_emitted(self):
         records = [span_record({"spans": nested_span_payload()})]
         events = trace_events(records)
         meta = [e for e in events if e["ph"] == "M"]
         names = {e["args"]["name"] for e in meta}
-        assert {"repro", "phases", "hw events"} <= names
+        assert names == {"repro", "phases"}
 
-    def test_spans_and_events_share_one_base(self):
+    def test_legacy_events_record_is_ignored(self):
+        # Metrics files written before the sampled event ring was
+        # removed carry a ``kind: "events"`` record; it adds no track.
         tracer = Tracer()
-        ring = EventRing(capacity=8, sample_every=1, timestamps=True)
         with tracer.span("run"):
-            ring.record("hot.alloc_hit")
+            pass
         records = [
             span_record(tracer.to_dict()),
-            event_record(ring.to_dict()),
+            {
+                "kind": "events",
+                "counts": {"hot.alloc_hit": 1},
+                "events": [[1, "hot.alloc_hit", 0, 0.0]],
+            },
         ]
         events = trace_events(records)
-        (span,) = [e for e in events if e["ph"] == "X"]
-        (instant,) = [e for e in events if e["ph"] == "i"]
-        # The instant fired while the span was open.
-        assert span["ts"] <= instant["ts"] <= span["ts"] + span["dur"]
+        assert events == trace_events(records[:1])
+        assert {e["tid"] for e in events} == {0, SPAN_TID}
 
     def test_other_record_kinds_are_ignored(self):
         events = trace_events([{"kind": "run", "workload": "html"}])
@@ -140,19 +121,16 @@ class TestValidation:
 class TestExport:
     def test_real_run_exports_a_loadable_trace(self, tmp_path):
         tracer = Tracer()
-        ring = EventRing(timestamps=True)
         spec = replace(get_workload("html").resolved(), num_allocs=1_000)
-        with instrumented(tracer=tracer, ring=ring):
+        with instrumented(tracer=tracer):
             RunRequest(spec=spec, stack="memento").execute()
-        records = [
-            span_record(tracer.to_dict()),
-            event_record(ring.to_dict()),
-        ]
-        out = export_timeline(tmp_path / "trace.json", records)
+        out = export_timeline(
+            tmp_path / "trace.json", [span_record(tracer.to_dict())]
+        )
         payload = json.loads(out.read_text())
         assert payload["displayTimeUnit"] == "ms"
         events = payload["traceEvents"]
         assert validate_trace_events(events) == len(events)
         names = {e["name"] for e in events if e["ph"] == "X"}
         assert "system.run" in names and "replay" in names
-        assert any(e["ph"] == "i" for e in events)
+        assert {e["tid"] for e in events} == {0, SPAN_TID}
