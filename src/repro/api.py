@@ -21,8 +21,9 @@ documented in DESIGN.md: result/config objects expose
 ``REPRO_NO_CACHE`` / ``REPRO_NO_LEDGER``, and every instrument is off
 by default. Instruments (tracer, cycle profile, auditor, fleet recorder)
 are bound through one slot: ``with instrumented(...)`` sets them,
-``current()`` reads them. Drift over the run ledger is judged by one
-gate (``check_trend``, ``check_fleet_trend``, ``repro obs trend``).
+``current()`` reads them. Drift over the run ledger is one check:
+``digest_conflicts`` lists every key with two digests, and ``repro obs
+report`` exits 1 on any.
 
 Fleet simulation is part of the same declarative request hierarchy:
 build a ``FleetRequest`` and hand it to ``simulate_fleet`` (in-process),
@@ -70,19 +71,15 @@ from repro.obs import (
     NullTracer,
     RunLedger,
     Tracer,
-    check_trend,
     current,
     default_ledger_path,
+    digest_conflicts,
     export_timeline,
     instrumented,
     render_profile,
     render_span_tree,
     render_top_consumers,
-    check_fleet_trend,
-    render_fleet_trend,
-    render_trend,
     trace_events,
-    trend_by_key,
     validate_trace_events,
 )
 from repro.service import (
@@ -131,19 +128,15 @@ __all__ = [
     "NullTracer",
     "RunLedger",
     "Tracer",
-    "check_fleet_trend",
-    "check_trend",
     "current",
     "default_ledger_path",
+    "digest_conflicts",
     "export_timeline",
     "instrumented",
     "render_profile",
     "render_span_tree",
-    "render_fleet_trend",
     "render_top_consumers",
-    "render_trend",
     "trace_events",
-    "trend_by_key",
     "validate_trace_events",
     # service + result store
     "ExperimentServer",

@@ -27,11 +27,10 @@ Commands:
   tuning, fragmentation, coldstart, iso-storage, mallacc, ablation).
 * ``energy WORKLOAD`` — the energy comparison for one workload.
 * ``obs report|diff`` — render the run ledger and exported metrics, or
-  diff two metric JSONL files.
-* ``obs profile|timeline|trend`` — render an exported cycle profile,
-  export spans and fleet telemetry as Perfetto trace JSON, or gate the
-  ledger history for drift (wall time, digests, fleet headline
-  metrics).
+  diff two metric JSONL files. ``obs report`` is also the drift check:
+  it exits 1 when any ledger key holds two digests.
+* ``obs profile|timeline`` — render an exported cycle profile, or
+  export spans and fleet telemetry as Perfetto trace JSON.
 
 Conventions (shared by every handler): handlers take the parsed
 ``argparse.Namespace`` and return the process exit code — 0 on success,
@@ -47,7 +46,7 @@ import sys
 import threading
 from contextlib import closing
 from pathlib import Path
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro import limits
 from repro.analysis.characterize import (
@@ -97,11 +96,9 @@ from repro.obs import (
     CycleProfile,
     RunLedger,
     Tracer,
-    check_fleet_trend,
-    check_trend,
     default_ledger_path,
+    digest_conflicts,
     export_timeline,
-    fleet_trend,
     histogram_lines,
     instrumented,
     profile_record,
@@ -111,12 +108,9 @@ from repro.obs import (
     render_prometheus,
     render_span_tree,
     render_top_consumers,
-    render_fleet_trend,
-    render_trend,
     run_record,
     span_record,
     split_fleet_entries,
-    trend_by_key,
     write_jsonl,
 )
 from repro.workloads.registry import all_workloads, get_workload
@@ -424,12 +418,14 @@ def build_parser() -> argparse.ArgumentParser:
     audit_parser.set_defaults(handler=cmd_audit)
 
     obs_parser = sub.add_parser(
-        "obs", help="observability: run ledger, metrics, drift gate"
+        "obs", help="observability: run ledger, metrics, drift check"
     )
     obs_sub = obs_parser.add_subparsers(dest="obs_command", required=True)
 
     report_parser = obs_sub.add_parser(
-        "report", help="render the run ledger and exported metrics"
+        "report",
+        help="render the run ledger and exported metrics; exit 1 when a "
+        "ledger key holds two digests",
     )
     report_parser.add_argument(
         "--ledger", default=None, metavar="PATH",
@@ -479,18 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     timeline_parser.set_defaults(handler=cmd_obs_timeline)
 
-    trend_parser = obs_sub.add_parser(
-        "trend", help="analyze ledger history for wall-time/digest drift"
-    )
-    trend_parser.add_argument(
-        "--ledger", default=None, metavar="PATH",
-        help="ledger file (default: <cache-dir>/ledger.jsonl)",
-    )
-    trend_parser.add_argument(
-        "--report-only", action="store_true",
-        help="always exit 0 (CI visibility without gating)",
-    )
-    trend_parser.set_defaults(handler=cmd_obs_trend)
     return parser
 
 
@@ -1043,6 +1027,15 @@ def _ledger_at(path: Optional[str]) -> RunLedger:
     return RunLedger(default_ledger_path(resolve_cache_dir()))
 
 
+def _read_metrics(path) -> List[Dict[str, Any]]:
+    """Records of a metrics JSONL operand; a missing file is a usage
+    error naming the path, not an empty report."""
+    path = Path(path)
+    if not path.is_file():
+        raise UsageError(f"no metrics file at {path}")
+    return read_jsonl(path)
+
+
 def cmd_obs_report(args: argparse.Namespace) -> int:
     last = resolve_count(args.last, "last", default=20)
     ledger = _ledger_at(args.ledger)
@@ -1075,15 +1068,6 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
             title=f"run ledger: last {len(entries)} of "
             f"{len(run_entries)} ({ledger.path})",
         ))
-        conflicts = sum(
-            row["digest_drift"] for row in trend_by_key(run_entries)
-        )
-        if conflicts:
-            print(
-                "WARNING: counter digests disagree for "
-                f"{conflicts} content key(s) — "
-                "nondeterministic replay or stale fingerprints"
-            )
         printed = True
     fleet_shown = fleet_entries[-last:]
     if fleet_shown:
@@ -1115,20 +1099,9 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
             title=f"fleet executions: last {len(fleet_shown)} of "
             f"{len(fleet_entries)}",
         ))
-        conflicted = {
-            row["scenario"]
-            for row in fleet_trend(fleet_entries)
-            if row["digest_drift"]
-        }
-        if conflicted:
-            print(
-                "WARNING: fleet metrics digests disagree for "
-                f"{len(conflicted)} fleet scenario(s) — the seeded "
-                "simulation is not bit-stable"
-            )
         printed = True
     if args.metrics:
-        records = read_jsonl(Path(args.metrics))
+        records = _read_metrics(args.metrics)
         runs = [r for r in records if r.get("kind") == "run"]
         if runs:
             if printed:
@@ -1158,12 +1131,22 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
                 printed = True
     if not printed:
         print("nothing to report: no ledger entries or metric records")
+    conflicts = digest_conflicts(all_entries)
+    if conflicts:
+        print(
+            f"obs report: digest drift in {len(conflicts)} ledger key(s) "
+            "— nondeterministic replay or a stale fingerprint:",
+            file=sys.stderr,
+        )
+        for key, digests in conflicts.items():
+            print(f"  {key}: {', '.join(digests)}", file=sys.stderr)
+        return 1
     return 0
 
 
 def cmd_obs_diff(args: argparse.Namespace) -> int:
     old_path, new_path = Path(args.old), Path(args.new)
-    old, new = read_jsonl(old_path), read_jsonl(new_path)
+    old, new = _read_metrics(old_path), _read_metrics(new_path)
     old_runs = {
         (r.get("workload"), r.get("stack")): r
         for r in old if r.get("kind") == "run"
@@ -1201,7 +1184,7 @@ def cmd_obs_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_obs_profile(args: argparse.Namespace) -> int:
-    records = read_jsonl(Path(args.metrics))
+    records = _read_metrics(args.metrics)
     profiles = [r for r in records if r.get("kind") == "profile"]
     if not profiles:
         return _usage_error(
@@ -1221,7 +1204,7 @@ def cmd_obs_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_obs_timeline(args: argparse.Namespace) -> int:
-    records = read_jsonl(Path(args.metrics))
+    records = _read_metrics(args.metrics)
     relevant = [
         r for r in records
         if r.get("kind")
@@ -1245,32 +1228,6 @@ def cmd_obs_timeline(args: argparse.Namespace) -> int:
         "https://ui.perfetto.dev or chrome://tracing"
     )
     return 0
-
-
-def cmd_obs_trend(args: argparse.Namespace) -> int:
-    ledger = _ledger_at(args.ledger)
-    report = check_trend(ledger)
-    fleet_report = check_fleet_trend(ledger)
-    if not report["entries"] and not fleet_report["entries"]:
-        print(f"obs trend: ledger has no entries ({ledger.path})")
-        return 0
-    if report["entries"]:
-        print(render_trend(report))
-    if fleet_report["entries"]:
-        print()
-        print(
-            f"Fleet trend ({fleet_report['entries']} ledger entries)"
-        )
-        print(render_fleet_trend(fleet_report))
-    ok = report["ok"] and fleet_report["ok"]
-    if ok:
-        print("obs trend: ok")
-        return 0
-    if args.report_only:
-        print("obs trend: drift found (report-only mode)")
-        return 0
-    print("obs trend: FAILED", file=sys.stderr)
-    return 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -253,12 +253,9 @@ def simulate_fleet(
     if engine.ledger is not None:
         # Fleet determinism canary: the digest covers the full wire dict,
         # so two ledger lines for the same fleet key must agree bit for
-        # bit. ``scenario`` digests only the declarative request (no
-        # fingerprints), the stable grouping for trend gates.
-        payload = fleet.to_dict()
+        # bit (``repro obs report`` exits 1 when they do not).
         entry = obs_ledger.fleet_manifest(
-            fleet_key=fleet.fleet_key,
-            scenario=obs_ledger.payload_digest(req.to_dict()),
+            key=fleet.fleet_key,
             seed=req.seed,
             invocations=req.invocations,
             duration_s=req.duration_s,
@@ -267,7 +264,7 @@ def simulate_fleet(
                 name: {
                     # None (not 0.0) when the stack never went cold:
                     # percentile_summary returns the explicit empty
-                    # marker and the trend gates skip non-numbers.
+                    # marker.
                     "cold_start_p95_ms": m.cold_start_ms.get("p95"),
                     "stranded_gb_s": m.stranded_byte_seconds / 1e9,
                     "cold_start_rate": m.cold_start_rate,
@@ -275,7 +272,7 @@ def simulate_fleet(
                 }
                 for name, m in fleet.stacks.items()
             },
-            metrics_digest=obs_ledger.payload_digest(payload),
+            metrics_digest=obs_ledger.payload_digest(fleet.to_dict()),
             fingerprints={
                 "source": source_fingerprint(),
                 "cost_model": cost_model_fingerprint(engine.cost_model),

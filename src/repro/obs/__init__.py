@@ -12,14 +12,12 @@ harness so enabling them costs one CLI flag (``repro run --trace
 * :mod:`repro.obs.metrics` — Stats snapshots, span trees, histograms,
   and profiles serialized to Prometheus text and JSON-lines.
 * :mod:`repro.obs.ledger` — the append-only run ledger every engine
-  execution writes.
+  execution writes, and the one drift check over it
+  (:func:`digest_conflicts`, gated by ``repro obs report``).
 * :mod:`repro.obs.profile` — exact simulated-cycle attribution (the
   paper's Fig. 9 question) and per-op log2 latency histograms.
 * :mod:`repro.obs.timeline` — span trees and fleet telemetry exported as
   Chrome/Perfetto trace-event JSON (``repro obs timeline``).
-* :mod:`repro.obs.trend` — the one drift gate (``repro obs trend``):
-  per-key wall time, digests and fleet headline metrics, judged by one
-  policy table.
 """
 
 from repro.obs.instruments import Instruments, current, instrumented
@@ -28,6 +26,7 @@ from repro.obs.ledger import (
     RunLedger,
     counter_digest,
     default_ledger_path,
+    digest_conflicts,
     fleet_manifest,
     manifest,
     payload_digest,
@@ -66,15 +65,6 @@ from repro.obs.tracing import (
     Tracer,
     render_span_tree,
 )
-from repro.obs.trend import (
-    check_fleet_trend,
-    check_trend,
-    fleet_trend,
-    gate,
-    render_fleet_trend,
-    render_trend,
-    trend_by_key,
-)
 
 __all__ = [
     "CycleProfile",
@@ -87,16 +77,13 @@ __all__ = [
     "RunLedger",
     "Span",
     "Tracer",
-    "check_fleet_trend",
-    "check_trend",
     "counter_digest",
     "current",
     "default_ledger_path",
+    "digest_conflicts",
     "export_timeline",
     "fleet_manifest",
     "fleet_trace_events",
-    "fleet_trend",
-    "gate",
     "histogram_lines",
     "instrumented",
     "manifest",
@@ -114,9 +101,6 @@ __all__ = [
     "span_record",
     "split_fleet_entries",
     "trace_events",
-    "trend_by_key",
-    "render_fleet_trend",
-    "render_trend",
     "validate_trace_events",
     "write_jsonl",
     "write_prometheus",

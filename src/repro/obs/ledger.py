@@ -7,10 +7,11 @@ of the full counter snapshot. The ledger is the flight recorder the
 result cache lacks — the cache holds only the *latest* artifact per key,
 while the ledger keeps the append-only history of what ran, when, from
 which source (live, disk, memo), and how long it took, so silent perf or
-correctness drift across PRs is visible after the fact.
+correctness drift across commits is visible after the fact.
 
-:mod:`repro.obs.trend` closes the loop (``repro obs trend``): it gates
-each key's wall time and counter digests over this history.
+:func:`digest_conflicts` closes the loop: the simulator is
+deterministic, so one key with two digests in this history is a
+correctness regression, and ``repro obs report`` exits 1 on it.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ def counter_digest(counters: Mapping[str, float]) -> str:
 def payload_digest(payload: Any) -> str:
     """Order-independent 16-hex digest of any JSON-serializable payload.
 
-    The fleet-level determinism canary: :func:`fleet_manifest` stamps the
-    digest of the full ``FleetResult`` wire dict, so two ledger lines for
-    the same fleet key with different digests mean the seeded simulation
-    stopped being bit-identical.
+    The fleet-level determinism canary: a fleet ledger line's
+    ``metrics_digest`` is the digest of the full ``FleetResult`` wire
+    dict, so two lines for the same fleet key with different digests
+    mean the seeded simulation stopped being bit-identical.
     """
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -88,8 +89,7 @@ def manifest(
 
 
 def fleet_manifest(
-    fleet_key: str,
-    scenario: str,
+    key: str,
     seed: int,
     invocations: int,
     duration_s: float,
@@ -101,21 +101,16 @@ def fleet_manifest(
     """Assemble one ledger line for a fleet execution.
 
     ``kind: "fleet"`` discriminates these lines from run manifests;
-    ``key`` holds the fleet content key (which folds the source and
-    cost-model fingerprints, so it changes whenever the code does) while
-    ``scenario`` digests only the declarative request — the stable
-    grouping the fleet trend gates ride across source versions.
-    ``stacks`` carries the per-stack headline numbers the gates compare
-    (cold-start p95, stranded GB·s) and ``metrics_digest`` is the
-    determinism canary over the full :class:`FleetResult` payload.
+    ``key`` holds the fleet content key. ``stacks`` carries the
+    per-stack headline numbers ``repro obs report`` shows (cold-start
+    p95, stranded GB·s) and ``metrics_digest`` is the determinism canary
+    over the full :class:`FleetResult` payload.
     """
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "fleet",
         "ts": time.time(),
-        "key": fleet_key,
-        "fleet_key": fleet_key,
-        "scenario": scenario,
+        "key": key,
         "seed": seed,
         "invocations": invocations,
         "duration_s": duration_s,
@@ -140,6 +135,31 @@ def split_fleet_entries(
     runs = [e for e in entries if e.get("kind") != "fleet"]
     fleets = [e for e in entries if e.get("kind") == "fleet"]
     return runs, fleets
+
+
+def digest_conflicts(
+    entries: List[Dict[str, Any]],
+) -> Dict[str, List[str]]:
+    """``{key: [digest, ...]}`` for every key with more than one digest.
+
+    Run lines carry ``counter_digest`` and ``kind: "fleet"`` lines
+    ``metrics_digest``. The simulator is deterministic, so a key whose
+    history holds two digests means nondeterministic replay or a stale
+    fingerprint — never noise. Digests are listed in first-seen order.
+    """
+    seen: Dict[str, List[str]] = {}
+    for entry in entries:
+        field = (
+            "metrics_digest" if entry.get("kind") == "fleet"
+            else "counter_digest"
+        )
+        key, digest = entry.get("key"), entry.get(field)
+        if not key or not digest:
+            continue
+        digests = seen.setdefault(key, [])
+        if digest not in digests:
+            digests.append(digest)
+    return {key: found for key, found in seen.items() if len(found) > 1}
 
 
 class RunLedger:
@@ -218,6 +238,3 @@ class RunLedger:
                 continue
             entries.append(entry)
         return entries, skipped
-
-    def tail(self, count: int) -> List[Dict[str, Any]]:
-        return self.read()[-count:]

@@ -19,13 +19,12 @@ from repro.fleet import (
 )
 from repro.harness.engine import ExperimentEngine
 from repro.obs.instruments import current, instrumented
-from repro.obs.ledger import split_fleet_entries
+from repro.obs.ledger import digest_conflicts, split_fleet_entries
 from repro.obs.timeline import (
     export_timeline,
     fleet_trace_events,
     validate_trace_events,
 )
-from repro.obs.trend import check_fleet_trend
 
 
 def small_fleet(**overrides) -> FleetRequest:
@@ -160,14 +159,10 @@ class TestLedgerCanary:
         assert len(fleets) == 2
         first, second = fleets
         assert first["key"] == second["key"] == request.content_key()
-        assert first["scenario"] == second["scenario"]
         assert first["metrics_digest"] == second["metrics_digest"]
         assert set(first["stacks"]) == {"baseline", "memento"}
-        # Two agreeing samples: the trend gate sees no digest drift (and
-        # abstains on the headline metrics — below MIN_SAMPLES).
-        report = check_fleet_trend(eng.ledger)
-        assert report["ok"] is True
-        assert report["entries"] == 2
+        assert "scenario" not in first and "fleet_key" not in first
+        assert digest_conflicts(entries) == {}
 
     def test_digest_drift_flags_the_gate(self, tmp_path):
         request = small_fleet()
@@ -178,6 +173,6 @@ class TestLedgerCanary:
         forged = dict(entry)
         forged["metrics_digest"] = "0" * 16
         eng.ledger.append(forged)
-        report = check_fleet_trend(eng.ledger)
-        assert report["ok"] is False
-        assert any(row["digest_drift"] for row in report["rows"])
+        assert digest_conflicts(eng.ledger.read()) == {
+            entry["key"]: [entry["metrics_digest"], "0" * 16]
+        }

@@ -1,5 +1,5 @@
-"""Tests for the run ledger (:mod:`repro.obs.ledger`) and the drift
-checks that read it (:mod:`repro.obs.trend`)."""
+"""Tests for the run ledger (:mod:`repro.obs.ledger`) and the digest
+drift check over it (:func:`digest_conflicts`)."""
 
 import json
 import sys
@@ -11,9 +11,9 @@ from repro.obs.ledger import (
     RunLedger,
     counter_digest,
     default_ledger_path,
+    digest_conflicts,
     manifest,
 )
-from repro.obs.trend import check_trend, trend_by_key
 
 
 class TestCounterDigest:
@@ -119,33 +119,75 @@ class TestRunLedger:
         )
         assert [e["key"] for e in RunLedger(path).read()] == ["good"]
 
-    def test_tail(self, tmp_path):
-        ledger = RunLedger(tmp_path / "ledger.jsonl")
-        for i in range(5):
-            ledger.append(self.entry(f"k{i}"))
-        assert [e["key"] for e in ledger.tail(2)] == ["k3", "k4"]
-
     def test_digests_by_key_deduplicates(self, tmp_path):
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         ledger.append(self.entry("k", "d1"))
         ledger.append(self.entry("k", "d1"))
         ledger.append(self.entry("k", "d2"))
+        ledger.append(self.entry("k", "d1"))
         ledger.append(self.entry("other", "d9"))
-        rows = {row["key"]: row for row in trend_by_key(ledger.read())}
-        assert rows["k"]["digests"] == ["d1", "d2"]
-        assert rows["other"]["digests"] == ["d9"]
+        assert digest_conflicts(ledger.read()) == {"k": ["d1", "d2"]}
 
 
 def test_check_ledger_determinism(tmp_path):
     ledger = RunLedger(default_ledger_path(tmp_path))
     ledger.append({"key": "stable", "counter_digest": "d1"})
     ledger.append({"key": "stable", "counter_digest": "d1"})
-    assert check_trend(ledger)["ok"]
+    assert digest_conflicts(ledger.read()) == {}
     ledger.append({"key": "stable", "counter_digest": "d2"})
-    report = check_trend(ledger)
-    assert not report["ok"]
-    (row,) = report["rows"]
-    assert row["digest_drift"] and row["digests"] == ["d1", "d2"]
+    assert digest_conflicts(ledger.read()) == {"stable": ["d1", "d2"]}
+
+
+class TestDigestConflicts:
+    def run_line(self, key="k1", digest="d0", source="live", elapsed=1.0):
+        return {
+            "key": key, "workload": "html", "stack": "memento",
+            "source": source, "elapsed_s": elapsed,
+            "counter_digest": digest,
+        }
+
+    def fleet_line(self, key="f1", digest="m0"):
+        return {"kind": "fleet", "key": key, "metrics_digest": digest}
+
+    def test_digest_drift_flags_regardless_of_timing(self):
+        # A slow run, cache and memo replays: only the digest counts.
+        entries = [
+            self.run_line(elapsed=1.0),
+            self.run_line(elapsed=9.0),
+            self.run_line(source="cache", elapsed=0.0),
+            self.run_line(source="memo", elapsed=0.0),
+        ]
+        assert digest_conflicts(entries) == {}
+        entries.append(self.run_line(digest="dX", elapsed=1.0))
+        assert digest_conflicts(entries) == {"k1": ["d0", "dX"]}
+
+    def test_keys_are_checked_independently(self):
+        entries = [
+            self.run_line(key="steady"),
+            self.run_line(key="drifting"),
+            self.run_line(key="steady"),
+            self.run_line(key="drifting", digest="d1"),
+        ]
+        assert digest_conflicts(entries) == {"drifting": ["d0", "d1"]}
+
+    def test_fleet_lines_compare_metrics_digests(self):
+        entries = [
+            self.fleet_line(),
+            # A fleet line's counter_digest, if any, is not its digest.
+            {**self.fleet_line(), "counter_digest": "ignored"},
+            self.fleet_line(digest="m1"),
+            self.fleet_line(key="f2"),
+        ]
+        assert digest_conflicts(entries) == {"f1": ["m0", "m1"]}
+
+    def test_lines_without_a_digest_are_ignored(self):
+        entries = [
+            {"key": "k1"},
+            self.run_line(),
+            {"key": "k1", "counter_digest": None},
+            {"kind": "fleet", "key": "f1"},
+        ]
+        assert digest_conflicts(entries) == {}
 
 
 def test_default_ledger_path(tmp_path):

@@ -230,10 +230,59 @@ class TestObsCli:
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         ledger.append({"key": "k", "counter_digest": "d1"})
         ledger.append({"key": "k", "counter_digest": "d2"})
+        assert main(["obs", "report", "--ledger", str(ledger.path)]) == 1
+        captured = capsys.readouterr()
+        assert "run ledger" in captured.out
+        assert "digest drift in 1 ledger key(s)" in captured.err
+        assert "  k: d1, d2" in captured.err
+
+    def test_report_flags_a_fleet_key_with_two_digests(
+        self, tmp_path, capsys
+    ):
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        # Lines written before ``scenario``/``fleet_key`` were dropped
+        # still read.
+        ledger.append({
+            "kind": "fleet", "key": "fk", "metrics_digest": "m1",
+            "scenario": "s1", "fleet_key": "fk",
+        })
+        for digest in ("m1", "m2"):
+            ledger.append({
+                "kind": "fleet", "key": "fk", "metrics_digest": digest,
+                "invocations": 10, "stacks": {},
+            })
+        assert main(["obs", "report", "--ledger", str(ledger.path)]) == 1
+        captured = capsys.readouterr()
+        assert "fleet executions" in captured.out
+        assert "  fk: m1, m2" in captured.err
+
+    def test_report_checks_the_whole_ledger_not_the_window(
+        self, tmp_path, capsys
+    ):
+        # The conflicting line is older than what --last 1 shows.
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        for key, workload, digest in (
+            ("k", "w-old", "d1"), ("k", "w-old", "d2"), ("n", "w-new", "d9"),
+        ):
+            ledger.append({
+                "key": key, "workload": workload, "counter_digest": digest,
+            })
         assert main([
-            "obs", "trend", "--ledger", str(ledger.path),
+            "obs", "report", "--ledger", str(ledger.path), "--last", "1",
         ]) == 1
-        assert "DIGEST DRIFT" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert "w-new" in captured.out and "w-old" not in captured.out
+        assert "  k: d1, d2" in captured.err
+
+    def test_report_on_a_consistent_ledger_exits_0(self, tmp_path, capsys):
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        for _ in range(2):
+            ledger.append({"key": "k", "counter_digest": "d1"})
+            ledger.append({
+                "kind": "fleet", "key": "fk", "metrics_digest": "m1",
+            })
+        assert main(["obs", "report", "--ledger", str(ledger.path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_diff_metrics_jsonl(self, tmp_path, capsys):
         record = {
@@ -249,6 +298,30 @@ class TestObsCli:
         assert main(["obs", "diff", str(old), str(new)]) == 0
         out = capsys.readouterr().out
         assert "+10.00%" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["obs", "report", "--ledger", "{dir}/absent.jsonl",
+         "--metrics", "{missing}"],
+        ["obs", "diff", "{missing}", "{present}"],
+        ["obs", "diff", "{present}", "{missing}"],
+        ["obs", "profile", "{missing}"],
+        ["obs", "timeline", "{missing}", "--out", "{dir}/trace.json"],
+    ], ids=["report", "diff-old", "diff-new", "profile", "timeline"])
+    def test_missing_metrics_file_is_usage_error(
+        self, tmp_path, capsys, argv
+    ):
+        present = tmp_path / "present.jsonl"
+        present.write_text('{"kind": "run"}\n')
+        missing = tmp_path / "missing.jsonl"
+        assert main([
+            arg.format(dir=tmp_path, missing=missing, present=present)
+            for arg in argv
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"repro: error: no metrics file at {missing}\n"
+        )
 
     def test_diff_mixed_kinds_is_usage_error(self, tmp_path, capsys):
         bench = tmp_path / "b.json"
@@ -273,7 +346,7 @@ class TestObsCli:
         assert "metrics JSONL" in captured.err
 
 
-# -- repro run --profile / repro obs profile|timeline|trend -------------------
+# -- repro run --profile / repro obs profile|timeline ------------------------
 
 
 class TestProfileCli:
@@ -384,43 +457,12 @@ class TestProfileCli:
         ]) == 2
         assert "'run' has no numeric 'start'" in capsys.readouterr().err
 
-    def trend_ledger(self, tmp_path, elapsed_series):
-        ledger = RunLedger(tmp_path / "ledger.jsonl")
-        for elapsed in elapsed_series:
-            ledger.append({
-                "key": "k1", "workload": "html", "stack": "memento",
-                "source": "live", "elapsed_s": elapsed,
-                "counter_digest": "d0",
-            })
-        return ledger
-
-    def test_obs_trend_ok(self, tmp_path, capsys):
-        ledger = self.trend_ledger(tmp_path, [1.0, 1.0, 1.0])
-        assert main(["obs", "trend", "--ledger", str(ledger.path)]) == 0
-        assert "obs trend: ok" in capsys.readouterr().out
-
-    def test_obs_trend_fails_on_drift(self, tmp_path, capsys):
-        ledger = self.trend_ledger(tmp_path, [1.0, 1.0, 1.0, 1.0, 9.0])
-        assert main(["obs", "trend", "--ledger", str(ledger.path)]) == 1
-        captured = capsys.readouterr()
-        assert "TIME DRIFT" in captured.out
-        assert "obs trend: FAILED" in captured.err
-
-    def test_obs_trend_report_only_never_fails(self, tmp_path, capsys):
-        ledger = self.trend_ledger(tmp_path, [1.0, 1.0, 1.0, 1.0, 9.0])
-        assert main([
-            "obs", "trend", "--ledger", str(ledger.path), "--report-only",
-        ]) == 0
-        assert "report-only" in capsys.readouterr().out
-
-    def test_obs_trend_empty_ledger_is_ok(self, tmp_path, capsys):
-        assert main([
-            "obs", "trend", "--ledger", str(tmp_path / "absent.jsonl"),
-        ]) == 0
-        assert "no entries" in capsys.readouterr().out
-
     def test_report_warns_on_unknown_schema_lines(self, tmp_path, capsys):
-        ledger = self.trend_ledger(tmp_path, [1.0])
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        ledger.append({
+            "key": "k1", "workload": "html", "stack": "memento",
+            "counter_digest": "d0",
+        })
         with ledger.path.open("a", encoding="utf-8") as handle:
             handle.write('{"key": "future", "schema_version": 99}\n')
             handle.write("corrupt\n")
@@ -532,7 +574,7 @@ class TestApiFacade:
             "MementoConfig", "MachineParams", "Stats",
             "RunResult", "WorkloadResult", "get_workload", "all_workloads",
             "CycleProfile", "render_profile",
-            "export_timeline", "validate_trace_events", "check_trend",
+            "export_timeline", "validate_trace_events", "digest_conflicts",
         ):
             assert name in api.__all__, name
 
