@@ -505,26 +505,43 @@ def cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _progress_line(
-    index: int, total: int, request: RunRequest, source: str, seconds: float
-) -> None:
-    """One status line per run: workload, stack, wall time, hit or live."""
-    status = "live" if source == "live" else "cache hit"
-    print(
-        f"[{index:3d}/{total}] {request.spec.name:<12} "
-        f"{request.stack:<8} {seconds:7.2f}s  {status}",
-        file=sys.stderr,
-    )
+#: Batches of this many runs or more print a tally line every twentieth
+#: of the batch, and at its last run, instead of one line per run.
+TALLY_RUNS = 100
 
 
-def _summary_line(done: int, total: int, counts: dict) -> None:
-    """Batched progress for fleet-scale batches: one line per ~5% of the
-    batch instead of one per run."""
-    print(
-        f"[{done:5d}/{total}] {counts.get('cached', 0)} cached / "
-        f"{counts.get('live', 0)} live / {counts.get('failed', 0)} failed",
-        file=sys.stderr,
-    )
+class _ProgressLines:
+    """An engine's progress callback: below :data:`TALLY_RUNS` runs,
+    one status line per run (workload, stack, wall time, hit or live);
+    from there, a ``[done/total] C cached / L live`` tally every
+    ``max(1, total // 20)`` runs and at the last one. The tally restarts
+    with each batch."""
+
+    def __init__(self) -> None:
+        self.live = 0
+
+    def __call__(
+        self, index: int, total: int, request: RunRequest, source: str,
+        seconds: float,
+    ) -> None:
+        if index == 1:
+            self.live = 0
+        if source == "live":
+            self.live += 1
+        if total < TALLY_RUNS:
+            status = "live" if source == "live" else "cache hit"
+            line = (
+                f"[{index:3d}/{total}] {request.spec.name:<12} "
+                f"{request.stack:<8} {seconds:7.2f}s  {status}"
+            )
+        elif index % max(1, total // 20) == 0 or index == total:
+            line = (
+                f"[{index:{len(str(total))}d}/{total}] "
+                f"{index - self.live} cached / {self.live} live"
+            )
+        else:
+            return
+        print(line, file=sys.stderr)
 
 
 def _make_engine(args: argparse.Namespace) -> ExperimentEngine:
@@ -532,8 +549,7 @@ def _make_engine(args: argparse.Namespace) -> ExperimentEngine:
         cache_dir=args.cache_dir,
         jobs=args.jobs,
         use_disk_cache=False if args.no_cache else None,
-        progress=_progress_line,
-        summary_progress=_summary_line,
+        progress=_ProgressLines(),
     )
 
 
@@ -1076,9 +1092,13 @@ def cmd_obs_report(args: argparse.Namespace) -> int:
         fleet_rows = []
         for entry in fleet_shown:
             stacks = entry.get("stacks") or {}
+            # A stack that never went cold has a null p95.
             cold = "/".join(
-                f"{stacks[name].get('cold_start_p95_ms', 0.0):.1f}"
-                for name in sorted(stacks)
+                "-" if p95 is None else f"{p95:.1f}"
+                for p95 in (
+                    stacks[name].get("cold_start_p95_ms", 0.0)
+                    for name in sorted(stacks)
+                )
             )
             stranded = "/".join(
                 f"{stacks[name].get('stranded_gb_s', 0.0):.2f}"

@@ -9,8 +9,7 @@ off.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import Any, Dict, Mapping
+from dataclasses import dataclass
 
 NUM_SIZE_CLASSES = 64
 OBJECTS_PER_ARENA = 256
@@ -63,20 +62,6 @@ class MementoConfig:
         if not 0 <= size_class < self.num_size_classes:
             raise ValueError(f"size class {size_class} out of range")
         return (size_class + 1) * 8
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-JSON form (cache payload / reporting)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "MementoConfig":
-        """Inverse of :meth:`to_dict`; rejects unknown keys."""
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(
-                f"unknown MementoConfig fields: {sorted(unknown)}"
-            )
-        return cls(**dict(data))
 
 
 DEFAULT_CONFIG = MementoConfig()

@@ -18,6 +18,11 @@ sweeps, the benchmark suite's shared fixtures, and the CLI all route
 through one engine, so a result computed anywhere is a cache hit
 everywhere. Hit/miss/timing counters are recorded in the engine's
 :class:`~repro.sim.stats.Stats` instance under ``engine.*``.
+
+Progress has one channel: the engine calls its ``progress`` callback
+once per result of a batch, memo and cache hits first. How to show
+it is the caller's choice; the CLI turns a large batch into periodic
+tally lines.
 """
 
 from __future__ import annotations
@@ -94,17 +99,6 @@ ALLOCATOR_REGISTRY: Dict[str, type] = {
 #: Progress callback: (index, total, request, source, seconds) where
 #: ``source`` is ``"live"``, ``"cache"``, or ``"memo"``.
 ProgressFn = Callable[[int, int, "RunRequest", str, float], None]
-
-#: Summary-progress callback: (done, total, counts) where ``counts``
-#: maps ``"cached"``/``"live"``/``"failed"`` to tallies so far. Used
-#: instead of per-run ``ProgressFn`` lines for batches at or above
-#: ``SUMMARY_PROGRESS_THRESHOLD`` (per-run lines are unusable at fleet
-#: scale).
-SummaryFn = Callable[[int, int, Dict[str, int]], None]
-
-#: Batches at or above this many runs switch from per-run progress
-#: lines to periodic summary callbacks (when the engine has one).
-SUMMARY_PROGRESS_THRESHOLD = 100
 
 #: Versioned wire codec for :class:`RunRequest` payloads — the same
 #: machinery :class:`~repro.fleet.request.FleetRequest` uses, so the
@@ -659,7 +653,6 @@ class ExperimentEngine:
         cost_model: Optional[CostModel] = None,
         progress: Optional[ProgressFn] = None,
         use_ledger: Optional[bool] = None,
-        summary_progress: Optional[SummaryFn] = None,
     ) -> None:
         cache_dir = resolve_cache_dir(cache_dir)
         if use_disk_cache is None:
@@ -683,11 +676,6 @@ class ExperimentEngine:
             else None
         )
         self.progress = progress
-        # Quiet mode for fleet-scale batches: at or above
-        # ``SUMMARY_PROGRESS_THRESHOLD`` unique runs, per-run progress
-        # lines are replaced by periodic ``summary_progress(done, total,
-        # counts)`` calls (when a summary callback is installed).
-        self.summary_progress = summary_progress
         self.stats = Stats()
         self._memo: Dict[str, RunResult] = {}
         #: The persistent worker pool, the size it is (re)started at (0:
@@ -758,42 +746,27 @@ class ExperimentEngine:
 
             emitted = 0
             total = len(results) + len(misses)
-            summary = (
-                self.summary_progress is not None
-                and total >= SUMMARY_PROGRESS_THRESHOLD
-            )
-            counts = {"cached": 0, "live": 0, "failed": 0}
             for key in list(results):
                 request = first[key]
                 emitted += 1
                 self._ledger_append(key, request, sources[key], 0.0,
                                     results[key])
-                self._emit(emitted, total, request, sources[key], 0.0,
-                           summary, counts)
+                if self.progress is not None:
+                    self.progress(emitted, total, request, sources[key], 0.0)
 
             if misses:
                 with tracer.span("execute", misses=len(misses)):
-                    try:
-                        for key, result, elapsed in self._execute_all(
-                            list(misses.items()), jobs
-                        ):
-                            results[key] = result
-                            request = first[key]
-                            emitted += 1
-                            self._ledger_append(key, request, "live",
-                                                elapsed, result)
-                            self._emit(emitted, total, request, "live",
-                                       elapsed, summary, counts)
-                    except Exception:
-                        # The batch still fails (per-run isolation is a
-                        # caller policy, not an engine one), but the
-                        # summary line reports how far it got first.
-                        if summary:
-                            counts["failed"] += 1
-                            self.summary_progress(
-                                emitted, total, dict(counts)
-                            )
-                        raise
+                    for key, result, elapsed in self._execute_all(
+                        list(misses.items()), jobs
+                    ):
+                        results[key] = result
+                        request = first[key]
+                        emitted += 1
+                        self._ledger_append(key, request, "live",
+                                            elapsed, result)
+                        if self.progress is not None:
+                            self.progress(emitted, total, request, "live",
+                                          elapsed)
         return [results[key] for key in keys]
 
     def _execute_all(
@@ -1017,26 +990,6 @@ class ExperimentEngine:
             entry["audit"] = result.audit
         self.ledger.append(entry)
         self.stats.add("engine.ledger.writes")
-
-    def _emit(
-        self,
-        index: int,
-        total: int,
-        request: RunRequest,
-        source: str,
-        seconds: float,
-        summary: bool = False,
-        counts: Optional[Dict[str, int]] = None,
-    ) -> None:
-        if summary and counts is not None:
-            counts["live" if source == "live" else "cached"] += 1
-            # ~20 summary lines per batch, plus a guaranteed final one.
-            stride = max(1, total // 20)
-            if index % stride == 0 or index == total:
-                self.summary_progress(index, total, dict(counts))
-            return
-        if self.progress is not None:
-            self.progress(index, total, request, source, seconds)
 
     # -- reporting -------------------------------------------------------
 

@@ -44,6 +44,7 @@ from repro.workloads.trace import (
     PackedTrace,
     Touch,
     Trace,
+    unknown_event,
 )
 
 _PAGE_MASK = PAGE_SIZE - 1
@@ -537,15 +538,14 @@ class SimulatedSystem:
                 marks.append(("cold_start", self.core.cycles))
             audit = self._audit
             # Event-epoch auditing counts every event, computes included,
-            # and the packed trace has folded those away: audited
-            # runs take the per-event path. So do traces that cannot be
-            # packed, where the per-event path names the offending event.
-            if audit is not None and audit.steps_events:
-                packed = None
-            else:
-                packed = trace.columnar()
+            # and the packed trace has folded those away: an auditor that
+            # steps events takes the per-event path, every other run the
+            # packed one. Either path rejects an event that is not one of
+            # the four kinds with the same error, naming its index.
+            stepped = audit is not None and audit.steps_events
+            packed = None if stepped else trace.columnar()
             with tracer.span("replay", events=len(trace)):
-                if packed is None:
+                if stepped:
                     allocs, frees = self._replay_events(trace, audit)
                 else:
                     allocs, frees = self._replay_columnar(packed)
@@ -679,11 +679,7 @@ class SimulatedSystem:
             self._free(self._addr_of.pop(event.obj))
             del self._size_of[event.obj]
         else:
-            where = "" if index is None else f" at index {index}"
-            raise ValueError(
-                f"unknown trace event type {kind.__name__!r}{where}: "
-                "expected Alloc, Free, Touch or Compute"
-            )
+            raise unknown_event(event, index)
         return None
 
     def _replay_events(self, events, audit=None) -> "tuple[int, int]":

@@ -24,7 +24,6 @@ from repro.obs.instruments import Instruments, current, instrumented
 from repro.obs.ledger import (
     LEDGER_NAME,
     RunLedger,
-    counter_digest,
     default_ledger_path,
     digest_conflicts,
     fleet_manifest,
@@ -77,7 +76,6 @@ __all__ = [
     "RunLedger",
     "Span",
     "Tracer",
-    "counter_digest",
     "current",
     "default_ledger_path",
     "digest_conflicts",

@@ -36,28 +36,14 @@ def default_ledger_path(cache_dir) -> Path:
     return Path(cache_dir) / LEDGER_NAME
 
 
-def counter_digest(counters: Mapping[str, float]) -> str:
-    """Order-independent 16-hex digest of a counter snapshot.
-
-    Two runs with identical counters — the simulator is deterministic —
-    produce identical digests, so a digest mismatch between ledger lines
-    for the same content key is a correctness regression, not noise.
-    """
-    blob = json.dumps(
-        {str(k): counters[k] for k in sorted(counters)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-
-
 def payload_digest(payload: Any) -> str:
     """Order-independent 16-hex digest of any JSON-serializable payload.
 
-    The fleet-level determinism canary: a fleet ledger line's
-    ``metrics_digest`` is the digest of the full ``FleetResult`` wire
-    dict, so two lines for the same fleet key with different digests
-    mean the seeded simulation stopped being bit-identical.
+    The determinism canary: a run ledger line's ``counter_digest`` is
+    the digest of the run's counter snapshot, and a fleet line's
+    ``metrics_digest`` that of the full ``FleetResult`` wire dict. The
+    simulator is deterministic, so two lines for the same key with
+    different digests are a correctness regression, not noise.
     """
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
@@ -83,7 +69,7 @@ def manifest(
         "elapsed_s": elapsed_s,
         "total_cycles": result_summary.get("total_cycles"),
         "dram_bytes": result_summary.get("dram_bytes"),
-        "counter_digest": counter_digest(result_summary.get("stats", {})),
+        "counter_digest": payload_digest(result_summary.get("stats", {})),
         "fingerprints": dict(fingerprints or {}),
     }
 

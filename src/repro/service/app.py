@@ -24,9 +24,7 @@ Endpoints (all JSON unless noted):
   ``?wait=S`` first blocks until the job finishes or ``S`` seconds
   pass (at most :data:`MAX_WAIT_S`). With
   ``Prefer: return=representation`` a finished job's payload carries
-  its ``results`` too.
-* ``GET /api/v1/jobs/<id>/result`` — 200 with results when done, 202
-  while queued/running, 500 when failed.
+  its ``results`` too: the one way to read a job's results.
 * ``GET /api/v1/traces/<trace_id>`` — span record for one trace id.
 * ``GET /api/v1/ledger?last=N`` — the run ledger's newest entries.
 * ``GET /api/v1/workloads`` — registered workload names.
@@ -308,7 +306,6 @@ def op_submit(
             "state": job.state,
             "trace_id": trace_id,
             "status_url": f"/api/v1/jobs/{job.id}",
-            "result_url": f"/api/v1/jobs/{job.id}/result",
         },
         _JSON,
     )
@@ -332,7 +329,6 @@ def op_submit_fleet(
             "trace_id": trace_id,
             "fleet_key": job.keys[0],
             "status_url": f"/api/v1/jobs/{job.id}",
-            "result_url": f"/api/v1/jobs/{job.id}/result",
         },
         _JSON,
     )
@@ -392,21 +388,6 @@ def op_job_status(
     if representation and payload["state"] in ("done", "failed"):
         return 200, payload, _JSON, _APPLIED
     return 200, payload, _JSON
-
-
-def op_job_result(state: ServiceState, job_id: str) -> Response:
-    job = state.queue.get(job_id)
-    if job is None:
-        return _unknown_job(job_id)
-    if job.state == "failed":
-        return (
-            500,
-            {"error": job.error, "job": job.to_dict()},
-            _JSON,
-        )
-    if not job.finished:
-        return 202, _job_payload(job, False), _JSON
-    return 200, _job_payload(job, True), _JSON
 
 
 def op_ledger(state: ServiceState, last: Any) -> Response:
@@ -489,8 +470,6 @@ ROUTES: List[Tuple[str, Any, RouteFn]] = [
      lambda state, m, q, b, h: op_job_status(
          state, m["job_id"], q.get("wait", [None])[0],
          _prefers_representation(h))),
-    ("GET", re_compile(r"^/api/v1/jobs/(?P<job_id>[0-9a-f]+)/result$"),
-     lambda state, m, q, b, h: op_job_result(state, m["job_id"])),
     ("GET", re_compile(r"^/api/v1/traces/(?P<trace_id>[0-9a-fA-F-]+)$"),
      lambda state, m, q, b, h: op_trace(state, m["trace_id"])),
     ("GET", re_compile(r"^/api/v1/ledger$"),

@@ -8,11 +8,12 @@ does. Each calling thread keeps one HTTP/1.1 connection alive across
 requests; waits block on the server (``?wait=``) instead of polling.
 
 Submissions and status reads send ``Prefer: return=representation``
-(RFC 7240), so a job the server has finished answers with its results.
-The client holds the newest :data:`MAX_HELD` such answers by job id:
-a status read of a held job sends no request, and waiting for it takes
-its results from the answer. A cache hit is then one request (the
-submission) and a miss three (submission, status, ``?wait=`` read).
+(RFC 7240), so a job the server has finished answers with its results;
+that answer is the only way the client reads them. The client holds
+the newest :data:`MAX_HELD` such answers by job id: a status read of a
+held job sends no request, and waiting for it takes its results from
+the answer. A cache hit is then one request (the submission) and a
+miss three (submission, status, ``?wait=`` read).
 
 ::
 
@@ -224,10 +225,10 @@ class ServiceClient:
                     del self._held[next(iter(self._held))]
         return payload
 
-    def _release(self, job_id: str) -> Optional[Dict[str, Any]]:
-        """Drop and return the held answer for ``job_id``, if any."""
+    def _release(self, job_id: str) -> None:
+        """Drop the held answer for ``job_id``, if any."""
         with self._held_lock:
-            return self._held.pop(job_id, None)
+            self._held.pop(job_id, None)
 
     # -- API -------------------------------------------------------------
 
@@ -336,27 +337,30 @@ class ServiceClient:
     def _wait(
         self, job_id: str, timeout: float, poll_s: float
     ) -> Dict[str, Any]:
-        """Wait until the job finishes; returns its result payload.
+        """Wait until the job finishes; returns its done status, which
+        carries its results.
 
         State is read only through :meth:`status`. Between reads the
         server holds a ``?wait=`` request open until the job finishes,
         kept under this client's socket timeout; ``poll_s`` spaces the
-        reads only when a wait comes back with the job unfinished. A
-        finished answer already held supplies the results, and is
-        dropped; only a server that ignored ``Prefer`` costs a
-        ``/result`` read.
+        reads only when a wait comes back with the job unfinished. The
+        held answer of the finished job is dropped.
 
-        Raises :class:`JobFailed` when the job fails and
-        :class:`ServiceError` on timeout.
+        Raises :class:`JobFailed` when the job fails, and
+        :class:`ServiceError` on timeout or when the done status
+        carries no results.
         """
         deadline = time.monotonic() + timeout
         while True:
             status = self.status(job_id)
             if status["state"] == "done":
-                held = self._release(job_id)
-                if held is not None and "results" in held:
-                    return held
-                return self._request("GET", f"/api/v1/jobs/{job_id}/result")
+                self._release(job_id)
+                if "results" not in status:
+                    raise ServiceError(
+                        f"job {job_id} is done but its status carries "
+                        "no results"
+                    )
+                return status
             if status["state"] == "failed":
                 self._release(job_id)
                 raise JobFailed(

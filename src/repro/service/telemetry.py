@@ -1,4 +1,4 @@
-"""Service telemetry: job traces, latency histograms, backend counters.
+"""Service telemetry: job traces, latency histograms, job counters.
 
 The service's observability seam. :class:`ServiceTelemetry` hangs off
 :class:`~repro.service.app.ServiceState` and observes every job the
@@ -132,13 +132,8 @@ class ServiceTelemetry:
                 with self.path.open("a", encoding="utf-8") as handle:
                     handle.write(line)
 
-    def count(self, name: str, delta: float = 1) -> None:
-        """Bump one named counter (backend ops, retries, ...)."""
-        with self._lock:
-            self._bump(name, delta)
-
-    def _bump(self, name: str, delta: float = 1) -> None:
-        self._counters[name] = self._counters.get(name, 0) + delta
+    def _bump(self, name: str) -> None:
+        self._counters[name] = self._counters.get(name, 0) + 1
 
     # -- export ----------------------------------------------------------
 

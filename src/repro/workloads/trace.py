@@ -18,7 +18,9 @@ a :class:`PackedTrace`: parallel opcode and operand lists with every
 compute event folded into two exact sums, so the harness's replay loop
 iterates plain integers instead of chasing per-event objects and
 ``isinstance`` chains. The packed form is memoized on the trace, so
-replays of the same trace share the one pass.
+replays of the same trace share the one pass. Packing is the one check
+that every event is one of the four kinds: an event that is not raises
+``ValueError`` naming its index.
 """
 
 from __future__ import annotations
@@ -61,6 +63,16 @@ Event = Union[Alloc, Free, Touch, Compute]
 OP_ALLOC = 0
 OP_FREE = 1
 OP_TOUCH = 2
+
+
+def unknown_event(event: object, index: Optional[int] = None) -> ValueError:
+    """The error for an event that is not exactly one of the four kinds;
+    ``index`` names its position when known."""
+    where = "" if index is None else f" at index {index}"
+    return ValueError(
+        f"unknown trace event type {type(event).__name__!r}{where}: "
+        "expected Alloc, Free, Touch or Compute"
+    )
 
 
 class PackedTrace:
@@ -118,9 +130,9 @@ class PackedTrace:
         self.events = 0
 
     @classmethod
-    def pack(cls, events: List[Event]) -> Optional["PackedTrace"]:
-        """Pack ``events``; returns None if any event is not exactly one
-        of the four canonical kinds."""
+    def pack(cls, events: List[Event]) -> "PackedTrace":
+        """Pack ``events``; raises ``ValueError`` naming the index of the
+        first event that is not exactly one of the four kinds."""
         packed = cls()
         op = packed.ops.append
         f0 = packed.f0.append
@@ -152,7 +164,8 @@ class PackedTrace:
                 f2(0)
                 writes(False)
             else:
-                return None
+                index = next(i for i, e in enumerate(events) if e is event)
+                raise unknown_event(event, index)
         packed.compute_cycles = compute_cycles
         packed.compute_bytes = compute_bytes
         packed.events = len(events)
@@ -175,7 +188,7 @@ class Trace:
     _summary: Optional[Tuple[int, int, int, int]] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _columnar: Optional[Tuple[int, Optional[PackedTrace]]] = field(
+    _columnar: Optional[Tuple[int, PackedTrace]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -216,11 +229,10 @@ class Trace:
     def allocs(self) -> Iterator[Alloc]:
         return (e for e in self.events if isinstance(e, Alloc))
 
-    def columnar(self) -> Optional[PackedTrace]:
+    def columnar(self) -> PackedTrace:
         """The packed replay form (built once, re-packed if the event
-        count changed). None when the trace holds non-canonical events:
-        the replayer then steps events one by one and rejects the
-        offending event by index."""
+        count changed); raises ``ValueError`` naming the index of an
+        event that is not one of the four kinds."""
         cached = self._columnar
         if cached is None or cached[0] != len(self.events):
             with current_instruments().tracer.span(

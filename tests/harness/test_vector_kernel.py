@@ -23,6 +23,7 @@ import random
 
 import pytest
 
+from repro.audit import Auditor
 from repro.audit.oracle import run_lockstep
 from repro.core.config import MementoConfig
 from repro.harness.engine import RunRequest
@@ -39,17 +40,19 @@ IDS = [spec.name for spec in ALL_SPECS]
 ALL_STACKS = list(stack_names())
 
 
-def stepped(trace):
-    """``trace`` with packing disabled, so ``run()`` takes the per-event
-    path for it."""
-    copy = Trace(trace.name, trace.language, trace.category, trace.events)
-    copy.columnar = lambda: None
-    return copy
+def stepping_auditor():
+    """An auditor with no rules and an interval no test trace reaches:
+    all it does is send ``run()`` down the per-event path."""
+    return Auditor(epoch="interval", every=1 << 62, rules=())
 
 
 def run_result(spec, stack, trace, per_event, **kwargs):
-    system = SimulatedSystem(spec, stack, **kwargs)
-    return system.run(stepped(trace) if per_event else trace).to_dict()
+    with instrumented(audit=stepping_auditor() if per_event else None):
+        result = SimulatedSystem(spec, stack, **kwargs).run(trace)
+    payload = result.to_dict()
+    # The auditor's summary is the one field the two paths may differ in.
+    payload.pop("audit", None)
+    return payload
 
 
 def assert_paths_agree(spec, stack, trace, **kwargs):

@@ -9,26 +9,36 @@ import pytest
 
 from repro.obs.ledger import (
     RunLedger,
-    counter_digest,
     default_ledger_path,
     digest_conflicts,
     manifest,
+    payload_digest,
 )
 
 
 class TestCounterDigest:
+    """A run line's ``counter_digest`` is ``payload_digest`` of its
+    counter snapshot."""
+
     def test_order_independent(self):
-        assert counter_digest({"a": 1.0, "b": 2.0}) == counter_digest(
+        assert payload_digest({"a": 1.0, "b": 2.0}) == payload_digest(
             {"b": 2.0, "a": 1.0}
         )
 
     def test_value_sensitive(self):
-        assert counter_digest({"a": 1.0}) != counter_digest({"a": 2.0})
+        assert payload_digest({"a": 1.0}) != payload_digest({"a": 2.0})
 
     def test_format(self):
-        digest = counter_digest({})
+        digest = payload_digest({})
         assert len(digest) == 16
         int(digest, 16)  # hex
+
+    def test_hex_is_pinned(self):
+        # The hex every ledger written so far holds for these counters:
+        # a new digest for the same snapshot would read as false drift
+        # against every older line.
+        counters = {"cycles.app": 12.0, "memento.hot.hits": 3, "a": 0.5}
+        assert payload_digest(counters) == "5978920cc26cc98a"
 
 
 def test_manifest_shape():
@@ -52,7 +62,7 @@ def test_manifest_shape():
     assert entry["source"] == "live"
     assert entry["elapsed_s"] == 1.25
     assert entry["total_cycles"] == 10.0
-    assert entry["counter_digest"] == counter_digest({"c": 1.0})
+    assert entry["counter_digest"] == payload_digest({"c": 1.0})
     assert entry["fingerprints"] == {"source": "abc"}
     assert entry["ts"] > 0
 

@@ -256,6 +256,23 @@ class TestObsCli:
         assert "fleet executions" in captured.out
         assert "  fk: m1, m2" in captured.err
 
+    def test_report_renders_a_null_cold_start_p95_as_a_dash(
+        self, tmp_path, capsys
+    ):
+        # A fleet stack that never went cold records a null p95.
+        ledger = RunLedger(tmp_path / "ledger.jsonl")
+        ledger.append({
+            "kind": "fleet", "key": "fk", "metrics_digest": "m1",
+            "invocations": 10, "stacks": {
+                "baseline": {"cold_start_p95_ms": 12.34,
+                             "stranded_gb_s": 1.0},
+                "memento": {"cold_start_p95_ms": None,
+                            "stranded_gb_s": 0.5},
+            },
+        })
+        assert main(["obs", "report", "--ledger", str(ledger.path)]) == 0
+        assert "12.3/-" in capsys.readouterr().out
+
     def test_report_checks_the_whole_ledger_not_the_window(
         self, tmp_path, capsys
     ):

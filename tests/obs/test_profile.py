@@ -17,7 +17,7 @@ import pytest
 
 from repro.harness.engine import RunRequest
 from repro.obs.instruments import instrumented
-from repro.obs.ledger import counter_digest
+from repro.obs.ledger import payload_digest
 from repro.obs.profile import (
     CATEGORY_RESIDUAL,
     COMPONENT_CATEGORY,
@@ -212,7 +212,7 @@ class TestDeterminism:
         request = RunRequest(spec=spec, stack=stack)
         plain = request.execute()
         profiled, _, _ = profiled_run(spec, stack)
-        assert counter_digest(plain.stats) == counter_digest(profiled.stats)
+        assert payload_digest(plain.stats) == payload_digest(profiled.stats)
         assert plain.total_cycles == profiled.total_cycles
 
 

@@ -138,15 +138,17 @@ class TestHitPath:
         self, server, client, monkeypatch
     ):
         paths = record_paths(monkeypatch)
-        result = client.result(
-            client.submit(RunRequest(small("html"), stack="memento")),
-            timeout=60,
-        )
+        job_id = client.submit(RunRequest(small("html"), stack="memento"))
+        result = client.result(job_id, timeout=60)
         assert result.name == "html"
-        # Submission, one status read, one ?wait= read.
-        assert len(paths) == 3
-        assert paths[0] == ("POST", "/api/v1/runs")
-        assert not any(path.endswith("/result") for _, path in paths)
+        # Submission, one status read, one ?wait= read: the results
+        # ride on the last status read.
+        assert [(method, path.split("?")[0]) for method, path in paths] == [
+            ("POST", "/api/v1/runs"),
+            ("GET", f"/api/v1/jobs/{job_id}"),
+            ("GET", f"/api/v1/jobs/{job_id}"),
+        ]
+        assert "?wait=" in paths[2][1]
 
     def test_a_hit_is_one_status_call_with_its_transitions(self, server):
         request = RunRequest(small(), stack="memento")
@@ -184,7 +186,6 @@ class TestHitPath:
             "state": "done",
             "trace_id": payload["trace_id"],
             "status_url": f"/api/v1/jobs/{job_id}",
-            "result_url": f"/api/v1/jobs/{job_id}/result",
         }
 
     def test_hit_with_prefer_answers_200_with_its_results(
@@ -203,7 +204,8 @@ class TestHitPath:
         assert payload["job_id"] == payload["id"]
         assert payload["state"] == "done"
         _, _, stored = raw(
-            server, "GET", f"/api/v1/jobs/{payload['job_id']}/result"
+            server, "GET", f"/api/v1/jobs/{payload['job_id']}",
+            headers=PREFER,
         )
         assert payload["results"] == stored["results"]
 
@@ -244,6 +246,25 @@ class TestHitPath:
         assert status == 200
         assert payload["state"] == "failed"
         assert "results" not in payload
+
+    def test_the_retired_result_route_answers_404(self, server, client):
+        job_id = client.submit(RunRequest(small(), stack="memento"))
+        client.results(job_id, timeout=60)
+        status, _, payload = raw(
+            server, "GET", f"/api/v1/jobs/{job_id}/result"
+        )
+        assert status == 404
+        assert "no route" in payload["error"]
+
+    def test_done_status_without_results_raises(self, monkeypatch):
+        client = ServiceClient("http://127.0.0.1:9")
+        monkeypatch.setattr(
+            client, "_request",
+            lambda *args, **kwargs: {"id": "ab12", "state": "done"},
+        )
+        with pytest.raises(ServiceError, match="job ab12"):
+            client.results("ab12", timeout=5)
+        assert "ab12" not in client._held
 
     def test_held_answers_stay_within_their_bound(
         self, server, client, monkeypatch
@@ -399,9 +420,10 @@ class TestBounds:
         job_ids = [client.submit(request) for _ in range(3)]
         retained = [job["id"] for job in client.jobs()]
         assert retained == job_ids[1:]
-        for path in (f"/api/v1/jobs/{job_ids[0]}",
-                     f"/api/v1/jobs/{job_ids[0]}/result"):
-            status, _, payload = raw(server, "GET", path)
+        for headers in (None, PREFER):
+            status, _, payload = raw(
+                server, "GET", f"/api/v1/jobs/{job_ids[0]}", headers=headers
+            )
             assert status == 404
             assert "evicted" in payload["error"]
         assert client.result(job_ids[2], timeout=60).name == "aes"

@@ -7,7 +7,6 @@ cache entry; and eight simultaneous submissions all complete with
 correct lifecycle transitions and no cross-job result mixing.
 """
 
-import hashlib
 import json
 import threading
 import urllib.request
@@ -16,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.harness.engine import ExperimentEngine, RunRequest
-from repro.obs.ledger import counter_digest
+from repro.obs.ledger import payload_digest
 from repro.service.app import ExperimentServer
 from repro.service.client import JobFailed, ServiceClient, ServiceError
 from repro.workloads.registry import get_workload
@@ -24,12 +23,6 @@ from repro.workloads.registry import get_workload
 
 def small(name: str = "aes", num_allocs: int = 1_200):
     return replace(get_workload(name), num_allocs=num_allocs)
-
-
-def payload_digest(result) -> str:
-    """Digest of the full result payload, counters included."""
-    blob = json.dumps(result.to_dict(), sort_keys=True)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture
@@ -44,9 +37,9 @@ def client(server):
     return ServiceClient(server.url, timeout=30)
 
 
-def http_get(url: str):
+def http_get(url: str, headers=None):
     """Raw GET bypassing the client, for status-code assertions."""
-    request = urllib.request.Request(url)
+    request = urllib.request.Request(url, headers=headers or {})
     try:
         with urllib.request.urlopen(request, timeout=30) as response:
             return response.status, json.loads(response.read())
@@ -176,14 +169,17 @@ class TestJobLifecycle:
         with pytest.raises(JobFailed, match="bogus_kw"):
             client.results(job_id, timeout=60)
 
-    def test_result_before_done_is_202(self, server, client):
+    def test_status_before_done_is_200(self, server, client):
         job_id = client.submit(RunRequest(small(), stack="memento"))
-        # Immediately racing the worker: the result endpoint must answer
-        # 202 (not an error) at least until the job finishes.
+        # Immediately racing the worker: a status read asking for the
+        # results answers 200 (not an error) in every state, and carries
+        # the results only once the job is done.
         status, payload = http_get(
-            f"{server.url}/api/v1/jobs/{job_id}/result"
+            f"{server.url}/api/v1/jobs/{job_id}",
+            {"Prefer": "return=representation"},
         )
-        assert status in (200, 202)
+        assert status == 200
+        assert ("results" in payload) == (payload["state"] == "done")
         client.results(job_id, timeout=60)
 
     def test_sweep_results_in_request_order(self, client):
@@ -205,9 +201,11 @@ def test_http_run_bit_identical_to_direct(tmp_path):
         served = client.result(client.submit(request), timeout=60)
     direct = ExperimentEngine(use_disk_cache=False).run(request)
     assert served.to_dict() == direct.to_dict()
-    assert payload_digest(served) == payload_digest(direct)
+    assert payload_digest(served.to_dict()) == payload_digest(
+        direct.to_dict()
+    )
     # Same digest the run ledger records: the determinism canary agrees.
-    assert counter_digest(served.stats) == counter_digest(direct.stats)
+    assert payload_digest(served.stats) == payload_digest(direct.stats)
     # The served run persisted under the request's content key, so the
     # direct engine pointed at the same store now gets a disk hit.
     warm = ExperimentEngine(cache_dir=tmp_path)

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _ProgressLines, build_parser, main
+from repro.harness.engine import RunRequest
+from repro.workloads.registry import get_workload
 
 
 def test_list_prints_all_workloads(capsys):
@@ -334,3 +336,33 @@ def test_nonpositive_audit_interval_exits_2(argv, flag, every, capsys):
     err = capsys.readouterr().err
     assert err.startswith("repro: error:") and flag in err
     assert "audit:" not in capsys.readouterr().out
+
+
+def progress_lines(capsys, progress, total, live):
+    """Stderr of the CLI's progress callback over one batch of ``total``
+    runs whose last ``live`` ran live (hits come first, as the engine
+    reports them)."""
+    request = RunRequest(get_workload("aes"), stack="memento")
+    for index in range(1, total + 1):
+        source = "live" if index > total - live else "cache"
+        progress(index, total, request, source, 0.0)
+    return capsys.readouterr().err.splitlines()
+
+
+def test_progress_below_100_runs_prints_a_line_per_run(capsys):
+    lines = progress_lines(capsys, _ProgressLines(), 99, live=9)
+    assert len(lines) == 99
+    assert lines[0].startswith("[  1/99] aes")
+    assert lines[0].endswith("cache hit")
+    assert lines[-1].startswith("[ 99/99] aes") and lines[-1].endswith("live")
+
+
+def test_progress_from_100_runs_prints_a_tally_per_twentieth(capsys):
+    progress = _ProgressLines()
+    for _ in range(2):  # a second batch starts a fresh tally
+        lines = progress_lines(capsys, progress, 128, live=28)
+        # One line per 128 // 20 = 6 runs, plus the last.
+        assert len(lines) == 128 // 6 + 1
+        assert lines[0] == "[  6/128] 6 cached / 0 live"
+        assert lines[-2] == "[126/128] 100 cached / 26 live"
+        assert lines[-1] == "[128/128] 100 cached / 28 live"

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.audit import Auditor
+from repro.harness.system import SimulatedSystem
+from repro.obs.instruments import instrumented
 from repro.workloads.profiles import LifetimeProfile
 from repro.workloads.synth import WorkloadSpec, generate_trace
 from repro.workloads.trace import (
@@ -222,12 +225,30 @@ def test_columnar_is_memoized_and_refreshed_on_growth():
     assert len(second) == len(trace)
 
 
-def test_columnar_rejects_noncanonical_events():
-    class Odd:
-        pass
+class Odd:
+    pass
 
-    trace = Trace("x", "python", "function", [Alloc(0, 16), Odd()])
-    assert trace.columnar() is None
+
+def odd_trace():
+    return Trace("x", "python", "function", [Alloc(0, 16), Odd()])
+
+
+def test_columnar_rejects_noncanonical_events():
+    with pytest.raises(ValueError, match="index 1"):
+        odd_trace().columnar()
+
+
+def test_replay_rejects_noncanonical_events_with_the_pack_error():
+    with pytest.raises(ValueError) as packed:
+        odd_trace().columnar()
+    assert str(packed.value) == (
+        "unknown trace event type 'Odd' at index 1: "
+        "expected Alloc, Free, Touch or Compute"
+    )
+    system = SimulatedSystem(small_spec(), "memento")
+    with pytest.raises(ValueError) as replayed:
+        system.run(odd_trace())
+    assert str(replayed.value) == str(packed.value)
 
 
 def test_pack_folds_compute_and_keeps_line_offsets():
@@ -281,12 +302,14 @@ def test_summary_properties_match_events_and_refresh():
 
 
 def test_columnar_replay_matches_event_replay():
-    from repro.harness.system import SimulatedSystem
-
     spec = small_spec(num_allocs=800)
-    trace = generate_trace(spec)
-    fast = SimulatedSystem(spec, stack="baseline").run(trace)
-    slow_trace = generate_trace(spec)
-    slow_trace.columnar = lambda: None  # force the per-event fallback
-    slow = SimulatedSystem(spec, stack="baseline").run(slow_trace)
-    assert fast.to_dict() == slow.to_dict()
+    fast = SimulatedSystem(spec, stack="baseline").run(generate_trace(spec))
+    # An auditor that steps events takes the per-event path; with an
+    # interval the replay never reaches, it checks once, after replay.
+    with instrumented(audit=Auditor(epoch="interval", every=10**9)):
+        slow = SimulatedSystem(spec, stack="baseline").run(
+            generate_trace(spec)
+        )
+    payload = slow.to_dict()
+    assert payload.pop("audit")
+    assert fast.to_dict() == payload
