@@ -3,13 +3,15 @@
 These functions analyze traces directly — no simulation — reproducing the
 methodology of the paper's study: instrument the allocator, collect
 allocation traces, normalize per function, aggregate per language.
+They read a trace's packed columns (:meth:`Trace.columnar`), which keep
+the order of its allocations and frees, so no event object is built.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.workloads.trace import Alloc, Free, Trace
+from repro.workloads.trace import OP_ALLOC, OP_FREE, Trace
 
 #: Fig. 2 bins: 512-byte increments, then everything above 4096.
 SIZE_BIN_EDGES = [512 * i for i in range(1, 9)]
@@ -60,9 +62,10 @@ def size_distribution(traces: Iterable[Trace]) -> List[float]:
     for trace in traces:
         counts = [0] * len(SIZE_BIN_LABELS)
         total = 0
-        for event in trace:
-            if isinstance(event, Alloc):
-                counts[size_bin_index(event.size)] += 1
+        packed = trace.columnar()
+        for op, size in zip(packed.ops, packed.f1):
+            if op == OP_ALLOC:
+                counts[size_bin_index(size)] += 1
                 total += 1
         if total:
             per_trace.append([c / total for c in counts])
@@ -88,21 +91,18 @@ def malloc_free_distances(
     birth: Dict[int, Tuple[int, int, int]] = {}  # obj -> (class, at, size)
     distance_of: Dict[int, Optional[int]] = {}
     order: List[int] = []  # objs in allocation order for stable output
-    for event in trace:
-        if isinstance(event, Alloc):
-            size_class = (
-                (event.size + 7) // 8 - 1 if event.size <= SMALL_MAX else -1
-            )
+    packed = trace.columnar()
+    for op, obj, size in zip(packed.ops, packed.f0, packed.f1):
+        if op == OP_ALLOC:
+            size_class = (size + 7) // 8 - 1 if size <= SMALL_MAX else -1
             count = class_counter.get(size_class, 0) + 1
             class_counter[size_class] = count
-            birth[event.obj] = (size_class, count, event.size)
-            distance_of[event.obj] = None  # until freed
-            order.append(event.obj)
-        elif isinstance(event, Free):
-            size_class, born_at, _size = birth[event.obj]
-            distance_of[event.obj] = max(
-                1, class_counter[size_class] - born_at
-            )
+            birth[obj] = (size_class, count, size)
+            distance_of[obj] = None  # until freed
+            order.append(obj)
+        elif op == OP_FREE:
+            size_class, born_at, _size = birth[obj]
+            distance_of[obj] = max(1, class_counter[size_class] - born_at)
     return [(birth[obj][2], distance_of[obj]) for obj in order]
 
 

@@ -14,8 +14,11 @@ The numbers come from the paper's own characterization:
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple
 
 SizeSampler = Callable[[random.Random], int]
@@ -61,18 +64,32 @@ def mode_sampler(
 
     ``jitter`` perturbs each draw by up to ±jitter of the mode size
     (rounded to 8 B), modeling variable-length payloads around each mode.
+
+    A draw is exactly ``rng.choices(sizes, weights)[0]`` followed by
+    ``rng.uniform(-jitter, jitter)``: the cumulative weights are summed
+    once here instead of on every draw, and each draw evaluates the
+    standard library's own expressions on ``rng.random()``.
     """
     sizes = [size for size, _ in modes]
-    weights = [weight for _, weight in modes]
+    cum_weights = list(accumulate(weight for _, weight in modes))
+    total = cum_weights[-1] + 0.0
+    if not 0.0 < total < math.inf:
+        raise ValueError("size mode weights must have a positive finite sum")
+    hi = len(sizes) - 1
+    low, span = -jitter, jitter - -jitter
 
     def sample(rng: random.Random) -> int:
-        size = rng.choices(sizes, weights=weights)[0]
+        size = sizes[bisect(cum_weights, rng.random() * total, 0, hi)]
         if jitter:
-            delta = rng.uniform(-jitter, jitter) * size
+            delta = (low + span * rng.random()) * size
             size = max(8, int(size + delta) + 7 & ~7)
         return min(size, 512)
 
     return sample
+
+
+#: ``log`` of the smallest large-allocation size.
+_LOG_LARGE_MIN = math.log(600)
 
 
 def large_sampler(rng: random.Random, max_bytes: int = 65_536) -> int:
@@ -80,9 +97,9 @@ def large_sampler(rng: random.Random, max_bytes: int = 65_536) -> int:
     the threshold up to ``max_bytes`` (the Fig. 2 tail). Kept mostly in
     the tens of KB so the large path's bins recycle addresses the way
     real repeated buffer allocations do."""
-    import math
-
-    exponent = rng.uniform(math.log(600), math.log(max_bytes))
+    exponent = _LOG_LARGE_MIN + (
+        math.log(max_bytes) - _LOG_LARGE_MIN
+    ) * rng.random()
     return int(math.exp(exponent))
 
 
@@ -109,7 +126,11 @@ class LifetimeProfile:
         roll = rng.random()
         if roll < self.short:
             # Geometric-ish within [1, short_max]: short distances dominate.
-            return min(self.short_max, 1 + int(rng.expovariate(1 / 4.0)))
+            # rng.expovariate(1 / 4.0), spelled out.
+            return min(
+                self.short_max,
+                1 + int(-math.log(1.0 - rng.random()) / (1 / 4.0)),
+            )
         if roll < self.short + self.medium:
             return rng.randint(self.short_max + 1, self.medium_max)
         return None

@@ -6,13 +6,21 @@ cycles per allocation), size mixture, lifetime mixture, access/reuse
 behaviour, and the large-buffer churn that drives kernel involvement.
 ``generate_trace`` turns a spec into a reproducible event sequence
 (seeded ``random.Random``; same spec → same trace).
+
+The generator writes the trace in its replay form: the
+:class:`~repro.workloads.trace.PackedTrace` columns the harness replays,
+plus one record per compute event. No event object is built unless
+something reads :attr:`Trace.events`. Each draw is defined once, by the
+samplers of :mod:`repro.workloads.profiles` and the expressions here,
+and the draws happen in a fixed order, so a spec always yields the same
+trace.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.workloads.profiles import (
@@ -21,7 +29,13 @@ from repro.workloads.profiles import (
     large_sampler,
     mode_sampler,
 )
-from repro.workloads.trace import Alloc, Compute, Free, Touch, Trace
+from repro.workloads.trace import (
+    OP_ALLOC,
+    OP_FREE,
+    OP_TOUCH,
+    PackedTrace,
+    Trace,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,83 +170,87 @@ LIFETIME_BOUNDS = {
 
 
 def generate_trace(spec: WorkloadSpec) -> Trace:
-    """Generate the deterministic event trace for ``spec``."""
+    """Generate the deterministic event trace for ``spec``.
+
+    The trace is written straight into its replay columns
+    (:class:`PackedTrace`), with one ``(position, cycles, dram_bytes)``
+    record per compute event; :attr:`Trace.events` builds the event
+    objects from those on first read.
+    """
     spec = spec.resolved()
     rng = random.Random(spec.seed)
+    draw = rng.random
     sample_small = mode_sampler(spec.size_modes, spec.size_jitter)
-    events: List = []
-    trace = Trace(
-        name=spec.name,
-        language=spec.language,
-        category=spec.category,
-        events=events,
-    )
+    sample_lifetime = spec.lifetime.sample
+    # Packed events as one flat list of (op, f0, f1, f2, write) rows,
+    # split into the five columns at the end.
+    rows: List = []
+    computes: List[Tuple[int, int, int]] = []
+    compute_cycles = compute_bytes = 0
 
-    next_id = 0
-    sizes: Dict[int, int] = {}
     # Per-size-class allocation counters and pending frees:
     # heap entries are (due_count, obj_id).
     class_counter: Dict[int, int] = {}
     pending: Dict[int, List[Tuple[int, int]]] = {}
     phase_objects: List[int] = []
+    phased = spec.phases > 1
     phase_length = max(1, spec.num_allocs // max(1, spec.phases))
+    large_every = spec.large_every
+    retouch_prob = spec.retouch_prob
 
     def flush_due(size_class: int) -> None:
         due_heap = pending.get(size_class)
-        count = class_counter.get(size_class, 0)
+        count = class_counter[size_class]
         while due_heap and due_heap[0][0] <= count:
-            _, obj = heapq.heappop(due_heap)
-            if rng.random() < spec.retouch_prob:
-                events.append(Touch(obj, lines=1, write=False))
-            events.append(Free(obj))
-            del sizes[obj]
+            obj = heappop(due_heap)[1]
+            if draw() < retouch_prob:
+                # A one-line read just before the free.
+                rows.extend((OP_TOUCH, obj, 1, 0, False))
+            rows.extend((OP_FREE, obj, 0, 0, False))
 
     startup_until = int(spec.startup_fraction * spec.num_allocs)
+    startup_compute = spec.compute_per_alloc * spec.startup_compute_scale
+    longlived_until = spec.longlived_early_fraction * spec.num_allocs
 
     for index in range(spec.num_allocs):
         in_startup = index < startup_until
-        jitter = rng.uniform(0.6, 1.4)
-        compute = spec.compute_per_alloc * (
-            spec.startup_compute_scale if in_startup else 1.0
-        )
-        events.append(
-            Compute(
-                cycles=max(1, int(compute * jitter)),
-                dram_bytes=int(spec.app_dram_per_alloc * jitter),
-            )
-        )
+        jitter = 0.6 + (1.4 - 0.6) * draw()  # rng.uniform(0.6, 1.4)
+        compute = startup_compute if in_startup else spec.compute_per_alloc
+        cycles = max(1, int(compute * jitter))
+        dram_bytes = int(spec.app_dram_per_alloc * jitter)
+        computes.append((len(rows) // 5, cycles, dram_bytes))
+        compute_cycles += cycles
+        compute_bytes += dram_bytes
+        obj = index  # object ids count allocations
 
         if in_startup:
-            # Runtime startup: small, never freed, touched once.
+            # Runtime startup: small, never freed, touched once. The
+            # scaled size is at least 1 B and at most the small limit.
             size = min(
-                512, int(sample_small(rng) * spec.startup_size_multiplier)
+                512,
+                max(1, int(sample_small(rng) * spec.startup_size_multiplier)),
             )
-            events.append(Alloc(obj := next_id, size))
-            next_id += 1
-            sizes[obj] = size
-            events.append(Touch(obj, lines=max(1, -(-size // 64))))
+            rows += (
+                OP_ALLOC, obj, size, 0, False,
+                OP_TOUCH, obj, max(1, -(-size // 64)), 0, True,
+            )
             continue
 
         is_large = (
-            spec.large_every is not None
-            and index % spec.large_every == spec.large_every - 1
-        ) or rng.random() > spec.small_fraction
-        obj = next_id
-        next_id += 1
+            large_every is not None
+            and index % large_every == large_every - 1
+        ) or draw() > spec.small_fraction
 
         if is_large:
             size = large_sampler(rng, spec.large_max)
-            events.append(Alloc(obj, size))
-            sizes[obj] = size
+            rows += (OP_ALLOC, obj, size, 0, False)
             pages = max(1, int(size / 4096 * spec.large_touch_fraction))
             # Touch one line in each touched page: enough to fault them.
             for page in range(pages):
-                events.append(
-                    Touch(obj, lines=1, line_offset=page * 64, write=True)
-                )
+                rows += (OP_TOUCH, obj, 1, page * 64, True)
             size_class = -1  # large requests share one lifetime stream
             class_counter[size_class] = class_counter.get(size_class, 0) + 1
-            heapq.heappush(
+            heappush(
                 pending.setdefault(size_class, []),
                 (class_counter[size_class] + spec.large_lifetime, obj),
             )
@@ -240,37 +258,33 @@ def generate_trace(spec: WorkloadSpec) -> Trace:
             continue
 
         size = sample_small(rng)
-        events.append(Alloc(obj, size))
-        sizes[obj] = size
-        lines = max(1, -(-size // 64)) + spec.extra_touch_lines
-        events.append(Touch(obj, lines=lines, write=True))
+        rows += (
+            OP_ALLOC, obj, size, 0, False,
+            OP_TOUCH, obj, max(1, -(-size // 64)) + spec.extra_touch_lines,
+            0, True,
+        )
 
         size_class = (size + 7) // 8 - 1
         class_counter[size_class] = class_counter.get(size_class, 0) + 1
-        if spec.phases > 1 and rng.random() < spec.phase_local:
+        if phased and draw() < spec.phase_local:
             phase_objects.append(obj)
         else:
-            distance = spec.lifetime.sample(rng)
-            if (
-                distance is None
-                and spec.phases > 1
-                and index > spec.longlived_early_fraction * spec.num_allocs
-            ):
+            distance = sample_lifetime(rng)
+            if distance is None and phased and index > longlived_until:
                 # Late "immortal" draws become phase-local: long-lived
                 # state is built early in real functions.
                 phase_objects.append(obj)
             elif distance is not None:
-                heapq.heappush(
+                heappush(
                     pending.setdefault(size_class, []),
                     (class_counter[size_class] + distance, obj),
                 )
         flush_due(size_class)
 
-        if spec.phases > 1 and (index + 1) % phase_length == 0:
+        if phased and (index + 1) % phase_length == 0:
             # Phase boundary: the phase's working set dies in a batch.
             for dead in phase_objects:
-                events.append(Free(dead))
-                del sizes[dead]
+                rows += (OP_FREE, dead, 0, 0, False)
             phase_objects.clear()
 
     # Objects with finite scheduled lifetimes die before exit even if
@@ -279,11 +293,19 @@ def generate_trace(spec: WorkloadSpec) -> Trace:
     # objects (no schedule entry) stay live for the OS to batch-reclaim.
     for due_heap in pending.values():
         while due_heap:
-            _, obj = heapq.heappop(due_heap)
-            events.append(Free(obj))
-            del sizes[obj]
+            rows += (OP_FREE, heappop(due_heap)[1], 0, 0, False)
     for dead in phase_objects:
-        events.append(Free(dead))
-        del sizes[dead]
+        rows += (OP_FREE, dead, 0, 0, False)
 
-    return trace
+    packed = PackedTrace()
+    packed.ops = rows[0::5]
+    packed.f0 = rows[1::5]
+    packed.f1 = rows[2::5]
+    packed.f2 = rows[3::5]
+    packed.writes = rows[4::5]
+    packed.compute_cycles = compute_cycles
+    packed.compute_bytes = compute_bytes
+    packed.events = len(packed.ops) + len(computes)
+    return Trace.from_columns(
+        spec.name, spec.language, spec.category, packed, computes
+    )

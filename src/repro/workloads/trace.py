@@ -13,20 +13,24 @@ A workload is a deterministic sequence of four event kinds:
 Traces are replayed against a baseline or Memento system by the harness;
 they are also analyzed directly for the characterization figures.
 
-For replay, :meth:`Trace.columnar` packs the event list in one pass into
-a :class:`PackedTrace`: parallel opcode and operand lists with every
-compute event folded into two exact sums, so the harness's replay loop
-iterates plain integers instead of chasing per-event objects and
-``isinstance`` chains. The packed form is memoized on the trace, so
-replays of the same trace share the one pass. Packing is the one check
-that every event is one of the four kinds: an event that is not raises
-``ValueError`` naming its index.
+For replay, a trace is a :class:`PackedTrace`: parallel opcode and
+operand lists with every compute event folded into two exact sums, so
+the harness's replay loop iterates plain integers instead of chasing
+per-event objects and ``isinstance`` chains. The generator
+(:func:`repro.workloads.synth.generate_trace`) writes that packed form
+directly, and a generated trace's event list is a view built from it
+on first read. A hand-built trace holds an event list, which
+:meth:`Trace.columnar` packs in one pass. Either way the packed form is
+memoized on the trace, so replays of the same trace share it. Packing
+is the one check that every event is one of the four kinds: an event
+that is not raises ``ValueError`` naming its index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from itertools import compress, islice, starmap
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.instruments import current as current_instruments
 
@@ -75,9 +79,19 @@ def unknown_event(event: object, index: Optional[int] = None) -> ValueError:
     )
 
 
+def _unpacked(op: int, obj: int, a: int, b: int, write: bool) -> Event:
+    """The event one row of :class:`PackedTrace` columns packs."""
+    if op == OP_TOUCH:
+        return Touch(obj, a, b, write)
+    if op == OP_ALLOC:
+        return Alloc(obj, a)
+    return Free(obj)
+
+
 class PackedTrace:
-    """The replay form of an event list, built in one pass by
-    :meth:`Trace.columnar`.
+    """The replay form of an event list: written directly by the trace
+    generator, or built in one pass from a hand-built event list by
+    :meth:`pack` (through :meth:`Trace.columnar`).
 
     Two transformations, both exact refactorings of the per-event replay:
 
@@ -175,71 +189,121 @@ class PackedTrace:
         return self.events
 
 
-@dataclass
 class Trace:
-    """A named, replayable event sequence with summary metadata."""
+    """A named, replayable event sequence with summary metadata.
 
-    name: str
-    language: str
-    category: str  # "function" | "dataproc" | "platform"
-    events: List[Event] = field(default_factory=list)
-    # Lazily built caches, invalidated when the event count changes
-    # (traces are append-only between builds and replays).
-    _summary: Optional[Tuple[int, int, int, int]] = field(
-        default=None, init=False, repr=False, compare=False
+    A trace holds one of two forms. A hand-built trace holds its event
+    list, and :meth:`columnar` packs it. A generated trace
+    (:meth:`from_columns`) holds its packed columns plus one
+    ``(position, cycles, dram_bytes)`` record per compute event, where
+    ``position`` counts the packed events before it. Its :attr:`events`
+    list is a view built from those on first read; ``len()``,
+    :meth:`columnar` and the summary properties read the columns
+    without building it. Traces are append-only: once the list grows
+    past the columns, :meth:`columnar` packs the list.
+    """
+
+    __slots__ = (
+        "name",
+        "language",
+        "category",
+        "_events",
+        "_columns",
+        "_computes",
+        "_columnar",
     )
-    _columnar: Optional[Tuple[int, PackedTrace]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+
+    def __init__(
+        self,
+        name: str,
+        language: str,
+        category: str,  # "function" | "dataproc" | "platform"
+        events: Optional[List[Event]] = None,
+    ) -> None:
+        self.name = name
+        self.language = language
+        self.category = category
+        self._events = [] if events is None else events
+        self._columns: Optional[PackedTrace] = None
+        self._computes: Sequence[Tuple[int, int, int]] = ()
+        # The packed form and the event count it was built at.
+        self._columnar: Optional[Tuple[int, PackedTrace]] = None
+
+    @classmethod
+    def from_columns(
+        cls,
+        name: str,
+        language: str,
+        category: str,
+        columns: PackedTrace,
+        computes: Sequence[Tuple[int, int, int]],
+    ) -> "Trace":
+        """A trace whose events are ``columns`` with each compute record
+        ``(position, cycles, dram_bytes)`` put back before the packed
+        event at ``position`` (positions ascending)."""
+        trace = cls(name, language, category)
+        trace._events = None
+        trace._columns = columns
+        trace._computes = computes
+        return trace
+
+    @property
+    def events(self) -> List[Event]:
+        """The event list (built from the columns on first read)."""
+        if self._events is None:
+            columns = self._columns
+            rows = zip(
+                columns.ops, columns.f0, columns.f1, columns.f2,
+                columns.writes,
+            )
+            events: List[Event] = []
+            done = 0
+            for at, cycles, dram_bytes in self._computes:
+                events += starmap(_unpacked, islice(rows, at - done))
+                done = at
+                events.append(Compute(cycles, dram_bytes))
+            events += starmap(_unpacked, rows)
+            self._events = events
+        return self._events
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
 
     def __len__(self) -> int:
-        return len(self.events)
-
-    def _summarize(self) -> Tuple[int, int, int, int]:
-        """One cached pass for the O(n) summary properties."""
-        summary = self._summary
-        if summary is None or summary[0] != len(self.events):
-            allocs = frees = alloc_bytes = 0
-            for event in self.events:
-                kind = type(event)
-                if kind is Alloc:
-                    allocs += 1
-                    alloc_bytes += event.size
-                elif kind is Free:
-                    frees += 1
-            summary = (len(self.events), allocs, frees, alloc_bytes)
-            self._summary = summary
-        return summary
+        events = self._events
+        return len(self._columns) if events is None else len(events)
 
     @property
     def alloc_count(self) -> int:
-        return self._summarize()[1]
+        return self.columnar().ops.count(OP_ALLOC)
 
     @property
     def free_count(self) -> int:
-        return self._summarize()[2]
+        return self.columnar().ops.count(OP_FREE)
 
     @property
     def total_alloc_bytes(self) -> int:
-        return self._summarize()[3]
+        packed = self.columnar()
+        return sum(compress(packed.f1, [op == OP_ALLOC for op in packed.ops]))
 
     def allocs(self) -> Iterator[Alloc]:
         return (e for e in self.events if isinstance(e, Alloc))
 
     def columnar(self) -> PackedTrace:
-        """The packed replay form (built once, re-packed if the event
+        """The packed replay form: a generated trace's own columns, else
+        packed from the event list (built once, re-packed if the event
         count changed); raises ``ValueError`` naming the index of an
         event that is not one of the four kinds."""
         cached = self._columnar
-        if cached is None or cached[0] != len(self.events):
+        count = len(self)
+        if cached is None or cached[0] != count:
             with current_instruments().tracer.span(
-                "trace.pack", trace=self.name, events=len(self.events)
+                "trace.pack", trace=self.name, events=count
             ):
-                cached = (len(self.events), PackedTrace.pack(self.events))
-            self._columnar = cached
+                packed = self._columns
+                if packed is None or len(packed) != count:
+                    packed = PackedTrace.pack(self._events)
+            cached = self._columnar = (count, packed)
         return cached[1]
 
     def validate(self) -> None:

@@ -5,8 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.audit import Auditor
+from repro.harness import system as harness_system
+from repro.harness.engine import ExperimentEngine, RunRequest, spec_from_dict
 from repro.harness.system import SimulatedSystem
 from repro.obs.instruments import instrumented
+from repro.stacks import stack_names
 from repro.workloads.profiles import LifetimeProfile
 from repro.workloads.synth import WorkloadSpec, generate_trace
 from repro.workloads.trace import (
@@ -313,3 +316,65 @@ def test_columnar_replay_matches_event_replay():
     payload = slow.to_dict()
     assert payload.pop("audit")
     assert fast.to_dict() == payload
+
+
+# ------------------------------------------------------- generated form
+
+
+def test_generated_trace_builds_events_only_when_read():
+    trace = generate_trace(small_spec(num_allocs=300))
+    packed = trace.columnar()
+    assert (len(trace), trace.alloc_count) == (len(packed), 300)
+    assert trace._events is None
+    events = trace.events
+    assert trace.events is events and len(events) == len(packed)
+    assert sum(isinstance(e, Compute) for e in events) == 300
+    assert trace.columnar() is packed
+
+
+def test_engine_replays_never_build_event_objects(tmp_path, monkeypatch):
+    generated = []
+    real_generate = harness_system.generate_trace
+
+    def recording_generate(spec):
+        generated.append(real_generate(spec))
+        return generated[-1]
+
+    monkeypatch.setattr(harness_system, "generate_trace", recording_generate)
+    engine = ExperimentEngine(cache_dir=tmp_path, use_disk_cache=False)
+    spec = small_spec(num_allocs=400)
+    # A group of two shares one trace; a lone request generates its own
+    # inside SimulatedSystem.run.
+    engine.run_many(
+        [RunRequest(spec, stack=stack) for stack in ("baseline", "memento")],
+        jobs=1,
+    )
+    engine.run(RunRequest(small_spec(num_allocs=300), stack="reclaim"))
+    assert len(generated) == 2
+    assert all(trace._events is None for trace in generated)
+
+
+#: Wire-valid: startup sizes scale by 0.01, so every startup draw would
+#: round to 0 B without the 1 B clamp.
+TINY_STARTUP = {
+    "name": "tiny-startup",
+    "language": "python",
+    "num_allocs": 400,
+    "startup_fraction": 0.5,
+    "startup_size_multiplier": 0.01,
+}
+
+
+def test_tiny_startup_multiplier_clamps_to_one_byte():
+    spec = spec_from_dict(TINY_STARTUP)
+    trace = generate_trace(spec)
+    trace.validate()
+    startup = [alloc.size for alloc in trace.allocs()][:200]
+    # Draws below 100 B scale below 1 B; they allocate 1 B.
+    assert min(startup) == 1 and max(startup) <= 5
+
+
+@pytest.mark.parametrize("stack", stack_names())
+def test_tiny_startup_multiplier_runs_on_every_stack(stack):
+    result = SimulatedSystem(spec_from_dict(TINY_STARTUP), stack).run()
+    assert result.allocs == 400
