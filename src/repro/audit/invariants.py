@@ -535,12 +535,9 @@ class Auditor:
         self.total_violations = 0
         self.checks = 0
 
-    @property
-    def steps_events(self) -> bool:
-        """Whether the replay must dispatch per-event (non-run epochs)."""
-        return self.epoch != "run"
-
     def should_check(self, event_index: int) -> bool:
+        """Whether to check after event ``event_index`` (counted from 0,
+        computes included)."""
         if self.epoch == "event":
             return True
         if self.epoch == "interval":

@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import stacks as stack_registry
 from repro.audit.invariants import AuditContext, Auditor, Violation
-from repro.harness.system import SimulatedSystem
+from repro.harness.system import RunResult, SimulatedSystem
 from repro.resolve import resolve_stack
 from repro.sim.machine import Machine
 from repro.sim.params import PAGE_SHIFT, PAGE_SIZE
@@ -451,20 +451,29 @@ class DiffReport:
         }
 
 
+def replay_events(system: SimulatedSystem, trace: Trace) -> RunResult:
+    """The per-event reference for :meth:`SimulatedSystem.run`: the same
+    phases (cold start, replay, teardown, charges, collection), with the
+    replay stepping every event through :meth:`SimulatedSystem.step`,
+    computes charged where they occur, instead of the packed loop. It
+    consults no instrument: no audit check runs and no profile is
+    reconciled."""
+    if system.cold_start:
+        system._run_cold_start(trace)
+    for index, event in enumerate(trace.events):
+        system.step(event, index)
+    system._teardown(trace)
+    system._charge()
+    return system._collect(trace, trace.alloc_count, trace.free_count)
+
+
 def _compare_columnar(
     trace: Trace, spec: WorkloadSpec, stack: Any
 ) -> List[str]:
-    """Replay the same trace through the per-event path and the packed
-    columnar path on fresh fast systems; the final stats must be
+    """Replay the same trace through the per-event reference and
+    ``run()`` on fresh fast systems; the final stats must be
     bit-identical (the columnar form is an encoding, not a model)."""
-    stepped = SimulatedSystem(spec, stack)
-    # The stepped leg drives the internals by hand, through the same
-    # teardown and post-replay charge step run() takes.
-    allocs, frees = stepped._replay_events(trace)
-    stepped._teardown(trace)
-    stepped._charge()
-    stepped_result = stepped._collect(trace, allocs, frees)
-
+    stepped_result = replay_events(SimulatedSystem(spec, stack), trace)
     packed_result = SimulatedSystem(spec, stack).run(trace)
     mismatches: List[str] = []
     stepped_stats = stepped_result.stats

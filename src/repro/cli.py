@@ -785,7 +785,12 @@ def cmd_audit(args: argparse.Namespace) -> int:
         specs = [get_workload(name) for name in (names or ["html"])]
     stacks = resolve_stack_list(args.stack)
     every = resolve_count(args.every, "--every")
-    num_allocs = args.num_allocs or None
+    # 0 is the workload's full size; a negative size is a usage error.
+    num_allocs = (
+        resolve_count(args.num_allocs, "--num-allocs")
+        if args.num_allocs
+        else None
+    )
     if num_allocs is not None:
         limits.check("MAX_NUM_ALLOCS", "--num-allocs", num_allocs)
     findings = 0

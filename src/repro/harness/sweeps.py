@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.config import MementoConfig
 from repro.core.page_allocator import HardwarePageAllocator
@@ -34,7 +34,7 @@ from repro.sim.params import MachineParams
 from repro.workloads.functions import CPP_FUNCTIONS, PYTHON_FUNCTIONS
 from repro.workloads.registry import FUNCTION_WORKLOADS, get_workload
 from repro.workloads.synth import WorkloadSpec, generate_trace
-from repro.workloads.trace import Alloc, Compute, Free
+from repro.workloads.trace import Trace
 
 
 def _shrunk(spec: WorkloadSpec, num_allocs: int = 8_000) -> WorkloadSpec:
@@ -185,6 +185,21 @@ def tuning_study(
 # -------------------------------------------------------- §6.6 fragmentation
 
 
+def _stepped_samples(
+    system: SimulatedSystem,
+    trace: Trace,
+    sample: Optional[Callable[[], float]],
+) -> List[float]:
+    """Step ``system`` through ``trace`` event by event, calling
+    ``sample`` after every 5,000th event (none when it is None)."""
+    samples: List[float] = []
+    for count, event in enumerate(trace, 1):
+        system.step(event)
+        if sample is not None and count % 5_000 == 0:
+            samples.append(sample())
+    return samples
+
+
 def fragmentation_study(
     specs: Optional[Sequence[WorkloadSpec]] = None,
 ) -> Dict[str, Dict[str, float]]:
@@ -198,36 +213,18 @@ def fragmentation_study(
     for spec in specs:
         small = spec  # full size: occupancy is scale-sensitive
         memento_system = SimulatedSystem(small, stack="memento")
+        baseline_system = SimulatedSystem(small, stack="baseline")
         trace = generate_trace(memento_system.spec)
         # Measure occupancy mid-run (before exit releases everything).
         allocator = memento_system.runtime.context.object_allocator
-        samples: List[float] = []
-        count = 0
-        for event in trace:
-            memento_system.step(event)
-            count += 1
-            if count % 5_000 == 0:
-                samples.append(allocator.occupancy_fraction())
-        baseline_system = SimulatedSystem(small, stack="baseline")
-        baseline_samples: List[float] = []
-        count = 0
-        for event in trace:
-            if isinstance(event, Compute):
-                baseline_system.core.charge(event.cycles, "app")
-            elif isinstance(event, Alloc):
-                addr = baseline_system._malloc(event.size)
-                baseline_system._addr_of[event.obj] = addr
-            elif isinstance(event, Free):
-                baseline_system._free(
-                    baseline_system._addr_of.pop(event.obj)
-                )
-            count += 1
-            if count % 5_000 == 0 and hasattr(
-                baseline_system.allocator, "utilization"
-            ):
-                baseline_samples.append(
-                    baseline_system.allocator.utilization()
-                )
+        samples = _stepped_samples(
+            memento_system, trace, allocator.occupancy_fraction
+        )
+        baseline_samples = _stepped_samples(
+            baseline_system,
+            trace,
+            getattr(baseline_system.allocator, "utilization", None),
+        )
         mean = lambda xs: sum(xs) / len(xs) if xs else 1.0  # noqa: E731
         out[spec.name] = {
             "memento_inactive": 1.0 - mean(samples),

@@ -13,6 +13,7 @@ from __future__ import annotations
 from copy import deepcopy
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from itertools import islice
 from typing import Any, Dict, Mapping, Optional
 
 from repro.allocators import ALLOCATOR_BY_LANGUAGE
@@ -182,6 +183,24 @@ class RunResult:
     def mm_cycles(self) -> float:
         keys = MEMENTO_MM if self.memento else BASELINE_MM
         return sum(self.cycles.get(key, 0.0) for key in keys)
+
+
+def _audit_segments(rows, packed: PackedTrace, should_check):
+    """Split the ``rows`` iterator of ``packed`` at an auditor's epoch
+    checks: ``(segment, index)`` for each event ``index`` that
+    ``should_check``, ``segment`` holding the packed rows among events
+    ``0..index`` not yet yielded, then ``(rest, None)``. Events are
+    numbered computes included: compute ``k`` at position ``p`` is event
+    ``p + k``."""
+    computes = {p + k for k, (p, _, _) in enumerate(packed.computes)}
+    replayed = done = 0
+    for index in range(len(packed)):
+        if index not in computes:
+            replayed += 1
+        if should_check(index):
+            yield islice(rows, replayed - done), index
+            done = replayed
+    yield rows, None
 
 
 class SimulatedSystem:
@@ -506,10 +525,10 @@ class SimulatedSystem:
     ) -> RunResult:
         """Replay ``trace`` (generated from the spec when omitted).
 
-        Each phase — trace load, columnar pack (inside ``columnar()``),
-        replay, stats fold — runs under a tracer span; with the default
-        null tracer every span is one shared no-op context manager, so
-        the instrumented path is indistinguishable from the bare one.
+        Each phase — trace load, replay, stats fold — runs under a
+        tracer span; with the default null tracer every span is one
+        shared no-op context manager, so the instrumented path is
+        indistinguishable from the bare one.
         The whole run holds the cyclic collector paused
         (:func:`repro.harness.collector.paused`).
 
@@ -537,18 +556,8 @@ class SimulatedSystem:
             if profile is not None:
                 marks.append(("cold_start", self.core.cycles))
             audit = self._audit
-            # Event-epoch auditing counts every event, computes included,
-            # and the packed trace has folded those away: an auditor that
-            # steps events takes the per-event path, every other run the
-            # packed one. Either path rejects an event that is not one of
-            # the four kinds with the same error, naming its index.
-            stepped = audit is not None and audit.steps_events
-            packed = None if stepped else trace.columnar()
             with tracer.span("replay", events=len(trace)):
-                if stepped:
-                    allocs, frees = self._replay_events(trace, audit)
-                else:
-                    allocs, frees = self._replay_columnar(packed)
+                allocs, frees = self._replay_columnar(trace.columnar(), audit)
             if profile is not None:
                 marks.append(("replay", self.core.cycles))
             # The per-run check fires before teardown, which destroys
@@ -606,13 +615,19 @@ class SimulatedSystem:
             phases=phases,
         )
 
-    def _replay_columnar(self, packed: PackedTrace) -> "tuple[int, int]":
-        """Replay a :class:`PackedTrace`.
+    def _replay_columnar(
+        self, packed: PackedTrace, audit=None
+    ) -> "tuple[int, int]":
+        """Replay a :class:`PackedTrace`: the one replay loop.
 
-        Compute events arrive folded into two exact sums. Every other
-        event runs the same callables :meth:`step` does (``_malloc``,
-        ``_free``, ``_touch_lines``) in the same order, so results are
-        bit-identical to the per-event path.
+        Compute events arrive folded into two exact sums, charged once
+        after the last row. Every other event runs the same callables
+        :meth:`step` does (``_malloc``, ``_free``, ``_touch_lines``) in
+        the same order, so results are bit-identical to stepping the
+        events one by one. An unaudited replay zips the full columns in
+        one segment. With ``audit``, the rows are replayed in segments
+        split at its epoch checks (:func:`_audit_segments`), and each
+        check runs once the rows before it have replayed.
         """
         core = self.core
         # Interned before any event runs: the order counters are created
@@ -626,17 +641,24 @@ class SimulatedSystem:
         op_touch = OP_TOUCH
         op_alloc = OP_ALLOC
         ops = packed.ops
-        for op, a, b, c, d in zip(
-            ops, packed.f0, packed.f1, packed.f2, packed.writes
-        ):
-            if op == op_touch:
-                touch_lines(a, b, c, d)
-            elif op == op_alloc:
-                addr_of[a] = malloc(b)
-                size_of[a] = b
-            else:
-                free(addr_of.pop(a))
-                del size_of[a]
+        rows = zip(ops, packed.f0, packed.f1, packed.f2, packed.writes)
+        if audit is None:
+            segments = ((rows, None),)
+        else:
+            ctx = audit_invariants.AuditContext.from_system(self)
+            segments = _audit_segments(rows, packed, audit.should_check)
+        for segment, index in segments:
+            for op, a, b, c, d in segment:
+                if op == op_touch:
+                    touch_lines(a, b, c, d)
+                elif op == op_alloc:
+                    addr_of[a] = malloc(b)
+                    size_of[a] = b
+                else:
+                    free(addr_of.pop(a))
+                    del size_of[a]
+            if index is not None:
+                audit.check(ctx, index)
 
         # The folded compute events, charged once. Exact: integer
         # cycle/byte sums commute, the dyadic bytes/64 line total is exactly
@@ -657,10 +679,12 @@ class SimulatedSystem:
     def step(self, event, index: Optional[int] = None) -> Optional[int]:
         """Apply one trace event; returns the address an Alloc got.
 
-        The per-event path (audited runs, the differential oracle). Any
-        event that is not exactly one of the four trace types raises
-        ``ValueError`` (``index`` names its position when known) rather
-        than being skipped.
+        The per-event reference: the differential oracle (its lockstep
+        and :func:`repro.audit.oracle.replay_events`) and the sweeps that
+        sample state between events step through here; :meth:`run`
+        never does. Any event that is not exactly one of the four trace
+        types raises ``ValueError`` (``index`` names its position when
+        known) rather than being skipped.
         """
         kind = type(event)
         if kind is Touch:
@@ -681,25 +705,6 @@ class SimulatedSystem:
         else:
             raise unknown_event(event, index)
         return None
-
-    def _replay_events(self, events, audit=None) -> "tuple[int, int]":
-        """Per-event replay through :meth:`step`, running ``audit``'s
-        invariant checks at its epoch when one is given."""
-        allocs = frees = 0
-        step = self.step
-        if audit is not None:
-            ctx = audit_invariants.AuditContext.from_system(self)
-            should_check = audit.should_check
-        for index, event in enumerate(events):
-            step(event, index)
-            kind = type(event)
-            if kind is Alloc:
-                allocs += 1
-            elif kind is Free:
-                frees += 1
-            if audit is not None and should_check(index):
-                audit.check(ctx, index)
-        return allocs, frees
 
     def _run_cold_start(self, trace: Trace) -> None:
         """Container setup before the function body (identical work on

@@ -1,7 +1,7 @@
 """Span tracing: where a run spends its wall time.
 
 A :class:`Tracer` records a tree of named, nested :class:`Span` objects
-— trace load, columnar pack, replay, stats fold, cache admit — each with
+— trace load, replay, stats fold, cache admit — each with
 wall-clock duration and free-form attributes. Instrumented code asks for
 the active tracer via ``repro.obs.instruments.current().tracer``; by
 default that is the :data:`NULL_TRACER`, whose ``span`` returns one shared no-op context

@@ -9,8 +9,8 @@ behaviour, and the large-buffer churn that drives kernel involvement.
 
 The generator writes the trace in its replay form: the
 :class:`~repro.workloads.trace.PackedTrace` columns the harness replays,
-plus one record per compute event. No event object is built unless
-something reads :attr:`Trace.events`. Each draw is defined once, by the
+compute records included. No event object is built unless something
+reads :attr:`Trace.events`. Each draw is defined once, by the
 samplers of :mod:`repro.workloads.profiles` and the expressions here,
 and the draws happen in a fixed order, so a spec always yields the same
 trace.
@@ -173,9 +173,8 @@ def generate_trace(spec: WorkloadSpec) -> Trace:
     """Generate the deterministic event trace for ``spec``.
 
     The trace is written straight into its replay columns
-    (:class:`PackedTrace`), with one ``(position, cycles, dram_bytes)``
-    record per compute event; :attr:`Trace.events` builds the event
-    objects from those on first read.
+    (:class:`PackedTrace`), compute records included; :attr:`Trace.events`
+    builds the event objects from those when read.
     """
     spec = spec.resolved()
     rng = random.Random(spec.seed)
@@ -303,9 +302,7 @@ def generate_trace(spec: WorkloadSpec) -> Trace:
     packed.f1 = rows[2::5]
     packed.f2 = rows[3::5]
     packed.writes = rows[4::5]
+    packed.computes = computes
     packed.compute_cycles = compute_cycles
     packed.compute_bytes = compute_bytes
-    packed.events = len(packed.ops) + len(computes)
-    return Trace.from_columns(
-        spec.name, spec.language, spec.category, packed, computes
-    )
+    return Trace(spec.name, spec.language, spec.category, packed)

@@ -14,16 +14,16 @@ Traces are replayed against a baseline or Memento system by the harness;
 they are also analyzed directly for the characterization figures.
 
 For replay, a trace is a :class:`PackedTrace`: parallel opcode and
-operand lists with every compute event folded into two exact sums, so
-the harness's replay loop iterates plain integers instead of chasing
-per-event objects and ``isinstance`` chains. The generator
-(:func:`repro.workloads.synth.generate_trace`) writes that packed form
-directly, and a generated trace's event list is a view built from it
-on first read. A hand-built trace holds an event list, which
-:meth:`Trace.columnar` packs in one pass. Either way the packed form is
-memoized on the trace, so replays of the same trace share it. Packing
-is the one check that every event is one of the four kinds: an event
-that is not raises ``ValueError`` naming its index.
+operand lists, with every compute event kept aside as a
+``(position, cycles, dram_bytes)`` record and folded into two exact
+sums, so the harness's replay loop iterates plain integers instead of
+chasing per-event objects and ``isinstance`` chains. The packed form is
+the only form a trace holds. The generator
+(:func:`repro.workloads.synth.generate_trace`) writes it directly; an
+event list handed to :class:`Trace` is packed at construction, which is
+the one check that every event is one of the four kinds: an event that
+is not raises ``ValueError`` naming its index. :attr:`Trace.events`
+builds the event objects from the columns on each read.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, islice, starmap
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
-
-from repro.obs.instruments import current as current_instruments
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,10 +88,10 @@ def _unpacked(op: int, obj: int, a: int, b: int, write: bool) -> Event:
 
 class PackedTrace:
     """The replay form of an event list: written directly by the trace
-    generator, or built in one pass from a hand-built event list by
-    :meth:`pack` (through :meth:`Trace.columnar`).
+    generator, or built in one pass from an event list by :meth:`pack`.
 
-    Two transformations, both exact refactorings of the per-event replay:
+    Two transformations, both exact refactorings of stepping the events
+    one by one (:meth:`SimulatedSystem.step`):
 
     * **Compute folding.** Compute events' only effects are additions
       into interned counters (``cycles.app``, DRAM byte/line totals) that
@@ -103,6 +101,10 @@ class PackedTrace:
       representable and any accumulation order produces the same float.
       All compute events are therefore reduced into
       ``compute_cycles``/``compute_bytes`` and leave the dispatch stream.
+      ``computes`` keeps one ``(position, cycles, dram_bytes)`` record
+      per compute event, where ``position`` counts the packed rows
+      before it, so the event stream can be rebuilt and audit epochs
+      can count computes.
 
     * **Flat operand columns.** The surviving events are stored as
       parallel lists the replay loop zips over directly; touch write
@@ -128,9 +130,9 @@ class PackedTrace:
         "f1",
         "f2",
         "writes",
+        "computes",
         "compute_cycles",
         "compute_bytes",
-        "events",
     )
 
     def __init__(self) -> None:
@@ -139,22 +141,24 @@ class PackedTrace:
         self.f1: List[int] = []
         self.f2: List[int] = []
         self.writes: List[bool] = []
+        self.computes: List[Tuple[int, int, int]] = []
         self.compute_cycles = 0
         self.compute_bytes = 0
-        self.events = 0
 
     @classmethod
-    def pack(cls, events: List[Event]) -> "PackedTrace":
+    def pack(cls, events: Sequence[Event]) -> "PackedTrace":
         """Pack ``events``; raises ``ValueError`` naming the index of the
         first event that is not exactly one of the four kinds."""
         packed = cls()
-        op = packed.ops.append
+        ops = packed.ops
+        op = ops.append
         f0 = packed.f0.append
         f1 = packed.f1.append
         f2 = packed.f2.append
         writes = packed.writes.append
+        compute = packed.computes.append
         compute_cycles = compute_bytes = 0
-        for event in events:
+        for index, event in enumerate(events):
             kind = type(event)
             if kind is Touch:
                 op(OP_TOUCH)
@@ -163,6 +167,7 @@ class PackedTrace:
                 f2(event.line_offset)
                 writes(True if event.write else False)
             elif kind is Compute:
+                compute((len(ops), event.cycles, event.dram_bytes))
                 compute_cycles += event.cycles
                 compute_bytes += event.dram_bytes
             elif kind is Alloc:
@@ -178,133 +183,86 @@ class PackedTrace:
                 f2(0)
                 writes(False)
             else:
-                index = next(i for i, e in enumerate(events) if e is event)
                 raise unknown_event(event, index)
         packed.compute_cycles = compute_cycles
         packed.compute_bytes = compute_bytes
-        packed.events = len(events)
         return packed
 
     def __len__(self) -> int:
-        return self.events
+        return len(self.ops) + len(self.computes)
 
 
 class Trace:
     """A named, replayable event sequence with summary metadata.
 
-    A trace holds one of two forms. A hand-built trace holds its event
-    list, and :meth:`columnar` packs it. A generated trace
-    (:meth:`from_columns`) holds its packed columns plus one
-    ``(position, cycles, dram_bytes)`` record per compute event, where
-    ``position`` counts the packed events before it. Its :attr:`events`
-    list is a view built from those on first read; ``len()``,
-    :meth:`columnar` and the summary properties read the columns
-    without building it. Traces are append-only: once the list grows
-    past the columns, :meth:`columnar` packs the list.
+    A trace holds one :class:`PackedTrace`: the generator's own, or the
+    packing of the event list it was constructed with. ``len()``,
+    :meth:`columnar` and the summary properties read the columns;
+    :attr:`events` builds the event objects from them on each read.
     """
 
-    __slots__ = (
-        "name",
-        "language",
-        "category",
-        "_events",
-        "_columns",
-        "_computes",
-        "_columnar",
-    )
+    __slots__ = ("name", "language", "category", "_packed")
 
     def __init__(
         self,
         name: str,
         language: str,
         category: str,  # "function" | "dataproc" | "platform"
-        events: Optional[List[Event]] = None,
+        events: Union[Sequence[Event], PackedTrace] = (),
     ) -> None:
+        """``events`` is an event list, packed here (``ValueError``
+        naming the index of an event that is not one of the four kinds),
+        or a :class:`PackedTrace` the trace takes as it is."""
         self.name = name
         self.language = language
         self.category = category
-        self._events = [] if events is None else events
-        self._columns: Optional[PackedTrace] = None
-        self._computes: Sequence[Tuple[int, int, int]] = ()
-        # The packed form and the event count it was built at.
-        self._columnar: Optional[Tuple[int, PackedTrace]] = None
-
-    @classmethod
-    def from_columns(
-        cls,
-        name: str,
-        language: str,
-        category: str,
-        columns: PackedTrace,
-        computes: Sequence[Tuple[int, int, int]],
-    ) -> "Trace":
-        """A trace whose events are ``columns`` with each compute record
-        ``(position, cycles, dram_bytes)`` put back before the packed
-        event at ``position`` (positions ascending)."""
-        trace = cls(name, language, category)
-        trace._events = None
-        trace._columns = columns
-        trace._computes = computes
-        return trace
+        self._packed = (
+            events
+            if isinstance(events, PackedTrace)
+            else PackedTrace.pack(events)
+        )
 
     @property
     def events(self) -> List[Event]:
-        """The event list (built from the columns on first read)."""
-        if self._events is None:
-            columns = self._columns
-            rows = zip(
-                columns.ops, columns.f0, columns.f1, columns.f2,
-                columns.writes,
-            )
-            events: List[Event] = []
-            done = 0
-            for at, cycles, dram_bytes in self._computes:
-                events += starmap(_unpacked, islice(rows, at - done))
-                done = at
-                events.append(Compute(cycles, dram_bytes))
-            events += starmap(_unpacked, rows)
-            self._events = events
-        return self._events
+        """The event list, built from the packed columns on each read:
+        each compute record goes back before the packed row at its
+        position."""
+        packed = self._packed
+        rows = zip(packed.ops, packed.f0, packed.f1, packed.f2, packed.writes)
+        events: List[Event] = []
+        done = 0
+        for at, cycles, dram_bytes in packed.computes:
+            events += starmap(_unpacked, islice(rows, at - done))
+            done = at
+            events.append(Compute(cycles, dram_bytes))
+        events += starmap(_unpacked, rows)
+        return events
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
 
     def __len__(self) -> int:
-        events = self._events
-        return len(self._columns) if events is None else len(events)
+        return len(self._packed)
 
     @property
     def alloc_count(self) -> int:
-        return self.columnar().ops.count(OP_ALLOC)
+        return self._packed.ops.count(OP_ALLOC)
 
     @property
     def free_count(self) -> int:
-        return self.columnar().ops.count(OP_FREE)
+        return self._packed.ops.count(OP_FREE)
 
     @property
     def total_alloc_bytes(self) -> int:
-        packed = self.columnar()
+        packed = self._packed
         return sum(compress(packed.f1, [op == OP_ALLOC for op in packed.ops]))
 
     def allocs(self) -> Iterator[Alloc]:
         return (e for e in self.events if isinstance(e, Alloc))
 
     def columnar(self) -> PackedTrace:
-        """The packed replay form: a generated trace's own columns, else
-        packed from the event list (built once, re-packed if the event
-        count changed); raises ``ValueError`` naming the index of an
-        event that is not one of the four kinds."""
-        cached = self._columnar
-        count = len(self)
-        if cached is None or cached[0] != count:
-            with current_instruments().tracer.span(
-                "trace.pack", trace=self.name, events=count
-            ):
-                packed = self._columns
-                if packed is None or len(packed) != count:
-                    packed = PackedTrace.pack(self._events)
-            cached = self._columnar = (count, packed)
-        return cached[1]
+        """The packed replay form (the trace's one form)."""
+        return self._packed
 
     def validate(self) -> None:
         """Structural sanity: frees reference live objects exactly once,

@@ -38,8 +38,7 @@ def run_system():
     system = SimulatedSystem(small_spec(), stack="memento")
     from repro.workloads.synth import generate_trace
 
-    trace = generate_trace(system.spec)
-    system._replay_events(trace)
+    system._replay_columnar(generate_trace(system.spec).columnar())
     return system
 
 
@@ -60,7 +59,7 @@ def test_baseline_stack_is_also_clean():
     system = SimulatedSystem(small_spec(), stack="baseline")
     from repro.workloads.synth import generate_trace
 
-    system._replay_events(generate_trace(system.spec))
+    system._replay_columnar(generate_trace(system.spec).columnar())
     ctx = AuditContext.from_system(system)
     for rule_cls in DEFAULT_RULES:
         assert rule_cls().check(ctx) == [], rule_cls.name
@@ -174,12 +173,10 @@ def test_writeback_ledger_catches_int_dirty_bit(run_system):
 
 def test_auditor_epoch_gating():
     run = Auditor(epoch="run")
-    assert not run.steps_events
     assert not run.should_check(0)
     event = Auditor(epoch="event")
-    assert event.steps_events and event.should_check(7)
+    assert event.should_check(7)
     interval = Auditor(epoch="interval", every=10)
-    assert interval.steps_events
     assert not interval.should_check(0)
     assert interval.should_check(9)
     with pytest.raises(ValueError):

@@ -46,9 +46,10 @@ def test_reference_system_matches_fast_end_state():
     spec = small_spec()
     trace = generate_trace(spec)
     fast = oracle.SimulatedSystem(spec, stack="memento")
-    fast._replay_events(trace)
+    fast._replay_columnar(trace.columnar())
     reference = build_reference_system(spec, stack="memento")
-    reference._replay_events(trace)
+    for index, event in enumerate(trace.events):
+        reference.step(event, index)
     for key in oracle._PROBE_KEYS_MEMENTO:
         assert fast.machine.stats[key] == reference.machine.stats[key], key
     assert fast.core.cycles == reference.core.cycles

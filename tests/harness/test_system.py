@@ -4,10 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.audit import Auditor
 from repro.core.config import MementoConfig
 from repro.harness.system import SimulatedSystem
-from repro.obs.instruments import instrumented
 from repro.workloads.registry import get_workload
 from repro.workloads.synth import WorkloadSpec, generate_trace
 from repro.workloads.trace import Touch, Trace
@@ -170,8 +168,7 @@ class _TaggedTouch(Touch):
 
 def _with_unknown_event(kind):
     spec = small(num_allocs=100)
-    trace = generate_trace(spec)
-    events = list(trace.events)
+    events = generate_trace(spec).events
     index = next(i for i, e in enumerate(events) if type(e) is Touch)
     event = events[index]
     events[index] = (
@@ -179,19 +176,23 @@ def _with_unknown_event(kind):
         if kind == "subclass"
         else object()
     )
-    trace = Trace(trace.name, trace.language, trace.category, events)
-    return spec, trace, index
+    return spec, events, index
 
 
 @pytest.mark.parametrize("kind", ["subclass", "foreign"])
-@pytest.mark.parametrize("audited", [False, True], ids=["columnar", "audit"])
-def test_unknown_event_type_raises_with_its_index(kind, audited):
+@pytest.mark.parametrize("path", ["columnar", "step"])
+def test_unknown_event_type_raises_with_its_index(kind, path):
     # Events must be exactly Alloc/Free/Touch/Compute: anything else
-    # fails the run, naming the type and its position, instead of being
-    # dropped from the replay.
-    spec, trace, index = _with_unknown_event(kind)
+    # fails, naming the type and its position, instead of being dropped
+    # from the replay. Building a trace packs its events, so the packed
+    # form rejects it before any run; stepping the events rejects it at
+    # that event.
+    spec, events, index = _with_unknown_event(kind)
     name = "_TaggedTouch" if kind == "subclass" else "object"
-    with instrumented(audit=Auditor(epoch="event") if audited else None):
-        system = SimulatedSystem(spec, stack="memento")
-        with pytest.raises(ValueError, match=rf"{name}.*index {index}\b"):
-            system.run(trace)
+    with pytest.raises(ValueError, match=rf"{name}.*index {index}\b"):
+        if path == "columnar":
+            Trace(spec.name, spec.language, spec.category, events)
+        else:
+            system = SimulatedSystem(spec, stack="memento")
+            for position, event in enumerate(events):
+                system.step(event, position)

@@ -1,16 +1,19 @@
 """Replay-loop equivalence suite and the retired replay-kernel field.
 
-``SimulatedSystem`` replays a trace one of two ways: the columnar loop
-over the packed trace (every unaudited run) or the per-event path
-through ``SimulatedSystem.step`` (audited runs and the differential
-oracle). Both run every touch through the one line-touch kernel
-(``SimulatedSystem._touch_lines``). The contract under test is
-absolute: the packed form is an *encoding* of the event stream, not a
-model of it, so ``RunResult.to_dict()`` — counters, digests, cycle
-totals, profile attribution — must be bit-identical between the two
-paths on every workload, on a hand-built trace at the touch kernel's
-edges, and on every registered stack. Anything less is a correctness
-bug, not a tolerance.
+``SimulatedSystem.run`` has one replay loop: the columnar loop over the
+packed trace, audited or not. The per-event reference is
+:func:`repro.audit.oracle.replay_events`, which steps every event
+through ``SimulatedSystem.step``. Both run every touch through the one
+line-touch kernel (``SimulatedSystem._touch_lines``). The contract under
+test is absolute: the packed form is an *encoding* of the event stream,
+not a model of it, so ``RunResult.to_dict()`` — counters, digests, cycle
+totals — must be bit-identical between ``run()`` and the reference on
+every workload, on a hand-built trace at the touch kernel's edges, and
+on every registered stack. An audited ``run()`` checks its epochs
+between row segments of the same loop: its checks must see the state
+stepping the events would give, and its result must be the unaudited
+one plus the audit summary. Anything less is a correctness bug, not a
+tolerance.
 
 Requests once also chose between two replay kernels; the wire field
 survives only as a tolerated legacy value that never reaches content
@@ -24,7 +27,7 @@ import random
 import pytest
 
 from repro.audit import Auditor
-from repro.audit.oracle import run_lockstep
+from repro.audit.oracle import replay_events, run_lockstep
 from repro.core.config import MementoConfig
 from repro.harness.engine import RunRequest
 from repro.harness.system import SimulatedSystem
@@ -40,19 +43,11 @@ IDS = [spec.name for spec in ALL_SPECS]
 ALL_STACKS = list(stack_names())
 
 
-def stepping_auditor():
-    """An auditor with no rules and an interval no test trace reaches:
-    all it does is send ``run()`` down the per-event path."""
-    return Auditor(epoch="interval", every=1 << 62, rules=())
-
-
 def run_result(spec, stack, trace, per_event, **kwargs):
-    with instrumented(audit=stepping_auditor() if per_event else None):
-        result = SimulatedSystem(spec, stack, **kwargs).run(trace)
-    payload = result.to_dict()
-    # The auditor's summary is the one field the two paths may differ in.
-    payload.pop("audit", None)
-    return payload
+    system = SimulatedSystem(spec, stack, **kwargs)
+    if per_event:
+        return replay_events(system, trace).to_dict()
+    return system.run(trace).to_dict()
 
 
 def assert_paths_agree(spec, stack, trace, **kwargs):
@@ -88,16 +83,17 @@ def test_kernels_bit_identical_randomized_short_traces(seed):
 
 
 def test_kernels_identical_profile_attribution():
+    # Binding an event-epoch auditor changes nothing the profile sees.
     spec = dataclasses.replace(
         get_workload("html").resolved(), num_allocs=400
     )
     trace = generate_trace(spec)
     payloads = {}
-    for per_event in (False, True):
+    for audit in (None, Auditor(epoch="event")):
         profile = CycleProfile()
-        with instrumented(profile=profile):
-            run_result(spec, "memento", trace, per_event)
-        payloads[per_event] = profile.to_dict()
+        with instrumented(profile=profile, audit=audit):
+            SimulatedSystem(spec, "memento").run(trace)
+        payloads[audit is None] = profile.to_dict()
     assert payloads[False] == payloads[True]
 
 
@@ -164,6 +160,88 @@ def test_kernels_bit_identical_edge_trace(workload, stack):
     # per-line reference as well.
     divergence, _ = run_lockstep(list(trace.events), spec, stack)
     assert divergence is None, divergence
+
+
+# -- audited replays ----------------------------------------------------------
+
+
+def checkpoint_trace(language):
+    """Hand-built events with a leading compute, two adjacent computes
+    and a trailing compute, so that checks land on and around them."""
+    events = [
+        Compute(10, 64),
+        Alloc(0, 256),
+        Touch(0, 4, 0, write=True),
+        Compute(20, 0),
+        Compute(30, 128),
+        Alloc(1, 64),
+        Touch(1, 1, 0, write=False),
+        Touch(0, 2, 1, write=False),
+        Free(1),
+        Alloc(2, 4096),
+        Touch(2, 3, 0, write=True),
+        Free(0),
+        Compute(40, 64),
+    ]
+    trace = Trace("checkpoints", language, "function", events)
+    trace.validate()
+    return trace
+
+
+def probe(system):
+    """The state a check sees: L1d accesses and live objects."""
+    stats = system.machine.stats
+    return stats["l1d.hits"] + stats["l1d.misses"], len(system._addr_of)
+
+
+class ProbingAuditor(Auditor):
+    """An auditor with no rules that logs ``(event_index, probe)`` at
+    each of its checks."""
+
+    def __init__(self, **kwargs):
+        super().__init__(rules=(), **kwargs)
+        self.system = None
+        self.log = []
+
+    def check(self, ctx, event_index=None):
+        self.log.append((event_index, probe(self.system)))
+        return super().check(ctx, event_index)
+
+
+@pytest.mark.parametrize("stack", ALL_STACKS)
+@pytest.mark.parametrize("epoch, every", [("event", 1), ("interval", 3)])
+def test_audit_checkpoints_see_per_event_state(epoch, every, stack):
+    spec = get_workload("html").resolved()
+    trace = checkpoint_trace(spec.language)
+    auditor = ProbingAuditor(epoch=epoch, every=every)
+    with instrumented(audit=auditor):
+        auditor.system = SimulatedSystem(spec, stack)
+    auditor.system.run(trace)
+    reference = SimulatedSystem(spec, stack)
+    expected = []
+    for index, event in enumerate(trace.events):
+        reference.step(event, index)
+        if auditor.should_check(index):
+            expected.append((index, probe(reference)))
+    # The run-epoch check after the last event.
+    expected.append((None, probe(reference)))
+    assert len(expected) == (14 if epoch == "event" else 5)
+    assert auditor.log == expected
+
+
+@pytest.mark.parametrize("stack", ALL_STACKS)
+def test_audited_run_is_the_unaudited_run_plus_audit(stack):
+    spec = dataclasses.replace(
+        get_workload("html").resolved(), num_allocs=300
+    )
+    for trace in (generate_trace(spec), checkpoint_trace(spec.language)):
+        unaudited = SimulatedSystem(spec, stack).run(trace).to_dict()
+        with instrumented(audit=Auditor(epoch="event")):
+            audited = SimulatedSystem(spec, stack).run(trace).to_dict()
+        summary = audited.pop("audit")
+        assert summary["checks"] == len(trace) + 1
+        assert summary["violations"] == 0
+        assert audited == unaudited
 
 
 # -- @audit tier: the full sweep at a larger trace size ----------------------

@@ -101,7 +101,7 @@ def test_system_run_produces_phase_spans(tmp_path):
     run_spans = [c for c in execute.children if c.name == "system.run"]
     assert run_spans, "system.run should nest under execute"
     phases = [c.name for c in run_spans[0].children]
-    assert phases == ["trace.load", "trace.pack", "replay", "stats.fold"]
+    assert phases == ["trace.load", "replay", "stats.fold"]
     assert "total_cycles" in run_spans[0].attrs
     assert any(c.name == "cache.admit" for c in execute.children)
 

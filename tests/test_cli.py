@@ -338,6 +338,17 @@ def test_nonpositive_audit_interval_exits_2(argv, flag, every, capsys):
     assert "audit:" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("num_allocs", ["-5", "-1"])
+def test_negative_audit_num_allocs_exits_2(num_allocs, capsys):
+    # Once read as "no limit", a negative size replayed an empty trace
+    # and reported "1 checks ok".
+    assert main(["audit", "html", "--num-allocs", num_allocs]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("repro: error:")
+    assert "--num-allocs" in captured.err
+    assert "audit:" not in captured.out
+
+
 def progress_lines(capsys, progress, total, live):
     """Stderr of the CLI's progress callback over one batch of ``total``
     runs whose last ``live`` ran live (hits come first, as the engine

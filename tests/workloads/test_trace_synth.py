@@ -4,11 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.audit import Auditor
+from repro.audit.oracle import replay_events
 from repro.harness import system as harness_system
 from repro.harness.engine import ExperimentEngine, RunRequest, spec_from_dict
 from repro.harness.system import SimulatedSystem
-from repro.obs.instruments import instrumented
 from repro.stacks import stack_names
 from repro.workloads.profiles import LifetimeProfile
 from repro.workloads.synth import WorkloadSpec, generate_trace
@@ -218,16 +217,6 @@ def test_any_spec_generates_valid_trace_property(seed, phases, short):
 # ---------------------------------------------------------------- columnar
 
 
-def test_columnar_is_memoized_and_refreshed_on_growth():
-    trace = generate_trace(small_spec())
-    first = trace.columnar()
-    assert trace.columnar() is first
-    trace.events.append(Touch(0))
-    second = trace.columnar()
-    assert second is not first
-    assert len(second) == len(trace)
-
-
 class Odd:
     pass
 
@@ -237,21 +226,23 @@ def odd_trace():
 
 
 def test_columnar_rejects_noncanonical_events():
+    # An event list is packed when the trace is built, so the error
+    # comes before any replay.
     with pytest.raises(ValueError, match="index 1"):
-        odd_trace().columnar()
+        odd_trace()
 
 
 def test_replay_rejects_noncanonical_events_with_the_pack_error():
     with pytest.raises(ValueError) as packed:
-        odd_trace().columnar()
+        odd_trace()
     assert str(packed.value) == (
         "unknown trace event type 'Odd' at index 1: "
         "expected Alloc, Free, Touch or Compute"
     )
     system = SimulatedSystem(small_spec(), "memento")
-    with pytest.raises(ValueError) as replayed:
-        system.run(odd_trace())
-    assert str(replayed.value) == str(packed.value)
+    with pytest.raises(ValueError) as stepped:
+        system.step(Odd(), 1)
+    assert str(stepped.value) == str(packed.value)
 
 
 def test_pack_folds_compute_and_keeps_line_offsets():
@@ -264,9 +255,11 @@ def test_pack_folds_compute_and_keeps_line_offsets():
         Free(obj=0),
     ])
     packed = trace.columnar()
-    # Computes leave the stream, folded into two exact sums.
+    # Computes leave the stream, folded into two exact sums; each keeps
+    # its position among the packed rows.
     assert packed.compute_cycles == 15
     assert packed.compute_bytes == 96
+    assert packed.computes == [(1, 10, 96), (2, 5, 0)]
     assert len(packed) == 6
     assert packed.ops == [OP_ALLOC, OP_TOUCH, OP_TOUCH, OP_FREE]
     assert packed.f0 == [0, 0, 0, 0]
@@ -276,20 +269,17 @@ def test_pack_folds_compute_and_keeps_line_offsets():
     # A truthy write flag is stored as a bool: cache dirty bits must be.
     assert packed.writes == [False, True, False, False]
     assert all(type(w) is bool for w in packed.writes)
-
-
-def test_pack_memoized_repacked_on_growth_and_empty():
-    trace = Trace("x", "python", "function", [])
-    packed = trace.columnar()
-    assert trace.columnar() is packed
-    assert len(packed) == 0 and packed.ops == []
-    assert packed.compute_cycles == 0 and packed.compute_bytes == 0
-    trace.events.append(Compute(cycles=7, dram_bytes=64))
-    trace.events.append(Alloc(obj=1, size=32))
-    grown = trace.columnar()
-    assert grown is not packed and trace.columnar() is grown
-    assert len(grown) == 2 and grown.ops == [OP_ALLOC]
-    assert (grown.compute_cycles, grown.compute_bytes) == (7, 64)
+    # The event list comes back from the columns unchanged.
+    assert trace.events == [
+        Alloc(0, 4096),
+        Compute(10, 96),
+        Touch(0, 1, 3, True),
+        Compute(5, 0),
+        Touch(0, 4, 2, False),
+        Free(0),
+    ]
+    empty = Trace("x", "python", "function").columnar()
+    assert len(empty) == 0 and empty.ops == [] and empty.computes == []
 
 
 def test_summary_properties_match_events_and_refresh():
@@ -299,23 +289,15 @@ def test_summary_properties_match_events_and_refresh():
     assert trace.alloc_count == len(allocs)
     assert trace.free_count == len(frees)
     assert trace.total_alloc_bytes == sum(e.size for e in allocs)
-    trace.events.append(Alloc(1 << 40, 24))
-    assert trace.alloc_count == len(allocs) + 1
-    assert trace.total_alloc_bytes == sum(e.size for e in allocs) + 24
 
 
 def test_columnar_replay_matches_event_replay():
     spec = small_spec(num_allocs=800)
     fast = SimulatedSystem(spec, stack="baseline").run(generate_trace(spec))
-    # An auditor that steps events takes the per-event path; with an
-    # interval the replay never reaches, it checks once, after replay.
-    with instrumented(audit=Auditor(epoch="interval", every=10**9)):
-        slow = SimulatedSystem(spec, stack="baseline").run(
-            generate_trace(spec)
-        )
-    payload = slow.to_dict()
-    assert payload.pop("audit")
-    assert fast.to_dict() == payload
+    slow = replay_events(
+        SimulatedSystem(spec, stack="baseline"), generate_trace(spec)
+    )
+    assert fast.to_dict() == slow.to_dict()
 
 
 # ------------------------------------------------------- generated form
@@ -325,9 +307,11 @@ def test_generated_trace_builds_events_only_when_read():
     trace = generate_trace(small_spec(num_allocs=300))
     packed = trace.columnar()
     assert (len(trace), trace.alloc_count) == (len(packed), 300)
-    assert trace._events is None
+    assert len(packed.computes) == 300
+    # Each read builds a fresh list from the columns: no cache to drift.
     events = trace.events
-    assert trace.events is events and len(events) == len(packed)
+    assert trace.events is not events and trace.events == events
+    assert len(events) == len(packed)
     assert sum(isinstance(e, Compute) for e in events) == 300
     assert trace.columnar() is packed
 
@@ -335,12 +319,19 @@ def test_generated_trace_builds_events_only_when_read():
 def test_engine_replays_never_build_event_objects(tmp_path, monkeypatch):
     generated = []
     real_generate = harness_system.generate_trace
+    reads = []
+    real_events = Trace.events
 
     def recording_generate(spec):
         generated.append(real_generate(spec))
         return generated[-1]
 
+    def counted_events(trace):
+        reads.append(trace)
+        return real_events.fget(trace)
+
     monkeypatch.setattr(harness_system, "generate_trace", recording_generate)
+    monkeypatch.setattr(Trace, "events", property(counted_events))
     engine = ExperimentEngine(cache_dir=tmp_path, use_disk_cache=False)
     spec = small_spec(num_allocs=400)
     # A group of two shares one trace; a lone request generates its own
@@ -351,7 +342,7 @@ def test_engine_replays_never_build_event_objects(tmp_path, monkeypatch):
     )
     engine.run(RunRequest(small_spec(num_allocs=300), stack="reclaim"))
     assert len(generated) == 2
-    assert all(trace._events is None for trace in generated)
+    assert reads == []
 
 
 #: Wire-valid: startup sizes scale by 0.01, so every startup draw would
