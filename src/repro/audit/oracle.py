@@ -453,7 +453,7 @@ class DiffReport:
 
 def replay_events(system: SimulatedSystem, trace: Trace) -> RunResult:
     """The per-event reference for :meth:`SimulatedSystem.run`: the same
-    phases (cold start, replay, teardown, charges, collection), with the
+    phases (cold start, replay, teardown, collection, pricing), with the
     replay stepping every event through :meth:`SimulatedSystem.step`,
     computes charged where they occur, instead of the packed loop. It
     consults no instrument: no audit check runs and no profile is
@@ -463,8 +463,9 @@ def replay_events(system: SimulatedSystem, trace: Trace) -> RunResult:
     for index, event in enumerate(trace.events):
         system.step(event, index)
     system._teardown(trace)
-    system._charge()
-    return system._collect(trace, trace.alloc_count, trace.free_count)
+    return system._priced(
+        system._collect(trace, trace.alloc_count, trace.free_count)
+    )
 
 
 def _compare_columnar(

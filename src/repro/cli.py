@@ -486,6 +486,15 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+def _workload(name: str):
+    """The registered workload a flag names; an unknown name is a
+    :class:`UsageError` with the registry's message."""
+    try:
+        return get_workload(name)
+    except KeyError as exc:
+        raise UsageError(exc.args[0]) from None
+
+
 def cmd_list(args: argparse.Namespace) -> int:
     rows = [
         [
@@ -646,7 +655,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     specs = (
         evaluation_workloads()
         if args.run_all
-        else [get_workload(name) for name in names]
+        else [_workload(name) for name in names]
     )
     args.jobs = resolve_jobs(args.jobs)
     tracer = profile = auditor = None
@@ -782,7 +791,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.audit_all:
         specs = all_workloads()
     else:
-        specs = [get_workload(name) for name in (names or ["html"])]
+        specs = [_workload(name) for name in (names or ["html"])]
     stacks = resolve_stack_list(args.stack)
     every = resolve_count(args.every, "--every")
     # 0 is the workload's full size; a negative size is a usage error.
@@ -842,21 +851,26 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
 
     args.jobs = resolve_jobs(args.jobs)
     stacks = resolve_stack_list(args.stacks, default=STACKS)
-    request = FleetRequest(
-        workloads=tuple(args.workloads or ()),
-        mix=args.mix,
-        invocations=args.invocations,
-        duration_s=args.duration,
-        pattern=args.pattern,
-        seed=args.seed,
-        epochs=args.epochs,
-        keep_alive_s=args.keep_alive,
-        policy=args.policy,
-        max_warm=args.max_warm,
-        profile_seeds=args.profile_seeds,
-        invocation_allocs=args.allocs,
-        stacks=stacks,
-    )
+    try:
+        request = FleetRequest(
+            workloads=tuple(args.workloads or ()),
+            mix=args.mix,
+            invocations=args.invocations,
+            duration_s=args.duration,
+            pattern=args.pattern,
+            seed=args.seed,
+            epochs=args.epochs,
+            keep_alive_s=args.keep_alive,
+            policy=args.policy,
+            max_warm=args.max_warm,
+            profile_seeds=args.profile_seeds,
+            invocation_allocs=args.allocs,
+            stacks=stacks,
+        )
+    except ValueError as exc:
+        # Every field comes from a flag, so a rejected value is a usage
+        # error.
+        raise UsageError(str(exc)) from None
     engine = _make_engine(args)
     recorder = None
     if args.telemetry:
@@ -1027,7 +1041,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_energy(args: argparse.Namespace) -> int:
     model = EnergyModel()
-    report = model.report(run_workload(get_workload(args.workload)))
+    report = model.report(run_workload(_workload(args.workload)))
     print(render_table(
         ["metric", "value"],
         [

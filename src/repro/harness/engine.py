@@ -43,6 +43,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Hashable,
     Iterator,
     List,
     Optional,
@@ -238,19 +239,19 @@ class RunRequest:
             },
         )
 
-    def replay_key(self) -> Optional[Tuple[Any, ...]]:
-        """What this request's replay depends on, or ``None`` when it
-        replays alone.
+    def replay_key(self) -> Hashable:
+        """What this request's replay depends on.
 
         The content-key body with ``stack`` replaced by the one thing a
         software stack decides about a replay, ``allocator_warm`` (its
         ``charges`` come after teardown), and the Memento config left
         out, as :meth:`content_key` leaves it out of software runs.
         Requests with equal keys replay the same machine step for step,
-        so the engine replays one and derives the others
-        (:func:`_run_group`). Hardware stacks, runs while a
-        ``CycleProfile`` or ``Auditor`` is bound (both attach
-        per-system state), and a knob the stack rejects replay alone.
+        so the engine replays one and prices each
+        (:func:`_run_group`). A request that replays alone is its own
+        key: a hardware stack, a run while a ``CycleProfile`` or
+        ``Auditor`` is bound (both attach per-system state), or a knob
+        the stack rejects.
         """
         entry = stack_registry.get_stack(self.stack)
         instruments = current_instruments()
@@ -260,7 +261,7 @@ class RunRequest:
             or instruments.audit is not None
             or (self.mmap_populate and "mmap_populate" not in entry.knobs)
         ):
-            return None
+            return self
         spec = self.spec.resolved()
         return (
             spec,
@@ -292,18 +293,9 @@ class RunRequest:
             **kwargs,
         )
 
-    def execute(
-        self,
-        cost_model: Optional[CostModel] = None,
-        trace: Optional[Trace] = None,
-    ) -> RunResult:
-        """Run the simulation this request describes (no caching).
-
-        ``trace`` must be the trace of this request's resolved spec (the
-        engine shares one across every request with that spec); omitted,
-        it is generated from the spec.
-        """
-        return self.build_system(cost_model).run(trace)
+    def execute(self, cost_model: Optional[CostModel] = None) -> RunResult:
+        """Run the simulation this request describes (no caching)."""
+        return self.build_system(cost_model).run()
 
     # -- wire schema -----------------------------------------------------
 
@@ -486,25 +478,22 @@ def _spec_groups(
 def _split_groups(
     groups: List[List[Any]],
     workers: int,
-    replay_key: Callable[[Any], Any] = lambda member: None,
+    replay_key: Callable[[Any], Hashable],
 ) -> List[List[Any]]:
     """Halve the group with the most replays until every worker has a
     task or no group has two replays left: an idle worker costs more
     than generating one trace twice.
 
     A group's replays are its members clustered by ``replay_key`` in
-    order of first appearance; a member whose key is ``None`` is a
-    cluster of its own. A split falls between clusters, never inside
-    one, so members that share a replay keep sharing it on the pool.
+    order of first appearance. A split falls between clusters, never
+    inside one, so members that share a replay keep sharing it on the
+    pool.
     """
     tasks = []
     for group in groups:
-        clusters: Dict[Any, List[Any]] = {}
-        for index, member in enumerate(group):
-            key = replay_key(member)
-            clusters.setdefault(
-                ("alone", index) if key is None else key, []
-            ).append(member)
+        clusters: Dict[Hashable, List[Any]] = {}
+        for member in group:
+            clusters.setdefault(replay_key(member), []).append(member)
         tasks.append(list(clusters.values()))
     while len(tasks) < workers:
         largest = max(range(len(tasks)), key=lambda i: len(tasks[i]))
@@ -524,52 +513,42 @@ def _run_group(
     """Run requests that share one resolved spec, yielding each one's
     :meth:`RunResult.to_dict` form and seconds as it finishes.
 
-    A group of several generates its trace once and replays it on every
-    member; a lone request generates its own inside ``system.run``,
-    exactly like a direct :meth:`RunRequest.execute`. The trace dies with
-    the generator, so a serial batch holds one trace at a time.
-
-    Members with equal replay keys (:meth:`RunRequest.replay_key`)
+    The group generates its trace once, a lone request included; the
+    trace dies with the generator, so a serial batch holds one trace at
+    a time. Members with equal replay keys (:meth:`RunRequest.replay_key`)
     replay once: the first builds a system and runs it uncharged, and
-    every one of them, the first included, is that result plus its own
-    stack's charges (:meth:`RunResult.with_charges`). A member with no
-    key runs through ``execute``. Each member runs and serializes
-    under one collector scope
+    every member is that result priced with its own stack's charges
+    (:meth:`RunResult.with_charges`), as :meth:`SimulatedSystem.run`
+    prices a direct :meth:`RunRequest.execute`. Each member runs and
+    serializes under one collector scope
     (:func:`repro.harness.collector.paused`), whose exit frees its dead
     system before the next member starts.
     """
-    trace = None
-    if len(requests) > 1:
-        spec = requests[0].spec
-        with current_instruments().tracer.span(
-            "trace.load", workload=spec.name, shared=len(requests)
-        ):
-            # Looked up at call time, so a wrapper installed on the
-            # system module sees the call.
-            trace = harness_system.generate_trace(spec)
-    replays: Dict[Any, Tuple[RunResult, stack_registry.ReplayFacts]] = {}
+    spec = requests[0].spec
+    with current_instruments().tracer.span(
+        "trace.load", workload=spec.name, shared=len(requests)
+    ):
+        # Looked up at call time, so a wrapper installed on the system
+        # module sees the call.
+        trace = harness_system.generate_trace(spec)
+    replays: Dict[Hashable, Tuple[RunResult, stack_registry.ReplayFacts]] = {}
     for request in requests:
         started = time.perf_counter()
         with collector.paused():
             key = request.replay_key()
-            if key is None:
-                result = request.execute(cost_model, trace=trace)
-            else:
-                if key not in replays:
-                    replays[key] = _replay(request, cost_model, trace)
-                uncharged, facts = replays[key]
-                charges = stack_registry.get_stack(request.stack).charges(
-                    request.cold_start, facts, cost_model
-                )
-                result = uncharged.with_charges(
-                    charges, request.machine_params
-                )
+            if key not in replays:
+                replays[key] = _replay(request, cost_model, trace)
+            uncharged, facts = replays[key]
+            charges = stack_registry.get_stack(request.stack).charges(
+                request.cold_start, facts, cost_model
+            )
+            result = uncharged.with_charges(charges, request.machine_params)
             data = result.to_dict()
         yield data, time.perf_counter() - started
 
 
 def _replay(
-    request: RunRequest, cost_model: CostModel, trace: Optional[Trace]
+    request: RunRequest, cost_model: CostModel, trace: Trace
 ) -> Tuple[RunResult, stack_registry.ReplayFacts]:
     """Run ``request``'s system on ``trace`` without its stack's charges;
     return the result and the facts that price it for any stack. A

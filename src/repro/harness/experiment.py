@@ -163,22 +163,6 @@ class WorkloadResult:
         }
 
 
-def _reject_positional(name: str, rejected: tuple) -> None:
-    """The PR 1 deprecation, completed: positional flags now fail fast.
-
-    A bare ``*`` would raise Python's generic "takes 1 positional
-    argument" message; catching the arguments instead lets the error
-    name the new signature.
-    """
-    if rejected:
-        raise TypeError(
-            f"{name}() no longer accepts positional "
-            "config/machine_params/cold_start arguments; call "
-            f"{name}(..., cold_start=..., config=..., "
-            "machine_params=...) with keywords"
-        )
-
-
 def workload_requests(
     spec: WorkloadSpec,
     cold_start: bool = False,
@@ -206,7 +190,7 @@ def workload_requests(
 
 def run_workload(
     spec: WorkloadSpec,
-    *rejected,
+    *,
     cold_start: bool = False,
     config: Optional[MementoConfig] = None,
     machine_params: Optional[MachineParams] = None,
@@ -219,7 +203,6 @@ def run_workload(
     therefore share the cache) instead of silently falling outside the
     memoized path.
     """
-    _reject_positional("run_workload", rejected)
     engine = engine or get_default_engine()
     baseline, memento, nobypass = engine.run_many(
         workload_requests(spec, cold_start, config, machine_params)
@@ -239,7 +222,7 @@ def evaluation_workloads() -> List[WorkloadSpec]:
 
 def run_all(
     specs: Optional[Sequence[WorkloadSpec]] = None,
-    *rejected,
+    *,
     cold_start: bool = False,
     config: Optional[MementoConfig] = None,
     machine_params: Optional[MachineParams] = None,
@@ -251,7 +234,6 @@ def run_all(
     The whole batch is handed to the engine at once, so with ``jobs > 1``
     independent runs fan out across worker processes.
     """
-    _reject_positional("run_all", rejected)
     if specs is None:
         specs = evaluation_workloads()
     engine = engine or get_default_engine()

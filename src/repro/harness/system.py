@@ -149,14 +149,15 @@ class RunResult:
     def with_charges(
         self, charges: Mapping[str, int], params: MachineParams
     ) -> "RunResult":
-        """This result plus a stack's ``charges`` (:meth:`Stack.charges`);
-        the result itself when there are none.
+        """This result plus a stack's ``charges`` (:meth:`Stack.charges`):
+        the one pricing step, for :meth:`SimulatedSystem.run`, the engine
+        and the oracle alike.
 
-        On an uncharged result (``SimulatedSystem.run(charge=False)``)
-        this is what ``run()`` returns for that stack on the same replay:
-        the cycles land in ``cycles``, ``stats["cycles.<category>"]``,
-        ``total_cycles`` and ``seconds``, nowhere else.
+        The cycles land in ``cycles``, ``stats["cycles.<category>"]``,
+        ``total_cycles`` and ``seconds``, nowhere else. A zero amount adds
+        no key, and with nothing to add the result itself is returned.
         """
+        charges = {c: amount for c, amount in charges.items() if amount}
         if not charges:
             return self
         cycles = dict(self.cycles)
@@ -532,11 +533,12 @@ class SimulatedSystem:
         The whole run holds the cyclic collector paused
         (:func:`repro.harness.collector.paused`).
 
-        The stack's charges (:meth:`Stack.charges`) are applied once,
-        after teardown. With ``charge`` False they are left out: the
-        result is then the one every software stack with the same
-        warm-heap setting would replay, and ``self.facts`` holds what
-        its charges read (see :meth:`RunResult.with_charges`).
+        The replay is collected uncharged, then priced with the stack's
+        charges (:meth:`_priced`); a bound profile is finished on the
+        priced result. With ``charge`` False the uncharged result is
+        returned: the one every software stack with the same warm-heap
+        setting would replay, which ``self.facts`` prices for any of
+        them (:meth:`RunResult.with_charges`).
         """
         tracer = current_instruments().tracer
         profile = self._profile
@@ -567,16 +569,16 @@ class SimulatedSystem:
             self._teardown(trace)
             if profile is not None:
                 marks.append(("teardown", self.core.cycles))
-            if charge:
-                self._charge()
-            if profile is not None:
-                marks.append(("charges", self.core.cycles))
             with tracer.span("stats.fold"):
                 result = self._collect(trace, allocs, frees)
             if audit is not None:
                 result.audit = audit.summary()
+            priced = self._priced(result)
             if profile is not None:
-                self._finish_profile(result, marks)
+                marks.append(("charges", priced.total_cycles))
+                self._finish_profile(priced, marks)
+            if charge:
+                result = priced
             run_span.set("total_cycles", result.total_cycles)
         return result
 
@@ -739,15 +741,13 @@ class SimulatedSystem:
             exit_user_pages,
         )
 
-    def _charge(self) -> None:
-        """Apply the stack's charges for this replay to the core: the one
-        post-replay charge step (``run()`` and the oracle's per-event
-        leg)."""
+    def _priced(self, result: RunResult) -> RunResult:
+        """``result`` of this system's replay plus its stack's charges
+        for what the replay recorded (``self.facts``)."""
         charges = self.stack.charges(
             self.cold_start, self.facts, self.machine.costs
         )
-        for category, cycles in charges.items():
-            self.core.charge(cycles, category)
+        return result.with_charges(charges, self.machine.params)
 
     # -- result collection ----------------------------------------------------------
 

@@ -27,12 +27,12 @@ The contract (:class:`Stack`) has three parts:
 
 A stack cannot touch a replay except through ``allocator_warm``: the
 replay of a software stack is a function of that one boolean and the
-request's other fields, and ``charges`` is added after teardown
-(:meth:`SimulatedSystem.run`). So software stacks that agree on the
-warm-heap setting share one replay, and the engine derives each one's
-result from it with :meth:`RunResult.with_charges`. The baseline and
-memento entries charge nothing, so their results are bit-identical to
-the pre-registry harness.
+request's other fields, and every result is that replay priced with
+the stack's ``charges`` by :meth:`RunResult.with_charges`, in
+:meth:`SimulatedSystem.run` and in the engine alike. So software stacks
+that agree on the warm-heap setting share one replay, which the engine
+prices once per stack. The baseline and memento entries charge nothing,
+so their results are bit-identical to the pre-registry harness.
 """
 
 from __future__ import annotations

@@ -306,11 +306,18 @@ def test_pooled_batch_brings_worker_spans_home():
 
 
 def test_split_groups_keeps_every_worker_busy():
+    def alone(member):
+        return member
+
     groups = [list("abcd"), list("e")]
-    assert _split_groups(groups, 3) == [list("ab"), list("cd"), list("e")]
-    assert _split_groups(groups, 1) == groups
+    assert _split_groups(groups, 3, alone) == [
+        list("ab"), list("cd"), list("e")
+    ]
+    assert _split_groups(groups, 1, alone) == groups
     # Singletons cannot be split: fewer tasks than workers is the floor.
-    assert _split_groups([list("a"), list("b")], 4) == [list("a"), list("b")]
+    assert _split_groups([list("a"), list("b")], 4, alone) == [
+        list("a"), list("b")
+    ]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -433,15 +440,15 @@ def test_cache_can_be_disabled(tmp_path):
 
 
 def test_positional_config_arguments_removed(tmp_path):
-    """The PR 1 deprecation completed: positional flags raise a
-    TypeError that names the keyword-only signature."""
+    """Positional flags are a TypeError: config, machine_params and
+    cold_start are keyword-only."""
     from repro.harness.experiment import run_all
 
     engine = make_engine(tmp_path)
     spec = small(num_allocs=1_000)
-    with pytest.raises(TypeError, match=r"run_workload\(.*cold_start"):
+    with pytest.raises(TypeError, match="positional argument"):
         run_workload(spec, True, engine=engine)
-    with pytest.raises(TypeError, match=r"run_all\(.*cold_start"):
+    with pytest.raises(TypeError, match="positional argument"):
         run_all([spec], True, engine=engine)
     modern = run_workload(spec, cold_start=True, engine=engine)
     assert modern.baseline.total_cycles > 0

@@ -14,7 +14,7 @@ from repro.harness.engine import ExperimentEngine, RunRequest, _split_groups
 from repro.harness.system import SimulatedSystem
 from repro.obs.instruments import instrumented
 from repro.obs.profile import CycleProfile
-from repro.sim.cycles import DEFAULT_COSTS
+from repro.sim.cycles import CostModel, DEFAULT_COSTS
 from repro.sim.params import MachineParams
 from repro.workloads.registry import all_workloads, get_workload
 
@@ -57,7 +57,7 @@ def test_batch_equals_independent_runs(name, warm_heap, replays, builds):
     engine = ExperimentEngine(use_disk_cache=False)
     batch = engine.run_many(requests)
     assert builds[0] == replays
-    assert len({r.replay_key() for r in requests} - {None}) + 2 == replays
+    assert len({r.replay_key() for r in requests}) == replays
     for request, result in zip(requests, batch):
         assert result.to_dict() == request.execute().to_dict(), request.stack
 
@@ -104,10 +104,13 @@ def test_replay_key_shares_only_what_replays_alike():
         .replay_key()
         for stack, cold in itertools.product(STACKS, (False, True))
     }
-    # Memento's hardware replays alone; US keeps a warm heap, so a warm
-    # baseline and a warm snapshot restore replay the same machine, as
-    # do the cold snapshot record and every reclaim run's cold heap.
-    assert key["memento", False] is None and key["memento", True] is None
+    # Memento's hardware replays alone, so each request is its own key;
+    # US keeps a warm heap, so a warm baseline and a warm snapshot
+    # restore replay the same machine, as do the cold snapshot record
+    # and every reclaim run's cold heap.
+    for cold in (False, True):
+        alone = RunRequest(spec, stack="memento", cold_start=cold)
+        assert key["memento", cold] == alone
     assert key["baseline", False] == key["snapshot", False]
     assert key["snapshot", True] == key["reclaim", True]
     assert key["reclaim", False] != key["baseline", False]
@@ -118,15 +121,14 @@ def test_replay_key_shares_only_what_replays_alike():
     )
     assert other.replay_key() != key["baseline", False]
     # A knob the stack rejects replays alone, so it fails when built.
-    assert RunRequest(
-        spec, stack="snapshot", mmap_populate=True
-    ).replay_key() is None
+    rejected = RunRequest(spec, stack="snapshot", mmap_populate=True)
+    assert rejected.replay_key() == rejected
 
 
 def test_profiled_batches_replay_every_member(builds):
     requests = every_stack(small("html", num_allocs=200))
     with instrumented(profile=CycleProfile()) as bundle:
-        assert all(r.replay_key() is None for r in requests)
+        assert all(r.replay_key() == r for r in requests)
         ExperimentEngine(use_disk_cache=False).run_many(requests)
     assert builds[0] == len(requests)
     assert len(bundle.profile.runs) == len(requests)
@@ -142,6 +144,19 @@ def test_uncharged_run_plus_charges_is_the_run(stack, cold):
     derived = uncharged.with_charges(charges, MachineParams())
     direct = SimulatedSystem(spec, stack, cold_start=cold).run()
     assert derived.to_dict() == direct.to_dict()
+
+
+def test_a_zero_charge_adds_no_category():
+    # A free release charges 0 cycles: the engine's result equals a
+    # direct run, and neither carries a reclaim_release category.
+    free_release = CostModel(reclaim_release_per_page=0)
+    request = RunRequest(small("html"), stack="reclaim")
+    engine = ExperimentEngine(use_disk_cache=False, cost_model=free_release)
+    through_engine = engine.run(request)
+    direct = request.execute(free_release)
+    assert through_engine.to_dict() == direct.to_dict()
+    assert "reclaim_release" not in through_engine.cycles
+    assert "cycles.reclaim_release" not in through_engine.stats
 
 
 def test_warm_prefaulted_stat_counts_every_warm_page(monkeypatch):

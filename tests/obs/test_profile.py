@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.harness.engine import RunRequest
+from repro.harness.engine import ExperimentEngine, RunRequest
 from repro.obs.instruments import instrumented
 from repro.obs.ledger import payload_digest
 from repro.obs.profile import (
@@ -27,6 +27,7 @@ from repro.obs.profile import (
     render_profile,
     render_top_consumers,
 )
+from repro.sim.cycles import DEFAULT_COSTS
 from repro.workloads.registry import get_workload
 
 #: One workload per language stack keeps the integration matrix honest
@@ -191,6 +192,39 @@ class TestAttributionExactness:
         assert "swalloc.alloc_fast" in names
         assert "kernel.fault" in names
         assert not any(n.startswith("hot.") for n in names)
+
+
+class TestChargedStacks:
+    """The stacks that add charges after teardown: a profiled run prices
+    the same way directly and through the engine, and its ``charges``
+    phase is exactly what the stack charged."""
+
+    @pytest.mark.parametrize("cold", [False, True], ids=["warm", "cold"])
+    @pytest.mark.parametrize("stack", ["snapshot", "reclaim"])
+    def test_direct_and_engine_profiles_agree(self, stack, cold):
+        request = RunRequest(
+            spec=small_spec("US", num_allocs=400), stack=stack,
+            cold_start=cold,
+        )
+        direct_profile, engine_profile = CycleProfile(), CycleProfile()
+        with instrumented(profile=direct_profile):
+            direct = request.execute()
+        with instrumented(profile=engine_profile):
+            through_engine = ExperimentEngine(use_disk_cache=False).run(
+                request
+            )
+        assert through_engine.to_dict() == direct.to_dict()
+        assert json.dumps(engine_profile.to_dict(), sort_keys=True) == (
+            json.dumps(direct_profile.to_dict(), sort_keys=True)
+        )
+
+        system = request.build_system()
+        system.run()
+        charges = system.stack.charges(cold, system.facts, DEFAULT_COSTS)
+        (run,) = direct_profile.runs
+        assert run["phases"].get("charges", 0) == sum(charges.values())
+        assert sum(run["phases"].values()) == run["total_cycles"]
+        assert run["total_cycles"] == direct.total_cycles
 
 
 # -- determinism and zero perturbation ----------------------------------------

@@ -30,9 +30,10 @@ def test_run_single_workload(capsys, monkeypatch):
 
 
 def test_run_unknown_workload_reports_error(capsys):
-    # Operational errors follow the shared convention: exit code 1 and a
-    # one-line ``repro: error: ...`` report on stderr, not a traceback.
-    assert main(["run", "not-a-workload"]) == 1
+    # A workload name is a flag, so an unknown one is a usage error:
+    # exit code 2 and a one-line ``repro: error: ...`` report on stderr,
+    # not a traceback.
+    assert main(["run", "not-a-workload"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("repro: error:")
     assert "not-a-workload" in err
@@ -318,6 +319,38 @@ def test_unwritable_output_names_the_path(argv, capsys, monkeypatch, tmp_path):
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("repro: error:")
     assert str(missing) in last and "No such file or directory" in last
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (SMALL_FLEET + ["--invocations", "0"], "invocations"),
+        (SMALL_FLEET + ["--duration", "-1"], "duration_s"),
+        (SMALL_FLEET + ["--allocs", "0"], "invocation_allocs"),
+        (SMALL_FLEET + ["--profile-seeds", "0"], "profile_seeds"),
+        (SMALL_FLEET + ["--epochs", "-1"], "epochs"),
+        (SMALL_FLEET + ["--max-warm", "-1"], "max_warm"),
+        (SMALL_FLEET + ["--keep-alive", "-5"], "keep_alive_s"),
+        (SMALL_FLEET + ["--workloads", "nope"], "nope"),
+        (["run", "nope", "--no-cache"], "nope"),
+        (["audit", "nope", "--num-allocs", "100"], "nope"),
+        (["energy", "nope"], "nope"),
+    ],
+    ids=[
+        "fleet-invocations", "fleet-duration", "fleet-allocs",
+        "fleet-profile-seeds", "fleet-epochs", "fleet-max-warm",
+        "fleet-keep-alive", "fleet-workloads", "run-workload",
+        "audit-workload", "energy-workload",
+    ],
+)
+def test_rejected_flag_values_exit_2(argv, named, capsys):
+    # A value a flag supplied is a usage error wherever it is rejected:
+    # one ``repro: error:`` line naming it, exit code 2, nothing run.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("repro: error:") and named in line
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("every", ["0", "-1"])
